@@ -11,7 +11,7 @@
 package batage
 
 import (
-	"fmt"
+	"math/bits"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/predictors/tage"
@@ -27,8 +27,6 @@ type entry struct {
 type table struct {
 	spec    tage.TableSpec
 	entries []entry
-	idxFold *utils.FoldedHistory
-	tagFold [2]*utils.FoldedHistory
 }
 
 // Predictor is a BATAGE branch predictor.
@@ -36,7 +34,7 @@ type Predictor struct {
 	base    []utils.DualCounter
 	logBase int
 	tables  []table
-	ghist   *utils.GlobalHistory
+	hash    *tage.Hasher
 	rng     *utils.Rand
 
 	// cat is the controlled-allocation-throttling counter: it grows when
@@ -49,24 +47,27 @@ type Predictor struct {
 	lastIP    uint64
 	haveCache bool
 	cache     lookup
-	idxBuf    []uint64
-	tagBuf    []uint16
-	hitBuf    []int
 
 	allocations uint64
 	throttled   uint64
 	decays      uint64
 }
 
+// lookup is the result of scanning the tables for one address. The
+// Predictor owns exactly one, the cache, which scan fills in place.
 type lookup struct {
-	idx      []uint64
+	idx      []uint32
 	tag      []uint16
-	hits     []int // matching tables, longest first
-	baseIdx  uint64
+	hits     uint64 // set of matching tables
+	baseIdx  uint32
 	provider int // index into tables, or -1 for the base
 	pred     bool
 	conf     int
 }
+
+// longest returns the longest-history table in the match set hits, or -1
+// when it is empty.
+func longest(hits uint64) int { return bits.Len64(hits) - 1 }
 
 // Option configures the predictor.
 type Option func(*config)
@@ -108,71 +109,37 @@ func New(opts ...Option) *Predictor {
 	if cfg.tables == nil {
 		cfg.tables = tage.GeometricTables(8, 4, 320, 10, 11)
 	}
-	maxHist := 0
-	for i, ts := range cfg.tables {
-		if ts.HistLen < 1 || ts.LogSize < 1 || ts.LogSize > 24 || ts.TagBits < 1 || ts.TagBits > 16 {
-			panic(fmt.Sprintf("batage: invalid table spec %+v", ts))
-		}
-		if i > 0 && ts.HistLen <= cfg.tables[i-1].HistLen {
-			panic("batage: history lengths must be strictly ascending")
-		}
-		if ts.HistLen > maxHist {
-			maxHist = ts.HistLen
-		}
-	}
 	p := &Predictor{
 		base:    make([]utils.DualCounter, 1<<cfg.logBase),
 		logBase: cfg.logBase,
-		ghist:   utils.NewGlobalHistory(maxHist + 1),
+		hash:    tage.NewHasher(cfg.tables, cfg.logBase),
 		rng:     utils.NewRand(cfg.seed),
 		catMax:  cfg.catMax,
 	}
 	for _, ts := range cfg.tables {
-		t := table{
-			spec:    ts,
-			entries: make([]entry, 1<<ts.LogSize),
-			idxFold: utils.NewFoldedHistory(ts.HistLen, ts.LogSize),
-		}
-		t.tagFold[0] = utils.NewFoldedHistory(ts.HistLen, ts.TagBits)
-		t.tagFold[1] = utils.NewFoldedHistory(ts.HistLen, maxInt(ts.TagBits-1, 1))
-		p.tables = append(p.tables, t)
+		p.tables = append(p.tables, table{spec: ts, entries: make([]entry, 1<<ts.LogSize)})
 	}
-	p.idxBuf = make([]uint64, len(p.tables))
-	p.tagBuf = make([]uint16, len(p.tables))
-	p.hitBuf = make([]int, 0, len(p.tables))
+	p.cache.idx = make([]uint32, len(p.tables))
+	p.cache.tag = make([]uint16, len(p.tables))
 	return p
 }
 
-func (t *table) index(ip uint64) uint64 {
-	// Two fold widths keep the index aperiodic on periodic histories; see
-	// the equivalent hash in the tage package.
-	h := t.idxFold.Value() ^ t.tagFold[0].Value()<<1
-	return utils.XorFold(ip^(ip>>uint(t.spec.LogSize))^h, t.spec.LogSize)
-}
-
-func (t *table) tag(ip uint64) uint16 {
-	v := ip ^ t.tagFold[0].Value() ^ (t.tagFold[1].Value() << 1)
-	return uint16(utils.XorFold(v, t.spec.TagBits))
-}
-
-func (p *Predictor) baseIndex(ip uint64) uint64 {
-	return utils.XorFold(ip>>2, p.logBase)
-}
-
-// scan computes the Bayesian selection: among all matching entries and the
-// base, pick the one with the best (lowest) dual-counter confidence class,
-// ties going to the longest history.
-func (p *Predictor) scan(ip uint64) lookup {
-	l := lookup{idx: p.idxBuf, tag: p.tagBuf, hits: p.hitBuf[:0], baseIdx: p.baseIndex(ip), provider: -1}
-	for i := range p.tables {
-		l.idx[i] = p.tables[i].index(ip)
-		l.tag[i] = p.tables[i].tag(ip)
-	}
-	for i := len(p.tables) - 1; i >= 0; i-- {
-		if p.tables[i].entries[l.idx[i]].tag == l.tag[i] {
-			l.hits = append(l.hits, i)
+// scan computes the Bayesian selection into l: among all matching entries
+// and the base, pick the one with the best (lowest) dual-counter confidence
+// class, ties going to the longest history.
+func (p *Predictor) scan(ip uint64, l *lookup) {
+	l.baseIdx = p.hash.Hash(ip, l.idx, l.tag)
+	tables := p.tables
+	idx, tag := l.idx[:len(tables)], l.tag[:len(tables)]
+	var hits uint64
+	for i := range tables {
+		var hit uint64
+		if tables[i].entries[idx[i]].tag == tag[i] {
+			hit = 1
 		}
+		hits |= hit << i
 	}
+	l.hits = hits
 	// Hits are visited longest-history-first and must beat the incumbent
 	// strictly, so ties resolve toward the longer history; the base is
 	// consulted last and wins only with strictly better confidence —
@@ -180,8 +147,10 @@ func (p *Predictor) scan(ip uint64) lookup {
 	// entries that learned the per-context outcome.
 	var best *utils.DualCounter
 	l.conf = 3 // worse than any real confidence class
-	for _, i := range l.hits {
-		d := &p.tables[i].entries[l.idx[i]].dual
+	l.provider = -1
+	for ; hits != 0; hits &^= 1 << longest(hits) {
+		i := longest(hits)
+		d := &tables[i].entries[idx[i]].dual
 		if c := d.Confidence(); c < l.conf {
 			best, l.conf, l.provider = d, c, i
 		}
@@ -191,12 +160,11 @@ func (p *Predictor) scan(ip uint64) lookup {
 		best, l.conf, l.provider = baseDual, c, -1
 	}
 	l.pred = best.Predict()
-	return l
 }
 
 func (p *Predictor) cached(ip uint64) *lookup {
 	if !p.haveCache || p.lastIP != ip {
-		p.cache = p.scan(ip)
+		p.scan(ip, &p.cache)
 		p.lastIP = ip
 		p.haveCache = true
 	}
@@ -210,30 +178,36 @@ func (p *Predictor) Predict(ip uint64) bool {
 	return p.cached(ip).pred
 }
 
-// Train implements bp.Predictor. The longest matching entry always trains
-// (it must be able to build confidence and take over the prediction); when
-// it is not yet highly confident, the next-longest hit — or ultimately the
-// base — trains too, so the fallback chain stays warm. A provider that is
-// neither (a shorter hit chosen purely on confidence) also trains.
+// Train implements bp.Predictor.
 func (p *Predictor) Train(b bp.Branch) {
-	l := p.cached(b.IP)
-	taken := b.Taken
+	p.trainLookup(p.cached(b.IP), b.Taken)
+}
 
-	if len(l.hits) == 0 {
+// trainLookup applies the full BATAGE update for one resolved branch whose
+// components were scanned into l. Shared by Train (which goes through the
+// lookup cache) and the batch kernel (which scans directly).
+//
+// The longest matching entry always trains (it must be able to build
+// confidence and take over the prediction); when it is not yet highly
+// confident, the next-longest hit — or ultimately the base — trains too, so
+// the fallback chain stays warm. A provider that is neither (a shorter hit
+// chosen purely on confidence) also trains.
+func (p *Predictor) trainLookup(l *lookup, taken bool) {
+	if l.hits == 0 {
 		p.base[l.baseIdx].Update(taken)
 	} else {
-		longest := l.hits[0]
-		e := &p.tables[longest].entries[l.idx[longest]]
+		first := longest(l.hits)
+		second := longest(l.hits &^ (1 << first))
+		e := &p.tables[first].entries[l.idx[first]]
 		e.dual.Update(taken)
 		if !e.dual.IsHighConfidence() {
-			if len(l.hits) > 1 {
-				next := l.hits[1]
-				p.tables[next].entries[l.idx[next]].dual.Update(taken)
+			if second >= 0 {
+				p.tables[second].entries[l.idx[second]].dual.Update(taken)
 			} else {
 				p.base[l.baseIdx].Update(taken)
 			}
 		}
-		if l.provider >= 0 && l.provider != longest && (len(l.hits) < 2 || l.provider != l.hits[1]) {
+		if l.provider >= 0 && l.provider != first && l.provider != second {
 			p.tables[l.provider].entries[l.idx[l.provider]].dual.Update(taken)
 		}
 	}
@@ -252,10 +226,7 @@ func (p *Predictor) allocate(l *lookup, taken bool) {
 	// Allocation goes above the longest hit (as in TAGE), not above the
 	// confidence-chosen provider: clobbering a longer hit that is still
 	// building confidence would reset it forever.
-	start := 0
-	if len(l.hits) > 0 {
-		start = l.hits[0] + 1
-	}
+	start := longest(l.hits) + 1
 	if start >= len(p.tables) {
 		return
 	}
@@ -273,7 +244,7 @@ func (p *Predictor) allocate(l *lookup, taken bool) {
 		if e.tag != l.tag[i] && e.dual.IsHighConfidence() {
 			e.dual.Decay()
 			p.decays++
-			p.cat = minInt(p.cat+1, p.catMax)
+			p.cat = min(p.cat+1, p.catMax)
 			continue
 		}
 		e.tag = l.tag[i]
@@ -289,14 +260,7 @@ func (p *Predictor) allocate(l *lookup, taken bool) {
 
 // Track implements bp.Predictor.
 func (p *Predictor) Track(b bp.Branch) {
-	p.ghist.Push(b.Taken)
-	for i := range p.tables {
-		t := &p.tables[i]
-		oldest := p.ghist.Bit(t.spec.HistLen)
-		t.idxFold.Update(b.Taken, oldest)
-		t.tagFold[0].Update(b.Taken, oldest)
-		t.tagFold[1].Update(b.Taken, oldest)
-	}
+	p.hash.Push(b.Taken)
 	p.haveCache = false
 }
 
@@ -326,18 +290,4 @@ func (p *Predictor) Statistics() map[string]any {
 		"decays":                p.decays,
 		"cat":                   p.cat,
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,23 +2,19 @@ package perceptron
 
 import (
 	"mbplib/internal/bp"
-	"mbplib/internal/utils"
 )
 
 // This file is the hashed-perceptron bp.BatchPredictor kernel. The scalar
-// path hashes every table twice per trained branch — once computing the
-// weight sum in Predict and again addressing the update in Train — and pays
-// three interface calls per event. The kernel computes each table index
-// once into the kidx scratch and reuses it for the update, folds with the
-// unrolled branch-free XorFoldWide (narrow tables keep the generic fold),
-// and hoists the outcome out of the weight-update loop (AddClamped) so the
-// row update carries no data-dependent branches. The adaptive-threshold
-// bookkeeping is kept verbatim from Train: its updates are rare and its
-// exact sequencing is part of the serialized state.
+// path pays three interface calls per event; the kernel pays one per batch
+// and otherwise runs the scalar code: indices hashes every table once into
+// the kidx scratch, update trains the weights at those indices, and the
+// fold bank and path history advance exactly as Track advances them.
 
 // PredictBatch implements bp.BatchPredictor: the pure batched read path.
 // Unlike Predict it does not touch the sum cache, which the contract
 // permits — it must only fill out with what Predict would return.
+//
+//mbpvet:impure sum writes the predictor-owned kidx index scratch, which is not serialized state; predictions are unaffected
 func (p *Predictor) PredictBatch(branches []bp.Branch, out []bp.Prediction) {
 	for i := range branches {
 		out[i] = bp.Prediction(p.sum(branches[i].IP) >= 0)
@@ -34,80 +30,16 @@ func (p *Predictor) TrainBatch(branches []bp.Branch, out []bp.Prediction) {
 	if len(branches) == 0 {
 		return
 	}
-	tables, folded, lengths, logSize := p.tables, p.folded, p.lengths, p.logSize
-	kidx := p.kidx
-	wmin, wmax := tables[0][0].Bounds()
-	var lastIP uint64
-	var lastSum int
-	haveCond := false
 	for i := range branches {
 		b := &branches[i]
-		taken := b.Taken
 		if b.Opcode.IsConditional() {
-			ip := b.IP
-			path := p.phist.Packed()
-			s := 0
-			for t := range tables {
-				h := folded[t].Value()
-				pt := uint64(0)
-				if lengths[t] >= 8 {
-					pt = path
-				}
-				v := ip ^ h ^ (pt << 1) ^ uint64(t)*0x9e3779b97f4a7c15
-				var idx uint64
-				if logSize >= 10 {
-					idx = utils.XorFoldWide(v, logSize)
-				} else {
-					idx = utils.XorFold(v, logSize)
-				}
-				kidx[t] = uint32(idx)
-				s += tables[t][idx].Get()
-			}
-			pred := s >= 0
-			out[i] = bp.Prediction(pred)
-			mag := s
-			if mag < 0 {
-				mag = -mag
-			}
-			mispredicted := pred != taken
-			if mispredicted || mag <= p.theta {
-				p.trainings++
-				d := int32(-1)
-				if taken {
-					d = 1
-				}
-				for t := range tables {
-					tables[t][kidx[t]].AddClamped(d, wmin, wmax)
-				}
-			}
-			if mispredicted {
-				p.tc.Add(1)
-				if p.tc.Get() == p.tc.Max() {
-					p.theta++
-					p.tc.Set(0)
-				}
-			} else if mag <= p.theta {
-				p.tc.Add(-1)
-				if p.tc.Get() == p.tc.Min() {
-					if p.theta > 1 {
-						p.theta--
-					}
-					p.tc.Set(0)
-				}
-			}
-			lastIP, lastSum, haveCond = ip, s, true
+			s := p.sum(b.IP)
+			out[i] = bp.Prediction(s >= 0)
+			p.update(s, b.Taken)
+			p.lastIP, p.lastSum = b.IP, s
 		}
-		p.ghist.Push(taken)
+		p.folds.Push(b.Taken)
 		p.phist.Push(b.IP >> 2)
-		for t := range folded {
-			if lengths[t] == 0 {
-				continue
-			}
-			folded[t].Update(taken, p.ghist.Bit(lengths[t]))
-		}
-	}
-	if haveCond {
-		p.lastIP, p.lastSum = lastIP, lastSum
 	}
 	p.haveSum = false
 }
