@@ -14,6 +14,7 @@ import (
 
 	"mbplib/internal/bp"
 	"mbplib/internal/obs"
+	"mbplib/internal/predictors/batage"
 	"mbplib/internal/predictors/bimodal"
 	"mbplib/internal/predictors/gshare"
 	"mbplib/internal/predictors/perceptron"
@@ -30,6 +31,7 @@ var kernelPredictors = []struct {
 	{"gshare", func() bp.Predictor { return gshare.New() }},
 	{"perceptron", func() bp.Predictor { return perceptron.New() }},
 	{"tage", func() bp.Predictor { return tage.New() }},
+	{"batage", func() bp.Predictor { return batage.New() }},
 }
 
 // TestKernelRunMatchesScalar: for every kernel predictor and a grid of
