@@ -52,8 +52,9 @@ func New(opts ...Option) *Predictor {
 		counterBits: cfg.counterBits,
 		mask:        1<<cfg.logSize - 1,
 	}
+	c := utils.NewSignedCounter(cfg.counterBits, 0)
 	for i := range p.table {
-		p.table[i] = utils.NewSignedCounter(cfg.counterBits, 0)
+		p.table[i] = c
 	}
 	return p
 }

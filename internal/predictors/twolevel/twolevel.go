@@ -116,10 +116,11 @@ func New(cfg Config) *Predictor {
 		bhrs:        make([]uint64, 1<<cfg.LogBHRs),
 		phts:        make([][]utils.SignedCounter, 1<<cfg.LogPHTs),
 	}
+	zero := utils.NewSignedCounter(cfg.CounterBits, 0)
 	for i := range p.phts {
 		p.phts[i] = make([]utils.SignedCounter, 1<<cfg.HistLen)
 		for j := range p.phts[i] {
-			p.phts[i][j] = utils.NewSignedCounter(cfg.CounterBits, 0)
+			p.phts[i][j] = zero
 		}
 	}
 	return p
