@@ -407,7 +407,11 @@ func speedups(r *TimingRow) {
 // per-trace wall time of the CBP5 framework over the BT9 traces against
 // this library over the SBBT traces, with the same predictor code on both
 // sides (via the cbp5.Adapter).
-func TableIIITop(ts *TraceSet) ([]TimingRow, error) {
+func TableIIITop(ts *TraceSet) ([]TimingRow, error) { return tableIIITop(ts, 1) }
+
+// tableIIITop is TableIIITop with each per-trace timing the fastest of
+// rounds runs.
+func tableIIITop(ts *TraceSet, rounds int) ([]TimingRow, error) {
 	if len(ts.BT9Gz) == 0 || len(ts.SBBT) == 0 {
 		return nil, fmt.Errorf("bench: trace set lacks BT9Gz or SBBT files")
 	}
@@ -416,17 +420,23 @@ func TableIIITop(ts *TraceSet) ([]TimingRow, error) {
 		row := TimingRow{Predictor: pred.Label}
 		var base, lib []time.Duration
 		for i := range ts.Specs {
-			start := time.Now()
-			if _, err := RunCBP5(ts.BT9Gz[i], pred.Spec); err != nil {
+			d, err := bestOf(rounds, func() error {
+				_, err := RunCBP5(ts.BT9Gz[i], pred.Spec)
+				return err
+			})
+			if err != nil {
 				return nil, fmt.Errorf("bench: cbp5 %s on %s: %w", pred.Label, ts.Specs[i].Name, err)
 			}
-			base = append(base, time.Since(start))
+			base = append(base, d)
 
-			start = time.Now()
-			if _, err := RunSBBT(ts.SBBT[i], pred.Spec, sim.Config{}); err != nil {
+			d, err = bestOf(rounds, func() error {
+				_, err := RunSBBT(ts.SBBT[i], pred.Spec, sim.Config{})
+				return err
+			})
+			if err != nil {
 				return nil, fmt.Errorf("bench: sim %s on %s: %w", pred.Label, ts.Specs[i].Name, err)
 			}
-			lib = append(lib, time.Since(start))
+			lib = append(lib, d)
 		}
 		row.Baseline = summarize(base)
 		row.MBPlib = summarize(lib)
@@ -434,6 +444,22 @@ func TableIIITop(ts *TraceSet) ([]TimingRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// bestOf returns the wall time of the fastest of rounds (at least one)
+// calls of run.
+func bestOf(rounds int, run func() error) (time.Duration, error) {
+	var best time.Duration
+	for r := 0; r < max(rounds, 1); r++ {
+		start := time.Now()
+		if err := run(); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); r == 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
 }
 
 // TableIIIBottom regenerates the lower half of Table III: the cycle-level
@@ -480,7 +506,10 @@ func TableIIIBottom(ts *TraceSet, maxInstr uint64) ([]TimingRow, error) {
 // traces against the same framework reading traces recompressed with the
 // modern compressor, isolating how much of MBPlib's speedup comes from the
 // compression method alone.
-func TableIV(ts *TraceSet) ([]TimingRow, error) {
+func TableIV(ts *TraceSet) ([]TimingRow, error) { return tableIV(ts, 1) }
+
+// tableIV is TableIV with each per-trace timing the fastest of rounds runs.
+func tableIV(ts *TraceSet, rounds int) ([]TimingRow, error) {
 	if len(ts.BT9Gz) == 0 || len(ts.BT9MLZ) == 0 {
 		return nil, fmt.Errorf("bench: trace set lacks BT9Gz or BT9MLZ files")
 	}
@@ -489,17 +518,23 @@ func TableIV(ts *TraceSet) ([]TimingRow, error) {
 		row := TimingRow{Predictor: pred.Label}
 		var gz, mlz []time.Duration
 		for i := range ts.Specs {
-			start := time.Now()
-			if _, err := RunCBP5(ts.BT9Gz[i], pred.Spec); err != nil {
+			d, err := bestOf(rounds, func() error {
+				_, err := RunCBP5(ts.BT9Gz[i], pred.Spec)
+				return err
+			})
+			if err != nil {
 				return nil, err
 			}
-			gz = append(gz, time.Since(start))
+			gz = append(gz, d)
 
-			start = time.Now()
-			if _, err := RunCBP5(ts.BT9MLZ[i], pred.Spec); err != nil {
+			d, err = bestOf(rounds, func() error {
+				_, err := RunCBP5(ts.BT9MLZ[i], pred.Spec)
+				return err
+			})
+			if err != nil {
 				return nil, err
 			}
-			mlz = append(mlz, time.Since(start))
+			mlz = append(mlz, d)
 		}
 		row.Baseline = summarize(gz)
 		row.MBPlib = summarize(mlz)

@@ -59,13 +59,17 @@ type SimEntry struct {
 // no predictor); Sim is the end-to-end run, whose speedup shrinks as the
 // predictor's own cost grows.
 type SimSnapshot struct {
-	Trace      string     `json:"trace"`
-	Branches   uint64     `json:"branches"`
-	GoVersion  string     `json:"go_version"`
-	GOARCH     string     `json:"goarch"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Read       Stage      `json:"read"`
-	Sim        []SimEntry `json:"sim"`
+	Trace      string `json:"trace"`
+	Branches   uint64 `json:"branches"`
+	GoVersion  string `json:"go_version"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// NumCPU is runtime.NumCPU() of the measuring machine, so a snapshot's
+	// parallel numbers can be read against the cores it actually had (0 in
+	// snapshots written before it was recorded).
+	NumCPU int        `json:"num_cpu"`
+	Read   Stage      `json:"read"`
+	Sim    []SimEntry `json:"sim"`
 	// Sweep records the parallel sweep scheduler's scaling curve against
 	// the legacy sequential path (absent in snapshots written before the
 	// scheduler existed).
@@ -332,6 +336,7 @@ func MeasureSim(path string, predictors []string, rounds int) (*SimSnapshot, err
 		GoVersion:  runtime.Version(),
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 	var err error
 	if snap.Read, snap.Branches, err = measureStage(rounds, func(batched bool) (SimMeasurement, uint64, error) {

@@ -64,12 +64,17 @@ const (
 	// encoding, writing and fsyncing cell records and in-flight checkpoints
 	// of the resume journal.
 	StageJournal
+	// StageResult is consumer time assembling a finished run's Result: the
+	// most_failed report, the summary metrics and the predictor's metadata
+	// and statistics.
+	StageResult
 	numStages
 )
 
 // stageNames indexes Stage for snapshots; keep in sync with the constants.
 var stageNames = [numStages]string{
 	"read", "warmup", "sim", "prefetch_stall", "produce_stall", "cache_wait", "journal",
+	"result",
 }
 
 // Ctr enumerates the counters of the pipeline.

@@ -50,6 +50,9 @@ func TestRunMetricsOutputByteIdentical(t *testing.T) {
 			if s.Stages["warmup"].Count == 0 && s.Stages["sim"].Count == 0 {
 				t.Errorf("no consumer stage time: %v", s.Stages)
 			}
+			if s.Stages["result"].Count != 1 {
+				t.Errorf("result stage timed %d times, want 1: %v", s.Stages["result"].Count, s.Stages)
+			}
 			if s.Histograms["batch_read_ns"].Count != s.Counters["batches"] {
 				t.Errorf("batch histogram count %d != batches %d",
 					s.Histograms["batch_read_ns"].Count, s.Counters["batches"])
@@ -103,6 +106,9 @@ func TestSweepParallelMetricsPopulated(t *testing.T) {
 	}
 	if s.Stages["sim"].Count == 0 {
 		t.Errorf("no sim stage time: %v", s.Stages)
+	}
+	if s.Stages["result"].Count != nCells {
+		t.Errorf("result stage timed %d times, want one per cell (%d)", s.Stages["result"].Count, nCells)
 	}
 	if s.Histograms["cell_ns"].Count != nCells {
 		t.Errorf("cell histogram count = %d, want %d", s.Histograms["cell_ns"].Count, nCells)

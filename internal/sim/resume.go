@@ -240,9 +240,23 @@ func encodeCellState(loop *runLoop, p bp.Predictor) ([]byte, error) {
 	cw.U64(loop.instr)
 	cw.U64(loop.condBranches)
 	cw.U64(loop.mispredictions)
-	cw.U64s(loop.stats.index.ips)
-	cw.U64s(loop.stats.occ)
-	cw.U64s(loop.stats.missed)
+	// Version 1 stores three length-prefixed slices: every branch address
+	// in first-seen order, then the occurrence and misprediction rows up to
+	// the last counted branch.
+	entries := loop.stats.entries
+	rows := entries[:loop.stats.counted()]
+	cw.U64(uint64(len(entries)))
+	for i := range entries {
+		cw.U64(entries[i].ip)
+	}
+	cw.U64(uint64(len(rows)))
+	for i := range rows {
+		cw.U64(rows[i].occ)
+	}
+	cw.U64(uint64(len(rows)))
+	for i := range rows {
+		cw.U64(rows[i].missed)
+	}
 	cw.Bytes(pstate.Bytes())
 	if err := cw.Err(); err != nil {
 		return nil, err
@@ -275,12 +289,28 @@ func restoreCellState(state []byte, loop *runLoop, p bp.Predictor) error {
 	if len(occ) > len(ips) || len(missed) != len(occ) {
 		return fmt.Errorf("simcell checkpoint: %d stats rows over %d branches: %w", len(occ), len(ips), faults.ErrCorrupt)
 	}
-	// Reinserting the dense key array in order reproduces the exact dense
-	// indices the counters were recorded under.
+	// Reinserting the addresses in order reproduces the entry order the
+	// counters were recorded under; a repeated address has no such order.
+	stats := loop.stats
 	for _, ip := range ips {
-		loop.stats.index.lookup(ip)
+		n := len(stats.entries)
+		stats.entry(ip)
+		if len(stats.entries) == n {
+			return fmt.Errorf("simcell checkpoint: branch %#x listed twice: %w", ip, faults.ErrCorrupt)
+		}
 	}
-	loop.stats.occ, loop.stats.missed = occ, missed
+	var sumOcc, sumMissed uint64
+	for i := range occ {
+		if missed[i] > occ[i] {
+			return fmt.Errorf("simcell checkpoint: branch %#x missed %d of %d: %w", ips[i], missed[i], occ[i], faults.ErrCorrupt)
+		}
+		stats.entries[i].occ, stats.entries[i].missed = occ[i], missed[i]
+		sumOcc += occ[i]
+		sumMissed += missed[i]
+	}
+	if sumOcc != cond || sumMissed != miss {
+		return fmt.Errorf("simcell checkpoint: branch rows sum to %d/%d, totals are %d/%d: %w", sumMissed, sumOcc, miss, cond, faults.ErrCorrupt)
+	}
 	loop.instr, loop.condBranches, loop.mispredictions = instr, cond, miss
 	return ck.Restore(bytes.NewReader(pstate))
 }
@@ -356,6 +386,7 @@ func runCell(ctx context.Context, drain <-chan struct{}, stream batchStream, new
 		}
 		if rec, ok := jc.j.Checkpoint(jc.key); ok {
 			if err := restoreCellState(rec.State, loop, p); err != nil {
+				loop.stats.release()
 				loop, p = newRunLoop(cfg), newP() // bad checkpoint: restart clean
 			} else {
 				consumed, toSkip, lastCkpt = rec.Events, rec.Events, rec.Events

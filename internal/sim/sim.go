@@ -10,10 +10,8 @@
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"io"
-	"slices"
 	"time"
 
 	"mbplib/internal/bp"
@@ -93,118 +91,6 @@ type Result struct {
 	MostFailed          []BranchReport `json:"most_failed"`
 }
 
-// ipIndex maps branch addresses to dense indices with an open-addressed,
-// linear-probing hash table (power-of-two size). It is probed for every
-// branch, so it must be several times cheaper than a Go map lookup — this
-// is part of what keeps the simulator in the paper's "results within
-// seconds" class.
-type ipIndex struct {
-	slots []int32 // hash slot -> dense index + 1; 0 = empty
-	mask  uint64
-	ips   []uint64
-}
-
-const ipIndexInitialSlots = 4096
-
-func newIPIndex() *ipIndex {
-	return &ipIndex{slots: make([]int32, ipIndexInitialSlots), mask: ipIndexInitialSlots - 1}
-}
-
-func ipHash(ip uint64) uint64 {
-	ip ^= ip >> 33
-	ip *= 0xff51afd7ed558ccd
-	ip ^= ip >> 33
-	return ip
-}
-
-// lookup returns the dense index of ip, inserting it if new.
-func (x *ipIndex) lookup(ip uint64) int {
-	slot := ipHash(ip) & x.mask
-	for {
-		idx := x.slots[slot]
-		if idx == 0 {
-			break
-		}
-		if x.ips[idx-1] == ip {
-			return int(idx - 1)
-		}
-		slot = (slot + 1) & x.mask
-	}
-	x.ips = append(x.ips, ip)
-	x.slots[slot] = int32(len(x.ips))
-	if uint64(len(x.ips))*4 > uint64(len(x.slots))*3 {
-		x.grow()
-	}
-	return len(x.ips) - 1
-}
-
-// grow doubles the slot table and rehashes; the dense key array is shared.
-func (x *ipIndex) grow() {
-	newSlots := make([]int32, len(x.slots)*2)
-	newMask := uint64(len(newSlots) - 1)
-	for i, ip := range x.ips {
-		slot := ipHash(ip) & newMask
-		for newSlots[slot] != 0 {
-			slot = (slot + 1) & newMask
-		}
-		newSlots[slot] = int32(i + 1)
-	}
-	x.slots, x.mask = newSlots, newMask
-}
-
-// branchStats accumulates per-static-branch occurrence and misprediction
-// counters over an ipIndex shared with the static-branch count, so the hot
-// loop performs a single hash probe per branch.
-type branchStats struct {
-	index  *ipIndex
-	occ    []uint64
-	missed []uint64
-}
-
-func newBranchStats() *branchStats {
-	return &branchStats{index: newIPIndex()}
-}
-
-func (s *branchStats) ips() []uint64 { return s.index.ips }
-
-// recordAt updates the counters of the branch with dense index i (from the
-// shared ipIndex), growing the arrays on first sight. Both slices grow to
-// the needed length in one step with doubling capacity, instead of one
-// element per loop iteration.
-func (s *branchStats) recordAt(i int, mispredicted bool) {
-	if i >= len(s.occ) {
-		s.occ = growCounters(s.occ, i+1)
-		s.missed = growCounters(s.missed, i+1)
-	}
-	s.occ[i]++
-	if mispredicted {
-		s.missed[i]++
-	}
-}
-
-// growCounters extends a counter slice to length n, zeroing the exposed
-// tail, with amortized-doubling reallocation.
-func growCounters(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		c := 2 * cap(s)
-		if c < n {
-			c = n
-		}
-		if c < 64 {
-			c = 64
-		}
-		grown := make([]uint64, n, c)
-		copy(grown, s)
-		return grown
-	}
-	old := len(s)
-	s = s[:n]
-	for j := old; j < n; j++ {
-		s[j] = 0
-	}
-	return s
-}
-
 // runLoop holds the mutable state of one simulation: the per-branch
 // counters and the aggregate counts that the batched and scalar loops both
 // accumulate.
@@ -257,15 +143,9 @@ func (l *runLoop) process(events []bp.Event, p bp.Predictor) bool {
 			ev := &events[i]
 			l.instr += ev.InstrsSinceLastBranch + 1
 			b := ev.Branch
-			idx := l.stats.index.lookup(b.IP)
+			e := l.stats.entry(b.IP)
 			if b.Opcode.IsConditional() {
-				predicted := p.Predict(b.IP)
-				l.condBranches++
-				miss := predicted != b.Taken
-				if miss {
-					l.mispredictions++
-				}
-				l.stats.recordAt(idx, miss)
+				l.count(e, p.Predict(b.IP) != b.Taken)
 				p.Train(b)
 			}
 			p.Track(b)
@@ -277,16 +157,11 @@ func (l *runLoop) process(events []bp.Event, p bp.Predictor) bool {
 		ev := &events[i]
 		l.instr += ev.InstrsSinceLastBranch + 1
 		b := ev.Branch
-		idx := l.stats.index.lookup(b.IP)
+		e := l.stats.entry(b.IP)
 		if b.Opcode.IsConditional() {
 			predicted := p.Predict(b.IP)
 			if l.instr > l.warmup {
-				l.condBranches++
-				miss := predicted != b.Taken
-				if miss {
-					l.mispredictions++
-				}
-				l.stats.recordAt(idx, miss)
+				l.count(e, predicted != b.Taken)
 			}
 			p.Train(b)
 		}
@@ -298,11 +173,20 @@ func (l *runLoop) process(events []bp.Event, p bp.Predictor) bool {
 	return false
 }
 
+// count records one conditional branch past warm-up in e and the totals.
+func (l *runLoop) count(e *branchEntry, mispredicted bool) {
+	m := b2u(mispredicted)
+	l.condBranches++
+	l.mispredictions += m
+	e.occ++
+	e.missed += m
+}
+
 // processKernel runs one full post-warm-up batch through the predictor's
 // native kernel: the events' branches are copied into a reusable
 // contiguous view, TrainBatch simulates them in one virtual call, and a
 // second pass folds the recorded predictions into the per-branch counters.
-// Splitting simulation from accounting keeps the kernel free of ipIndex
+// Splitting simulation from accounting keeps the kernel free of branch-stats
 // probes (so predictor tables stay hot in cache) while producing exactly
 // the counters the scalar loop accumulates. Only called on batches where
 // warm-up is behind and the limit is unreachable, so neither check appears
@@ -323,21 +207,23 @@ func (l *runLoop) processKernel(events []bp.Event, kp bp.BatchPredictor) {
 	stats, cond, miss := l.stats, l.condBranches, l.mispredictions
 	for i := range branches {
 		b := &branches[i]
-		idx := stats.index.lookup(b.IP)
+		e := stats.entry(b.IP)
 		if b.Opcode.IsConditional() {
+			m := b2u(bool(preds[i]) != b.Taken)
 			cond++
-			m := bool(preds[i]) != b.Taken
-			if m {
-				miss++
-			}
-			stats.recordAt(idx, m)
+			miss += m
+			e.occ++
+			e.missed += m
 		}
 	}
 	l.instr, l.condBranches, l.mispredictions = instr, cond, miss
 }
 
-// result assembles the final Result from the loop state.
+// result assembles the final Result from the loop state, timed as
+// obs.StageResult, and returns the branch statistics to their pool.
 func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.Time) *Result {
+	tRes := l.col.Now()
+	defer l.col.Stage(obs.StageResult).Since(tRes)
 	simInstr := uint64(0)
 	if l.instr > cfg.WarmupInstructions {
 		simInstr = l.instr - cfg.WarmupInstructions
@@ -351,7 +237,7 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 			SimulationInstr:        simInstr,
 			ExhaustedTrace:         exhausted,
 			NumConditionalBranches: l.condBranches,
-			NumBranchInstructions:  uint64(len(l.stats.index.ips)),
+			NumBranchInstructions:  uint64(len(l.stats.entries)),
 			Predictor:              predictorMetadata(p),
 		},
 		PredictorStatistics: predictorStatistics(p),
@@ -367,6 +253,8 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 		res.Metrics.Accuracy = 1 - float64(l.mispredictions)/float64(l.condBranches)
 	}
 	res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.stats, l.mispredictions, simInstr, cfg.MostFailedLimit)
+	l.stats.release()
+	l.stats = nil
 	return res
 }
 
@@ -455,74 +343,16 @@ func RunScalar(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 func (l *runLoop) process1(ev bp.Event, p bp.Predictor) bool {
 	l.instr += ev.InstrsSinceLastBranch + 1
 	b := ev.Branch
-	idx := l.stats.index.lookup(b.IP)
+	e := l.stats.entry(b.IP)
 	if b.Opcode.IsConditional() {
 		predicted := p.Predict(b.IP)
 		if l.instr > l.warmup {
-			l.condBranches++
-			miss := predicted != b.Taken
-			if miss {
-				l.mispredictions++
-			}
-			l.stats.recordAt(idx, miss)
+			l.count(e, predicted != b.Taken)
 		}
 		p.Train(b)
 	}
 	p.Track(b)
 	return l.limit > 0 && l.instr >= l.limit
-}
-
-// mostFailed returns the smallest set of branches that covers half of all
-// mispredictions, sorted by descending misprediction count, and the size of
-// that set (the num_most_failed_branches metric). limit > 0 truncates the
-// report (but not the metric).
-func mostFailed(stats *branchStats, totalMisses, simInstr uint64, limit int) ([]BranchReport, int) {
-	if totalMisses == 0 {
-		return nil, 0
-	}
-	// The shared index may contain branches never counted (non-conditional
-	// or warm-up-only); the stats arrays cover only counted ones. Only
-	// mispredicted branches are ordered: their misses sum to totalMisses,
-	// so the walk below stops before it would reach a branch without one.
-	ips := stats.ips()
-	order := make([]int32, 0, len(stats.missed))
-	for i, m := range stats.missed {
-		if m > 0 {
-			order = append(order, int32(i))
-		}
-	}
-	slices.SortFunc(order, func(ia, ib int32) int {
-		if c := cmp.Compare(stats.missed[ib], stats.missed[ia]); c != 0 {
-			return c // descending misses
-		}
-		return cmp.Compare(ips[ia], ips[ib]) // deterministic ties
-	})
-	var (
-		reports []BranchReport
-		cum     uint64
-		n       int
-	)
-	kilo := float64(simInstr) / 1000
-	for _, i := range order {
-		if 2*cum >= totalMisses {
-			break
-		}
-		cum += stats.missed[i]
-		n++
-		rep := BranchReport{
-			IP:          ips[i],
-			Occurrences: stats.occ[i],
-			Accuracy:    1 - float64(stats.missed[i])/float64(stats.occ[i]),
-		}
-		if kilo > 0 {
-			rep.MPKI = float64(stats.missed[i]) / kilo
-		}
-		reports = append(reports, rep)
-	}
-	if limit > 0 && len(reports) > limit {
-		reports = reports[:limit]
-	}
-	return reports, n
 }
 
 // predictorMetadata extracts the predictor description for the metadata

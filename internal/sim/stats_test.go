@@ -1,0 +1,448 @@
+package sim
+
+import (
+	"bytes"
+	"cmp"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"math/rand/v2"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"mbplib/internal/bp"
+	"mbplib/internal/faults"
+	"mbplib/internal/predictors/gshare"
+	"mbplib/internal/sim/journal"
+	"mbplib/internal/tracegen"
+)
+
+// mostFailedOracle is the full-sort reference of mostFailed, over the
+// per-array layout (addresses in first-seen order, then occurrence and
+// misprediction rows that may stop short of the last address): order every
+// mispredicted branch by descending misses and ascending address, and walk
+// that order until half of totalMisses is covered.
+func mostFailedOracle(ips, occ, missed []uint64, totalMisses, simInstr uint64, limit int) ([]BranchReport, int) {
+	if totalMisses == 0 {
+		return nil, 0
+	}
+	order := make([]int32, 0, len(missed))
+	for i, m := range missed {
+		if m > 0 {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortFunc(order, func(ia, ib int32) int {
+		if c := cmp.Compare(missed[ib], missed[ia]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ips[ia], ips[ib])
+	})
+	var (
+		reports []BranchReport
+		cum     uint64
+		n       int
+	)
+	kilo := float64(simInstr) / 1000
+	for _, i := range order {
+		if 2*cum >= totalMisses {
+			break
+		}
+		cum += missed[i]
+		n++
+		rep := BranchReport{
+			IP:          ips[i],
+			Occurrences: occ[i],
+			Accuracy:    1 - float64(missed[i])/float64(occ[i]),
+		}
+		if kilo > 0 {
+			rep.MPKI = float64(missed[i]) / kilo
+		}
+		reports = append(reports, rep)
+	}
+	if limit > 0 && len(reports) > limit {
+		reports = reports[:limit]
+	}
+	return reports, n
+}
+
+// statsSet is one generated branch-statistics table in the per-array
+// layout.
+type statsSet struct {
+	ips, occ, missed []uint64
+}
+
+// genStatsSet draws a table of n distinct branches whose miss counts come
+// from draw. About a fifth of the branches keep zero counters — seen only
+// in warm-up or only as non-conditional branches — and some of those trail
+// the last counted branch, so the rows stop short of the addresses.
+func genStatsSet(r *rand.Rand, n int, draw func() uint64) statsSet {
+	var s statsSet
+	seen := make(map[uint64]bool, n)
+	for len(s.ips) < n {
+		ip := uint64(0x400000 + 4*r.IntN(4*n))
+		if r.IntN(4) == 0 {
+			ip = r.Uint64()
+		}
+		if seen[ip] {
+			continue
+		}
+		seen[ip] = true
+		s.ips = append(s.ips, ip)
+		var o, m uint64
+		if r.IntN(5) != 0 {
+			m = draw()
+			o = m + uint64(r.IntN(50))
+			if o == 0 {
+				o = 1
+			}
+		}
+		s.occ = append(s.occ, o)
+		s.missed = append(s.missed, m)
+	}
+	rows := len(s.ips)
+	for rows > 0 && s.occ[rows-1] == 0 {
+		rows--
+	}
+	s.occ, s.missed = s.occ[:rows], s.missed[:rows]
+	return s
+}
+
+func (s statsSet) sum() uint64 {
+	var t uint64
+	for _, m := range s.missed {
+		t += m
+	}
+	return t
+}
+
+// load builds branch statistics holding s.
+func (s statsSet) load() *branchStats {
+	st := newBranchStats()
+	for i, ip := range s.ips {
+		e := st.entry(ip)
+		if i < len(s.occ) {
+			e.occ, e.missed = s.occ[i], s.missed[i]
+		}
+	}
+	return st
+}
+
+// TestMostFailedMatchesOracle checks the selection-based report against the
+// full-sort oracle, byte for byte, over generated tables: heavy ties at the
+// boundary count, counts straddling the histogram cap, an overflow bucket
+// that covers half on its own, zero-counter branches, totals that disagree
+// with the counters, and limits of 0, 1, inside and past the set.
+func TestMostFailedMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	const hc = mostFailedHistCap
+	shapes := []struct {
+		name string
+		draw func() uint64
+	}{
+		{"ties", func() uint64 { return uint64(r.IntN(4)) }},
+		{"ties-high", func() uint64 { return 200 + uint64(r.IntN(3)) }},
+		{"small", func() uint64 { return uint64(r.IntN(40)) }},
+		{"skewed", func() uint64 { return uint64(3000 / (1 + r.IntN(300))) }},
+		{"cap-edge", func() uint64 { return hc - 2 + uint64(r.IntN(5)) }},
+		{"straddle", func() uint64 { return uint64(r.IntN(3 * hc)) }},
+		{"overflow-half", func() uint64 {
+			if r.IntN(20) == 0 {
+				return hc + uint64(r.IntN(4*hc))
+			}
+			return uint64(r.IntN(8))
+		}},
+		{"overflow-ties", func() uint64 {
+			if r.IntN(10) == 0 {
+				return 5 * hc
+			}
+			return uint64(r.IntN(3))
+		}},
+		{"zero", func() uint64 { return 0 }},
+	}
+	cases := 0
+	for _, sh := range shapes {
+		for iter := 0; iter < 40; iter++ {
+			n := 1 + r.IntN(600)
+			if iter%10 == 0 {
+				n = 2000 + r.IntN(4000)
+			}
+			set := genStatsSet(r, n, sh.draw)
+			sum := set.sum()
+			simInstr := uint64(r.IntN(1_000_000))
+			if iter%7 == 0 {
+				simInstr = 0
+			}
+			totals := []uint64{sum, sum + uint64(r.IntN(int(sum)+2)), 3*sum + 1, sum / 2, 1}
+			limits := []int{0, 1, 1 + r.IntN(20), len(set.ips) + 5}
+			for _, total := range totals {
+				for _, limit := range limits {
+					st := set.load()
+					got, gotN := mostFailed(st, total, simInstr, limit)
+					st.release()
+					want, wantN := mostFailedOracle(set.ips, set.occ, set.missed, total, simInstr, limit)
+					gj, err := json.Marshal(got)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wj, err := json.Marshal(want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotN != wantN || !bytes.Equal(gj, wj) {
+						t.Fatalf("%s/%d (n=%d total=%d sum=%d limit=%d): got %d branches %s, oracle %d branches %s",
+							sh.name, iter, n, total, sum, limit, gotN, gj, wantN, wj)
+					}
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("%d cases", cases)
+}
+
+// TestBranchStatsTable: entries keep first-seen order across slot-table
+// growth, every address maps back to its own entry, and a released table
+// comes back from the pool empty.
+func TestBranchStatsTable(t *testing.T) {
+	st := newBranchStats()
+	const n = 3 * branchStatsInitialSlots
+	for i := uint64(0); i < n; i++ {
+		st.entry(i*0x1000 + 0x400000).occ = i + 1
+	}
+	if len(st.entries) != n || len(st.slots) <= branchStatsInitialSlots {
+		t.Fatalf("%d entries over %d slots, want %d entries and a grown table", len(st.entries), len(st.slots), n)
+	}
+	for i := uint64(0); i < n; i++ {
+		ip := i*0x1000 + 0x400000
+		if e := st.entry(ip); e.ip != ip || e.occ != i+1 || st.entries[i].ip != ip {
+			t.Fatalf("branch %#x: entry %+v at position %d holds %#x", ip, *e, i, st.entries[i].ip)
+		}
+	}
+	if len(st.entries) != n {
+		t.Fatalf("lookups of known branches added entries: %d, want %d", len(st.entries), n)
+	}
+	st.release()
+	again := newBranchStats()
+	defer again.release()
+	if len(again.entries) != 0 || slices.ContainsFunc(again.slots, func(s int32) bool { return s != 0 }) {
+		t.Errorf("pooled stats not cleared: %d entries", len(again.entries))
+	}
+}
+
+// simcellV1 writes a simcell checkpoint in the version-1 layout from
+// explicit per-array rows.
+func simcellV1(t *testing.T, instr, cond, miss uint64, ips, occ, missed []uint64, p bp.Checkpointer) []byte {
+	t.Helper()
+	var pstate, buf bytes.Buffer
+	if err := p.Checkpoint(&pstate); err != nil {
+		t.Fatal(err)
+	}
+	cw := bp.NewCkptWriter(&buf)
+	cw.Header("simcell", 1)
+	cw.U64(instr)
+	cw.U64(cond)
+	cw.U64(miss)
+	cw.U64s(ips)
+	cw.U64s(occ)
+	cw.U64s(missed)
+	cw.Bytes(pstate.Bytes())
+	if err := cw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func smallGshare() bp.Predictor {
+	return gshare.New(gshare.WithHistoryLength(10), gshare.WithLogSize(10))
+}
+
+// TestRestoreCellStateRejectsBadRows: a checkpoint whose address list
+// repeats a branch, or whose rows disagree with each other or with the
+// totals, is corrupt. A repeated address used to restore and then crash the
+// report with an index out of range.
+func TestRestoreCellStateRejectsBadRows(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		cond, miss        uint64
+		ips, occ, missed  []uint64
+		wantMessageSubstr string
+	}{
+		{"duplicate", 2, 2, []uint64{0x40, 0x40}, []uint64{1, 1}, []uint64{1, 1}, "listed twice"},
+		{"duplicate-uncounted", 1, 1, []uint64{0x40, 0x80, 0x40}, []uint64{1}, []uint64{1}, "listed twice"},
+		{"missed-over-occ", 1, 2, []uint64{0x40}, []uint64{1}, []uint64{2}, "missed 2 of 1"},
+		{"occ-total", 3, 1, []uint64{0x40, 0x80}, []uint64{1, 1}, []uint64{1, 0}, "sum to"},
+		{"miss-total", 2, 2, []uint64{0x40, 0x80}, []uint64{1, 1}, []uint64{1, 0}, "sum to"},
+		{"rows-past-ips", 2, 0, []uint64{0x40}, []uint64{1, 1}, []uint64{0, 0}, "stats rows"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := simcellV1(t, 100, tc.cond, tc.miss, tc.ips, tc.occ, tc.missed, smallGshare().(bp.Checkpointer))
+			loop := newRunLoop(Config{})
+			defer loop.stats.release()
+			err := restoreCellState(state, loop, smallGshare())
+			if !errors.Is(err, faults.ErrCorrupt) || !strings.Contains(err.Error(), tc.wantMessageSubstr) {
+				t.Fatalf("restore = %v, want a corrupt error mentioning %q", err, tc.wantMessageSubstr)
+			}
+		})
+	}
+}
+
+func fixtureEvents(t *testing.T) []bp.Event {
+	t.Helper()
+	g, err := tracegen.New(tracegen.Spec{
+		Name: "simcell-v1", Seed: 7, Branches: 20000,
+		Kernels: []tracegen.KernelSpec{
+			{Kind: tracegen.Biased}, {Kind: tracegen.Loop},
+			{Kind: tracegen.Correlated}, {Kind: tracegen.CallRet},
+			{Kind: tracegen.Indirect},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []bp.Event
+	for {
+		ev, err := g.Read()
+		if err == io.EOF {
+			return evs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+}
+
+// sliceStream hands out events in fixed-size batches.
+type sliceStream struct{ evs []bp.Event }
+
+func (s *sliceStream) next() ([]bp.Event, error) {
+	if len(s.evs) == 0 {
+		return nil, io.EOF
+	}
+	n := min(1000, len(s.evs))
+	b := s.evs[:n]
+	s.evs = s.evs[n:]
+	return b, nil
+}
+
+// resultJSONNoTime marshals res with the wall-clock field zeroed.
+func resultJSONNoTime(t *testing.T, res *Result) []byte {
+	t.Helper()
+	res.Metrics.SimulationTime = 0
+	j, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// fixtureCkptEvents is the number of events the simcell-v1.ckpt fixture had
+// consumed: eight batches of 1000 of fixtureEvents under fixtureCfg.
+const fixtureCkptEvents = 8000
+
+var fixtureCfg = Config{TraceName: "simcell-v1", WarmupInstructions: 20000}
+
+// TestCellStateV1Fixture: testdata/simcell-v1.ckpt was written by the
+// per-array encoder that preceded branchEntry (a small gshare over the first
+// 8000 events of fixtureEvents, 56 branches of which 41 counted). It must
+// restore, re-encode to the same bytes, and resume to the result of an
+// uninterrupted run — both directly and through a journalled cell.
+func TestCellStateV1Fixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/simcell-v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := fixtureEvents(t)
+
+	loop := newRunLoop(fixtureCfg)
+	p := smallGshare()
+	if err := restoreCellState(want, loop, p); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if len(loop.stats.entries) != 56 || loop.stats.counted() != 41 {
+		t.Errorf("restored %d branches, %d counted; want 56 and 41", len(loop.stats.entries), loop.stats.counted())
+	}
+	got, err := encodeCellState(loop, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded checkpoint differs from the fixture (%d vs %d bytes)", len(got), len(want))
+	}
+
+	fresh, err := runCell(context.Background(), nil, &sliceStream{evs}, smallGshare, fixtureCfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := resultJSONNoTime(t, fresh)
+
+	// Live encoding matches the fixture at the same point of a fresh run.
+	live := newRunLoop(fixtureCfg)
+	lp := smallGshare()
+	for i := 0; i < fixtureCkptEvents; i += 1000 {
+		live.process(evs[i:i+1000], lp)
+	}
+	if enc, err := encodeCellState(live, lp); err != nil || !bytes.Equal(enc, want) {
+		t.Errorf("live checkpoint at %d events differs from the fixture (err %v)", fixtureCkptEvents, err)
+	}
+	live.stats.release()
+
+	jnl, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	if _, err := jnl.AppendCheckpoint(journal.CheckpointRecord{Key: "cell", Events: fixtureCkptEvents, State: want}); err != nil {
+		t.Fatal(err)
+	}
+	var built int
+	newP := func() bp.Predictor { built++; return smallGshare() }
+	resumed, err := runCell(context.Background(), nil, &sliceStream{evs}, newP, fixtureCfg, &cellJournal{j: jnl, key: "cell"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built != 1 {
+		t.Errorf("resume built %d predictors, want 1 (checkpoint accepted)", built)
+	}
+	if gotJSON := resultJSONNoTime(t, resumed); !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("resumed result differs from an uninterrupted run\nresumed: %s\nfresh:   %s", gotJSON, wantJSON)
+	}
+}
+
+// TestRunCellDuplicateCheckpointRestartsClean: a journalled checkpoint that
+// repeats an address is rejected and the cell reruns from the start, to the
+// result of a run without a journal.
+func TestRunCellDuplicateCheckpointRestartsClean(t *testing.T) {
+	evs := fixtureEvents(t)
+	fresh, err := runCell(context.Background(), nil, &sliceStream{evs}, smallGshare, fixtureCfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := resultJSONNoTime(t, fresh)
+
+	state := simcellV1(t, 100, 2, 2, []uint64{0x40, 0x40}, []uint64{1, 1}, []uint64{1, 1}, smallGshare().(bp.Checkpointer))
+	jnl, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	if _, err := jnl.AppendCheckpoint(journal.CheckpointRecord{Key: "cell", Events: 2, State: state}); err != nil {
+		t.Fatal(err)
+	}
+	var built int
+	newP := func() bp.Predictor { built++; return smallGshare() }
+	res, err := runCell(context.Background(), nil, &sliceStream{evs}, newP, fixtureCfg, &cellJournal{j: jnl, key: "cell"})
+	if err != nil {
+		t.Fatalf("cell with a corrupt checkpoint: %v", err)
+	}
+	if built != 2 {
+		t.Errorf("built %d predictors, want 2 (the corrupt checkpoint discarded)", built)
+	}
+	if gotJSON := resultJSONNoTime(t, res); !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("restarted cell differs from a clean run\ngot:  %s\nwant: %s", gotJSON, wantJSON)
+	}
+}
