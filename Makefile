@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: check fmt vet build test race race-kernel race-daemon mbpvet vet-fix vet-sarif fault-sweep fuzz-smoke daemon-smoke bench bench-smoke bench-snapshot bench-check metrics-overhead journal-overhead golden
+.PHONY: check fmt vet build test perfbench-test race race-kernel race-daemon mbpvet vet-fix vet-sarif fault-sweep fuzz-smoke daemon-smoke bench bench-smoke bench-snapshot bench-check metrics-overhead journal-overhead golden
 
-check: fmt vet build test race race-kernel race-daemon mbpvet fault-sweep fuzz-smoke daemon-smoke bench-smoke
+check: fmt vet build test perfbench-test race race-kernel race-daemon mbpvet fault-sweep fuzz-smoke daemon-smoke bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -24,6 +24,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (replace mbplib => ../), outside ./...
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/...

@@ -391,7 +391,10 @@ func BenchmarkAblationChampSimPrefetchers(b *testing.B) {
 // BenchmarkPredictorsOnly measures the bare cost per branch of every
 // Table III predictor, with trace decoding taken out of the loop — the
 // predictor-code share of the simulation time the paper's Table III rows
-// embed.
+// embed. Branches reach the predictor the way the simulator hands them
+// over, through bp.SimulateBatch in 4096-event batches, so each row shows
+// the native batch kernel where the predictor has one; its /scalar twin
+// strips the kernel (bp.ScalarOnly) for comparison.
 func BenchmarkPredictorsOnly(b *testing.B) {
 	spec := benchSpec
 	spec.Branches = 50_000
@@ -399,32 +402,41 @@ func BenchmarkPredictorsOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var events []bp.Event
+	var branches []bp.Branch
 	for {
 		ev, err := g.Read()
 		if err != nil {
 			break
 		}
-		events = append(events, ev)
+		branches = append(branches, ev.Branch)
+	}
+	const batch = 4096
+	out := make([]bp.Prediction, batch)
+	run := func(b *testing.B, p bp.Predictor) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < len(branches); lo += batch {
+				hi := min(lo+batch, len(branches))
+				bp.SimulateBatch(p, branches[lo:hi], out)
+			}
+		}
+		b.ReportMetric(float64(len(branches))*float64(b.N)/b.Elapsed().Seconds(), "branches/s")
 	}
 	for _, pred := range bench.TableIIIPredictors {
-		b.Run(pred.Label, func(b *testing.B) {
-			p, err := registry.New(pred.Spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, ev := range events {
-					br := ev.Branch
-					if br.Opcode.IsConditional() {
-						p.Predict(br.IP)
-						p.Train(br)
-					}
-					p.Track(br)
+		for _, path := range []struct {
+			name string
+			wrap func(bp.Predictor) bp.Predictor
+		}{
+			{pred.Label, func(p bp.Predictor) bp.Predictor { return p }},
+			{pred.Label + "/scalar", bp.ScalarOnly},
+		} {
+			b.Run(path.name, func(b *testing.B) {
+				p, err := registry.New(pred.Spec)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "branches/s")
-		})
+				run(b, path.wrap(p))
+			})
+		}
 	}
 }

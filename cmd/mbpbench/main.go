@@ -41,7 +41,7 @@ func main() {
 		maxInstr   = flag.Uint64("champsim-instr", 0, "instruction cap for the cycle-level runs (0 = whole trace)")
 		snapshot   = flag.String("sim-snapshot", "", "write the scalar-vs-batched pipeline comparison to this JSON file instead of printing tables")
 		check      = flag.String("sim-check", "", "re-measure the snapshot stages and fail on a gross throughput regression against this committed JSON file")
-		predictors = flag.String("sim-predictors", "bimodal,gshare,perceptron,tage,batage", "comma-separated predictor specs for the snapshot's full runs")
+		predictors = flag.String("sim-predictors", "bimodal,twolevel:variant=GAs,gshare,tournament,gskew,perceptron,tage,batage", "comma-separated predictor specs for the snapshot's full runs")
 		sweepPreds = flag.String("sweep-predictors", "always-taken,bimodal,gshare,bimodal:t=12", "comma-separated predictor specs for the parallel-sweep stage")
 		sweepSize  = flag.Int("sweep-traces", 4, "traces in the parallel-sweep matrix")
 		rounds     = flag.Int("sim-rounds", 3, "measurement rounds per snapshot variant (best is kept)")

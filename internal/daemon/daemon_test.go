@@ -169,6 +169,21 @@ func TestAPIContract(t *testing.T) {
 			t.Fatalf("message = %q, want the CLI's placeholder error", e.Err.Message)
 		}
 	})
+	t.Run("out-of-range-option", func(t *testing.T) {
+		spec := smallSpec(glob)
+		spec.From = 0 // expands to gshare:t=12,h=0
+		resp, body := submit(t, srv, spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400: %s", resp.StatusCode, body)
+		}
+		e := decodeErr(t, body)
+		if e.Err.Code != api.CodeInvalidSpec {
+			t.Fatalf("code = %q, want %q", e.Err.Code, api.CodeInvalidSpec)
+		}
+		if !strings.Contains(e.Err.Message, "h=0 out of range") {
+			t.Fatalf("message = %q, want the registry's range error", e.Err.Message)
+		}
+	})
 	t.Run("unknown-job", func(t *testing.T) {
 		resp, body := doReq(t, http.MethodGet, srv.URL+"/v1/jobs/deadbeef0000", nil)
 		if resp.StatusCode != http.StatusNotFound {

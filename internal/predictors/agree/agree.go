@@ -17,7 +17,7 @@ import (
 
 // Predictor is an agree branch predictor.
 type Predictor struct {
-	agreeTable []utils.SignedCounter
+	agreeTable utils.CounterTable
 	bias       []uint8 // 0 = unset, 1 = not taken, 2 = taken
 	logAgree   int
 	logBias    int
@@ -56,7 +56,7 @@ func New(opts ...Option) *Predictor {
 		panic(fmt.Sprintf("agree: invalid history length %d", cfg.histLen))
 	}
 	return &Predictor{
-		agreeTable: make([]utils.SignedCounter, 1<<cfg.logAgree),
+		agreeTable: utils.NewCounterTable(1<<cfg.logAgree, 2),
 		bias:       make([]uint8, 1<<cfg.logBias),
 		logAgree:   cfg.logAgree,
 		logBias:    cfg.logBias,
@@ -82,7 +82,7 @@ func (p *Predictor) biasTaken(ip uint64) bool {
 
 // Predict implements bp.Predictor: bias XNOR agree.
 func (p *Predictor) Predict(ip uint64) bool {
-	agrees := p.agreeTable[p.agreeIndex(ip)].Predict()
+	agrees := p.agreeTable.Predict(p.agreeIndex(ip))
 	return agrees == p.biasTaken(ip)
 }
 
@@ -99,7 +99,7 @@ func (p *Predictor) Train(b bp.Branch) {
 		}
 	}
 	agreed := b.Taken == p.biasTaken(b.IP)
-	p.agreeTable[p.agreeIndex(b.IP)].SumOrSub(agreed)
+	p.agreeTable.Update(p.agreeIndex(b.IP), agreed)
 }
 
 // Track implements bp.Predictor.

@@ -18,9 +18,9 @@ import (
 // Predictor is an Alpha-21264-style tournament predictor.
 type Predictor struct {
 	localHist []uint16
-	localPred []utils.SignedCounter
-	globalT   []utils.SignedCounter
-	choice    []utils.SignedCounter
+	localPred utils.CounterTable
+	globalT   utils.CounterTable
+	choice    utils.CounterTable
 
 	logLocal     int // log2 local history/counter table sizes
 	localHistLen int
@@ -61,15 +61,12 @@ func New(opts ...Option) *Predictor {
 	}
 	p := &Predictor{
 		localHist:    make([]uint16, 1<<cfg.logLocal),
-		localPred:    make([]utils.SignedCounter, 1<<(min(cfg.localHistLen, 16))),
-		globalT:      make([]utils.SignedCounter, 1<<cfg.logGlobal),
-		choice:       make([]utils.SignedCounter, 1<<cfg.logGlobal),
+		localPred:    utils.NewCounterTable(1<<cfg.localHistLen, 3), // 3-bit, as in hardware
+		globalT:      utils.NewCounterTable(1<<cfg.logGlobal, 2),
+		choice:       utils.NewCounterTable(1<<cfg.logGlobal, 2),
 		logLocal:     cfg.logLocal,
 		localHistLen: cfg.localHistLen,
 		logGlobal:    cfg.logGlobal,
-	}
-	for i := range p.localPred {
-		p.localPred[i] = utils.NewSignedCounter(3, 0) // 3-bit, as in hardware
 	}
 	return p
 }
@@ -78,9 +75,9 @@ func (p *Predictor) localIndex(ip uint64) uint64 {
 	return utils.XorFold(ip>>2, p.logLocal)
 }
 
-func (p *Predictor) localCounter(ip uint64) *utils.SignedCounter {
-	h := uint64(p.localHist[p.localIndex(ip)]) & (1<<p.localHistLen - 1)
-	return &p.localPred[h]
+// localCounter returns the index of ip's local counter.
+func (p *Predictor) localCounter(ip uint64) uint64 {
+	return uint64(p.localHist[p.localIndex(ip)]) & (1<<p.localHistLen - 1)
 }
 
 func (p *Predictor) globalIndex() uint64 {
@@ -89,10 +86,10 @@ func (p *Predictor) globalIndex() uint64 {
 
 // components returns the two component predictions and the chooser's pick.
 func (p *Predictor) components(ip uint64) (localPred, globalPred, useGlobal bool) {
-	localPred = p.localCounter(ip).Predict()
+	localPred = p.localPred.Predict(p.localCounter(ip))
 	gi := p.globalIndex()
-	globalPred = p.globalT[gi].Predict()
-	useGlobal = p.choice[gi].Predict()
+	globalPred = p.globalT.Predict(gi)
+	useGlobal = p.choice.Predict(gi)
 	return
 }
 
@@ -112,10 +109,10 @@ func (p *Predictor) Train(b bp.Branch) {
 	localPred, globalPred, _ := p.components(b.IP)
 	gi := p.globalIndex()
 	if localPred != globalPred {
-		p.choice[gi].SumOrSub(globalPred == b.Taken)
+		p.choice.Update(gi, globalPred == b.Taken)
 	}
-	p.localCounter(b.IP).SumOrSub(b.Taken)
-	p.globalT[gi].SumOrSub(b.Taken)
+	p.localPred.Update(p.localCounter(b.IP), b.Taken)
+	p.globalT.Update(gi, b.Taken)
 	// The per-branch local history is part of the prediction structures in
 	// the 21264 (updated at retirement); it advances here rather than in
 	// Track so a meta-predictor reusing this component trains it
@@ -148,11 +145,4 @@ func b2u16(b bool) uint16 {
 		return 1
 	}
 	return 0
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

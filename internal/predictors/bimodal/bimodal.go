@@ -16,10 +16,9 @@ import (
 
 // Predictor is a bimodal branch predictor.
 type Predictor struct {
-	table       []utils.SignedCounter
+	table       utils.CounterTable
 	logSize     int
 	counterBits int
-	mask        uint64
 }
 
 // Option configures the predictor.
@@ -46,17 +45,11 @@ func New(opts ...Option) *Predictor {
 	if cfg.logSize < 1 || cfg.logSize > 30 {
 		panic(fmt.Sprintf("bimodal: invalid log table size %d", cfg.logSize))
 	}
-	p := &Predictor{
-		table:       make([]utils.SignedCounter, 1<<cfg.logSize),
+	return &Predictor{
+		table:       utils.NewCounterTable(1<<cfg.logSize, cfg.counterBits),
 		logSize:     cfg.logSize,
 		counterBits: cfg.counterBits,
-		mask:        1<<cfg.logSize - 1,
 	}
-	c := utils.NewSignedCounter(cfg.counterBits, 0)
-	for i := range p.table {
-		p.table[i] = c
-	}
-	return p
 }
 
 func (p *Predictor) index(ip uint64) uint64 {
@@ -65,12 +58,12 @@ func (p *Predictor) index(ip uint64) uint64 {
 
 // Predict implements bp.Predictor.
 func (p *Predictor) Predict(ip uint64) bool {
-	return p.table[p.index(ip)].Predict()
+	return p.table.Predict(p.index(ip))
 }
 
 // Train implements bp.Predictor.
 func (p *Predictor) Train(b bp.Branch) {
-	p.table[p.index(b.IP)].SumOrSub(b.Taken)
+	p.table.Update(p.index(b.IP), b.Taken)
 }
 
 // Track implements bp.Predictor. Bimodal keeps no scenario state.
@@ -94,8 +87,8 @@ func (p *Predictor) Checkpoint(w io.Writer) error {
 	cw.Header("bimodal", ckptVersion)
 	cw.Int(p.logSize)
 	cw.Int(p.counterBits)
-	for i := range p.table {
-		cw.I64(int64(p.table[i].Get()))
+	for i := range p.table.Len() {
+		cw.I64(int64(p.table.Get(uint64(i))))
 	}
 	return cw.Err()
 }
@@ -108,8 +101,8 @@ func (p *Predictor) Restore(r io.Reader) error {
 	}
 	cr.ExpectInt("log_table_size", p.logSize)
 	cr.ExpectInt("counter_bits", p.counterBits)
-	for i := range p.table {
-		p.table[i].Set(int(cr.I64()))
+	for i := range p.table.Len() {
+		p.table.Set(uint64(i), int(cr.I64()))
 	}
 	return cr.Err()
 }

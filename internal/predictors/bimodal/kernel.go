@@ -7,25 +7,23 @@ import (
 
 // This file is the bimodal bp.BatchPredictor kernel. The scalar path hashes
 // each conditional branch twice (once in Predict, once in Train) and pays
-// three interface calls per event; the kernel hoists the table base and the
-// counter saturation bounds out of the loop, folds the address with the
+// three interface calls per event; the kernel folds the address with the
 // unrolled branch-free XorFoldWide (valid for the usual table sizes; narrow
 // tables keep the generic fold), computes the index once per conditional
-// branch, and touches the counter through a single pointer for both the
-// read and the update. Track is a no-op, so non-conditional events cost
-// nothing.
+// branch, and reads and updates the counter through one branch-free
+// PredictUpdate. Track is a no-op, so non-conditional events cost nothing.
 
 // PredictBatch implements bp.BatchPredictor: the pure batched read path.
 func (p *Predictor) PredictBatch(branches []bp.Branch, out []bp.Prediction) {
 	table, logSize := p.table, p.logSize
 	if logSize < 10 {
 		for i := range branches {
-			out[i] = bp.Prediction(table[utils.XorFold(branches[i].IP>>2, logSize)].Predict())
+			out[i] = bp.Prediction(table.Predict(utils.XorFold(branches[i].IP>>2, logSize)))
 		}
 		return
 	}
 	for i := range branches {
-		out[i] = bp.Prediction(table[utils.XorFoldWide(branches[i].IP>>2, logSize)].Predict())
+		out[i] = bp.Prediction(table.Predict(utils.XorFoldWide(branches[i].IP>>2, logSize)))
 	}
 }
 
@@ -35,23 +33,15 @@ func (p *Predictor) TrainBatch(branches []bp.Branch, out []bp.Prediction) {
 	table, logSize := p.table, p.logSize
 	if logSize < 10 {
 		for i := range branches {
-			b := &branches[i]
-			if !b.Opcode.IsConditional() {
-				continue
+			if b := &branches[i]; b.Opcode.IsConditional() {
+				out[i] = bp.Prediction(table.PredictUpdate(utils.XorFold(b.IP>>2, logSize), b.Taken))
 			}
-			c := &table[utils.XorFold(b.IP>>2, logSize)]
-			out[i] = bp.Prediction(c.Predict())
-			c.SumOrSub(b.Taken)
 		}
 		return
 	}
-	min, max := table[0].Bounds()
 	for i := range branches {
-		b := &branches[i]
-		if !b.Opcode.IsConditional() {
-			continue
+		if b := &branches[i]; b.Opcode.IsConditional() {
+			out[i] = bp.Prediction(table.PredictUpdate(utils.XorFoldWide(b.IP>>2, logSize), b.Taken))
 		}
-		c := &table[utils.XorFoldWide(b.IP>>2, logSize)]
-		out[i] = bp.Prediction(c.PredictSumOrSub(b.Taken, min, max))
 	}
 }

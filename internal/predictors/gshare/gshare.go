@@ -16,7 +16,7 @@ import (
 // Predictor is a GShare branch predictor. The core of the implementation
 // is, as in Listing 2, a hash, a counter table and a history register.
 type Predictor struct {
-	table   []utils.SignedCounter
+	table   utils.CounterTable
 	ghist   uint64
 	hmask   uint64
 	histLen int
@@ -51,7 +51,7 @@ func New(opts ...Option) *Predictor {
 		panic(fmt.Sprintf("gshare: invalid log table size %d", cfg.logSize))
 	}
 	p := &Predictor{
-		table:   make([]utils.SignedCounter, 1<<cfg.logSize),
+		table:   utils.NewCounterTable(1<<cfg.logSize, 2),
 		histLen: cfg.histLen,
 		logSize: cfg.logSize,
 	}
@@ -70,12 +70,12 @@ func (p *Predictor) hash(ip uint64) uint64 {
 
 // Predict implements bp.Predictor.
 func (p *Predictor) Predict(ip uint64) bool {
-	return p.table[p.hash(ip)].Predict()
+	return p.table.Predict(p.hash(ip))
 }
 
 // Train implements bp.Predictor.
 func (p *Predictor) Train(b bp.Branch) {
-	p.table[p.hash(b.IP)].SumOrSub(b.Taken)
+	p.table.Update(p.hash(b.IP), b.Taken)
 }
 
 // Track implements bp.Predictor: shift the outcome into the global history.
@@ -107,8 +107,8 @@ func (p *Predictor) Checkpoint(w io.Writer) error {
 	cw.Int(p.histLen)
 	cw.Int(p.logSize)
 	cw.U64(p.ghist)
-	for i := range p.table {
-		cw.I64(int64(p.table[i].Get()))
+	for i := range p.table.Len() {
+		cw.I64(int64(p.table.Get(uint64(i))))
 	}
 	return cw.Err()
 }
@@ -122,8 +122,8 @@ func (p *Predictor) Restore(r io.Reader) error {
 	cr.ExpectInt("history_length", p.histLen)
 	cr.ExpectInt("log_table_size", p.logSize)
 	p.ghist = cr.U64() & p.hmask
-	for i := range p.table {
-		p.table[i].Set(int(cr.I64()))
+	for i := range p.table.Len() {
+		p.table.Set(uint64(i), int(cr.I64()))
 	}
 	return cr.Err()
 }

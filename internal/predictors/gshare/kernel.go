@@ -10,9 +10,9 @@ import (
 // re-fold) and shifts the global history through a field store per event;
 // the kernel carries the history in a register across the whole batch,
 // folds with the unrolled branch-free XorFoldWide (narrow tables keep the
-// generic fold), and reads and updates each counter through one pointer
-// with the branch-free PredictSumOrSub — branch outcomes are near-random,
-// so keeping them out of control flow is the main win.
+// generic fold), and reads and updates each counter with one branch-free
+// PredictUpdate — branch outcomes are near-random, so keeping them out of
+// control flow is the main win.
 
 // PredictBatch implements bp.BatchPredictor: the pure batched read path.
 // Every entry is predicted under the history as of entry, exactly what
@@ -21,12 +21,12 @@ func (p *Predictor) PredictBatch(branches []bp.Branch, out []bp.Prediction) {
 	table, logSize, g := p.table, p.logSize, p.ghist
 	if logSize < 10 {
 		for i := range branches {
-			out[i] = bp.Prediction(table[utils.XorFold(branches[i].IP^g, logSize)].Predict())
+			out[i] = bp.Prediction(table.Predict(utils.XorFold(branches[i].IP^g, logSize)))
 		}
 		return
 	}
 	for i := range branches {
-		out[i] = bp.Prediction(table[utils.XorFoldWide(branches[i].IP^g, logSize)].Predict())
+		out[i] = bp.Prediction(table.Predict(utils.XorFoldWide(branches[i].IP^g, logSize)))
 	}
 }
 
@@ -39,31 +39,26 @@ func (p *Predictor) TrainBatch(branches []bp.Branch, out []bp.Prediction) {
 		for i := range branches {
 			b := &branches[i]
 			if b.Opcode.IsConditional() {
-				c := &table[utils.XorFold(b.IP^g, logSize)]
-				out[i] = bp.Prediction(c.Predict())
-				c.SumOrSub(b.Taken)
+				out[i] = bp.Prediction(table.PredictUpdate(utils.XorFold(b.IP^g, logSize), b.Taken))
 			}
-			t := uint64(0)
-			if b.Taken {
-				t = 1
-			}
-			g = (g<<1 | t) & hmask
+			g = (g<<1 | uint64(b2i(b.Taken))) & hmask
 		}
 		p.ghist = g
 		return
 	}
-	min, max := table[0].Bounds()
 	for i := range branches {
 		b := &branches[i]
-		t := uint64(0)
-		if b.Taken {
-			t = 1
-		}
 		if b.Opcode.IsConditional() {
-			c := &table[utils.XorFoldWide(b.IP^g, logSize)]
-			out[i] = bp.Prediction(c.PredictSumOrSub(b.Taken, min, max))
+			out[i] = bp.Prediction(table.PredictUpdate(utils.XorFoldWide(b.IP^g, logSize), b.Taken))
 		}
-		g = (g<<1 | t) & hmask
+		g = (g<<1 | uint64(b2i(b.Taken))) & hmask
 	}
 	p.ghist = g
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -16,7 +16,7 @@ import (
 
 // Predictor is a 2bc-gskew branch predictor.
 type Predictor struct {
-	bim, g0, g1, meta []utils.SignedCounter
+	bim, g0, g1, meta utils.CounterTable
 	logSize           int
 	hist0, hist1      int // history lengths of the two skewed banks
 	ghist             uint64
@@ -54,8 +54,8 @@ func New(opts ...Option) *Predictor {
 	}
 	n := 1 << cfg.logSize
 	return &Predictor{
-		bim: make([]utils.SignedCounter, n), g0: make([]utils.SignedCounter, n),
-		g1: make([]utils.SignedCounter, n), meta: make([]utils.SignedCounter, n),
+		bim: utils.NewCounterTable(n, 2), g0: utils.NewCounterTable(n, 2),
+		g1: utils.NewCounterTable(n, 2), meta: utils.NewCounterTable(n, 2),
 		logSize: cfg.logSize, hist0: cfg.hist0, hist1: cfg.hist1,
 	}
 }
@@ -69,89 +69,62 @@ const (
 	skew2 = 0x165667b19e3779f9
 )
 
-func (p *Predictor) idxBim(ip uint64) uint64 {
-	return utils.XorFold(ip>>2, p.logSize)
-}
-
-func (p *Predictor) idxG0(ip uint64) uint64 {
-	h := p.ghist & (1<<p.hist0 - 1)
-	return utils.XorFold((ip^h)*skew0, p.logSize)
-}
-
-func (p *Predictor) idxG1(ip uint64) uint64 {
-	h := p.ghist & (1<<p.hist1 - 1)
-	return utils.XorFold((ip^h)*skew1, p.logSize)
-}
-
-func (p *Predictor) idxMeta(ip uint64) uint64 {
-	return utils.XorFold(ip*skew2, p.logSize)
-}
-
-// votes returns the three bank predictions and the meta choice.
-func (p *Predictor) votes(ip uint64) (bimP, g0P, g1P, useGskew bool) {
-	bimP = p.bim[p.idxBim(ip)].Predict()
-	g0P = p.g0[p.idxG0(ip)].Predict()
-	g1P = p.g1[p.idxG1(ip)].Predict()
-	useGskew = p.meta[p.idxMeta(ip)].Predict()
-	return
+// indices returns the bimodal, two skewed and meta bank indices of ip
+// under the current global history.
+func (p *Predictor) indices(ip uint64) (ib, i0, i1, im uint64) {
+	return utils.XorFold(ip>>2, p.logSize),
+		utils.XorFold((ip^p.ghist&(1<<p.hist0-1))*skew0, p.logSize),
+		utils.XorFold((ip^p.ghist&(1<<p.hist1-1))*skew1, p.logSize),
+		utils.XorFold(ip*skew2, p.logSize)
 }
 
 func majority(a, b, c bool) bool {
 	return (a && b) || (a && c) || (b && c)
 }
 
-// Predict implements bp.Predictor.
+// Predict implements bp.Predictor: the meta bank chooses between the
+// bimodal bank and the majority vote of all three banks.
 func (p *Predictor) Predict(ip uint64) bool {
-	bimP, g0P, g1P, useGskew := p.votes(ip)
-	if useGskew {
-		return majority(bimP, g0P, g1P)
+	ib, i0, i1, im := p.indices(ip)
+	bimP := p.bim.Predict(ib)
+	if p.meta.Predict(im) {
+		return majority(bimP, p.g0.Predict(i0), p.g1.Predict(i1))
 	}
 	return bimP
 }
 
-// Train implements bp.Predictor, applying the 2bc-gskew partial update
-// policy: the meta bank learns which side was right whenever bimodal and
-// majority disagree; on a correct prediction only the agreeing banks of the
-// providing side are strengthened; on a misprediction all banks retrain.
+// Train implements bp.Predictor.
 func (p *Predictor) Train(b bp.Branch) {
-	ip, taken := b.IP, b.Taken
-	bimP, g0P, g1P, useGskew := p.votes(ip)
-	maj := majority(bimP, g0P, g1P)
-	if bimP != maj {
-		// Meta outcome bit means "the majority is the right provider".
-		p.meta[p.idxMeta(ip)].SumOrSub(maj == taken)
-	}
-	overall := bimP
-	if useGskew {
-		overall = maj
-	}
-	if overall == taken {
-		if useGskew {
-			if bimP == taken {
-				p.bim[p.idxBim(ip)].SumOrSub(taken)
-			}
-			if g0P == taken {
-				p.g0[p.idxG0(ip)].SumOrSub(taken)
-			}
-			if g1P == taken {
-				p.g1[p.idxG1(ip)].SumOrSub(taken)
-			}
-		} else {
-			p.bim[p.idxBim(ip)].SumOrSub(taken)
-		}
-	} else {
-		p.bim[p.idxBim(ip)].SumOrSub(taken)
-		p.g0[p.idxG0(ip)].SumOrSub(taken)
-		p.g1[p.idxG1(ip)].SumOrSub(taken)
-	}
+	ib, i0, i1, im := p.indices(b.IP)
+	p.resolve(ib, i0, i1, im, b.Taken)
+}
+
+// resolve reads the banks at the given indices, applies the 2bc-gskew
+// partial update policy toward the outcome, and returns the prediction as
+// of entry. The meta bank learns which side was right whenever bimodal and
+// majority disagree; on a correct prediction only the agreeing banks of
+// the providing side are strengthened; on a misprediction all three banks
+// retrain. Votes and outcomes are near-random, so the policy is computed
+// on 0/1 integers and applied with UpdateIf: data, not control flow.
+// Shared by Train and the batch kernel.
+func (p *Predictor) resolve(ib, i0, i1, im uint64, taken bool) bool {
+	t := b2i(taken)
+	bim, g0, g1 := b2i(p.bim.Predict(ib)), b2i(p.g0.Predict(i0)), b2i(p.g1.Predict(i1))
+	useGskew := b2i(p.meta.Predict(im))
+	maj := bim&g0 | bim&g1 | g0&g1
+	// Meta outcome bit means "the majority is the right provider".
+	p.meta.UpdateIf(im, maj == t, bim != maj)
+	pred := bim ^ (bim^maj)&useGskew // useGskew ? maj : bim
+	wrong := pred ^ t
+	p.bim.UpdateIf(ib, taken, wrong|(1-useGskew)|(1^bim^t) != 0)
+	p.g0.UpdateIf(i0, taken, wrong|useGskew&(1^g0^t) != 0)
+	p.g1.UpdateIf(i1, taken, wrong|useGskew&(1^g1^t) != 0)
+	return pred != 0
 }
 
 // Track implements bp.Predictor: shift the outcome into the global history.
 func (p *Predictor) Track(b bp.Branch) {
-	p.ghist <<= 1
-	if b.Taken {
-		p.ghist |= 1
-	}
+	p.ghist = p.ghist<<1 | b2u(b.Taken)
 }
 
 // Metadata implements bp.MetadataProvider.
@@ -162,3 +135,12 @@ func (p *Predictor) Metadata() map[string]any {
 		"history_lengths": []int{p.hist0, p.hist1},
 	}
 }
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func b2u(b bool) uint64 { return uint64(b2i(b)) }

@@ -17,7 +17,7 @@ import (
 
 // Predictor is an O-GEHL branch predictor.
 type Predictor struct {
-	tables  [][]utils.SignedCounter
+	tables  []utils.CounterTable
 	lengths []int
 	logSize int
 	ctrBits int
@@ -97,13 +97,8 @@ func New(opts ...Option) *Predictor {
 		ac:      utils.NewSignedCounter(9, 0),
 	}
 	folds := make([]utils.Fold, 0, len(cfg.lengths))
-	zero := utils.NewSignedCounter(cfg.ctrBits, 0)
 	for _, l := range cfg.lengths {
-		t := make([]utils.SignedCounter, 1<<cfg.logSize)
-		for i := range t {
-			t[i] = zero
-		}
-		p.tables = append(p.tables, t)
+		p.tables = append(p.tables, utils.NewCounterTable(1<<cfg.logSize, cfg.ctrBits))
 		folds = append(folds, utils.Fold{Length: l, Width: cfg.logSize})
 	}
 	p.folds = utils.NewFoldBank(folds)
@@ -128,7 +123,7 @@ func (p *Predictor) index(ip uint64, t int) uint64 {
 func (p *Predictor) sum(ip uint64) int {
 	s := len(p.tables) / 2 // centring term, as GEHL biases toward taken on ties
 	for t := range p.tables {
-		s += p.tables[t][p.index(ip, t)].Get()
+		s += p.tables[t].Get(p.index(ip, t))
 	}
 	return s
 }
@@ -158,7 +153,7 @@ func (p *Predictor) Train(b bp.Branch) {
 	if mispredicted || mag <= p.theta {
 		p.updates++
 		for t := range p.tables {
-			p.tables[t][p.index(b.IP, t)].SumOrSub(b.Taken)
+			p.tables[t].Update(p.index(b.IP, t), b.Taken)
 		}
 	}
 	// Adaptive threshold.
@@ -178,7 +173,7 @@ func (p *Predictor) Train(b bp.Branch) {
 		}
 	}
 	// History-length fitting: did the longest tables vote with the outcome?
-	long := p.tables[len(p.tables)-1][p.index(b.IP, len(p.tables)-1)].Predict()
+	long := p.tables[len(p.tables)-1].Predict(p.index(b.IP, len(p.tables)-1))
 	if long == b.Taken {
 		p.ac.Add(1)
 	} else {

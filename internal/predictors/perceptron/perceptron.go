@@ -17,7 +17,7 @@ import (
 
 // Predictor is a hashed perceptron branch predictor.
 type Predictor struct {
-	tables  [][]utils.SignedCounter
+	tables  []utils.CounterTable
 	lengths []int
 	logSize int
 	wBits   int
@@ -104,13 +104,8 @@ func New(opts ...Option) *Predictor {
 		tc:      utils.NewSignedCounter(7, 0),
 	}
 	folds := make([]utils.Fold, len(cfg.lengths))
-	zero := utils.NewSignedCounter(cfg.wBits, 0)
 	for t, l := range cfg.lengths {
-		w := make([]utils.SignedCounter, 1<<cfg.logSize)
-		for i := range w {
-			w[i] = zero
-		}
-		p.tables = append(p.tables, w)
+		p.tables = append(p.tables, utils.NewCounterTable(1<<cfg.logSize, cfg.wBits))
 		folds[t] = utils.Fold{Length: l, Width: cfg.logSize}
 		p.salt = append(p.salt, utils.XorFold(uint64(t)*0x9e3779b97f4a7c15, cfg.logSize))
 		mask := uint64(0)
@@ -151,7 +146,7 @@ func (p *Predictor) sum(ip uint64) int {
 	p.indices(ip, kidx)
 	s := 0
 	for t, i := range kidx {
-		s += p.tables[t][i].Get()
+		s += p.tables[t].Get(uint64(i))
 	}
 	return s
 }
@@ -188,15 +183,10 @@ func (p *Predictor) update(s int, taken bool) {
 	mispredicted := pred != taken
 	if mispredicted || mag <= p.theta {
 		p.trainings++
-		// The outcome is data, not control, so the row update carries no
-		// data-dependent branches (every weight shares the bounds).
-		d := int32(-1)
-		if taken {
-			d = 1
-		}
-		wmin, wmax := p.tables[0][0].Bounds()
+		// Update is branch-free on the outcome, so the row update carries
+		// no data-dependent branches.
 		for t, i := range p.kidx {
-			p.tables[t][i].AddClamped(d, wmin, wmax)
+			p.tables[t].Update(uint64(i), taken)
 		}
 	}
 	// Adaptive threshold (O-GEHL style): mispredictions push theta up,
@@ -259,8 +249,8 @@ func (p *Predictor) Checkpoint(w io.Writer) error {
 	cw.Int(p.logSize)
 	cw.Int(p.wBits)
 	for t := range p.tables {
-		for i := range p.tables[t] {
-			cw.I64(int64(p.tables[t][i].Get()))
+		for i := range p.tables[t].Len() {
+			cw.I64(int64(p.tables[t].Get(uint64(i))))
 		}
 	}
 	for t := range p.tables {
@@ -299,8 +289,8 @@ func (p *Predictor) Restore(r io.Reader) error {
 		return err
 	}
 	for t := range p.tables {
-		for i := range p.tables[t] {
-			p.tables[t][i].Set(int(cr.I64()))
+		for i := range p.tables[t].Len() {
+			p.tables[t].Set(uint64(i), int(cr.I64()))
 		}
 	}
 	for t := range p.tables {

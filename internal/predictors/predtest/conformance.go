@@ -305,6 +305,41 @@ func driveChunks(p bp.Predictor, branches []bp.Branch, out []bp.Prediction) {
 	}
 }
 
+// conformanceStream returns the mixed workload as events and as the
+// branches a kernel consumes.
+func conformanceStream(t *testing.T, branches uint64) ([]bp.Event, []bp.Branch) {
+	t.Helper()
+	var events []bp.Event
+	conformanceEvents(t, branches, func(ev bp.Event) { events = append(events, ev) })
+	stream := make([]bp.Branch, len(events))
+	for i := range events {
+		stream[i] = events[i].Branch
+	}
+	return events, stream
+}
+
+// CheckKernelMatchesScalar drives one fresh instance through its native
+// kernel and another through the scalar reference loop (bp.ScalarOnly),
+// both via bp.SimulateBatch under the adversarial chunkSizes splits, and
+// fails on the first conditional branch they predict differently. It
+// returns both instances, unwrapped, so a predictor without a checkpoint
+// format can compare its final state field by field.
+func CheckKernelMatchesScalar(t *testing.T, newP func() bp.Predictor, branches uint64) (kernel, scalar bp.Predictor) {
+	t.Helper()
+	_, stream := conformanceStream(t, branches)
+	kernel, scalar = newP(), newP()
+	kernelOut := make([]bp.Prediction, len(stream))
+	driveChunks(kernel, stream, kernelOut)
+	scalarOut := make([]bp.Prediction, len(stream))
+	driveChunks(bp.ScalarOnly(scalar), stream, scalarOut)
+	for i := range stream {
+		if stream[i].Opcode.IsConditional() && kernelOut[i] != scalarOut[i] {
+			t.Fatalf("branch %d (ip %#x): kernel predicted %v, scalar path %v", i, stream[i].IP, kernelOut[i], scalarOut[i])
+		}
+	}
+	return kernel, scalar
+}
+
 // faultAfterReader yields the given events and then a non-EOF error, so the
 // failure lands mid-stream — and, for the batched pipeline, mid-batch.
 type faultAfterReader struct {
@@ -343,27 +378,8 @@ func CheckBatchKernelConformance(t *testing.T, newP func() bp.Predictor, branche
 		t.Skip("predictor does not implement bp.BatchPredictor")
 	}
 
-	var events []bp.Event
-	conformanceEvents(t, branches, func(ev bp.Event) { events = append(events, ev) })
-	stream := make([]bp.Branch, len(events))
-	for i := range events {
-		stream[i] = events[i].Branch
-	}
-
-	kernel := newP()
-	kernelOut := make([]bp.Prediction, len(stream))
-	driveChunks(kernel, stream, kernelOut)
-
-	scalar := bp.ScalarOnly(newP())
-	scalarOut := make([]bp.Prediction, len(stream))
-	driveChunks(scalar, stream, scalarOut)
-
-	for i := range stream {
-		if stream[i].Opcode.IsConditional() && kernelOut[i] != scalarOut[i] {
-			t.Fatalf("branch %d (ip %#x): kernel predicted %v, scalar path %v", i, stream[i].IP, kernelOut[i], scalarOut[i])
-		}
-	}
-
+	events, stream := conformanceStream(t, branches)
+	kernel, scalar := CheckKernelMatchesScalar(t, newP, branches)
 	if kc, ok := kernel.(bp.Checkpointer); ok {
 		var kb, sb bytes.Buffer
 		if err := kc.Checkpoint(&kb); err != nil {
@@ -432,12 +448,7 @@ func CheckCheckpointBatchResume(t *testing.T, newP func() bp.Predictor, branches
 		t.Skip("predictor does not implement bp.Checkpointer")
 	}
 
-	var events []bp.Event
-	conformanceEvents(t, branches, func(ev bp.Event) { events = append(events, ev) })
-	stream := make([]bp.Branch, len(events))
-	for i := range events {
-		stream[i] = events[i].Branch
-	}
+	_, stream := conformanceStream(t, branches)
 	// A cut that no chunk of driveChunks ends on, so the resumed first batch
 	// is a partial one.
 	cut := len(stream)/2 + 1

@@ -65,7 +65,7 @@ func TestRegistryConformance(t *testing.T) {
 // PredictBatch/TrainBatch would cost the batched speedup without failing
 // any behavioural test.
 func TestBatchKernelPredictors(t *testing.T) {
-	for _, name := range []string{"bimodal", "gshare", "perceptron", "tage", "batage"} {
+	for _, name := range []string{"bimodal", "twolevel", "gshare", "tournament", "gskew", "perceptron", "tage", "batage"} {
 		p, err := registry.New(name)
 		if err != nil {
 			t.Fatalf("registry.New(%q): %v", name, err)

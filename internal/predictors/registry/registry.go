@@ -26,13 +26,16 @@ import (
 	"mbplib/internal/predictors/tournament"
 	"mbplib/internal/predictors/twolevel"
 	"mbplib/internal/predictors/yags"
+	"mbplib/internal/utils"
 )
 
 // params is a parsed key=value option set that records which keys were read,
-// so unknown options are reported instead of silently ignored.
+// so unknown options are reported instead of silently ignored, and the
+// first invalid value, so a builder reads all its options and checks once.
 type params struct {
 	vals map[string]string
 	used map[string]bool
+	err  error
 }
 
 func parseParams(s string) (*params, error) {
@@ -58,17 +61,32 @@ func (p *params) str(key, def string) string {
 	return def
 }
 
-func (p *params) intVal(key string, def int) (int, error) {
+// intIn returns the integer option key (def when absent), recording an
+// error unless it lies in [lo, hi]. Every numeric option has a range: the
+// predictor constructors panic outside theirs, and a spec arrives from a
+// command line or a daemon submission, where a bad value must be an error.
+func (p *params) intIn(key string, def, lo, hi int) int {
 	v, ok := p.vals[key]
 	if !ok {
-		return def, nil
+		return def
 	}
 	p.used[key] = true
 	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("option %s: %v", key, err)
+	switch {
+	case p.err != nil:
+	case err != nil:
+		p.err = fmt.Errorf("option %s: %v", key, err)
+	case n < lo || n > hi:
+		p.err = fmt.Errorf("option %s=%d out of range [%d, %d]", key, n, lo, hi)
 	}
-	return n, nil
+	return n
+}
+
+// check records an error for a constraint between options unless ok.
+func (p *params) check(ok bool, format string, args ...any) {
+	if !ok && p.err == nil {
+		p.err = fmt.Errorf(format, args...)
+	}
 }
 
 func (p *params) unknown() []string {
@@ -143,25 +161,18 @@ func New(spec string) (bp.Predictor, error) {
 }
 
 func buildBimodal(p *params) (bp.Predictor, error) {
-	logSize, err := p.intVal("t", 14)
-	if err != nil {
-		return nil, err
-	}
-	bits, err := p.intVal("bits", 2)
-	if err != nil {
-		return nil, err
+	logSize := p.intIn("t", 14, 1, 30)
+	bits := p.intIn("bits", 2, 1, utils.MaxCounterWidth)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return bimodal.New(bimodal.WithLogSize(logSize), bimodal.WithCounterBits(bits)), nil
 }
 
 func buildGShare(p *params) (bp.Predictor, error) {
-	h, err := p.intVal("h", 15)
-	if err != nil {
-		return nil, err
-	}
-	t, err := p.intVal("t", 17)
-	if err != nil {
-		return nil, err
+	h, t := p.intIn("h", 15, 1, 64), p.intIn("t", 17, 1, 30)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return gshare.New(gshare.WithHistoryLength(h), gshare.WithLogSize(t)), nil
 }
@@ -190,21 +201,20 @@ func buildTwoLevel(p *params) (bp.Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := p.intVal("h", 12)
-	if err != nil {
+	// 0 selects the variant's default number of registers or tables.
+	cfg := twolevel.Config{
+		First: first, Second: second,
+		HistLen: p.intIn("h", 12, 1, 24),
+		LogBHRs: p.intIn("bhrs", 0, 0, 20),
+		LogPHTs: p.intIn("phts", 0, 0, 16),
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	logBHRs, err := p.intVal("bhrs", 0)
-	if err != nil {
-		return nil, err
-	}
-	logPHTs, err := p.intVal("phts", 0)
-	if err != nil {
-		return nil, err
-	}
-	return twolevel.New(twolevel.Config{
-		First: first, Second: second, HistLen: h, LogBHRs: logBHRs, LogPHTs: logPHTs,
-	}), nil
+	return twolevel.New(cfg), nil
 }
 
 func buildTournament(p *params) (bp.Predictor, error) {
@@ -224,52 +234,43 @@ func buildTournament(p *params) (bp.Predictor, error) {
 }
 
 func buildGskew(p *params) (bp.Predictor, error) {
-	t, err := p.intVal("t", 15)
-	if err != nil {
-		return nil, err
-	}
-	h0, err := p.intVal("h0", 9)
-	if err != nil {
-		return nil, err
-	}
-	h1, err := p.intVal("h1", 18)
-	if err != nil {
-		return nil, err
+	t := p.intIn("t", 15, 1, 28)
+	h0, h1 := p.intIn("h0", 9, 1, 63), p.intIn("h1", 18, 1, 63)
+	p.check(h0 <= h1, "option h0=%d exceeds h1=%d", h0, h1)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return gskew.New(gskew.WithLogSize(t), gskew.WithHistoryLengths(h0, h1)), nil
 }
 
 func buildPerceptron(p *params) (bp.Predictor, error) {
-	t, err := p.intVal("t", 13)
-	if err != nil {
-		return nil, err
+	t := p.intIn("t", 13, 1, 26)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return perceptron.New(perceptron.WithLogSize(t)), nil
 }
 
 func buildLoop(p *params) (bp.Predictor, error) {
-	t, err := p.intVal("t", 6)
-	if err != nil {
-		return nil, err
+	t := p.intIn("t", 6, 1, 16)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return loop.New(loop.WithLogSize(t)), nil
 }
 
+// maxGeometricHist bounds the longest TAGE-class history, which sizes the
+// global history register and its folds.
+const maxGeometricHist = 1 << 16
+
 func tageGeometry(p *params) (n, minH, maxH, logSize, tagBits int, err error) {
-	if n, err = p.intVal("tables", 8); err != nil {
-		return
-	}
-	if minH, err = p.intVal("minhist", 4); err != nil {
-		return
-	}
-	if maxH, err = p.intVal("maxhist", 320); err != nil {
-		return
-	}
-	if logSize, err = p.intVal("t", 10); err != nil {
-		return
-	}
-	tagBits, err = p.intVal("tag", 11)
-	return
+	n = p.intIn("tables", 8, 1, 64)
+	minH = p.intIn("minhist", 4, 1, maxGeometricHist)
+	maxH = p.intIn("maxhist", 320, 1, maxGeometricHist)
+	logSize = p.intIn("t", 10, 1, 24)
+	tagBits = p.intIn("tag", 11, 1, 16)
+	p.check(minH <= maxH, "option minhist=%d exceeds maxhist=%d", minH, maxH)
+	return n, minH, maxH, logSize, tagBits, p.err
 }
 
 func buildTAGE(p *params) (bp.Predictor, error) {
@@ -289,53 +290,34 @@ func buildBATAGE(p *params) (bp.Predictor, error) {
 }
 
 func buildOGEHL(p *params) (bp.Predictor, error) {
-	t, err := p.intVal("t", 11)
-	if err != nil {
-		return nil, err
-	}
-	bits, err := p.intVal("bits", 5)
-	if err != nil {
-		return nil, err
+	t, bits := p.intIn("t", 11, 1, 26), p.intIn("bits", 5, 2, utils.MaxCounterWidth)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return ogehl.New(ogehl.WithLogSize(t), ogehl.WithCounterBits(bits)), nil
 }
 
 func buildYAGS(p *params) (bp.Predictor, error) {
-	choice, err := p.intVal("choice", 14)
-	if err != nil {
-		return nil, err
-	}
-	cache, err := p.intVal("cache", 12)
-	if err != nil {
-		return nil, err
-	}
-	h, err := p.intVal("h", 12)
-	if err != nil {
-		return nil, err
+	choice, cache := p.intIn("choice", 14, 1, 26), p.intIn("cache", 12, 1, 26)
+	h := p.intIn("h", 12, 1, 63)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return yags.New(yags.WithLogChoice(choice), yags.WithLogCache(cache), yags.WithHistoryLength(h)), nil
 }
 
 func buildAgree(p *params) (bp.Predictor, error) {
-	t, err := p.intVal("t", 15)
-	if err != nil {
-		return nil, err
-	}
-	h, err := p.intVal("h", 14)
-	if err != nil {
-		return nil, err
+	t, h := p.intIn("t", 15, 1, 26), p.intIn("h", 14, 1, 63)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return agree.New(agree.WithLogAgree(t), agree.WithHistoryLength(h)), nil
 }
 
 func buildAlpha(p *params) (bp.Predictor, error) {
-	local, err := p.intVal("local", 10)
-	if err != nil {
-		return nil, err
-	}
-	global, err := p.intVal("global", 12)
-	if err != nil {
-		return nil, err
+	local, global := p.intIn("local", 10, 1, 20), p.intIn("global", 12, 1, 26)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return alpha.New(alpha.WithLogLocal(local), alpha.WithLogGlobal(global)), nil
 }
@@ -345,9 +327,9 @@ func buildFilter(p *params) (bp.Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inner: %v", err)
 	}
-	threshold, err := p.intVal("threshold", 16)
-	if err != nil {
-		return nil, err
+	threshold := p.intIn("threshold", 16, 1, 255)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return filter.New(inner, filter.WithThreshold(threshold)), nil
 }

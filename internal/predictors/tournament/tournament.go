@@ -8,6 +8,8 @@
 package tournament
 
 import (
+	"reflect"
+
 	"mbplib/internal/bp"
 )
 
@@ -23,6 +25,14 @@ type Predictor struct {
 	tracked     bool
 	provider    bool
 	prediction  [2]bool
+
+	// aliased is set when two components are the same instance: the batch
+	// kernel, which runs each base over a whole batch before the meta, would
+	// then reorder updates to shared state, so it takes the scalar loop.
+	aliased bool
+	// pred1 is the batch kernel's scratch for bp1's predictions, grown to
+	// the largest batch seen. Not predictor state.
+	pred1 []bp.Prediction
 }
 
 // New returns a tournament over meta, bp0 and bp1. The meta-predictor's
@@ -31,7 +41,17 @@ func New(meta, bp0, bp1 bp.Predictor) *Predictor {
 	if meta == nil || bp0 == nil || bp1 == nil {
 		panic("tournament: nil component")
 	}
-	return &Predictor{meta: meta, bp0: bp0, bp1: bp1, tracked: true}
+	return &Predictor{
+		meta: meta, bp0: bp0, bp1: bp1, tracked: true,
+		aliased: same(meta, bp0) || same(meta, bp1) || same(bp0, bp1),
+	}
+}
+
+// same reports whether a and b are one instance. Interface comparison
+// panics on uncomparable dynamic types, which are never the same instance.
+func same(a, b bp.Predictor) bool {
+	t := reflect.TypeOf(a)
+	return t == reflect.TypeOf(b) && t.Comparable() && a == b
 }
 
 // Predict implements bp.Predictor. Repeated calls for the same IP between

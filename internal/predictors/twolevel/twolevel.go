@@ -44,7 +44,9 @@ type Predictor struct {
 	counterBits   int
 	hmask         uint64
 	bhrs          []uint64
-	phts          [][]utils.SignedCounter
+	// pht holds every pattern table back to back: table j's entry for
+	// history h is counter j<<histLen | h.
+	pht utils.CounterTable
 }
 
 // Config parameterises a two-level predictor.
@@ -63,7 +65,7 @@ type Config struct {
 	// second levels (ignored for Global). Defaults: 4 for PerSet, 10 for
 	// PerAddress.
 	LogPHTs int
-	// CounterBits is the PHT counter width. Default 2.
+	// CounterBits is the PHT counter width (1..8). Default 2.
 	CounterBits int
 }
 
@@ -99,31 +101,42 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// New returns a two-level predictor for cfg.
+// maxLogCounters bounds the pattern tables to 2^30 counters (1 GiB) in
+// all, the ceiling of the other single-table predictors.
+const maxLogCounters = 30
+
+// Validate reports why cfg, with defaults applied, does not describe a
+// predictor New can build, or nil when it does.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case c.HistLen < 1 || c.HistLen > 24:
+		return fmt.Errorf("twolevel: invalid history length %d", c.HistLen)
+	case c.LogBHRs < 0 || c.LogBHRs > 20 || c.LogPHTs < 0 || c.LogPHTs > 16:
+		return fmt.Errorf("twolevel: invalid table sizes logBHRs=%d logPHTs=%d", c.LogBHRs, c.LogPHTs)
+	case c.LogPHTs+c.HistLen > maxLogCounters:
+		return fmt.Errorf("twolevel: 2^%d pattern tables of 2^%d counters exceed 2^%d counters", c.LogPHTs, c.HistLen, maxLogCounters)
+	case c.CounterBits < 1 || c.CounterBits > utils.MaxCounterWidth:
+		return fmt.Errorf("twolevel: invalid counter width %d", c.CounterBits)
+	}
+	return nil
+}
+
+// New returns a two-level predictor for cfg. It panics if cfg.Validate
+// fails.
 func New(cfg Config) *Predictor {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg = cfg.withDefaults()
-	if cfg.HistLen < 1 || cfg.HistLen > 24 {
-		panic(fmt.Sprintf("twolevel: invalid history length %d", cfg.HistLen))
-	}
-	if cfg.LogBHRs < 0 || cfg.LogBHRs > 20 || cfg.LogPHTs < 0 || cfg.LogPHTs > 16 {
-		panic(fmt.Sprintf("twolevel: invalid table sizes logBHRs=%d logPHTs=%d", cfg.LogBHRs, cfg.LogPHTs))
-	}
-	p := &Predictor{
+	return &Predictor{
 		first: cfg.First, second: cfg.Second,
 		histLen: cfg.HistLen, logBHRs: cfg.LogBHRs, logPHTs: cfg.LogPHTs,
 		counterBits: cfg.CounterBits,
 		hmask:       1<<cfg.HistLen - 1,
 		bhrs:        make([]uint64, 1<<cfg.LogBHRs),
-		phts:        make([][]utils.SignedCounter, 1<<cfg.LogPHTs),
+		pht:         utils.NewCounterTable(1<<(cfg.LogPHTs+cfg.HistLen), cfg.CounterBits),
 	}
-	zero := utils.NewSignedCounter(cfg.CounterBits, 0)
-	for i := range p.phts {
-		p.phts[i] = make([]utils.SignedCounter, 1<<cfg.HistLen)
-		for j := range p.phts[i] {
-			p.phts[i][j] = zero
-		}
-	}
-	return p
 }
 
 // Variant returns the classical name of this configuration, e.g. "GAs".
@@ -131,45 +144,38 @@ func (p *Predictor) Variant() string {
 	return p.first.letter(true) + "A" + p.second.letter(false)
 }
 
-func (p *Predictor) bhrIndex(ip uint64) uint64 {
-	if p.logBHRs == 0 {
+// fold hashes the shifted address a into a level index of width bits; a
+// global level (width 0) has the single index 0.
+func fold(a uint64, width int) uint64 {
+	if width == 0 {
 		return 0
 	}
-	return utils.XorFold(ip>>2, p.logBHRs)
+	return utils.XorFold(a, width)
 }
 
-func (p *Predictor) phtIndex(ip uint64) uint64 {
-	if p.logPHTs == 0 {
-		return 0
-	}
-	return utils.XorFold(ip>>2, p.logPHTs)
-}
-
-func (p *Predictor) counter(ip uint64) *utils.SignedCounter {
-	hist := p.bhrs[p.bhrIndex(ip)] & p.hmask
-	return &p.phts[p.phtIndex(ip)][hist]
+// index returns the counter ip's prediction reads under the current
+// histories.
+func (p *Predictor) index(ip uint64) uint64 {
+	a := ip >> 2
+	return fold(a, p.logPHTs)<<p.histLen | p.bhrs[fold(a, p.logBHRs)]
 }
 
 // Predict implements bp.Predictor.
 func (p *Predictor) Predict(ip uint64) bool {
-	return p.counter(ip).Predict()
+	return p.pht.Predict(p.index(ip))
 }
 
 // Train implements bp.Predictor. It runs before Track, so the counter it
 // updates is the one Predict consulted.
 func (p *Predictor) Train(b bp.Branch) {
-	p.counter(b.IP).SumOrSub(b.Taken)
+	p.pht.Update(p.index(b.IP), b.Taken)
 }
 
 // Track implements bp.Predictor: record the outcome in the branch's
 // history register.
 func (p *Predictor) Track(b bp.Branch) {
-	i := p.bhrIndex(b.IP)
-	p.bhrs[i] <<= 1
-	if b.Taken {
-		p.bhrs[i] |= 1
-	}
-	p.bhrs[i] &= p.hmask
+	i := fold(b.IP>>2, p.logBHRs)
+	p.bhrs[i] = (p.bhrs[i]<<1 | b2u(b.Taken)) & p.hmask
 }
 
 // Metadata implements bp.MetadataProvider.
@@ -181,4 +187,11 @@ func (p *Predictor) Metadata() map[string]any {
 		"log_phts":       p.logPHTs,
 		"counter_bits":   p.counterBits,
 	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -13,18 +13,22 @@ import (
 	"mbplib/internal/utils"
 )
 
-// cacheEntry is one exception-cache entry: a partial tag plus a two-bit
-// counter.
-type cacheEntry struct {
-	tag uint16
-	ctr utils.SignedCounter
+// exceptionCache is one exception cache: entry i is a partial tag (zero
+// when the entry is empty) and a two-bit counter.
+type exceptionCache struct {
+	tags []uint16
+	ctrs utils.CounterTable
+}
+
+func newExceptionCache(logSize int) exceptionCache {
+	return exceptionCache{tags: make([]uint16, 1<<logSize), ctrs: utils.NewCounterTable(1<<logSize, 2)}
 }
 
 // Predictor is a YAGS branch predictor.
 type Predictor struct {
-	choice  []utils.SignedCounter
-	tCache  []cacheEntry // consulted when the choice says "not taken"
-	ntCache []cacheEntry // consulted when the choice says "taken"
+	choice  utils.CounterTable
+	tCache  exceptionCache // consulted when the choice says "not taken"
+	ntCache exceptionCache // consulted when the choice says "taken"
 
 	logChoice int
 	logCache  int
@@ -71,9 +75,9 @@ func New(opts ...Option) *Predictor {
 		panic(fmt.Sprintf("yags: invalid tagBits=%d histLen=%d", cfg.tagBits, cfg.histLen))
 	}
 	p := &Predictor{
-		choice:    make([]utils.SignedCounter, 1<<cfg.logChoice),
-		tCache:    make([]cacheEntry, 1<<cfg.logCache),
-		ntCache:   make([]cacheEntry, 1<<cfg.logCache),
+		choice:    utils.NewCounterTable(1<<cfg.logChoice, 2),
+		tCache:    newExceptionCache(cfg.logCache),
+		ntCache:   newExceptionCache(cfg.logCache),
 		logChoice: cfg.logChoice,
 		logCache:  cfg.logCache,
 		tagBits:   cfg.tagBits,
@@ -98,14 +102,13 @@ func (p *Predictor) tag(ip uint64) uint16 {
 // lookup resolves the prediction: the exception cache opposite to the bias
 // overrides the choice table on a tag hit.
 func (p *Predictor) lookup(ip uint64) (pred, biasTaken, hit bool) {
-	biasTaken = p.choice[p.choiceIndex(ip)].Predict()
-	cache := p.ntCache
+	biasTaken = p.choice.Predict(p.choiceIndex(ip))
+	cache := &p.ntCache
 	if !biasTaken {
-		cache = p.tCache
+		cache = &p.tCache
 	}
-	e := &cache[p.cacheIndex(ip)]
-	if e.tag == p.tag(ip) {
-		return e.ctr.Predict(), biasTaken, true
+	if i := p.cacheIndex(ip); cache.tags[i] == p.tag(ip) {
+		return cache.ctrs.Predict(i), biasTaken, true
 	}
 	return biasTaken, biasTaken, false
 }
@@ -123,25 +126,25 @@ func (p *Predictor) Predict(ip uint64) bool {
 func (p *Predictor) Train(b bp.Branch) {
 	ip, taken := b.IP, b.Taken
 	_, biasTaken, hit := p.lookup(ip)
-	cache := p.ntCache
+	cache := &p.ntCache
 	if !biasTaken {
-		cache = p.tCache
+		cache = &p.tCache
 	}
-	e := &cache[p.cacheIndex(ip)]
+	i := p.cacheIndex(ip)
 	if hit {
 		p.exceptionHits++
-		e.ctr.SumOrSub(taken)
+		cache.ctrs.Update(i, taken)
 	} else if taken != biasTaken {
 		// The bias failed and no exception covered it: allocate.
-		e.tag = p.tag(ip)
-		e.ctr = utils.NewSignedCounter(2, 0)
-		e.ctr.SumOrSub(taken)
+		cache.tags[i] = p.tag(ip)
+		cache.ctrs.Set(i, 0)
+		cache.ctrs.Update(i, taken)
 	}
 	// The choice table keeps learning the bias except when an exception
 	// entry just correctly contradicted it (so rare deviations do not
 	// erode a strong bias).
-	if !(hit && e.ctr.Predict() == taken && taken != biasTaken) {
-		p.choice[p.choiceIndex(ip)].SumOrSub(taken)
+	if !(hit && cache.ctrs.Predict(i) == taken && taken != biasTaken) {
+		p.choice.Update(p.choiceIndex(ip), taken)
 	}
 }
 

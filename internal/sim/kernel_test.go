@@ -17,8 +17,11 @@ import (
 	"mbplib/internal/predictors/batage"
 	"mbplib/internal/predictors/bimodal"
 	"mbplib/internal/predictors/gshare"
+	"mbplib/internal/predictors/gskew"
 	"mbplib/internal/predictors/perceptron"
 	"mbplib/internal/predictors/tage"
+	"mbplib/internal/predictors/tournament"
+	"mbplib/internal/predictors/twolevel"
 	"mbplib/internal/sim"
 	"mbplib/internal/tracegen"
 )
@@ -32,6 +35,13 @@ var kernelPredictors = []struct {
 	{"perceptron", func() bp.Predictor { return perceptron.New() }},
 	{"tage", func() bp.Predictor { return tage.New() }},
 	{"batage", func() bp.Predictor { return batage.New() }},
+	{"twolevel", func() bp.Predictor {
+		return twolevel.New(twolevel.Config{First: twolevel.PerAddress, Second: twolevel.PerSet})
+	}},
+	{"gskew", func() bp.Predictor { return gskew.New() }},
+	{"tournament", func() bp.Predictor {
+		return tournament.New(gshare.New(gshare.WithHistoryLength(8), gshare.WithLogSize(10)), bimodal.New(), gshare.New())
+	}},
 }
 
 // TestKernelRunMatchesScalar: for every kernel predictor and a grid of

@@ -10,10 +10,12 @@ package utils
 
 import "fmt"
 
-// SignedCounter is a fixed-width signed saturating counter, the Go analogue
-// of MBPlib's i2/i3/... counter classes. A counter of width w saturates at
-// [-2^(w-1), 2^(w-1)-1]. The zero value is a centred counter of width 2
-// (the ubiquitous two-bit counter).
+// SignedCounter is a lone fixed-width signed saturating counter, the Go
+// analogue of MBPlib's i2/i3/... counter classes, for the single counters
+// of a predictor (thresholds, policy counters); tables of counters use
+// CounterTable, which packs them a byte each under one shared width. A
+// counter of width w saturates at [-2^(w-1), 2^(w-1)-1]. The zero value is
+// a centred counter of width 2 (the ubiquitous two-bit counter).
 //
 // The prediction convention throughout the library is that non-negative
 // values predict taken, matching `table[i] >= 0` in Listing 2.
@@ -64,9 +66,7 @@ func (c *SignedCounter) Set(v int) {
 func (c *SignedCounter) Add(d int) { c.Set(int(c.v) + d) }
 
 // SumOrSub increments the counter when taken is true and decrements it
-// otherwise, saturating at the width bounds. It mirrors i2::sumOrSub and is
-// the single hottest operation of table-based predictors, so it avoids the
-// general Set path.
+// otherwise, saturating at the width bounds. It mirrors i2::sumOrSub.
 func (c *SignedCounter) SumOrSub(taken bool) {
 	if taken {
 		if max := int32(1)<<(c.bits()-1) - 1; c.v < max {
@@ -82,57 +82,6 @@ func (c *SignedCounter) SumOrSub(taken bool) {
 // Predict reports the outcome encoded by the counter: taken iff the value
 // is non-negative.
 func (c *SignedCounter) Predict() bool { return c.v >= 0 }
-
-// Bounds returns the saturation bounds [Min, Max] as int32s. Batch kernels
-// hoist them out of their loops (every counter of a table shares a width)
-// and update through SumOrSubBounded.
-func (c *SignedCounter) Bounds() (min, max int32) {
-	b := c.bits()
-	return -(int32(1) << (b - 1)), int32(1)<<(b-1) - 1
-}
-
-// AddClamped adds d (±1) to the counter, saturating at the caller-hoisted
-// bounds (see Bounds). Equivalent to SumOrSub(d > 0), but the outcome is
-// data rather than control: callers that update several counters with the
-// same outcome (perceptron weight rows) compute d once and keep the inner
-// loop free of data-dependent branches.
-func (c *SignedCounter) AddClamped(d, min, max int32) {
-	v := c.v + d
-	if v > max {
-		v = max
-	}
-	if v < min {
-		v = min
-	}
-	c.v = v
-}
-
-// PredictSumOrSub reads the prediction and applies the SumOrSub update in
-// one step: it returns Predict() as of entry and then moves the counter
-// toward the outcome, saturating at the caller-hoisted bounds (see Bounds).
-// Equivalent to Predict followed by SumOrSub, but written so the update is
-// branch-free on the outcome: `taken` is data, not control, and compiles to
-// conditional moves. Branch outcomes are near-random by construction — a
-// predictable branch would not need a predictor — so a data-dependent jump
-// here is the single largest stall of a table-predictor loop. This is the
-// workhorse of the batch kernels.
-func (c *SignedCounter) PredictSumOrSub(taken bool, min, max int32) bool {
-	v := c.v
-	pred := v >= 0
-	inc := int32(-1)
-	if taken {
-		inc = 1
-	}
-	v += inc
-	if v > max {
-		v = max
-	}
-	if v < min {
-		v = min
-	}
-	c.v = v
-	return pred
-}
 
 // IsSaturated reports whether the counter sits at either extreme.
 func (c *SignedCounter) IsSaturated() bool {

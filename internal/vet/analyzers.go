@@ -50,7 +50,7 @@ type analyzerSet struct {
 // rebuilt per run because the analyzers close over the configuration, the
 // collected directives and small amounts of cross-pass state (the purity
 // rule's reported set); the driver is single-threaded, so closures are safe.
-func buildAnalyzers(cfg Config, dirs *directives) *analyzerSet {
+func buildAnalyzers(cfg Config, dirs *directives, root string) *analyzerSet {
 	s := &analyzerSet{rules: make(map[string]*driver.Analyzer)}
 
 	// V1 purity: per-package fixpoint over the local methods; callees in
@@ -64,7 +64,7 @@ func buildAnalyzers(cfg Config, dirs *directives) *analyzerSet {
 		Doc:       "Predict must not mutate predictor state (§IV-A)",
 		FactTypes: []driver.Fact{new(methodFact)},
 		Run: func(pass *driver.Pass) (any, error) {
-			runPurityPass(pass, dirs, reported)
+			runPurityPass(pass, dirs, reported, root)
 			return nil, nil
 		},
 	}
@@ -218,7 +218,7 @@ type localMethod struct {
 // runPurityPass runs the purity fixpoint over one package, exports a
 // methodFact per declaration, and reports impure Predict methods of the
 // package's predictor types.
-func runPurityPass(pass *driver.Pass, dirs *directives, reported map[token.Pos]bool) {
+func runPurityPass(pass *driver.Pass, dirs *directives, reported map[token.Pos]bool, root string) {
 	local := make(map[*types.Func]*localMethod)
 	forEachFuncDecl(pass.Files, pass.TypesInfo, func(obj *types.Func, decl *ast.FuncDecl, recv *types.Var) {
 		local[obj] = &localMethod{decl: decl, recv: recv}
@@ -242,7 +242,7 @@ func runPurityPass(pass *driver.Pass, dirs *directives, reported map[token.Pos]b
 			if m.recv == nil || m.writes && m.returnsRecvRef {
 				continue
 			}
-			s := newMethodScan(pass.Fset, pass.TypesInfo, pass.Pkg.Scope(), m.decl, m.recv, resolve)
+			s := newMethodScan(pass.Fset, root, pass.TypesInfo, pass.Pkg.Scope(), m.decl, m.recv, resolve)
 			s.run()
 			if (s.writes && !m.writes) || (s.returnsRef && !m.returnsRecvRef) {
 				m.writes = m.writes || s.writes
@@ -356,7 +356,7 @@ func RunAnalyzers(prog *Program, cfg Config, rules []string) ([]Finding, error) 
 		return nil, err
 	}
 	dirs := collectDirectives(prog)
-	set := buildAnalyzers(cfg, dirs)
+	set := buildAnalyzers(cfg, dirs, prog.Root)
 	analyzers := make([]*driver.Analyzer, 0, len(selected))
 	for _, r := range selected {
 		analyzers = append(analyzers, set.rules[r])

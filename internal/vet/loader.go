@@ -41,6 +41,10 @@ type Package struct {
 type Program struct {
 	Fset   *token.FileSet
 	Module string
+	// Root is the absolute module directory. Positions quoted inside
+	// finding messages are rendered relative to it, like the finding
+	// locations themselves, so output does not depend on the checkout.
+	Root string
 	// Packages is keyed by import path and includes only module-local
 	// packages (stdlib dependencies are type-checked but not analyzed).
 	Packages map[string]*Package
@@ -104,7 +108,7 @@ func Load(root, module string) (*Program, error) {
 	if len(l.typeErrs) > 0 {
 		return nil, fmt.Errorf("vet: %d type errors, first: %v", len(l.typeErrs), l.typeErrs[0])
 	}
-	return &Program{Fset: l.fset, Module: module, Packages: l.pkgs}, nil
+	return &Program{Fset: l.fset, Module: module, Root: abs, Packages: l.pkgs}, nil
 }
 
 // ModulePath reads the module path from the go.mod at root.

@@ -66,6 +66,17 @@ func TestGoldenJSON(t *testing.T) {
 	checkGolden(t, "findings.json", buf.Bytes())
 }
 
+// TestMessagesCheckoutIndependent: no finding message quotes the absolute
+// module root, so the golden files hold in any checkout.
+func TestMessagesCheckoutIndependent(t *testing.T) {
+	findings, root := fixtureFindings(t)
+	for _, f := range findings {
+		if strings.Contains(f.Msg, root) || strings.Contains(f.Msg, filepath.ToSlash(root)) {
+			t.Errorf("%s: message quotes the checkout path %s: %s", f.Rule, root, f.Msg)
+		}
+	}
+}
+
 // TestGoldenSARIF locks the -sarif rendering of the full fixture corpus.
 func TestGoldenSARIF(t *testing.T) {
 	findings, root := fixtureFindings(t)

@@ -263,7 +263,7 @@ func (a *purityAnalysis) solve() {
 			if mi.recv == nil || mi.writes && mi.returnsRecvRef {
 				continue
 			}
-			s := newMethodScan(a.prog.Fset, mi.pkg.Info, mi.pkg.Types.Scope(), mi.decl, mi.recv, a.resolve)
+			s := newMethodScan(a.prog.Fset, a.prog.Root, mi.pkg.Info, mi.pkg.Types.Scope(), mi.decl, mi.recv, a.resolve)
 			s.run()
 			if (s.writes && !mi.writes) || (s.returnsRef && !mi.returnsRecvRef) {
 				mi.writes = mi.writes || s.writes
@@ -283,6 +283,7 @@ func (a *purityAnalysis) solve() {
 // through the resolver, so the scan itself is per-package.
 type methodScan struct {
 	fset       *token.FileSet
+	root       string // module root that notes name files relative to
 	info       *types.Info
 	scope      *types.Scope // package scope, to exclude package-level vars
 	decl       *ast.FuncDecl
@@ -294,9 +295,9 @@ type methodScan struct {
 	returnsRef bool
 }
 
-func newMethodScan(fset *token.FileSet, info *types.Info, scope *types.Scope, decl *ast.FuncDecl, recv *types.Var, resolve summaryResolver) *methodScan {
+func newMethodScan(fset *token.FileSet, root string, info *types.Info, scope *types.Scope, decl *ast.FuncDecl, recv *types.Var, resolve summaryResolver) *methodScan {
 	return &methodScan{
-		fset: fset, info: info, scope: scope, decl: decl, recv: recv,
+		fset: fset, root: root, info: info, scope: scope, decl: decl, recv: recv,
 		resolve: resolve, tainted: make(map[types.Object]bool),
 	}
 }
@@ -329,7 +330,7 @@ func (s *methodScan) note(n ast.Node, format string, args ...any) {
 	}
 	s.writes = true
 	pos := s.fset.Position(n.Pos())
-	s.writeNote = fmt.Sprintf(format, args...) + fmt.Sprintf(" at %s:%d", pos.Filename, pos.Line)
+	s.writeNote = fmt.Sprintf(format, args...) + fmt.Sprintf(" at %s:%d", relPath(s.root, pos.Filename), pos.Line)
 }
 
 func (s *methodScan) visit(n ast.Node) bool {
