@@ -1,11 +1,13 @@
 // Command mbprun scores one predictor configuration over a whole trace set
 // in parallel — the championship evaluation workflow (§II of the MBPlib
-// paper: hundreds of traces per design). Each worker owns a fresh predictor
-// and its own trace reader, so throughput scales with cores.
+// paper: hundreds of traces per design). Traces are scheduled across -j
+// workers (default GOMAXPROCS) backed by a decoded-trace cache
+// (-cache-bytes); each cell owns a fresh predictor, so throughput scales
+// with cores. Output is byte-identical at every -j.
 //
 // Usage:
 //
-//	mbprun -traces 'traces/*.sbbt.mlz' -predictor tage -workers 8
+//	mbprun -traces 'traces/*.sbbt.mlz' -predictor tage -j 8
 //
 // Failure policy: by default a bad trace aborts the whole run (-policy
 // failfast). With -policy skip the run degrades gracefully: healthy traces
@@ -39,15 +41,13 @@ import (
 	"time"
 
 	"mbplib/internal/bp"
-	"mbplib/internal/chunked"
 	"mbplib/internal/cliflags"
-	"mbplib/internal/compress"
 	"mbplib/internal/faults"
 	"mbplib/internal/predictors/registry"
 	"mbplib/internal/prof"
-	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sweep"
 )
 
 // Exit codes.
@@ -71,10 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		predSpec   = fs.String("predictor", "gshare", "predictor spec (see mbpsim -list)")
 		warmup     = fs.Uint64("warmup", 0, "warm-up instructions per trace")
 		simInstr   = fs.Uint64("sim", 0, "instructions to simulate per trace after warm-up (0 = all)")
-		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent traces on the legacy path (-j 1)")
-		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "parallel scheduler workers (1 = exact legacy path)")
+		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers (concurrent traces)")
 		decodeJ    = fs.Int("decode-j", 1, "chunk-decode workers per trace for seekable (MLZS) containers")
-		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget for -j > 1 (0 disables)")
+		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget (0 disables)")
 		jsonOut    = fs.Bool("json", false, "print the summary as JSON")
 		metricsTo  = fs.String("metrics", "", "write a pipeline metrics JSON snapshot to this file ('-' = stderr)")
 		progress   = fs.Bool("progress", false, "render a live progress line on stderr")
@@ -138,24 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sort.Strings(paths)
 
-	sources := make([]sim.TraceSource, len(paths))
-	for i, path := range paths {
-		sources[i] = sim.TraceSource{Name: path, Open: func() (bp.Reader, io.Closer, error) {
-			f, err := compress.OpenFileParallel(path, *decodeJ)
-			if err != nil {
-				return nil, nil, err
-			}
-			r, err := sbbt.NewReader(f)
-			if err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			return r, f, nil
-		}}
-		if compress.FormatForPath(path) == compress.FormatMLZS {
-			sources[i].OpenChunked = func() (sim.ChunkedTrace, error) { return chunked.Open(path) }
-		}
-	}
+	sources := sweep.Sources(paths, *decodeJ)
 	var jnl *journal.Journal
 	if *resume != "" {
 		if jnl, err = journal.Open(*resume); err != nil {
@@ -164,8 +146,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Cells are keyed by trace content digest, so renamed trace files
 		// still replay; unreadable files fall back to their path.
-		for i, path := range paths {
-			if d, derr := journal.DigestFile(path); derr == nil {
+		for i := range sources {
+			if d, derr := journal.DigestFile(sources[i].Name); derr == nil {
 				sources[i].Digest = d
 			}
 		}
@@ -186,20 +168,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := sim.Config{WarmupInstructions: *warmup, SimInstructions: *simInstr, Metrics: metrics.Collector()}
 	drain, stopSignals := cliflags.DrainOnSignal("mbprun", stderr)
 	defer stopSignals()
-	var set *sim.SetResult
-	if *jobs == 1 && jnl == nil && *cellTime == 0 {
-		// Exact legacy path; the drain wrapper fails unstarted and
-		// in-flight traces as resumable once a signal lands.
-		set, err = sim.RunSetPolicy(sim.DrainSources(sources, drain), newPredictor, cfg, *workers, policy)
-	} else {
-		set, err = sim.RunSetParallel(sources, newPredictor, cfg, sim.ParallelOptions{
-			Workers: *jobs, CacheBytes: cliflags.CacheBudget(*cacheBytes), Policy: policy,
-			Metrics: metrics.Collector(),
-			Journal: jnl, CheckpointEvery: *ckptEvery, Drain: drain, CellTimeout: *cellTime,
-		})
-	}
+	// The journal keys cells by the predictor spec, so a resumed run with
+	// another -predictor never replays this one's results.
+	sets, err := sim.SweepParallel(sources, []sim.PredictorSpec{{Name: *predSpec, New: newPredictor}}, cfg, sim.ParallelOptions{
+		Workers: *jobs, CacheBytes: cliflags.CacheBudget(*cacheBytes), Policy: policy,
+		Metrics: metrics.Collector(),
+		Journal: jnl, CheckpointEvery: *ckptEvery, Drain: drain, CellTimeout: *cellTime,
+	})
 	if err != nil {
 		closeMetrics()
+		var se *sim.SweepError
+		if errors.As(err, &se) {
+			// One predictor: name the trace only.
+			err = fmt.Errorf("sim: trace %q: %w", se.Trace, se.Err)
+		}
 		fmt.Fprintln(stderr, "mbprun:", err)
 		if errors.Is(err, faults.ErrDrained) {
 			return exitDrained
@@ -212,6 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mbprun: closing resume journal:", err)
 		}
 	}
+	set := sets[0]
 
 	scored := 0
 	for _, r := range set.Results {

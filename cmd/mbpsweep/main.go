@@ -9,9 +9,9 @@
 // value; the output is one row per value with the average MPKI.
 //
 // With -j N (default GOMAXPROCS) the whole value × trace matrix is scheduled
-// across N workers backed by a shared decoded-trace cache, so each trace is
-// decoded once and scored by every swept value concurrently. -j 1 runs the
-// exact legacy per-value loop. Output is byte-identical either way.
+// across N workers backed by a shared decoded-trace cache (-cache-bytes), so
+// each trace is decoded once and scored by every swept value. -j 1 is the
+// same scheduler with one worker. Output is byte-identical at every -j.
 //
 // Each value's trace set runs through the sim fault policy: with -policy
 // skip, traces that fail to decode (or whose predictor panics) are excluded
@@ -83,10 +83,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		from       = fs.Int("from", 6, "first swept value")
 		to         = fs.Int("to", 30, "last swept value")
 		step       = fs.Int("step", 1, "sweep step")
-		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent traces per swept value on the legacy path (-j 1)")
-		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "parallel scheduler workers over the value × trace matrix (1 = exact legacy path)")
+		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers over the value × trace matrix")
 		decodeJ    = fs.Int("decode-j", 1, "chunk-decode workers per trace for seekable (MLZS) containers")
-		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget for -j > 1 (0 disables)")
+		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget (0 disables)")
 		jsonOut    = fs.Bool("json", false, "print the sweep as JSON")
 		metricsTo  = fs.String("metrics", "", "write a pipeline metrics JSON snapshot to this file ('-' = stderr)")
 		progress   = fs.Bool("progress", false, "render a live progress line on stderr")
@@ -163,9 +162,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		resolved.AttachDigests()
 	}
 
-	// Compute: one SetResult per swept value, from either path. Results and
-	// failure tables are deterministic and identical across paths — metrics
-	// collection only observes, so -metrics/-progress never change stdout.
+	// Compute: one SetResult per swept value. Results and failure tables are
+	// deterministic and identical at every -j — metrics collection only
+	// observes, so -metrics/-progress never change stdout.
 	metrics := cliflags.NewMetrics(*metricsTo, *progress, stderr)
 	closeMetrics := func() {
 		if err := metrics.Close(); err != nil {
@@ -175,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drain, stopSignals := cliflags.DrainOnSignal("mbpsweep", stderr)
 	defer stopSignals()
 	sets, err := resolved.Run(sweep.RunOptions{
-		Jobs: *jobs, DecodeWorkers: *decodeJ, LegacyWorkers: *workers,
+		Jobs: *jobs, DecodeWorkers: *decodeJ,
 		CacheBytes: cliflags.CacheBudget(*cacheBytes), Policy: policy,
 		Metrics: metrics.Collector(),
 		Journal: jnl, CheckpointEvery: *ckptEvery, Drain: drain, CellTimeout: *cellTime,

@@ -70,9 +70,9 @@ type SimSnapshot struct {
 	NumCPU int        `json:"num_cpu"`
 	Read   Stage      `json:"read"`
 	Sim    []SimEntry `json:"sim"`
-	// Sweep records the parallel sweep scheduler's scaling curve against
-	// the legacy sequential path (absent in snapshots written before the
-	// scheduler existed).
+	// Sweep records the sweep scheduler's scaling curve against its
+	// one-worker, cache-off baseline (absent in snapshots written before
+	// the scheduler existed).
 	Sweep *SweepStage `json:"sweep,omitempty"`
 	// Journal records the crash-safety journal's write overhead over the
 	// sweep matrix (absent in snapshots written before resumable sweeps

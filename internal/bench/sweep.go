@@ -26,11 +26,10 @@ type SweepMeasurement struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// SweepStage records the parallel sweep scheduler against the legacy
-// sequential path on a traces × predictors matrix: the sequential baseline
-// runs one single-worker RunSetPolicy per predictor (re-decoding every trace
-// per predictor), the parallel rows run SweepParallel with its shared
-// decoded-trace cache at increasing worker counts.
+// SweepStage records the sweep scheduler's scaling on a traces × predictors
+// matrix: the sequential baseline runs SweepParallel on one worker with the
+// cache off (re-decoding every trace per predictor), the parallel rows run
+// it with its shared decoded-trace cache at increasing worker counts.
 type SweepStage struct {
 	Traces        []string           `json:"traces"`
 	Predictors    []string           `json:"predictors"`
@@ -171,13 +170,10 @@ func MeasureSweep(paths, predictorSpecs []string, workersList []int, rounds int)
 	}
 
 	seqSec, err := best(func() error {
-		for _, ps := range preds {
-			cfg := sim.Config{Metrics: collector}
-			if _, err := sim.RunSetPolicy(sources, ps.New, cfg, 1, sim.Policy{}); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := sim.SweepParallel(sources, preds, sim.Config{}, sim.ParallelOptions{
+			Workers: 1, CacheBytes: -1, Metrics: collector,
+		})
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: sequential sweep: %w", err)

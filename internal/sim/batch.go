@@ -1,12 +1,17 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"io"
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/faults"
 	"mbplib/internal/obs"
+	"mbplib/internal/sim/tracecache"
 )
 
 // batchEvents is the number of events per prefetched batch. At 32 bytes per
@@ -14,18 +19,6 @@ import (
 // and the batch-boundary checks over thousands of events, small enough to
 // stay cache-resident and to keep at most a few hundred KiB in flight.
 const batchEvents = 4096
-
-// batchSizeFor picks the batch size of a one-off read buffer for a reader:
-// traces known (via bp.Sizer) to be smaller than one standard batch get a
-// right-sized buffer instead of a mostly-unused 128 KiB slice.
-func batchSizeFor(r bp.Reader) int {
-	if s, ok := r.(bp.Sizer); ok {
-		if n := s.TotalBranches(); n > 0 && n < batchEvents {
-			return int(n)
-		}
-	}
-	return batchEvents
-}
 
 // batch is one unit of prefetched work: the decoded events plus the error,
 // if any, that ended the batch ("error after n" — events is valid even when
@@ -45,13 +38,13 @@ type batch struct {
 //   - The producer goroutine is the only one touching the reader after
 //     startPrefetch returns.
 //   - shutdown blocks until the producer has stopped touching the reader,
-//     so the caller may close the underlying file as soon as Run returns.
+//     so the caller may close the underlying file as soon as it returns.
 //   - The producer stops at the first error (errors are sticky per the
 //     bp.BatchReader contract) or when shutdown is requested.
 //   - A panic inside the reader is recovered in the producer and surfaced
 //     as a *faults.PanicError batch error, keeping the process alive and
 //     the fault classifiable (faults.Class reports "panic"), exactly as a
-//     predictor panic would be under RunSetPolicy.
+//     predictor panic is inside a SweepParallel cell.
 type prefetcher struct {
 	filled  chan batch      // producer -> consumer, decoded batches
 	free    chan []bp.Event // consumer -> producer, recycled buffers
@@ -121,7 +114,7 @@ func (pf *prefetcher) produce(r bp.Reader) {
 
 // readBatchSafe reads one batch, converting a reader panic into a typed
 // error so that a corrupt-input crash in a decoder takes down only this
-// simulation, not the process — the same containment RunSetPolicy applies
+// simulation, not the process — the same containment SweepParallel applies
 // to predictor panics.
 func readBatchSafe(r bp.Reader, dst []bp.Event) (n int, err error) {
 	defer func() {
@@ -152,9 +145,10 @@ func (pf *prefetcher) recycle(buf []bp.Event) {
 
 // shutdown stops the producer and blocks until it no longer touches the
 // reader, then returns the recycled buffers to the pool. Safe to call
-// multiple times; Run defers it so that early returns (decode error,
-// instruction limit) cannot leak the goroutine or race the caller's file
-// close. A buffer the consumer still holds is not returned to the pool.
+// multiple times; prefetchStream.close calls it so that early returns
+// (decode error, instruction limit) cannot leak the goroutine or race the
+// caller's file close. A buffer the consumer still holds is not returned to
+// the pool.
 func (pf *prefetcher) shutdown() {
 	pf.once.Do(func() { close(pf.done) })
 	// Drain filled so a producer blocked on delivery can proceed, until the
@@ -173,6 +167,171 @@ func (pf *prefetcher) shutdown() {
 			eventBufs.Put((*[batchEvents]bp.Event)(buf[:batchEvents]))
 		default:
 			return
+		}
+	}
+}
+
+// batchStream is how a cell consumes its trace: a cached entry's batches,
+// a chunk-by-chunk walk through the cache, or a prefetching reader. next
+// returns a non-empty batch, or (nil, io.EOF) on clean exhaustion, or
+// (nil, err) on a decode error — always after every event decoded before
+// the error was delivered. A batch stays valid until the next call. close
+// releases what the stream holds (cache pins, the prefetch goroutine, the
+// trace file); the stream is unusable afterwards.
+type batchStream interface {
+	next() ([]bp.Event, error)
+	close()
+}
+
+// prefetchStream reads a trace straight from its reader: a prefetcher
+// decodes the next batch while the cell simulates the current one. A
+// terminal error arriving with a non-empty batch is held back until that
+// batch was delivered. It is the only stream that waits on a producer, so
+// it alone times obs.StagePrefetchStall.
+type prefetchStream struct {
+	pf     *prefetcher
+	closer io.Closer // closed once the producer has stopped; may be nil
+	col    *obs.Collector
+	cur    []bp.Event // the batch last delivered, recycled on the next call
+	err    error      // terminal error held back behind cur
+}
+
+func newPrefetchStream(r bp.Reader, closer io.Closer, col *obs.Collector) *prefetchStream {
+	return &prefetchStream{pf: startPrefetch(r, col), closer: closer, col: col}
+}
+
+func (s *prefetchStream) next() ([]bp.Event, error) {
+	for {
+		if s.cur != nil {
+			s.pf.recycle(s.cur)
+			s.cur = nil
+		}
+		if s.err != nil {
+			return nil, s.err
+		}
+		tWait := s.col.Now()
+		b, ok := s.pf.next()
+		s.col.Stage(obs.StagePrefetchStall).Since(tWait)
+		if !ok {
+			// The producer closes filled only after a terminal batch, which
+			// set s.err above; it cannot end the stream silently.
+			return nil, io.ErrUnexpectedEOF
+		}
+		s.cur, s.err = b.events, b.err
+		if len(b.events) > 0 {
+			return b.events, nil
+		}
+	}
+}
+
+func (s *prefetchStream) close() {
+	if s.cur != nil {
+		s.pf.recycle(s.cur)
+		s.cur = nil
+	}
+	s.pf.shutdown()
+	if s.closer != nil {
+		s.closer.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
+	}
+}
+
+// entryStream replays the batches of a pinned decoded-trace cache entry.
+type entryStream struct {
+	cache *tracecache.Cache
+	entry *tracecache.Entry
+	i     int
+}
+
+func (s *entryStream) next() ([]bp.Event, error) {
+	batches := s.entry.Batches()
+	for s.i < len(batches) {
+		b := batches[s.i]
+		s.i++
+		if len(b) > 0 {
+			return b, nil
+		}
+	}
+	return nil, s.entry.Err() // io.EOF when fully decoded
+}
+
+func (s *entryStream) close() { s.cache.Release(s.entry) }
+
+// runCell is the one simulation loop: Run and every SweepParallel cell
+// drive a fresh predictor from newP over a batch stream through it. On top
+// of runLoop it restores a journalled checkpoint, checkpoints every
+// jc.every events, and observes the drain and the context between batches.
+// With a nil jc and a nil drain it is the plain loop behind Run. On a drain
+// the current state is checkpointed (when journalling a checkpointable
+// predictor) before the drained error returns, so the resumed sweep
+// continues mid-trace instead of starting over.
+func runCell(ctx context.Context, drain <-chan struct{}, stream batchStream, newP func() bp.Predictor, cfg Config, jc *cellJournal) (*Result, error) {
+	start := time.Now()
+	col := cfg.Metrics
+	loop := newRunLoop(cfg)
+	p := newP()
+	var consumed, toSkip, lastCkpt uint64
+	every := uint64(0)
+	if jc != nil {
+		if _, ok := p.(bp.Checkpointer); ok {
+			every = jc.every
+		}
+		if rec, ok := jc.j.Checkpoint(jc.key); ok {
+			if err := restoreCellState(rec.State, loop, p); err != nil {
+				loop.stats.release()
+				loop, p = newRunLoop(cfg), newP() // bad checkpoint: restart clean
+			} else {
+				consumed, toSkip, lastCkpt = rec.Events, rec.Events, rec.Events
+			}
+		}
+	}
+	for {
+		if err := interruptErr(ctx, drain); err != nil {
+			if errors.Is(err, faults.ErrDrained) {
+				col.Ctr(obs.CtrDraining).Store(1)
+				if every > 0 && consumed > lastCkpt {
+					if cerr := jc.checkpoint(loop, p, consumed); cerr != nil {
+						return nil, cerr
+					}
+				}
+			}
+			return nil, err
+		}
+		b, err := stream.next()
+		if err != nil {
+			if err == io.EOF {
+				return loop.result(p, cfg, true, start), nil
+			}
+			return nil, err
+		}
+		if toSkip >= uint64(len(b)) {
+			// Entirely inside the restored prefix: the loop and predictor
+			// already account for these events.
+			toSkip -= uint64(len(b))
+			continue
+		}
+		b = b[toSkip:]
+		toSkip = 0
+		// Stage attribution is per batch: a batch starting inside the warm-up
+		// window counts as warm-up even if it crosses the boundary.
+		simStage := obs.StageSim
+		if loop.instr < loop.warmup {
+			simStage = obs.StageWarmup
+		}
+		tSim := col.Now()
+		stop := loop.process(b, p)
+		col.Stage(simStage).Since(tSim)
+		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
+		consumed += uint64(len(b))
+		if stop {
+			// Instruction limit hit: a pending decode error past the stop
+			// point is moot.
+			return loop.result(p, cfg, false, start), nil
+		}
+		if every > 0 && consumed-lastCkpt >= every {
+			if err := jc.checkpoint(loop, p, consumed); err != nil {
+				return nil, err
+			}
+			lastCkpt = consumed
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/sim/tracecache"
@@ -101,8 +100,14 @@ func (s *chunkStream) next() ([]bp.Event, error) {
 	}
 }
 
-// release unpins the in-flight chunk entry; runPair defers it so a cell
-// that stops early (instruction limit, drain, deadline) cannot leak a pin.
+// close unpins the in-flight chunk and closes the trace, so a cell that
+// stops early (instruction limit, drain, deadline) cannot leak a pin.
+func (s *chunkStream) close() {
+	s.release()
+	s.ct.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
+}
+
+// release unpins the in-flight chunk entry.
 func (s *chunkStream) release() {
 	if s.entry != nil {
 		s.cache.Release(s.entry)
@@ -130,24 +135,3 @@ func splitBatches(evs []bp.Event) [][]bp.Event {
 
 // chunkBatchEvents matches tracecache's batch granularity.
 const chunkBatchEvents = 4096
-
-// runChunked simulates one (trace, predictor) pair through the
-// chunk-granular cache path. ok is false when the trace is not eligible for
-// chunked access (not an indexed MLZS container, wrong alignment, damaged
-// trailer) — the caller falls back to the ordinary streaming path, which
-// handles and reports all of those.
-func runChunked(ctx context.Context, cache *tracecache.Cache, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions, jc *cellJournal, start time.Time) (*Result, *TraceFailure, bool) {
-	ct, err := src.OpenChunked()
-	if err != nil {
-		return nil, nil, false
-	}
-	defer ct.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
-	cfg.TraceName = src.Name
-	cs := &chunkStream{ctx: ctx, cache: cache, ct: ct, name: src.Name}
-	defer cs.release()
-	res, rerr := runCell(ctx, opts.Drain, cs, pred.New, cfg, jc)
-	if rerr != nil {
-		return nil, newFailure(src.Name, mapDeadline(rerr), 1, start), true
-	}
-	return res, nil, true
-}

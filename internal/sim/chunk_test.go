@@ -92,7 +92,7 @@ func TestChunkedSweepMatchesStreaming(t *testing.T) {
 	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
 	for cname, cfg := range chunkEquivConfigs {
 		t.Run(cname, func(t *testing.T) {
-			seq := sequentialSweep(t, streamSrcs, equivPredictors, cfg, sim.Policy{Mode: sim.SkipFailed})
+			seq := sequentialSweep(t, streamSrcs, equivPredictors, cfg)
 			for _, decodeJ := range []int{1, 2, 4} {
 				chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], decodeJ, true), mlzsSource(paths[1], decodeJ, true)}
 				par, err := sim.SweepParallel(chunkSrcs, equivPredictors, cfg, sim.ParallelOptions{
@@ -114,10 +114,10 @@ func TestChunkedDecodeWorkersMatchSequential(t *testing.T) {
 	seqSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
 	for cname, cfg := range chunkEquivConfigs {
 		t.Run(cname, func(t *testing.T) {
-			seq := sequentialSweep(t, seqSrcs, equivPredictors, cfg, sim.Policy{Mode: sim.SkipFailed})
+			seq := sequentialSweep(t, seqSrcs, equivPredictors, cfg)
 			for _, decodeJ := range []int{2, 4} {
 				srcs := []sim.TraceSource{mlzsSource(paths[0], decodeJ, false), mlzsSource(paths[1], decodeJ, false)}
-				par := sequentialSweep(t, srcs, equivPredictors, cfg, sim.Policy{Mode: sim.SkipFailed})
+				par := sequentialSweep(t, srcs, equivPredictors, cfg)
 				diffSweeps(t, seq, par, equivPredictors)
 			}
 		})
@@ -174,7 +174,7 @@ func TestChunkedFaultEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
 			chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
-			seq := sequentialSweep(t, streamSrcs, equivPredictors, tc.cfg, sim.Policy{Mode: sim.SkipFailed})
+			seq := sequentialSweep(t, streamSrcs, equivPredictors, tc.cfg)
 			par, err := sim.SweepParallel(chunkSrcs, equivPredictors, tc.cfg, sim.ParallelOptions{
 				Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
@@ -218,7 +218,7 @@ func TestChunkedTruncatedContainerFallsBack(t *testing.T) {
 	}
 	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
 	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
-	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{}, sim.Policy{Mode: sim.SkipFailed})
+	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
 	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 		Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 	})
@@ -239,7 +239,7 @@ func TestChunkedTinyCacheMatches(t *testing.T) {
 	paths := chunkEquivTraces(t)
 	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
 	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
-	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{}, sim.Policy{Mode: sim.SkipFailed})
+	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
 	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 		Workers: 4, CacheBytes: 64, Policy: sim.Policy{Mode: sim.SkipFailed},
 	})

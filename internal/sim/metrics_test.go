@@ -157,18 +157,20 @@ func TestRunMetricsNoExtraAllocs(t *testing.T) {
 	}
 }
 
-// TestRunSetParallelMetrics: the single-predictor wrapper threads the
-// collector through to the scheduler.
+// TestRunSetParallelMetrics: a one-predictor sweep on one worker with the
+// cache off streams every cell through a prefetching reader, and the
+// collector sees the cells, the events and the time spent waiting on the
+// prefetcher.
 func TestRunSetParallelMetrics(t *testing.T) {
 	srcs := genSources(t, 4000)
 	col := obs.New()
-	opts := sim.ParallelOptions{Workers: 2, Metrics: col}
-	set, err := sim.RunSetParallel(srcs, func() bp.Predictor { return gshare.New() }, sim.Config{}, opts)
+	opts := sim.ParallelOptions{Workers: 1, CacheBytes: -1, Metrics: col}
+	sets, err := sim.SweepParallel(srcs, []sim.PredictorSpec{{Name: "gshare", New: func() bp.Predictor { return gshare.New() }}}, sim.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Results) != len(srcs) {
-		t.Fatalf("results = %d, want %d", len(set.Results), len(srcs))
+	if len(sets[0].Results) != len(srcs) {
+		t.Fatalf("results = %d, want %d", len(sets[0].Results), len(srcs))
 	}
 	s := col.Snapshot()
 	if got := s.Counters["cells_done"]; got != uint64(len(srcs)) {
@@ -176,5 +178,8 @@ func TestRunSetParallelMetrics(t *testing.T) {
 	}
 	if s.Counters["events"] == 0 {
 		t.Errorf("no events counted: %v", s.Counters)
+	}
+	if st, ok := s.Stages["prefetch_stall"]; !ok || st.Count == 0 {
+		t.Errorf("prefetch_stall stage not timed: %+v", s.Stages)
 	}
 }

@@ -38,9 +38,10 @@ type ParallelOptions struct {
 	Workers int
 	// CacheBytes bounds the shared decoded-trace cache. 0 means
 	// DefaultCacheBytes; negative disables the cache (every pair streams
-	// and re-decodes its trace, like the sequential path does).
+	// and re-decodes its trace).
 	CacheBytes int64
-	// Policy is the per-pair failure policy, with RunSetPolicy semantics.
+	// Policy is the per-pair failure policy: FailFast or SkipFailed, and
+	// the retry schedule of transient trace opens.
 	Policy Policy
 	// Metrics receives scheduler observability (per-worker utilisation,
 	// cells done, queue depth, cache counters) when non-nil. nil disables
@@ -71,10 +72,10 @@ type ParallelOptions struct {
 
 // SweepError is the error SweepParallel returns under FailFast: the
 // lowest-indexed (predictor, trace) failure observed before cancellation.
-// When several pairs fail close together, the reported pair may differ
-// from the one a sequential sweep would have hit first — cancellation
-// stops lower-indexed pairs from running — but the text format matches
-// the sequential path: "<predictor>: sim: trace "<name>": <cause>".
+// Cells are dispatched in trace-major order, and cancellation stops the
+// cells after a failure from running, so which pair is reported follows
+// trace-major order and, with several workers, the timing of the
+// failures. The text reads "<predictor>: sim: trace "<name>": <cause>".
 type SweepError struct {
 	Predictor string
 	Trace     string
@@ -88,18 +89,23 @@ func (e *SweepError) Error() string {
 func (e *SweepError) Unwrap() error { return e.Err }
 
 // SweepParallel scores every predictor of a sweep over every trace of a
-// set, fanning the (trace, predictor) pairs across a worker pool backed by
-// a shared decoded-trace cache: each trace is read, decompressed and
-// decoded once (subject to the cache budget) and then simulated by many
-// predictors, instead of being re-decoded once per predictor the way
-// sequential per-predictor RunSetPolicy calls would.
+// set — the championship workflow of §II, where a design is scored over
+// hundreds of traces — fanning the (trace, predictor) pairs across a
+// worker pool backed by a shared decoded-trace cache: each trace is read,
+// decompressed and decoded once (subject to the cache budget) and then
+// simulated by many predictors, instead of being re-decoded once per
+// predictor. Each cell owns a fresh predictor and its own stream, so no
+// locking touches the hot loop, which is the same loop as Run's.
 //
-// Results are deterministic regardless of completion order: the returned
-// slice is indexed like predictors, each SetResult.Results like sources,
-// and failures are listed in source order — byte-identical JSON to the
-// sequential path. Under SkipFailed a failing pair costs exactly its own
-// cell; under FailFast the first failure cancels in-flight workers via
-// context and is returned as a *SweepError.
+// Results are deterministic regardless of completion order and worker
+// count: the returned slice is indexed like predictors, each
+// SetResult.Results like sources, and failures are listed in source order,
+// so one worker and many produce byte-identical JSON. A panic inside a
+// predictor or reader is recovered per cell and reported as a
+// faults.ErrPredictorPanic failure with the captured stack. Under
+// SkipFailed a failing pair costs exactly its own cell; under FailFast the
+// first failure cancels in-flight workers via context and is returned as a
+// *SweepError.
 //
 // With opts.Journal set the sweep is crash-safe and resumable: journalled
 // cells replay verbatim before dispatch, finished cells are appended
@@ -234,9 +240,13 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	for i, tk := range pending {
 		admitted := false
 		select {
-		case tasks <- pair{tk.pi, tk.ti}:
-			admitted = true
-		case <-opts.Drain:
+		case <-opts.Drain: // checked first: a closed drain admits nothing more
+		default:
+			select {
+			case tasks <- tk:
+				admitted = true
+			case <-opts.Drain:
+			}
 		}
 		if !admitted {
 			col.Ctr(obs.CtrDraining).Store(1)
@@ -275,34 +285,12 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	return out, nil
 }
 
-// RunSetParallel is the single-predictor form of SweepParallel: one
-// predictor configuration over a trace set, with the scheduler's cache and
-// cancellation semantics. Under FailFast the returned error matches
-// RunSetPolicy's format. The sequential equivalent — and the exact legacy
-// path behind a CLI's -j 1 — is RunSetPolicy.
-func RunSetParallel(sources []TraceSource, newPredictor func() bp.Predictor, cfg Config, opts ParallelOptions) (*SetResult, error) {
-	if newPredictor == nil {
-		return nil, ErrNilPredictor
-	}
-	sets, err := SweepParallel(sources, []PredictorSpec{{Name: "predictor", New: newPredictor}}, cfg, opts)
-	if err != nil {
-		var se *SweepError
-		if errors.As(err, &se) {
-			return nil, fmt.Errorf("sim: trace %q: %w", se.Trace, se.Err)
-		}
-		return nil, err
-	}
-	return sets[0], nil
-}
-
-// runPair simulates one (trace, predictor) pair, preferring the decoded
-// cache and falling back to streaming for traces too big to pin. A panic
-// anywhere in the pair — predictor or replayed decode — is recovered and
-// classified, exactly like runOne on the sequential path. With a cell
-// timeout configured the whole pair (cache wait included) runs under a
-// per-cell deadline.
+// runPair simulates one (trace, predictor) pair: it opens the pair's batch
+// stream and runs it through runCell. A panic anywhere in the pair —
+// predictor, reader or replayed decode — is recovered and classified. With
+// a cell timeout configured the whole pair (opens and cache waits included)
+// runs under a per-cell deadline.
 func runPair(ctx context.Context, cache *tracecache.Cache, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions) (result *Result, failure *TraceFailure) {
-	policy := opts.Policy
 	start := time.Now()
 	attempts := 1
 	defer func() {
@@ -321,48 +309,69 @@ func runPair(ctx context.Context, cache *tracecache.Cache, src TraceSource, pred
 	if opts.Journal != nil {
 		jc = &cellJournal{j: opts.Journal, key: CellKey(src, pred.Name, cfg), every: opts.CheckpointEvery, col: cfg.Metrics}
 	}
+	stream, attempts, err := openStream(ctx, opts.Drain, cache, src, opts.Policy, cfg.Metrics)
+	if err == nil {
+		defer stream.close()
+		cfg.TraceName = src.Name
+		result, err = runCell(ctx, opts.Drain, stream, pred.New, cfg, jc)
+	}
+	if err != nil {
+		// mapDeadline also covers a deadline surfacing through an open or a
+		// stream's terminal error rather than through interruptErr.
+		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
+	}
+	return result, nil
+}
+
+// openStream opens the batch stream of one cell. A trace offering chunked
+// access is walked chunk by chunk through the cache; otherwise its decoded
+// entry is replayed from the cache; a trace the cache cannot pin (or any
+// trace when the cache is disabled) is read afresh through a prefetching
+// stream. attempts counts the opens made, for failure accounting.
+func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Cache, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
 	if src.OpenChunked != nil && cache != nil {
-		if res, fail, ok := runChunked(ctx, cache, src, pred, cfg, opts, jc, start); ok {
-			return res, fail
+		// An ineligible container (not indexed MLZS, unaligned, damaged
+		// trailer) is streamed below, whose reader reports any real damage
+		// with the canonical diagnostics.
+		if ct, err := src.OpenChunked(); err == nil {
+			return &chunkStream{ctx: ctx, cache: cache, ct: ct, name: src.Name}, 1, nil
 		}
-		// Not an eligible container: fall through to the streaming path.
 	}
 	entry, err := cache.Acquire(ctx, src.Name, func() (bp.Reader, io.Closer, int, error) {
-		return openWithRetry(ctx, src, policy)
+		return openWithRetry(ctx, drain, src, policy)
 	})
 	if err != nil {
-		// ctx expired or was cancelled while waiting on the cache.
-		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
+		return nil, 1, err // ctx expired or was cancelled while waiting on the cache
 	}
-	defer cache.Release(entry)
-	attempts = entry.Attempts()
-	if entry.TooBig() {
-		if jc == nil {
-			return runOne(interruptSource(ctx, opts.Drain, src), pred.New, cfg, policy)
-		}
-		return runStream(ctx, opts.Drain, src, pred, cfg, policy, jc, start)
+	if !entry.TooBig() {
+		return &entryStream{cache: cache, entry: entry}, entry.Attempts(), nil
 	}
-	cfg.TraceName = src.Name
-	res, err := runCell(ctx, opts.Drain, &entryStream{entry: entry}, pred.New, cfg, jc)
+	cache.Release(entry)
+	r, closer, attempts, err := openWithRetry(ctx, drain, src, policy)
 	if err != nil {
-		// mapDeadline covers a deadline surfacing through the entry's
-		// terminal decode error rather than through interruptErr.
-		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
+		return nil, attempts, err
 	}
-	return res, nil
+	return newPrefetchStream(r, closer, col), attempts, nil
 }
 
 // openWithRetry opens a trace source with the policy's transient-open
-// retry loop (the same full-jitter schedule as the sequential runOne),
-// reporting the attempt count for failure accounting. Open failures are
-// wrapped as "opening: ..." to match sequential failure messages.
-func openWithRetry(ctx context.Context, src TraceSource, policy Policy) (bp.Reader, io.Closer, int, error) {
+// retry loop (full-jitter backoff), reporting the attempt count for failure
+// accounting. Open failures are wrapped as "opening: ...". Cancellation,
+// the cell deadline and a drain end the loop, backoff sleeps included: the
+// context error is returned raw (the cache keeps it off the record), a
+// drain as a resumable "not started" fault.
+func openWithRetry(ctx context.Context, drain <-chan struct{}, src TraceSource, policy Policy) (bp.Reader, io.Closer, int, error) {
 	bo := newBackoff(policy, src.Name)
 	attempts := 0
 	for {
 		attempts++
 		if err := ctx.Err(); err != nil {
 			return nil, nil, attempts, err
+		}
+		select {
+		case <-drain:
+			return nil, nil, attempts, fmt.Errorf("not started: %w", faults.ErrDrained)
+		default:
 		}
 		r, closer, err := src.Open()
 		if err == nil {
@@ -372,7 +381,13 @@ func openWithRetry(ctx context.Context, src TraceSource, policy Policy) (bp.Read
 			return nil, nil, attempts, fmt.Errorf("opening: %w", err)
 		}
 		if d := bo.nextDelay(); d > 0 {
-			time.Sleep(d)
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+			case <-drain:
+			}
+			t.Stop()
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"mbplib/internal/bp"
@@ -77,24 +78,50 @@ var equivPredictors = []sim.PredictorSpec{
 	{Name: "gshare", New: func() bp.Predictor { return gshare.New() }},
 }
 
-// sequentialSweep is the legacy path the parallel scheduler must match:
-// one single-worker RunSetPolicy per predictor.
-func sequentialSweep(t *testing.T, srcs []sim.TraceSource, preds []sim.PredictorSpec, cfg sim.Config, policy sim.Policy) []*sim.SetResult {
+// sequentialSweep is the oracle the scheduler must match: every cell in
+// order through sim.Run on a freshly opened reader, open errors and panics
+// classified the way a sweep reports them.
+func sequentialSweep(t *testing.T, srcs []sim.TraceSource, preds []sim.PredictorSpec, cfg sim.Config) []*sim.SetResult {
 	t.Helper()
 	out := make([]*sim.SetResult, len(preds))
 	for i, ps := range preds {
-		set, err := sim.RunSetPolicy(srcs, ps.New, cfg, 1, policy)
-		if err != nil {
-			t.Fatalf("sequential sweep, predictor %s: %v", ps.Name, err)
+		set := &sim.SetResult{Results: make([]*sim.Result, len(srcs))}
+		for ti, src := range srcs {
+			res, err := oracleCell(src, ps.New(), cfg)
+			if err != nil {
+				set.Failures = append(set.Failures, sim.TraceFailure{
+					Trace: src.Name, Class: faults.Class(err), Message: err.Error(), Attempts: 1, Err: err,
+				})
+				continue
+			}
+			set.Results[ti] = res
 		}
 		out[i] = set
 	}
 	return out
 }
 
+// oracleCell runs one cell of sequentialSweep.
+func oracleCell(src sim.TraceSource, p bp.Predictor, cfg sim.Config) (res *sim.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, faults.NewPanicError(v, nil)
+		}
+	}()
+	r, closer, err := src.Open()
+	if err != nil {
+		return nil, fmt.Errorf("opening: %w", err)
+	}
+	if closer != nil {
+		defer closer.Close()
+	}
+	cfg.TraceName = src.Name
+	return sim.Run(r, p, cfg)
+}
+
 // setJSON renders a SetResult with the nondeterministic fields zeroed: each
 // result's wall-clock time, and failure stacks (goroutine dumps name
-// different frames on the sequential and parallel paths).
+// different frames in the oracle and in the scheduler).
 func setJSON(t *testing.T, set *sim.SetResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -136,7 +163,7 @@ func diffSweeps(t *testing.T, seq, par []*sim.SetResult, preds []sim.PredictorSp
 
 // TestSweepParallelMatchesSequential is the core acceptance suite: for every
 // reader kind and several warmup/limit configs, a 4-worker sweep must produce
-// byte-identical result JSON to per-predictor single-worker RunSetPolicy.
+// byte-identical result JSON to the sim.Run oracle.
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	specA, specB := equivSpec(12000), equivSpec(8000)
 	specB.Name, specB.Seed = "equiv-b", 31
@@ -156,7 +183,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 		}
 		for cname, cfg := range configs {
 			t.Run(kind+"/"+cname, func(t *testing.T) {
-				seq := sequentialSweep(t, srcs, equivPredictors, cfg, sim.Policy{Mode: sim.SkipFailed})
+				seq := sequentialSweep(t, srcs, equivPredictors, cfg)
 				par, err := sim.SweepParallel(srcs, equivPredictors, cfg, sim.ParallelOptions{
 					Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 				})
@@ -184,7 +211,7 @@ func TestSweepParallelLimitBeforeCorruption(t *testing.T) {
 		{"limit-past-fault", sim.Config{}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := sequentialSweep(t, srcs, equivPredictors, tc.cfg, sim.Policy{Mode: sim.SkipFailed})
+			seq := sequentialSweep(t, srcs, equivPredictors, tc.cfg)
 			par, err := sim.SweepParallel(srcs, equivPredictors, tc.cfg, sim.ParallelOptions{
 				Workers: 2, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
@@ -221,7 +248,7 @@ func TestSweepParallelInterleavedFailures(t *testing.T) {
 		{Name: "gshare", New: func() bp.Predictor { return gshare.New() }},
 	}
 	policy := sim.Policy{Mode: sim.SkipFailed}
-	seq := sequentialSweep(t, srcs, preds, sim.Config{}, policy)
+	seq := sequentialSweep(t, srcs, preds, sim.Config{})
 	par, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{Workers: 4, Policy: policy})
 	if err != nil {
 		t.Fatalf("SweepParallel: %v", err)
@@ -272,36 +299,37 @@ func TestSweepParallelFailFast(t *testing.T) {
 	}
 }
 
-// TestRunSetParallelMatchesRunSetPolicy: the single-predictor wrapper is
-// equivalent to sequential RunSetPolicy, failures included, and its FailFast
-// error text matches the sequential format.
+// TestRunSetParallelMatchesRunSetPolicy: a one-predictor sweep matches the
+// sim.Run oracle, failures included, at one worker and four, and its
+// FailFast error text is the same at both.
 func TestRunSetParallelMatchesRunSetPolicy(t *testing.T) {
 	srcs := genSources(t, 2500)
 	srcs[2] = lateCorruptSource(t, "corrupt-trace", equivSpec(2500))
-	newPred := func() bp.Predictor { return gshare.New() }
-	policy := sim.Policy{Mode: sim.SkipFailed}
+	preds := []sim.PredictorSpec{{Name: "gshare", New: func() bp.Predictor { return gshare.New() }}}
+	seq := sequentialSweep(t, srcs, preds, sim.Config{})
+	errText := map[int]string{}
+	for _, workers := range []int{1, 4} {
+		par, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{
+			Workers: workers, Policy: sim.Policy{Mode: sim.SkipFailed},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffSweeps(t, seq, par, preds)
 
-	seq, err := sim.RunSetPolicy(srcs, newPred, sim.Config{}, 1, policy)
-	if err != nil {
-		t.Fatal(err)
+		_, err = sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{
+			Workers: workers, Policy: sim.Policy{Mode: sim.FailFast},
+		})
+		if err == nil {
+			t.Fatalf("%d workers: FailFast sweep over a corrupt trace returned nil error", workers)
+		}
+		errText[workers] = err.Error()
 	}
-	par, err := sim.RunSetParallel(srcs, newPred, sim.Config{}, sim.ParallelOptions{Workers: 4, Policy: policy})
-	if err != nil {
-		t.Fatal(err)
+	if !strings.HasPrefix(errText[1], `gshare: sim: trace "corrupt-trace": `) {
+		t.Errorf("FailFast error = %q, want the cell's predictor and trace first", errText[1])
 	}
-	if s, p := setJSON(t, seq), setJSON(t, par); !bytes.Equal(s, p) {
-		t.Errorf("RunSetParallel differs from RunSetPolicy\nseq: %s\npar: %s", s, p)
-	}
-
-	_, seqErr := sim.RunSetPolicy(srcs, newPred, sim.Config{}, 1, sim.Policy{Mode: sim.FailFast})
-	_, parErr := sim.RunSetParallel(srcs, newPred, sim.Config{}, sim.ParallelOptions{
-		Workers: 4, Policy: sim.Policy{Mode: sim.FailFast},
-	})
-	if seqErr == nil || parErr == nil {
-		t.Fatalf("FailFast errors: seq=%v par=%v, want both non-nil", seqErr, parErr)
-	}
-	if seqErr.Error() != parErr.Error() {
-		t.Errorf("FailFast error text differs:\nseq: %v\npar: %v", seqErr, parErr)
+	if errText[1] != errText[4] {
+		t.Errorf("FailFast error text differs:\n1 worker:  %v\n4 workers: %v", errText[1], errText[4])
 	}
 }
 
@@ -309,7 +337,7 @@ func TestRunSetParallelMatchesRunSetPolicy(t *testing.T) {
 // disabled cache both fall back to streaming with identical results.
 func TestSweepParallelCacheBudgets(t *testing.T) {
 	srcs := genSources(t, 2000)
-	seq := sequentialSweep(t, srcs, equivPredictors, sim.Config{}, sim.Policy{Mode: sim.SkipFailed})
+	seq := sequentialSweep(t, srcs, equivPredictors, sim.Config{})
 	for _, budget := range []int64{64, -1} {
 		par, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 			Workers: 4, CacheBytes: budget, Policy: sim.Policy{Mode: sim.SkipFailed},
@@ -326,9 +354,5 @@ func TestSweepParallelNilPredictor(t *testing.T) {
 	_, err := sim.SweepParallel(srcs, []sim.PredictorSpec{{Name: "nil"}}, sim.Config{}, sim.ParallelOptions{})
 	if !errors.Is(err, sim.ErrNilPredictor) {
 		t.Errorf("err = %v, want ErrNilPredictor", err)
-	}
-	_, err = sim.RunSetParallel(srcs, nil, sim.Config{}, sim.ParallelOptions{})
-	if !errors.Is(err, sim.ErrNilPredictor) {
-		t.Errorf("RunSetParallel err = %v, want ErrNilPredictor", err)
 	}
 }

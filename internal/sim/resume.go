@@ -12,14 +12,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/faults"
 	"mbplib/internal/obs"
 	"mbplib/internal/sim/journal"
-	"mbplib/internal/sim/tracecache"
 )
 
 // CellKey is the journal identity of one (trace, predictor) cell: the trace
@@ -149,49 +146,6 @@ func interruptErr(ctx context.Context, drain <-chan struct{}) error {
 	return nil
 }
 
-// interruptSource wraps a trace source so its readers observe cancellation,
-// the cell deadline and the drain between batches, letting the scheduler
-// interrupt an in-flight streaming simulation. The open-phase check covers
-// only the drain: drained opens must fail permanently (no retry), while
-// context errors keep flowing through the reader as before.
-func interruptSource(ctx context.Context, drain <-chan struct{}, src TraceSource) TraceSource {
-	return TraceSource{Name: src.Name, Digest: src.Digest, Open: func() (bp.Reader, io.Closer, error) {
-		select {
-		case <-drain:
-			return nil, nil, fmt.Errorf("not started: %w", faults.ErrDrained)
-		default:
-		}
-		r, closer, err := src.Open()
-		if err != nil {
-			return nil, nil, err
-		}
-		return &interruptReader{ctx: ctx, drain: drain, r: r}, closer, nil
-	}}
-}
-
-// interruptReader checks for interruption before each read of the wrapped
-// reader. The error surfaces through the normal sticky-error path, so the
-// prefetch pipeline shuts down cleanly.
-type interruptReader struct {
-	ctx   context.Context
-	drain <-chan struct{}
-	r     bp.Reader
-}
-
-func (c *interruptReader) Read() (bp.Event, error) {
-	if err := interruptErr(c.ctx, c.drain); err != nil {
-		return bp.Event{}, err
-	}
-	return c.r.Read()
-}
-
-func (c *interruptReader) ReadBatch(dst []bp.Event) (int, error) {
-	if err := interruptErr(c.ctx, c.drain); err != nil {
-		return 0, err
-	}
-	return bp.ReadBatch(c.r, dst)
-}
-
 // cellJournal is the journalling context of one in-flight cell.
 type cellJournal struct {
 	j     *journal.Journal
@@ -313,152 +267,4 @@ func restoreCellState(state []byte, loop *runLoop, p bp.Predictor) error {
 	}
 	loop.instr, loop.condBranches, loop.mispredictions = instr, cond, miss
 	return ck.Restore(bytes.NewReader(pstate))
-}
-
-// batchStream abstracts how a worker consumes a trace: replayed cached
-// batches or direct streaming reads. next returns a non-empty batch, or
-// (nil, io.EOF) on clean exhaustion, or (nil, err) on a decode error —
-// always after every event decoded before the error was delivered.
-type batchStream interface {
-	next() ([]bp.Event, error)
-}
-
-// entryStream replays the batches of a pinned decoded-trace cache entry.
-type entryStream struct {
-	entry *tracecache.Entry
-	i     int
-}
-
-func (s *entryStream) next() ([]bp.Event, error) {
-	batches := s.entry.Batches()
-	for s.i < len(batches) {
-		b := batches[s.i]
-		s.i++
-		if len(b) > 0 {
-			return b, nil
-		}
-	}
-	return nil, s.entry.Err() // io.EOF when fully decoded
-}
-
-// readStream batches a reader directly. A terminal error arriving with a
-// non-empty batch is held back until that batch was delivered, preserving
-// the "error after n events" precedence of the prefetched pipeline.
-type readStream struct {
-	r   bp.Reader
-	buf []bp.Event
-	err error
-}
-
-func (s *readStream) next() ([]bp.Event, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	n, err := bp.ReadBatch(s.r, s.buf)
-	if n == 0 {
-		if err == nil {
-			err = io.EOF // defensive: a healthy reader never returns (0, nil)
-		}
-		return nil, err
-	}
-	s.err = err
-	return s.buf[:n], nil
-}
-
-// runCell simulates one predictor over a batch stream with the
-// resumable-cell machinery: restore from a journalled checkpoint, periodic
-// checkpointing every jc.every events, and drain/deadline observation
-// between batches. With a nil jc and a never-closed drain it reduces to the
-// exact historical cached-entry loop, so results stay byte-identical to the
-// sequential path. On a drain the current state is checkpointed (when
-// journalling a checkpointable predictor) before the drained error returns,
-// so the resumed sweep continues mid-trace instead of starting over.
-func runCell(ctx context.Context, drain <-chan struct{}, stream batchStream, newP func() bp.Predictor, cfg Config, jc *cellJournal) (*Result, error) {
-	start := time.Now()
-	col := cfg.Metrics
-	loop := newRunLoop(cfg)
-	p := newP()
-	var consumed, toSkip, lastCkpt uint64
-	every := uint64(0)
-	if jc != nil {
-		if _, ok := p.(bp.Checkpointer); ok {
-			every = jc.every
-		}
-		if rec, ok := jc.j.Checkpoint(jc.key); ok {
-			if err := restoreCellState(rec.State, loop, p); err != nil {
-				loop.stats.release()
-				loop, p = newRunLoop(cfg), newP() // bad checkpoint: restart clean
-			} else {
-				consumed, toSkip, lastCkpt = rec.Events, rec.Events, rec.Events
-			}
-		}
-	}
-	for {
-		if err := interruptErr(ctx, drain); err != nil {
-			if errors.Is(err, faults.ErrDrained) {
-				col.Ctr(obs.CtrDraining).Store(1)
-				if every > 0 && consumed > lastCkpt {
-					if cerr := jc.checkpoint(loop, p, consumed); cerr != nil {
-						return nil, cerr
-					}
-				}
-			}
-			return nil, err
-		}
-		b, err := stream.next()
-		if err != nil {
-			if err == io.EOF {
-				return loop.result(p, cfg, true, start), nil
-			}
-			return nil, err
-		}
-		if toSkip >= uint64(len(b)) {
-			// Entirely inside the restored prefix: the loop and predictor
-			// already account for these events.
-			toSkip -= uint64(len(b))
-			continue
-		}
-		b = b[toSkip:]
-		toSkip = 0
-		simStage := obs.StageSim
-		if loop.instr < loop.warmup {
-			simStage = obs.StageWarmup
-		}
-		tSim := col.Now()
-		stop := loop.process(b, p)
-		col.Stage(simStage).Since(tSim)
-		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
-		consumed += uint64(len(b))
-		if stop {
-			// Instruction limit hit: a pending decode error past the stop
-			// point is moot, exactly like Run's precedence.
-			return loop.result(p, cfg, false, start), nil
-		}
-		if every > 0 && consumed-lastCkpt >= every {
-			if err := jc.checkpoint(loop, p, consumed); err != nil {
-				return nil, err
-			}
-			lastCkpt = consumed
-		}
-	}
-}
-
-// runStream is the journalling variant of the too-big-to-cache path: it
-// streams the trace directly — no prefetch goroutine, so checkpoints cut at
-// a consistent "events consumed" boundary — through the same resumable loop
-// as cached cells.
-func runStream(ctx context.Context, drain <-chan struct{}, src TraceSource, pred PredictorSpec, cfg Config, policy Policy, jc *cellJournal, start time.Time) (*Result, *TraceFailure) {
-	r, closer, attempts, err := openWithRetry(ctx, src, policy)
-	if err != nil {
-		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
-	}
-	if closer != nil {
-		defer closer.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
-	}
-	cfg.TraceName = src.Name
-	res, err := runCell(ctx, drain, &readStream{r: r, buf: make([]bp.Event, batchSizeFor(r))}, pred.New, cfg, jc)
-	if err != nil {
-		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
-	}
-	return res, nil
 }

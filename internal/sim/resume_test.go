@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,48 +273,126 @@ func TestSweepParallelCellTimeout(t *testing.T) {
 	}
 }
 
-// TestDrainSources covers the sequential (-j 1) drain path: a closed drain
-// fails every source as a resumable drained fault without opening it, and an
-// open drain is a no-op wrapper.
-func TestDrainSources(t *testing.T) {
+// TestSweepParallelCellTimeoutDuringOpenRetry: a cell whose open keeps
+// failing transiently stops retrying when its deadline expires — backoff
+// sleeps included — and fails as a deadline fault, with the cache on and
+// off and without a journal.
+func TestSweepParallelCellTimeoutDuringOpenRetry(t *testing.T) {
+	down := sim.TraceSource{Name: "down", Open: func() (bp.Reader, io.Closer, error) {
+		return nil, nil, errors.New("transient outage")
+	}}
+	preds := []sim.PredictorSpec{{Name: "taken", New: func() bp.Predictor { return takenPredictor{} }}}
+	for _, cacheBytes := range []int64{-1, 0} {
+		start := time.Now()
+		sets, err := sim.SweepParallel([]sim.TraceSource{down}, preds, sim.Config{}, sim.ParallelOptions{
+			Workers: 1, CacheBytes: cacheBytes, CellTimeout: 50 * time.Millisecond,
+			Policy: sim.Policy{Mode: sim.SkipFailed, Retries: 50, Backoff: 100 * time.Millisecond, Seed: 1},
+		})
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("cache %d: sweep: %v", cacheBytes, err)
+		}
+		if len(sets[0].Failures) != 1 {
+			t.Fatalf("cache %d: failures %+v, want exactly one", cacheBytes, sets[0].Failures)
+		}
+		if f := sets[0].Failures[0]; f.Class != "deadline" || !errors.Is(f.Err, faults.ErrDeadline) {
+			t.Errorf("cache %d: failure class=%q err=%v, want a deadline fault", cacheBytes, f.Class, f.Err)
+		}
+		if elapsed > 500*time.Millisecond {
+			t.Errorf("cache %d: sweep took %v; the 50ms cell deadline did not stop the open retries", cacheBytes, elapsed)
+		}
+	}
+}
+
+// TestSweepParallelDrainDuringOpenRetry: a drain stops a cell's transient
+// open retries, backoff sleeps included, and leaves the cell resumable.
+func TestSweepParallelDrainDuringOpenRetry(t *testing.T) {
+	down := sim.TraceSource{Name: "down", Open: func() (bp.Reader, io.Closer, error) {
+		return nil, nil, errors.New("transient outage")
+	}}
+	preds := []sim.PredictorSpec{{Name: "taken", New: func() bp.Predictor { return takenPredictor{} }}}
+	for _, cacheBytes := range []int64{-1, 0} {
+		drain := make(chan struct{})
+		timer := time.AfterFunc(50*time.Millisecond, func() { close(drain) })
+		start := time.Now()
+		sets, err := sim.SweepParallel([]sim.TraceSource{down}, preds, sim.Config{}, sim.ParallelOptions{
+			Workers: 1, CacheBytes: cacheBytes, Drain: drain,
+			Policy: sim.Policy{Mode: sim.SkipFailed, Retries: 50, Backoff: 100 * time.Millisecond, Seed: 1},
+		})
+		elapsed := time.Since(start)
+		timer.Stop()
+		if err != nil {
+			t.Fatalf("cache %d: sweep: %v", cacheBytes, err)
+		}
+		if len(sets[0].Failures) != 1 {
+			t.Fatalf("cache %d: failures %+v, want exactly one", cacheBytes, sets[0].Failures)
+		}
+		if f := sets[0].Failures[0]; f.Class != "drained" || !f.Resumable {
+			t.Errorf("cache %d: failure class=%q resumable=%v, want a resumable drain", cacheBytes, f.Class, f.Resumable)
+		}
+		if elapsed > 500*time.Millisecond {
+			t.Errorf("cache %d: sweep took %v; the drain did not stop the open retries", cacheBytes, elapsed)
+		}
+	}
+}
+
+// TestSweepParallelOneWorkerDrain: on one worker, a drain closed before
+// the sweep starts leaves every cell a resumable "not started" failure
+// without opening a trace, and a drain that never closes leaves the output
+// byte-identical to a plain run — with the cache on and off.
+func TestSweepParallelOneWorkerDrain(t *testing.T) {
+	var opens atomic.Int32
 	srcs := genSources(t, 2000)
-	newP := func() bp.Predictor { return takenPredictor{} }
-	cfg := sim.Config{}
-	plain, err := sim.RunSetPolicy(srcs, newP, cfg, 1, sim.Policy{Mode: sim.SkipFailed})
-	if err != nil {
-		t.Fatalf("plain run: %v", err)
-	}
-
-	closed := make(chan struct{})
-	close(closed)
-	set, err := sim.RunSetPolicy(sim.DrainSources(srcs, closed), newP, cfg, 1, sim.Policy{Mode: sim.SkipFailed})
-	if err != nil {
-		t.Fatalf("drained run: %v", err)
-	}
-	if len(set.Failures) != len(srcs) {
-		t.Fatalf("drained run: %d failures, want %d", len(set.Failures), len(srcs))
-	}
-	for _, f := range set.Failures {
-		if f.Class != "drained" || !f.Resumable || f.Attempts != 1 {
-			t.Errorf("drained source %s: class=%q resumable=%v attempts=%d, want one permanent drained attempt", f.Trace, f.Class, f.Resumable, f.Attempts)
+	for i := range srcs {
+		open := srcs[i].Open
+		srcs[i].Open = func() (bp.Reader, io.Closer, error) {
+			opens.Add(1)
+			return open()
 		}
 	}
-	for i, r := range set.Results {
-		if r != nil {
-			t.Errorf("drained run simulated %s", srcs[i].Name)
+	preds := []sim.PredictorSpec{{Name: "taken", New: func() bp.Predictor { return takenPredictor{} }}}
+	for _, cacheBytes := range []int64{0, -1} {
+		opts := sim.ParallelOptions{Workers: 1, CacheBytes: cacheBytes, Policy: sim.Policy{Mode: sim.SkipFailed}}
+		plain, err := sim.SweepParallel(srcs, preds, sim.Config{}, opts)
+		if err != nil {
+			t.Fatalf("cache %d: plain run: %v", cacheBytes, err)
 		}
-	}
 
-	open := make(chan struct{})
-	same, err := sim.RunSetPolicy(sim.DrainSources(srcs, open), newP, cfg, 1, sim.Policy{Mode: sim.SkipFailed})
-	if err != nil {
-		t.Fatalf("open-drain run: %v", err)
-	}
-	if !bytes.Equal(setJSON(t, plain), setJSON(t, same)) {
-		t.Error("an open drain changed the results")
-	}
-	if got := sim.DrainSources(srcs, nil); len(got) != len(srcs) {
-		t.Errorf("nil drain: %d sources, want %d unchanged", len(got), len(srcs))
+		closed := make(chan struct{})
+		close(closed)
+		opts.Drain = closed
+		opens.Store(0)
+		sets, err := sim.SweepParallel(srcs, preds, sim.Config{}, opts)
+		if err != nil {
+			t.Fatalf("cache %d: drained run: %v", cacheBytes, err)
+		}
+		set := sets[0]
+		if len(set.Failures) != len(srcs) {
+			t.Fatalf("cache %d: drained run: %d failures, want %d", cacheBytes, len(set.Failures), len(srcs))
+		}
+		for _, f := range set.Failures {
+			if f.Class != "drained" || !f.Resumable || !strings.HasPrefix(f.Message, "not started: ") {
+				t.Errorf("cache %d: drained cell %s: class=%q resumable=%v message=%q, want a resumable not-started drain",
+					cacheBytes, f.Trace, f.Class, f.Resumable, f.Message)
+			}
+		}
+		for i, r := range set.Results {
+			if r != nil {
+				t.Errorf("cache %d: drained run simulated %s", cacheBytes, srcs[i].Name)
+			}
+		}
+		if n := opens.Load(); n != 0 {
+			t.Errorf("cache %d: drained run opened %d traces, want 0", cacheBytes, n)
+		}
+
+		opts.Drain = make(chan struct{})
+		same, err := sim.SweepParallel(srcs, preds, sim.Config{}, opts)
+		if err != nil {
+			t.Fatalf("cache %d: open-drain run: %v", cacheBytes, err)
+		}
+		if !bytes.Equal(setJSON(t, plain[0]), setJSON(t, same[0])) {
+			t.Errorf("cache %d: an open drain changed the results", cacheBytes)
+		}
 	}
 }
 

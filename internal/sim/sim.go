@@ -5,11 +5,13 @@
 //
 // In keeping with the paper's central design decision, this is a library
 // and not a framework: the caller owns main, constructs the trace reader
-// and the predictor, and calls Run (or Compare, §VI-C). Results serialise
-// to the JSON layout of Listing 1.
+// and the predictor, and calls Run (or Compare, §VI-C); SweepParallel
+// scores predictors over whole trace sets through the same loop. Results
+// serialise to the JSON layout of Listing 1.
 package sim
 
 import (
+	"context"
 	"errors"
 	"io"
 	"time"
@@ -269,48 +271,15 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 // Run consumes the trace in batches (bp.ReadBatch) and decodes ahead: a
 // single prefetch goroutine double-buffers the next batch — including any
 // decompression the reader performs — while this goroutine simulates the
-// current one. Results are identical to the scalar reference loop
-// (RunScalar); a panic inside the reader is converted to a
-// faults.ErrPredictorPanic-classified error, preserving the fault-taxonomy
-// semantics of RunSetPolicy.
+// current one, in the same loop that runs every SweepParallel cell.
+// Results are identical to the scalar reference loop (RunScalar); a panic
+// inside the reader is converted to a faults.ErrPredictorPanic-classified
+// error, as a sweep classifies it. The reader is no longer in use when Run
+// returns.
 func Run(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
-	start := time.Now()
-	col := cfg.Metrics
-	loop := newRunLoop(cfg)
-	pf := startPrefetch(r, col)
-	defer pf.shutdown()
-
-	exhausted := false
-	for {
-		tWait := col.Now()
-		b, ok := pf.next()
-		col.Stage(obs.StagePrefetchStall).Since(tWait)
-		if !ok {
-			break // producer stopped without a final batch; nothing more to consume
-		}
-		// Stage attribution is per batch: a batch starting inside the warm-up
-		// window counts as warm-up even if it crosses the boundary.
-		simStage := obs.StageSim
-		if loop.instr < loop.warmup {
-			simStage = obs.StageWarmup
-		}
-		tSim := col.Now()
-		stop := loop.process(b.events, p)
-		col.Stage(simStage).Since(tSim)
-		col.Ctr(obs.CtrEvents).Add(uint64(len(b.events)))
-		pf.recycle(b.events)
-		if stop {
-			break // instruction limit reached; pending events and errors are moot
-		}
-		if b.err != nil {
-			if b.err == io.EOF {
-				exhausted = true
-				break
-			}
-			return nil, b.err
-		}
-	}
-	return loop.result(p, cfg, exhausted, start), nil
+	s := newPrefetchStream(r, nil, cfg.Metrics)
+	defer s.close()
+	return runCell(context.TODO(), nil, s, func() bp.Predictor { return p }, cfg, nil)
 }
 
 // RunScalar is the scalar reference implementation of Run: one Read call,
@@ -373,5 +342,6 @@ func predictorStatistics(p bp.Predictor) map[string]any {
 	return map[string]any{}
 }
 
-// ErrNilPredictor is returned by Compare when a predictor is missing.
+// ErrNilPredictor is returned by Compare and SweepParallel when a
+// predictor or predictor constructor is missing.
 var ErrNilPredictor = errors.New("sim: nil predictor")

@@ -329,6 +329,8 @@ func (s *sliceStream) next() ([]bp.Event, error) {
 	return b, nil
 }
 
+func (s *sliceStream) close() {}
+
 // resultJSONNoTime marshals res with the wall-clock field zeroed.
 func resultJSONNoTime(t *testing.T, res *Result) []byte {
 	t.Helper()

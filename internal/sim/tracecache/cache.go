@@ -11,7 +11,8 @@
 // number of workers at once; an entry is pinned (ineligible for eviction)
 // while at least one worker holds it.
 //
-// Failure semantics mirror the sequential simulation path (see DESIGN.md):
+// Failure semantics mirror streaming the trace through its reader (see
+// DESIGN.md):
 //
 //   - An entry records its terminal error exactly as a bp.BatchReader
 //     would deliver it — io.EOF after a clean decode, or the typed fault

@@ -20,9 +20,9 @@ type ValueRow struct {
 }
 
 // FailureRow is one failed trace in the JSON output. It deliberately omits
-// the panic stack, which is the one field that differs between sequential
-// and parallel execution (the goroutine dumps name different frames), so the
-// failures section is byte-identical for any -j.
+// the panic stack, which is the one field that differs between runs (the
+// goroutine dumps name different frames), so the failures section is
+// byte-identical for any -j.
 // Wall time is likewise omitted from JSON: it differs run to run, and the
 // JSON output is the machine-diffable format.
 type FailureRow struct {
@@ -43,7 +43,7 @@ type Report struct {
 }
 
 // Render prints the sweep table (or JSON) and picks the exit code. It only
-// sees per-value SetResults, so sequential, parallel and daemon-side
+// sees per-value SetResults, so local runs at any -j and daemon-side
 // schedules produce identical bytes — this is the single renderer behind
 // mbpsweep, mbpd and mbpctl.
 func Render(stdout, stderr io.Writer, specs []string, sets []*sim.SetResult, nTraces int, jsonOut bool) int {

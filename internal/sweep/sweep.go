@@ -148,16 +148,7 @@ func (s Spec) Resolve() (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Resolved{Spec: s, Specs: specs, Sources: make([]sim.TraceSource, len(paths))}
-	for i, path := range paths {
-		r.Sources[i] = sim.TraceSource{Name: path, Open: openSBBT(path)}
-		if compress.FormatForPath(path) == compress.FormatMLZS {
-			// Seekable containers additionally offer chunk-granular access;
-			// the scheduler verifies eligibility (alignment, intact index)
-			// per open and silently streams when it is not met.
-			r.Sources[i].OpenChunked = openChunked(path)
-		}
-	}
+	r := &Resolved{Spec: s, Specs: specs, Sources: Sources(paths, 1)}
 	r.Preds = make([]sim.PredictorSpec, len(specs))
 	for i, spec := range specs {
 		r.Preds[i] = sim.PredictorSpec{Name: spec, New: newFor(spec)}
@@ -165,15 +156,25 @@ func (s Spec) Resolve() (*Resolved, error) {
 	return r, nil
 }
 
-// openSBBT is the canonical trace-open closure shared by the sweep CLIs:
-// transparent decompression, then the SBBT reader.
-func openSBBT(path string) func() (bp.Reader, io.Closer, error) {
-	return openSBBTWorkers(path, 1)
+// Sources builds the trace sources of a sorted path list, the one way the
+// sweep CLIs open traces: transparent decompression, then the SBBT reader,
+// with chunked (MLZS) containers decompressing on decodeWorkers goroutines
+// (byte-identically to sequential decode). Seekable containers also offer
+// chunk-granular access; the scheduler verifies eligibility (alignment,
+// intact index) per open and streams when it is not met.
+func Sources(paths []string, decodeWorkers int) []sim.TraceSource {
+	sources := make([]sim.TraceSource, len(paths))
+	for i, path := range paths {
+		sources[i] = sim.TraceSource{Name: path, Open: openSBBT(path, decodeWorkers)}
+		if compress.FormatForPath(path) == compress.FormatMLZS {
+			sources[i].OpenChunked = func() (sim.ChunkedTrace, error) { return chunked.Open(path) }
+		}
+	}
+	return sources
 }
 
-// openSBBTWorkers is openSBBT with a decode worker count: chunked (MLZS)
-// containers decompress on a worker pool, byte-identically to sequential.
-func openSBBTWorkers(path string, decodeWorkers int) func() (bp.Reader, io.Closer, error) {
+// openSBBT is the trace-open closure of Sources.
+func openSBBT(path string, decodeWorkers int) func() (bp.Reader, io.Closer, error) {
 	return func() (bp.Reader, io.Closer, error) {
 		f, err := compress.OpenFileParallel(path, decodeWorkers)
 		if err != nil {
@@ -186,11 +187,6 @@ func openSBBTWorkers(path string, decodeWorkers int) func() (bp.Reader, io.Close
 		}
 		return r, f, nil
 	}
-}
-
-// openChunked is the chunk-granular open closure for seekable containers.
-func openChunked(path string) func() (sim.ChunkedTrace, error) {
-	return func() (sim.ChunkedTrace, error) { return chunked.Open(path) }
 }
 
 // newFor builds the per-cell predictor constructor for one validated spec.
@@ -242,20 +238,15 @@ func (r *Resolved) Key() string {
 }
 
 // RunOptions configures one execution of a resolved sweep. The zero value
-// runs the parallel scheduler with default workers and cache.
+// runs the scheduler with default workers and cache.
 type RunOptions struct {
-	// Jobs is the -j scheduler width. 1 with no journal and no cell timeout
-	// selects the exact legacy sequential path (RunSetPolicy per value).
-	// <= 0 means GOMAXPROCS.
+	// Jobs is the -j scheduler width. <= 0 means GOMAXPROCS.
 	Jobs int
 	// DecodeWorkers is the -decode-j chunk-decode width inside each trace
 	// open: seekable (MLZS) containers decompress on this many goroutines,
 	// byte-identically to sequential decode. <= 1 decodes sequentially. An
 	// execution option only — it never enters Key().
 	DecodeWorkers int
-	// LegacyWorkers is the -workers fan-out inside each value on the legacy
-	// path only.
-	LegacyWorkers int
 	// CacheBytes has sim.ParallelOptions semantics: 0 default, negative
 	// disables the decoded-trace cache.
 	CacheBytes int64
@@ -273,36 +264,20 @@ type RunOptions struct {
 	CellTimeout     time.Duration
 }
 
-// Run executes the sweep: one SetResult per swept value, from either path.
-// Results and failure tables are deterministic and identical across paths.
-// A legacy-path error is wrapped with its predictor spec so callers print
-// the same "spec: cause" text the sequential CLI always produced.
+// Run executes the sweep on the sim scheduler: one SetResult per swept
+// value. Results and failure tables are deterministic and identical at
+// every Jobs width; a FailFast error reads "<spec>: sim: trace ...".
 func (r *Resolved) Run(opts RunOptions) ([]*sim.SetResult, error) {
-	cfg := sim.Config{Metrics: opts.Metrics}
 	sources := r.Sources
 	if opts.DecodeWorkers > 1 {
 		// Swap in parallel-decode open closures. Results are byte-identical,
 		// so the sweep identity (Key) is untouched.
 		sources = append([]sim.TraceSource(nil), r.Sources...)
 		for i := range sources {
-			sources[i].Open = openSBBTWorkers(sources[i].Name, opts.DecodeWorkers)
+			sources[i].Open = openSBBT(sources[i].Name, opts.DecodeWorkers)
 		}
 	}
-	if opts.Jobs == 1 && opts.Journal == nil && opts.CellTimeout == 0 {
-		// Exact legacy path; the drain wrapper fails unstarted and in-flight
-		// traces as resumable once a signal lands.
-		drained := sim.DrainSources(sources, opts.Drain)
-		sets := make([]*sim.SetResult, len(r.Specs))
-		for i, spec := range r.Specs {
-			set, err := sim.RunSetPolicy(drained, r.Preds[i].New, cfg, opts.LegacyWorkers, opts.Policy)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", spec, err)
-			}
-			sets[i] = set
-		}
-		return sets, nil
-	}
-	return sim.SweepParallel(sources, r.Preds, cfg, sim.ParallelOptions{
+	return sim.SweepParallel(sources, r.Preds, sim.Config{Metrics: opts.Metrics}, sim.ParallelOptions{
 		Workers: opts.Jobs, CacheBytes: opts.CacheBytes, Policy: opts.Policy,
 		Metrics: opts.Metrics,
 		Journal: opts.Journal, CheckpointEvery: opts.CheckpointEvery,
