@@ -14,12 +14,6 @@ import (
 	"mbplib/internal/sim/tracecache"
 )
 
-// batchEvents is the number of events per prefetched batch. At 32 bytes per
-// event a batch is 128 KiB — large enough to amortise the channel handoff
-// and the batch-boundary checks over thousands of events, small enough to
-// stay cache-resident and to keep at most a few hundred KiB in flight.
-const batchEvents = 4096
-
 // batch is one unit of prefetched work: the decoded events plus the error,
 // if any, that ended the batch ("error after n" — events is valid even when
 // err is non-nil, including io.EOF).
@@ -58,11 +52,11 @@ type prefetcher struct {
 // two fresh 128 KiB buffers costs about as much as simulating a few
 // thousand branches, which would otherwise dominate runs over short traces.
 // Events hold no pointers, so pooled buffers cost the collector nothing.
-var eventBufs = sync.Pool{New: func() any { return new([batchEvents]bp.Event) }}
+var eventBufs = sync.Pool{New: func() any { return new([tracecache.BatchEvents]bp.Event) }}
 
 // startPrefetch launches the producer goroutine reading from r in batches
-// of up to batchEvents events. Ownership of r passes to the prefetcher
-// until shutdown returns. col may be nil (metrics disabled).
+// of up to tracecache.BatchEvents events. Ownership of r passes to the
+// prefetcher until shutdown returns. col may be nil (metrics disabled).
 func startPrefetch(r bp.Reader, col *obs.Collector) *prefetcher {
 	pf := &prefetcher{
 		filled:  make(chan batch, 1),
@@ -73,8 +67,8 @@ func startPrefetch(r bp.Reader, col *obs.Collector) *prefetcher {
 	}
 	// Two buffers: one being consumed, one being filled. With filled
 	// buffered to depth 1, the producer can stay one full batch ahead.
-	pf.free <- eventBufs.Get().(*[batchEvents]bp.Event)[:]
-	pf.free <- eventBufs.Get().(*[batchEvents]bp.Event)[:]
+	pf.free <- eventBufs.Get().(*[tracecache.BatchEvents]bp.Event)[:]
+	pf.free <- eventBufs.Get().(*[tracecache.BatchEvents]bp.Event)[:]
 	go pf.produce(r)
 	return pf
 }
@@ -90,13 +84,10 @@ func (pf *prefetcher) produce(r bp.Reader) {
 			return
 		case buf = <-pf.free:
 		}
-		tRead := col.Now()
-		col.Stage(obs.StageProduceStall).Add(tRead.Sub(tStall))
-		n, err := readBatchSafe(r, buf[:cap(buf)])
-		readDur := col.Now().Sub(tRead)
-		col.Stage(obs.StageRead).Add(readDur)
-		col.Hist(obs.HistBatchReadNs).ObserveDuration(readDur)
-		col.Ctr(obs.CtrBatches).Add(1)
+		col.Stage(obs.StageProduceStall).Since(tStall)
+		var n int
+		var err error
+		timedRead(col, func() { n, err = readBatchSafe(r, buf[:cap(buf)]) })
 		select {
 		case <-pf.done:
 			return
@@ -110,6 +101,18 @@ func (pf *prefetcher) produce(r bp.Reader) {
 			return
 		}
 	}
+}
+
+// timedRead runs one decode step — a batch read from a trace stream or the
+// decode of one chunk — and records it as one read. obs.StageRead,
+// obs.HistBatchReadNs and obs.CtrBatches are recorded here and nowhere else.
+func timedRead(col *obs.Collector, read func()) {
+	t := col.Now()
+	read()
+	d := col.Now().Sub(t)
+	col.Stage(obs.StageRead).Add(d)
+	col.Hist(obs.HistBatchReadNs).ObserveDuration(d)
+	col.Ctr(obs.CtrBatches).Add(1)
 }
 
 // readBatchSafe reads one batch, converting a reader panic into a typed
@@ -164,15 +167,15 @@ func (pf *prefetcher) shutdown() {
 	for {
 		select {
 		case buf := <-pf.free:
-			eventBufs.Put((*[batchEvents]bp.Event)(buf[:batchEvents]))
+			eventBufs.Put((*[tracecache.BatchEvents]bp.Event)(buf[:tracecache.BatchEvents]))
 		default:
 			return
 		}
 	}
 }
 
-// batchStream is how a cell consumes its trace: a cached entry's batches,
-// a chunk-by-chunk walk through the cache, or a prefetching reader. next
+// batchStream is how a cell consumes its trace: a chunk-by-chunk walk
+// through the cache (cachedStream) or a prefetching reader. next
 // returns a non-empty batch, or (nil, io.EOF) on clean exhaustion, or
 // (nil, err) on a decode error — always after every event decoded before
 // the error was delivered. A batch stays valid until the next call. close
@@ -234,27 +237,6 @@ func (s *prefetchStream) close() {
 		s.closer.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
 	}
 }
-
-// entryStream replays the batches of a pinned decoded-trace cache entry.
-type entryStream struct {
-	cache *tracecache.Cache
-	entry *tracecache.Entry
-	i     int
-}
-
-func (s *entryStream) next() ([]bp.Event, error) {
-	batches := s.entry.Batches()
-	for s.i < len(batches) {
-		b := batches[s.i]
-		s.i++
-		if len(b) > 0 {
-			return b, nil
-		}
-	}
-	return nil, s.entry.Err() // io.EOF when fully decoded
-}
-
-func (s *entryStream) close() { s.cache.Release(s.entry) }
 
 // runCell is the one simulation loop: Run and every SweepParallel cell
 // drive a fresh predictor from newP over a batch stream through it. On top

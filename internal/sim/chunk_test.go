@@ -15,6 +15,7 @@ import (
 	"mbplib/internal/bp"
 	"mbplib/internal/chunked"
 	"mbplib/internal/compress"
+	"mbplib/internal/obs"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
 )
@@ -104,6 +105,26 @@ func TestChunkedSweepMatchesStreaming(t *testing.T) {
 				diffSweeps(t, seq, par, equivPredictors)
 			}
 		})
+	}
+}
+
+// TestChunkedSweepRecordsReads: chunk loads are timed as reads, so a sweep
+// over the chunk path reports where its decode time went.
+func TestChunkedSweepRecordsReads(t *testing.T) {
+	paths := chunkEquivTraces(t)
+	col := obs.New()
+	srcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
+	if _, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+		Workers: 2, Policy: sim.Policy{Mode: sim.SkipFailed}, Metrics: col,
+	}); err != nil {
+		t.Fatalf("SweepParallel: %v", err)
+	}
+	s := col.Snapshot()
+	if s.Counters["cache_misses"] == 0 {
+		t.Fatalf("no chunk was loaded through the cache: %v", s.Counters)
+	}
+	if s.Stages["read"].Count == 0 || s.Counters["batches"] == 0 {
+		t.Errorf("chunk loads not timed: read stage count %d, batches %d", s.Stages["read"].Count, s.Counters["batches"])
 	}
 }
 

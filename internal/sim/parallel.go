@@ -323,37 +323,6 @@ func runPair(ctx context.Context, cache *tracecache.Cache, src TraceSource, pred
 	return result, nil
 }
 
-// openStream opens the batch stream of one cell. A trace offering chunked
-// access is walked chunk by chunk through the cache; otherwise its decoded
-// entry is replayed from the cache; a trace the cache cannot pin (or any
-// trace when the cache is disabled) is read afresh through a prefetching
-// stream. attempts counts the opens made, for failure accounting.
-func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Cache, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
-	if src.OpenChunked != nil && cache != nil {
-		// An ineligible container (not indexed MLZS, unaligned, damaged
-		// trailer) is streamed below, whose reader reports any real damage
-		// with the canonical diagnostics.
-		if ct, err := src.OpenChunked(); err == nil {
-			return &chunkStream{ctx: ctx, cache: cache, ct: ct, name: src.Name}, 1, nil
-		}
-	}
-	entry, err := cache.Acquire(ctx, src.Name, func() (bp.Reader, io.Closer, int, error) {
-		return openWithRetry(ctx, drain, src, policy)
-	})
-	if err != nil {
-		return nil, 1, err // ctx expired or was cancelled while waiting on the cache
-	}
-	if !entry.TooBig() {
-		return &entryStream{cache: cache, entry: entry}, entry.Attempts(), nil
-	}
-	cache.Release(entry)
-	r, closer, attempts, err := openWithRetry(ctx, drain, src, policy)
-	if err != nil {
-		return nil, attempts, err
-	}
-	return newPrefetchStream(r, closer, col), attempts, nil
-}
-
 // openWithRetry opens a trace source with the policy's transient-open
 // retry loop (full-jitter backoff), reporting the attempt count for failure
 // accounting. Open failures are wrapped as "opening: ...". Cancellation,

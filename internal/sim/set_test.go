@@ -112,10 +112,10 @@ func TestRunSetPropagatesError(t *testing.T) {
 	})
 }
 
-// TestRunSetClosesSources: every opened trace is closed exactly once —
+// TestSweepParallelClosesSources: every opened trace is closed exactly once —
 // cached and streamed, run to the end, stopped at the instruction limit,
 // failed mid-decode, and reopened after a too-big cache verdict.
-func TestRunSetClosesSources(t *testing.T) {
+func TestSweepParallelClosesSources(t *testing.T) {
 	var opened, closed atomic.Int32
 	srcs := append(suiteSources(t, 1000), corruptSource(t, "corrupt"))
 	for i := range srcs {

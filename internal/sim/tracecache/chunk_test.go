@@ -25,15 +25,25 @@ func chunkEvents(chunk, n int) []bp.Event {
 	return evs
 }
 
-// countingChunkLoad returns a ChunkLoadFunc serving chunkEvents(chunk, n)
-// and counting invocations.
-func countingChunkLoad(chunk, n int, loads *atomic.Int32) ChunkLoadFunc {
-	return func() ([]bp.Event, error) {
+// chunkLoad is a chunk loader shaped like the simulator's: one decode,
+// whose events (kept even on a failure) go to the cache at once.
+func chunkLoad(decode func() ([]bp.Event, error)) LoadFunc {
+	return func(f *Fill) (int, error) {
+		evs, err := decode()
+		f.Add(evs)
+		return 1, err
+	}
+}
+
+// countingChunkLoad returns a loader serving chunkEvents(chunk, n) and
+// counting invocations.
+func countingChunkLoad(chunk, n int, loads *atomic.Int32) LoadFunc {
+	return chunkLoad(func() ([]bp.Event, error) {
 		if loads != nil {
 			loads.Add(1)
 		}
 		return chunkEvents(chunk, n), nil
-	}
+	})
 }
 
 func TestAcquireChunkSingleFlight(t *testing.T) {
@@ -48,7 +58,7 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.AcquireChunk(ctx, "trace", 3, countingChunkLoad(3, 1000, &loads))
+			e, err := c.Acquire(ctx, "trace", 3, countingChunkLoad(3, 1000, &loads))
 			if err != nil {
 				t.Error(err)
 				return
@@ -74,7 +84,7 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 		c.Release(e)
 	}
 	// Chunks of the same trace are independent entries.
-	e0, err := c.AcquireChunk(ctx, "trace", 0, countingChunkLoad(0, 10, &loads))
+	e0, err := c.Acquire(ctx, "trace", 0, countingChunkLoad(0, 10, &loads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +102,11 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 func TestAcquireChunkKeyIsolation(t *testing.T) {
 	c := New(1 << 20)
 	ctx := context.Background()
-	e1, err := c.AcquireChunk(ctx, "t", 12, countingChunkLoad(12, 50, nil))
+	e1, err := c.Acquire(ctx, "t", 12, countingChunkLoad(12, 50, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c.AcquireChunk(ctx, "t", 1, countingChunkLoad(1, 50, nil))
+	e2, err := c.Acquire(ctx, "t", 1, countingChunkLoad(1, 50, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +118,28 @@ func TestAcquireChunkKeyIsolation(t *testing.T) {
 	}
 	c.Release(e1)
 	c.Release(e2)
+
+	// A trace read whole is keyed apart from chunk 0 of the same name: a
+	// cell whose chunked open failed must never be served a chunk's events.
+	e0, err := c.Acquire(ctx, "t", 0, countingChunkLoad(0, 50, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := c.Acquire(ctx, "t", Whole, countingChunkLoad(7, 80, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e0 == whole {
+		t.Fatal("chunk 0 and the whole trace shared one entry")
+	}
+	if !equalEvents(drain(t, e0), chunkEvents(0, 50)) || !equalEvents(drain(t, whole), chunkEvents(7, 80)) {
+		t.Error("whole-trace and chunk 0 entries returned wrong events")
+	}
+	c.Release(e0)
+	c.Release(whole)
+	if st := c.Stats(); st.Entries != 4 || st.Misses != 4 {
+		t.Errorf("stats = %+v, want 4 entries, 4 misses", st)
+	}
 }
 
 // TestAcquireChunkCorruptPoisonsOnlyItself: a permanent decode fault is
@@ -118,12 +150,12 @@ func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 	ctx := context.Background()
 	var badLoads atomic.Int32
 	corrupt := fmt.Errorf("decode: %w", faults.ErrCorrupt)
-	badLoad := func() ([]bp.Event, error) {
+	badLoad := chunkLoad(func() ([]bp.Event, error) {
 		badLoads.Add(1)
 		return chunkEvents(1, 100), corrupt // events before the fault survive
-	}
+	})
 
-	e1, err := c.AcquireChunk(ctx, "t", 1, badLoad)
+	e1, err := c.Acquire(ctx, "t", 1, badLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +168,7 @@ func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 	c.Release(e1)
 
 	// The permanent fault is cached: no re-decode on a second acquire.
-	e1b, err := c.AcquireChunk(ctx, "t", 1, badLoad)
+	e1b, err := c.Acquire(ctx, "t", 1, badLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +182,7 @@ func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 
 	// Neighbours decode cleanly.
 	for _, i := range []int{0, 2} {
-		e, err := c.AcquireChunk(ctx, "t", i, countingChunkLoad(i, 100, nil))
+		e, err := c.Acquire(ctx, "t", i, countingChunkLoad(i, 100, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +200,14 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 	ctx := context.Background()
 	transient := errors.New("open: resource temporarily unavailable")
 	var loads atomic.Int32
-	flaky := func() ([]bp.Event, error) {
+	flaky := chunkLoad(func() ([]bp.Event, error) {
 		if loads.Add(1) == 1 {
 			return nil, transient
 		}
 		return chunkEvents(0, 64), nil
-	}
+	})
 
-	e, err := c.AcquireChunk(ctx, "t", 0, flaky)
+	e, err := c.Acquire(ctx, "t", 0, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +216,7 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 	}
 	c.Release(e)
 
-	e2, err := c.AcquireChunk(ctx, "t", 0, flaky)
+	e2, err := c.Acquire(ctx, "t", 0, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +233,9 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 // typed fault, never a crashed scheduler.
 func TestAcquireChunkPanicIsTyped(t *testing.T) {
 	c := New(1 << 20)
-	e, err := c.AcquireChunk(context.Background(), "t", 0, func() ([]bp.Event, error) {
+	e, err := c.Acquire(context.Background(), "t", 0, chunkLoad(func() ([]bp.Event, error) {
 		panic("deliberate test panic")
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +249,7 @@ func TestAcquireChunkPanicIsTyped(t *testing.T) {
 // too-big verdict and charges nothing.
 func TestAcquireChunkTooBig(t *testing.T) {
 	c := New(100 * eventBytes)
-	e, err := c.AcquireChunk(context.Background(), "t", 0, countingChunkLoad(0, 1000, nil))
+	e, err := c.Acquire(context.Background(), "t", 0, countingChunkLoad(0, 1000, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +279,7 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				chunk := (w + round) % 8
-				e, err := c.AcquireChunk(ctx, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
+				e, err := c.Acquire(ctx, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
 				if err != nil {
 					t.Error(err)
 					return
@@ -277,7 +309,7 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 	c.mu.Lock()
 	for _, e := range c.entries {
 		if e.refs != 0 {
-			t.Errorf("entry %q still pinned (refs %d) after all releases", e.name, e.refs)
+			t.Errorf("entry %v still pinned (refs %d) after all releases", e.key, e.refs)
 		}
 		sum += e.bytes
 	}
@@ -291,7 +323,7 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 // verdict so callers decode directly.
 func TestAcquireChunkDisabledCache(t *testing.T) {
 	var c *Cache
-	e, err := c.AcquireChunk(context.Background(), "t", 0, countingChunkLoad(0, 10, nil))
+	e, err := c.Acquire(context.Background(), "t", 0, countingChunkLoad(0, 10, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
