@@ -33,11 +33,11 @@ race:
 	$(GO) test -race ./internal/...
 
 # Kernel-vs-scalar equivalence under the race detector: every batch-kernel
-# dispatch path (single runs with warm-up/limit edges, parallel sweeps at
-# several worker counts, journalled replays) must produce byte-identical
-# results with the kernels stripped.
+# dispatch path (single runs and comparisons with warm-up/limit edges,
+# parallel sweeps at several worker counts, journalled replays) must produce
+# byte-identical results with the kernels stripped.
 race-kernel:
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestKernelRunMatchesScalar|TestSweepParallelKernelScalarEquivalence' ./internal/sim/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestKernelRunMatchesScalar|TestSweepParallelKernelScalarEquivalence|TestCompareMatchesOracle|TestCompareMatchesRun' ./internal/sim/
 
 # Remote-vs-local sweep equivalence under the race detector on a
 # constrained scheduler: the daemon path (submit over the HTTP API, wait,

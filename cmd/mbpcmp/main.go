@@ -11,9 +11,10 @@
 //
 // -trace is a glob: a single match prints one JSON object (the historical
 // format), several matches print a JSON array in sorted path order, compared
-// across -j workers (default GOMAXPROCS). A comparison interleaves two
-// predictors over one pass of the trace, so each worker streams its own
-// trace and no decoded-trace cache is involved.
+// across -j workers (default GOMAXPROCS). A comparison reads its trace once
+// and feeds each decoded batch to both predictors in lockstep, through the
+// same simulation loop as mbpsim — batch kernels included — so each worker
+// streams its own trace and no decoded-trace cache is involved.
 //
 // SIGINT/SIGTERM drain gracefully: comparisons not yet started are skipped
 // and reported as drained, in-flight ones finish, and the command exits 4;
@@ -36,7 +37,6 @@ import (
 	"sort"
 	"sync"
 
-	"mbplib/internal/bp"
 	"mbplib/internal/cliflags"
 	"mbplib/internal/compress"
 	"mbplib/internal/faults"
@@ -104,12 +104,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sort.Strings(paths)
 
+	metrics := cliflags.NewMetrics(*metricsTo, *progress, stderr)
+	col := metrics.Collector()
 	cfgFor := func(path string) sim.Config {
 		return sim.Config{
 			TraceName:          path,
 			WarmupInstructions: *warmup,
 			SimInstructions:    *simInstr,
 			MostFailedLimit:    *mostN,
+			Metrics:            col,
 		}
 	}
 
@@ -117,8 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// fresh predictor instances (predictors are stateful) and streams its own
 	// trace; results are collected index-aligned so output order is the
 	// sorted path order regardless of completion order.
-	metrics := cliflags.NewMetrics(*metricsTo, *progress, stderr)
-	col := metrics.Collector()
 	col.Ctr(obs.CtrCellsTotal).Store(uint64(len(paths)))
 	results := make([]*sim.CompareResult, len(paths))
 	errs := make([]error, len(paths))
@@ -145,20 +146,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	drain, stopSignals := cliflags.DrainOnSignal("mbpcmp", stderr)
 	defer stopSignals()
-	for i := range paths {
-		admitted := false
-		select {
-		case next <- i:
-			admitted = true
-		case <-drain:
-		}
-		if !admitted {
-			// Draining: in-flight comparisons finish, the rest never start.
-			for j := i; j < len(paths); j++ {
-				errs[j] = fmt.Errorf("not started: %w", faults.ErrDrained)
-			}
-			break
-		}
+	// Draining: in-flight comparisons finish, the rest never start.
+	for i := admit(next, len(paths), drain); i < len(paths); i++ {
+		errs[i] = fmt.Errorf("not started: %w", faults.ErrDrained)
 	}
 	close(next)
 	wg.Wait()
@@ -217,7 +207,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// compareOne opens one trace and runs the two-predictor comparison.
+// admit hands the indices 0..n-1 to next in order until drain closes and
+// returns how many it handed out. The drain is checked first, so once it is
+// closed nothing more is admitted, even with a worker ready to receive.
+func admit(next chan<- int, n int, drain <-chan struct{}) int {
+	for i := 0; i < n; i++ {
+		select {
+		case <-drain:
+			return i
+		default:
+		}
+		select {
+		case next <- i:
+		case <-drain:
+			return i
+		}
+	}
+	return n
+}
+
+// compareOne opens one trace and compares fresh instances of the two
+// predictors over it.
 func compareOne(tracePath, spec0, spec1 string, cfg sim.Config) (*sim.CompareResult, error) {
 	p0, err := registry.New(spec0)
 	if err != nil {
@@ -227,11 +237,6 @@ func compareOne(tracePath, spec0, spec1 string, cfg sim.Config) (*sim.CompareRes
 	if err != nil {
 		return nil, err
 	}
-	return compare(tracePath, p0, p1, cfg)
-}
-
-// compare opens the trace and runs the comparison simulation.
-func compare(tracePath string, p0, p1 bp.Predictor, cfg sim.Config) (*sim.CompareResult, error) {
 	f, err := compress.OpenFile(tracePath)
 	if err != nil {
 		return nil, err

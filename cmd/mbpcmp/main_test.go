@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"mbplib/internal/bench"
+	"mbplib/internal/compress"
+	"mbplib/internal/obs"
+	"mbplib/internal/sbbt"
 )
 
 // TestCmpGlobParallel: a multi-trace glob prints a JSON array in sorted path
@@ -77,5 +81,63 @@ func TestCmpMissingTrace(t *testing.T) {
 	}
 	if errBuf.Len() == 0 {
 		t.Error("no error message on stderr")
+	}
+}
+
+// TestCmpMetrics: -metrics reports the comparison's simulation — every
+// branch of the trace counted once, not once per predictor — and its read
+// and sim stages.
+func TestCmpMetrics(t *testing.T) {
+	dir := t.TempDir()
+	ts, err := bench.PrepareSuite(dir, "cbp5-train", 1500, bench.Formats{SBBT: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := ts.SBBT[0]
+	f, err := compress.OpenFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sbbt.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches := r.Header().TotalBranches
+	f.Close()
+
+	metricsFile := filepath.Join(dir, "metrics.json")
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-trace", trace, "-p0", "bimodal", "-p1", "gshare", "-metrics", metricsFile}, &out, &errBuf); code != exitOK {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	data, err := os.ReadFile(metricsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters[obs.CtrEvents.String()]; got != branches {
+		t.Errorf("counters.events = %d, want the trace's %d branches", got, branches)
+	}
+	for _, stage := range []string{"sim", "read"} {
+		if snap.Stages[stage].Count == 0 {
+			t.Errorf("stage %q not recorded: %s", stage, data)
+		}
+	}
+}
+
+// TestAdmitClosedDrain: once the drain is closed, admit hands out nothing,
+// even with room to send — a two-way select would pick the send about half
+// the time.
+func TestAdmitClosedDrain(t *testing.T) {
+	drain := make(chan struct{})
+	close(drain)
+	for trial := 0; trial < 100; trial++ {
+		next := make(chan int, 4) // a send is always ready
+		if n := admit(next, 4, drain); n != 0 || len(next) != 0 {
+			t.Fatalf("trial %d: admitted %d (%d sent) after the drain closed", trial, n, len(next))
+		}
 	}
 }

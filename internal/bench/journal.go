@@ -7,6 +7,7 @@ import (
 
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sweep"
 )
 
 // JournalMeasurement is one variant of the journal-overhead stage: the same
@@ -51,7 +52,7 @@ func MeasureJournal(paths, predictorSpecs []string, checkpointEvery uint64, roun
 	if rounds < 1 {
 		rounds = 1
 	}
-	sources := traceSources(paths)
+	sources := sweep.Sources(paths, 1)
 	preds, err := sweepPredictors(predictorSpecs)
 	if err != nil {
 		return nil, err

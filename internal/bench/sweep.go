@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"mbplib/internal/predictors/registry"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
+	"mbplib/internal/sweep"
 	"mbplib/internal/tracegen"
 )
 
@@ -75,27 +75,6 @@ func PrepareSweepTraces(dir string, n int, scale uint64) ([]string, error) {
 	return paths, nil
 }
 
-// traceSources builds lazy trace sources over SBBT files of any supported
-// compression.
-func traceSources(paths []string) []sim.TraceSource {
-	sources := make([]sim.TraceSource, len(paths))
-	for i, path := range paths {
-		sources[i] = sim.TraceSource{Name: path, Open: func() (bp.Reader, io.Closer, error) {
-			f, err := compress.OpenFile(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			r, err := sbbt.NewReader(f)
-			if err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			return r, f, nil
-		}}
-	}
-	return sources
-}
-
 // sweepPredictors resolves registry specs into sweep predictor specs,
 // validating each once.
 func sweepPredictors(specs []string) ([]sim.PredictorSpec, error) {
@@ -144,7 +123,7 @@ func MeasureSweep(paths, predictorSpecs []string, workersList []int, rounds int)
 	if rounds < 1 {
 		rounds = 1
 	}
-	sources := traceSources(paths)
+	sources := sweep.Sources(paths, 1)
 	preds, err := sweepPredictors(predictorSpecs)
 	if err != nil {
 		return nil, err

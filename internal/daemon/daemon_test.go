@@ -421,3 +421,43 @@ func TestHealthAndDrain(t *testing.T) {
 		t.Fatalf("code = %q, want %q", e.Err.Code, api.CodeDraining)
 	}
 }
+
+// TestSubmitBodyLimit: a submit body one byte over the daemon's 1 MiB limit
+// is refused as a bad request and queues nothing, while the same submission
+// padded to exactly the limit is accepted. The padding is whitespace inside
+// the JSON object, so the decoder must read past the limit to finish it.
+func TestSubmitBodyLimit(t *testing.T) {
+	const maxBodyBytes = 1 << 20 // the daemon's submit body limit
+	glob := prepTraces(t, 2000)
+	_, srv := newServer(t, false, daemon.Config{})
+	body, err := json.Marshal(api.SubmitRequest{APIVersion: api.Version, Spec: smallSpec(glob)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(size int) io.Reader {
+		return strings.NewReader("{" + strings.Repeat(" ", size-len(body)) + string(body[1:]))
+	}
+
+	resp, data := doReq(t, http.MethodPost, srv.URL+"/v1/jobs", padded(maxBodyBytes+1))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400: %.200s", resp.StatusCode, data)
+	}
+	if e := decodeErr(t, data); e.Err.Code != api.CodeBadRequest {
+		t.Fatalf("code = %q, want %q", e.Err.Code, api.CodeBadRequest)
+	}
+	resp, data = doReq(t, http.MethodGet, srv.URL+"/v1/jobs", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs = %d: %s", resp.StatusCode, data)
+	}
+	var list api.JobList
+	if err := json.Unmarshal(data, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Fatalf("oversized submit queued %d jobs", len(list.Jobs))
+	}
+
+	if resp, data := doReq(t, http.MethodPost, srv.URL+"/v1/jobs", padded(maxBodyBytes)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit at the limit = %d, want 202: %.200s", resp.StatusCode, data)
+	}
+}

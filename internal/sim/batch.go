@@ -293,12 +293,7 @@ func runCell(ctx context.Context, drain <-chan struct{}, stream batchStream, new
 		}
 		b = b[toSkip:]
 		toSkip = 0
-		// Stage attribution is per batch: a batch starting inside the warm-up
-		// window counts as warm-up even if it crosses the boundary.
-		simStage := obs.StageSim
-		if loop.instr < loop.warmup {
-			simStage = obs.StageWarmup
-		}
+		simStage := loop.stage()
 		tSim := col.Now()
 		stop := loop.process(b, p)
 		col.Stage(simStage).Since(tSim)

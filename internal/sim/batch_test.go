@@ -313,28 +313,43 @@ func (r *panicReader) Read() (bp.Event, error) {
 	return ev, nil
 }
 
+// runners are the entry points that read a trace through the prefetcher:
+// Run, and Compare with a second gshare.
+var runners = map[string]func(bp.Reader, sim.Config) error{
+	"Run": func(r bp.Reader, cfg sim.Config) error {
+		_, err := sim.Run(r, gshare.New(), cfg)
+		return err
+	},
+	"Compare": func(r bp.Reader, cfg sim.Config) error {
+		_, err := sim.Compare(r, gshare.New(), gshare.New(), cfg)
+		return err
+	},
+}
+
 func TestBatchedRunContainsReaderPanic(t *testing.T) {
 	evs := generate(t, equivSpec(10000))
-	res, err := sim.Run(&panicReader{evs: evs, trip: 5000}, gshare.New(), sim.Config{})
-	if err == nil {
-		t.Fatalf("reader panic not surfaced (result: %+v)", res.Metrics)
-	}
-	if got := faults.Class(err); got != "panic" {
-		t.Errorf("faults.Class = %q, want %q", got, "panic")
-	}
-	var pe *faults.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error is not a *faults.PanicError: %v", err)
-	}
-	if len(pe.Stack) == 0 {
-		t.Errorf("panic error carries no stack")
+	for name, run := range runners {
+		err := run(&panicReader{evs: evs, trip: 5000}, sim.Config{})
+		if err == nil {
+			t.Fatalf("%s: reader panic not surfaced", name)
+		}
+		if got := faults.Class(err); got != "panic" {
+			t.Errorf("%s: faults.Class = %q, want %q", name, got, "panic")
+		}
+		var pe *faults.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: error is not a *faults.PanicError: %v", name, err)
+		}
+		if len(pe.Stack) == 0 {
+			t.Errorf("%s: panic error carries no stack", name)
+		}
 	}
 }
 
 // guardedReader flags any read arriving after the simulation returned,
-// verifying Run's shutdown guarantee: callers close the underlying file
-// right after Run, so the prefetch goroutine must be done with the reader
-// by then.
+// verifying the shutdown guarantee of Run and Compare: callers close the
+// underlying file right after they return, so the prefetch goroutine must
+// be done with the reader by then.
 type guardedReader struct {
 	g      *tracegen.Generator
 	closed atomic.Bool
@@ -350,21 +365,23 @@ func (r *guardedReader) Read() (bp.Event, error) {
 }
 
 func TestBatchedRunStopsReaderBeforeReturn(t *testing.T) {
-	for _, cfg := range []sim.Config{
-		{SimInstructions: 10_000}, // early stop: producer likely mid-flight
-		{},                        // full drain
-	} {
-		g, err := tracegen.New(equivSpec(200000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &guardedReader{g: g}
-		if _, err := sim.Run(r, gshare.New(), cfg); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		r.closed.Store(true)
-		if r.late.Load() {
-			t.Fatalf("cfg %+v: reader used after Run returned", cfg)
+	for name, run := range runners {
+		for _, cfg := range []sim.Config{
+			{SimInstructions: 10_000}, // early stop: producer likely mid-flight
+			{},                        // full drain
+		} {
+			g, err := tracegen.New(equivSpec(200000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &guardedReader{g: g}
+			if err := run(r, cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			r.closed.Store(true)
+			if r.late.Load() {
+				t.Fatalf("%s cfg %+v: reader used after it returned", name, cfg)
+			}
 		}
 	}
 }

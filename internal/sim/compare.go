@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"mbplib/internal/bp"
+	"mbplib/internal/obs"
 )
 
 // CompareName identifies the comparison simulator in result metadata.
@@ -53,160 +55,110 @@ type CompareResult struct {
 	SimulationTime float64 `json:"simulation_time"`
 }
 
-// compareStats tracks per-branch misses for both predictors at once.
-type compareStats struct {
-	index  map[uint64]int32
-	ips    []uint64
-	occ    []uint64
-	missed [2][]uint64
-}
-
-// Compare simulates two predictors in parallel over one reading of the
-// trace, so the per-branch misprediction deltas come from exactly the same
-// event stream (§VI-C).
+// Compare simulates two predictors over one reading of the trace, so the
+// per-branch misprediction deltas come from exactly the same event stream
+// (§VI-C). p0 and p1 must be distinct instances.
+//
+// The trace is prefetched in batches as in Run, and every batch goes
+// through one runLoop per predictor — p0's, then p1's — kernels, warm-up
+// and limit included. Both loops see the same events, so both stop at the
+// same one. As with Run, a panic inside the reader returns a
+// faults.ErrPredictorPanic-classified error, and the reader is no longer in
+// use when Compare returns.
 func Compare(r bp.Reader, p0, p1 bp.Predictor, cfg Config) (*CompareResult, error) {
 	if p0 == nil || p1 == nil {
 		return nil, ErrNilPredictor
 	}
 	start := time.Now()
-	stats := &compareStats{index: make(map[uint64]int32, 1024)}
-	var (
-		instr        uint64
-		condBranches uint64
-		misses       [2]uint64
-		exhausted    bool
-		limit        uint64
-	)
-	if cfg.SimInstructions > 0 {
-		limit = cfg.WarmupInstructions + cfg.SimInstructions
-	}
+	col := cfg.Metrics
+	s := newPrefetchStream(r, nil, col)
+	defer s.close()
+	l0, l1 := newRunLoop(cfg), newRunLoop(cfg)
+	defer l0.stats.release()
+	defer l1.stats.release()
+	exhausted := false
 	for {
-		ev, err := r.Read()
+		b, err := s.next()
+		if err == io.EOF {
+			exhausted = true
+			break
+		}
 		if err != nil {
-			if err == io.EOF {
-				exhausted = true
-				break
-			}
 			return nil, err
 		}
-		instr += ev.InstrsSinceLastBranch + 1
-		b := ev.Branch
-		if b.Opcode.IsConditional() {
-			miss0 := p0.Predict(b.IP) != b.Taken
-			miss1 := p1.Predict(b.IP) != b.Taken
-			if instr > cfg.WarmupInstructions {
-				condBranches++
-				if miss0 {
-					misses[0]++
-				}
-				if miss1 {
-					misses[1]++
-				}
-				stats.record(b.IP, miss0, miss1)
-			}
-			p0.Train(b)
-			p1.Train(b)
-		}
-		p0.Track(b)
-		p1.Track(b)
-		if limit > 0 && instr >= limit {
+		stage := l0.stage()
+		t := col.Now()
+		stop := l0.process(b, p0)
+		l1.process(b, p1)
+		col.Stage(stage).Since(t)
+		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
+		if stop {
 			break
 		}
 	}
-
-	simInstr := uint64(0)
-	if instr > cfg.WarmupInstructions {
-		simInstr = instr - cfg.WarmupInstructions
-	}
-	res := &CompareResult{
+	return &CompareResult{
 		Metadata: CompareMetadata{
 			Simulator:              CompareName,
 			Version:                Version,
 			Trace:                  cfg.TraceName,
 			WarmupInstr:            cfg.WarmupInstructions,
-			SimulationInstr:        simInstr,
+			SimulationInstr:        l0.simInstr(),
 			ExhaustedTrace:         exhausted,
-			NumConditionalBranches: condBranches,
+			NumConditionalBranches: l0.condBranches,
 			Predictor0:             predictorMetadata(p0),
 			Predictor1:             predictorMetadata(p1),
 		},
+		Metrics0:       l0.summary(),
+		Metrics1:       l1.summary(),
+		MostFailed:     compareMostFailed(l0, l1, cfg.MostFailedLimit),
 		SimulationTime: time.Since(start).Seconds(),
-	}
-	res.Metrics0 = compareMetrics(misses[0], condBranches, simInstr)
-	res.Metrics1 = compareMetrics(misses[1], condBranches, simInstr)
-	res.MostFailed = compareMostFailed(stats, simInstr, cfg.MostFailedLimit)
-	return res, nil
+	}, nil
 }
 
-func compareMetrics(misses, cond, simInstr uint64) CompareMetrics {
-	m := CompareMetrics{Mispredictions: misses}
-	if simInstr > 0 {
-		m.MPKI = float64(misses) / (float64(simInstr) / 1000)
-	}
-	if cond > 0 {
-		m.Accuracy = 1 - float64(misses)/float64(cond)
-	}
-	return m
-}
-
-func (s *compareStats) record(ip uint64, miss0, miss1 bool) {
-	i, ok := s.index[ip]
-	if !ok {
-		i = int32(len(s.ips))
-		s.index[ip] = i
-		s.ips = append(s.ips, ip)
-		s.occ = append(s.occ, 0)
-		s.missed[0] = append(s.missed[0], 0)
-		s.missed[1] = append(s.missed[1], 0)
-	}
-	s.occ[i]++
-	if miss0 {
-		s.missed[0][i]++
-	}
-	if miss1 {
-		s.missed[1][i]++
-	}
-}
-
-// compareMostFailed lists branches by descending |MPKI difference|. limit
-// caps the report; 0 defaults to 20 entries.
-func compareMostFailed(s *compareStats, simInstr uint64, limit int) []CompareBranchReport {
-	if simInstr == 0 || len(s.ips) == 0 {
+// compareMostFailed lists branches by descending |MPKI difference|, ties by
+// address. l0 and l1 are the two sides' loops over the same events, so
+// their entries hold the same addresses in the same order; entries never
+// counted (warm-up only, non-conditional) have no difference and are
+// skipped with every other zero-difference branch. It is nil when no
+// branch was counted. limit caps the report; 0 defaults to 20 entries.
+func compareMostFailed(l0, l1 *runLoop, limit int) []CompareBranchReport {
+	simInstr := l0.simInstr()
+	if simInstr == 0 || l0.condBranches == 0 {
 		return nil
 	}
+	s0, s1 := l0.stats, l1.stats
 	if limit <= 0 {
 		limit = 20
 	}
-	type entry struct {
-		i    int32
-		diff int64
+	type diff struct {
+		i int
+		d int64
 	}
-	var entries []entry
-	for i := range s.ips {
-		d := int64(s.missed[1][i]) - int64(s.missed[0][i])
-		if d != 0 {
-			entries = append(entries, entry{int32(i), d})
+	var diffs []diff
+	for i := range s0.entries {
+		if d := int64(s1.entries[i].missed) - int64(s0.entries[i].missed); d != 0 {
+			diffs = append(diffs, diff{i, d})
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		da, db := abs64(entries[a].diff), abs64(entries[b].diff)
-		if da != db {
-			return da > db
+	slices.SortFunc(diffs, func(a, b diff) int {
+		if c := cmp.Compare(abs64(b.d), abs64(a.d)); c != 0 {
+			return c
 		}
-		return s.ips[entries[a].i] < s.ips[entries[b].i]
+		return cmp.Compare(s0.entries[a.i].ip, s0.entries[b.i].ip)
 	})
-	if len(entries) > limit {
-		entries = entries[:limit]
+	if len(diffs) > limit {
+		diffs = diffs[:limit]
 	}
 	kilo := float64(simInstr) / 1000
-	reports := make([]CompareBranchReport, 0, len(entries))
-	for _, e := range entries {
+	reports := make([]CompareBranchReport, 0, len(diffs))
+	for _, d := range diffs {
+		e0, e1 := &s0.entries[d.i], &s1.entries[d.i]
 		reports = append(reports, CompareBranchReport{
-			IP:          s.ips[e.i],
-			Occurrences: s.occ[e.i],
-			MPKI0:       float64(s.missed[0][e.i]) / kilo,
-			MPKI1:       float64(s.missed[1][e.i]) / kilo,
-			MPKIDiff:    float64(e.diff) / kilo,
+			IP:          e0.ip,
+			Occurrences: e0.occ,
+			MPKI0:       float64(e0.missed) / kilo,
+			MPKI1:       float64(e1.missed) / kilo,
+			MPKIDiff:    float64(d.d) / kilo,
 		})
 	}
 	return reports

@@ -130,8 +130,9 @@ func newRunLoop(cfg Config) *runLoop {
 // the per-event loop — and, for predictors with a native BatchPredictor
 // kernel, through one TrainBatch call for the entire batch. Batches
 // straddling a warm-up or limit boundary (the edge batches) fall back to
-// the per-event checks of the scalar reference loop, so boundary semantics
-// are decided by exactly one piece of code on either dispatch path.
+// careful, which is also the body of the scalar reference loop, so
+// boundary semantics are decided by exactly one piece of code on either
+// dispatch path.
 func (l *runLoop) process(events []bp.Event, p bp.Predictor) bool {
 	l.col.Hist(obs.HistBatchEvents).Observe(uint64(len(events)))
 	if l.instr >= l.warmup && (l.limit == 0 || l.instr+uint64(len(events))*(bp.MaxInstrGap+1) < l.limit) {
@@ -155,24 +156,7 @@ func (l *runLoop) process(events []bp.Event, p bp.Predictor) bool {
 		return false
 	}
 	l.col.Ctr(obs.CtrDispatchScalar).Add(1)
-	for i := range events {
-		ev := &events[i]
-		l.instr += ev.InstrsSinceLastBranch + 1
-		b := ev.Branch
-		e := l.stats.entry(b.IP)
-		if b.Opcode.IsConditional() {
-			predicted := p.Predict(b.IP)
-			if l.instr > l.warmup {
-				l.count(e, predicted != b.Taken)
-			}
-			p.Train(b)
-		}
-		p.Track(b)
-		if l.limit > 0 && l.instr >= l.limit {
-			return true
-		}
-	}
-	return false
+	return l.careful(events, p)
 }
 
 // count records one conditional branch past warm-up in e and the totals.
@@ -226,10 +210,7 @@ func (l *runLoop) processKernel(events []bp.Event, kp bp.BatchPredictor) {
 func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.Time) *Result {
 	tRes := l.col.Now()
 	defer l.col.Stage(obs.StageResult).Since(tRes)
-	simInstr := uint64(0)
-	if l.instr > cfg.WarmupInstructions {
-		simInstr = l.instr - cfg.WarmupInstructions
-	}
+	simInstr := l.simInstr()
 	res := &Result{
 		Metadata: Metadata{
 			Simulator:              Name,
@@ -244,20 +225,48 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 		},
 		PredictorStatistics: predictorStatistics(p),
 	}
+	m := l.summary()
 	res.Metrics = Metrics{
-		Mispredictions: l.mispredictions,
+		MPKI:           m.MPKI,
+		Mispredictions: m.Mispredictions,
+		Accuracy:       m.Accuracy,
 		SimulationTime: time.Since(start).Seconds(),
-	}
-	if simInstr > 0 {
-		res.Metrics.MPKI = float64(l.mispredictions) / (float64(simInstr) / 1000)
-	}
-	if l.condBranches > 0 {
-		res.Metrics.Accuracy = 1 - float64(l.mispredictions)/float64(l.condBranches)
 	}
 	res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.stats, l.mispredictions, simInstr, cfg.MostFailedLimit)
 	l.stats.release()
 	l.stats = nil
 	return res
+}
+
+// simInstr is the number of instructions simulated past warm-up.
+func (l *runLoop) simInstr() uint64 {
+	if l.instr > l.warmup {
+		return l.instr - l.warmup
+	}
+	return 0
+}
+
+// summary returns the run's mispredictions, MPKI and accuracy; MPKI and
+// accuracy are 0 when their denominator is.
+func (l *runLoop) summary() CompareMetrics {
+	m := CompareMetrics{Mispredictions: l.mispredictions}
+	if simInstr := l.simInstr(); simInstr > 0 {
+		m.MPKI = float64(l.mispredictions) / (float64(simInstr) / 1000)
+	}
+	if l.condBranches > 0 {
+		m.Accuracy = 1 - float64(l.mispredictions)/float64(l.condBranches)
+	}
+	return m
+}
+
+// stage is the stage a batch starting now is timed as: a batch starting
+// inside the warm-up window counts as warm-up even if it crosses the
+// boundary.
+func (l *runLoop) stage() obs.Stage {
+	if l.instr < l.warmup {
+		return obs.StageWarmup
+	}
+	return obs.StageSim
 }
 
 // Run simulates predictor p over the events of r under cfg.
@@ -300,28 +309,35 @@ func RunScalar(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 			}
 			return nil, err
 		}
-		if loop.process1(ev, p) {
+		if loop.careful([]bp.Event{ev}, p) {
 			break
 		}
 	}
 	return loop.result(p, cfg, exhausted, start), nil
 }
 
-// process1 is the per-event body of the scalar reference loop, identical to
-// the careful path of process.
-func (l *runLoop) process1(ev bp.Event, p bp.Predictor) bool {
-	l.instr += ev.InstrsSinceLastBranch + 1
-	b := ev.Branch
-	e := l.stats.entry(b.IP)
-	if b.Opcode.IsConditional() {
-		predicted := p.Predict(b.IP)
-		if l.instr > l.warmup {
-			l.count(e, predicted != b.Taken)
+// careful simulates events one at a time with the warm-up and limit checks
+// in line, returning true when the instruction limit was reached: the edge
+// batches of process and, one event per call, the scalar reference loop.
+func (l *runLoop) careful(events []bp.Event, p bp.Predictor) bool {
+	for i := range events {
+		ev := &events[i]
+		l.instr += ev.InstrsSinceLastBranch + 1
+		b := ev.Branch
+		e := l.stats.entry(b.IP)
+		if b.Opcode.IsConditional() {
+			predicted := p.Predict(b.IP)
+			if l.instr > l.warmup {
+				l.count(e, predicted != b.Taken)
+			}
+			p.Train(b)
 		}
-		p.Train(b)
+		p.Track(b)
+		if l.limit > 0 && l.instr >= l.limit {
+			return true
+		}
 	}
-	p.Track(b)
-	return l.limit > 0 && l.instr >= l.limit
+	return false
 }
 
 // predictorMetadata extracts the predictor description for the metadata
