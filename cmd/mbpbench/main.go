@@ -12,10 +12,10 @@
 //
 // -sim-snapshot skips the tables and instead records the scalar-vs-batched
 // pipeline comparison (decode stage and full runs), the parallel-sweep
-// scaling curve, the resume-journal write overhead and the seekable
-// container's parallel chunk-decode curve as JSON. -sim-check re-measures the same stages at the given
-// (usually reduced) scale and fails on a gross throughput regression against
-// the committed snapshot — the soft gate behind `make bench-check`.
+// scaling curve and the resume-journal write overhead as JSON. -sim-check
+// re-measures the same stages at the given (usually reduced) scale and
+// fails on a gross throughput regression against the committed snapshot —
+// the soft gate behind `make bench-check`.
 //
 // Scale is the branch count of a short trace; the paper's absolute times
 // used 100M-instruction traces, far above what a quick run needs — the
@@ -121,18 +121,6 @@ func measureSnapshot(scale uint64, dir, predictors, sweepPreds string, sweepSize
 		return nil, err
 	}
 	snap.Journal = jnl
-	// Parallel chunk-decode scaling of the seekable container over one
-	// high-entropy trace: the same decode-j widths mbprun exposes.
-	chunkTrace, err := bench.PrepareChunkTrace(dir, scale)
-	if err != nil {
-		return nil, err
-	}
-	cd, err := bench.MeasureChunkDecode(chunkTrace, bench.DefaultSweepWorkers(), rounds)
-	if err != nil {
-		return nil, err
-	}
-	cd.Trace = filepath.Base(cd.Trace)
-	snap.ChunkDecode = cd
 	// The traces live in a throwaway directory; record just their base names.
 	snap.Trace = filepath.Base(snap.Trace)
 	for i, path := range sweep.Traces {
@@ -162,9 +150,6 @@ func runSnapshot(out string, scale uint64, dir, predictors, sweepPreds string, s
 		fmt.Printf(", sweep@%d %.2fx", m.Workers, m.Speedup)
 	}
 	fmt.Printf(", journal %+.1f%%", 100*snap.Journal.OverheadFraction)
-	for _, m := range snap.ChunkDecode.Parallel {
-		fmt.Printf(", chunk-decode@%d %.2fx", m.Workers, m.Speedup)
-	}
 	fmt.Println()
 	return nil
 }

@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warmup     = fs.Uint64("warmup", 0, "warm-up instructions per trace")
 		simInstr   = fs.Uint64("sim", 0, "instructions to simulate per trace after warm-up (0 = all)")
 		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers (concurrent traces)")
-		decodeJ    = fs.Int("decode-j", 1, "chunk-decode workers per trace for seekable (MLZS) containers")
 		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget (0 disables)")
 		jsonOut    = fs.Bool("json", false, "print the summary as JSON")
 		metricsTo  = fs.String("metrics", "", "write a pipeline metrics JSON snapshot to this file ('-' = stderr)")
@@ -99,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// profiles had started; the shared table closed that drift.
 	if err := cliflags.Validate(
 		cliflags.Workers(*jobs),
-		cliflags.DecodeWorkers(*decodeJ),
 		cliflags.CacheBytes(*cacheBytes),
 		cliflags.CellTimeout(*cellTime),
 		cliflags.ResumeOptions(*resume, cliflags.FlagWasSet(fs, "checkpoint-every")),
@@ -137,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sort.Strings(paths)
 
-	sources := sweep.Sources(paths, *decodeJ)
+	sources := sweep.Sources(paths)
 	var jnl *journal.Journal
 	if *resume != "" {
 		if jnl, err = journal.Open(*resume); err != nil {

@@ -84,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		to         = fs.Int("to", 30, "last swept value")
 		step       = fs.Int("step", 1, "sweep step")
 		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers over the value × trace matrix")
-		decodeJ    = fs.Int("decode-j", 1, "chunk-decode workers per trace for seekable (MLZS) containers")
 		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget (0 disables)")
 		jsonOut    = fs.Bool("json", false, "print the sweep as JSON")
 		metricsTo  = fs.String("metrics", "", "write a pipeline metrics JSON snapshot to this file ('-' = stderr)")
@@ -109,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// journal directories), so a usage error never leaves files behind.
 	if err := cliflags.Validate(
 		cliflags.Workers(*jobs),
-		cliflags.DecodeWorkers(*decodeJ),
 		cliflags.CacheBytes(*cacheBytes),
 		cliflags.CellTimeout(*cellTime),
 		cliflags.ResumeOptions(*resume, cliflags.FlagWasSet(fs, "checkpoint-every")),
@@ -174,8 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drain, stopSignals := cliflags.DrainOnSignal("mbpsweep", stderr)
 	defer stopSignals()
 	sets, err := resolved.Run(sweep.RunOptions{
-		Jobs: *jobs, DecodeWorkers: *decodeJ,
-		CacheBytes: cliflags.CacheBudget(*cacheBytes), Policy: policy,
+		Jobs: *jobs, CacheBytes: cliflags.CacheBudget(*cacheBytes), Policy: policy,
 		Metrics: metrics.Collector(),
 		Journal: jnl, CheckpointEvery: *ckptEvery, Drain: drain, CellTimeout: *cellTime,
 	})

@@ -13,9 +13,9 @@
 // recompress rewrites any supported compressed stream into the seekable
 // chunked (MLZS) container, preserving the inner bytes exactly. When the
 // inner stream is a plain (non-checksummed) SBBT trace, chunk boundaries
-// are packet-aligned so the result qualifies for chunk-granular scheduling
-// and parallel decode. The size/ratio report on stdout is deterministic;
-// the throughput line goes to stderr.
+// are packet-aligned so the result qualifies for chunk-granular scheduling.
+// convert to .sbbt.mlzs aligns its output the same way. The size/ratio
+// report on stdout is deterministic; the throughput line goes to stderr.
 package main
 
 import (
@@ -299,7 +299,16 @@ func convert(inPath, outPath string) error {
 	}
 	defer c.Close()
 
-	out, err := compress.CreateFile(outPath, compress.LevelBest)
+	var out *compress.File
+	if strings.HasSuffix(outPath, ".sbbt.mlzs") {
+		// The SBBT writer emits plain packets, so the container gets the
+		// packet-aligned chunks recompress gives plain SBBT input.
+		out, err = compress.CreateMLZSFile(outPath, compress.MLZSOptions{
+			Level: compress.LevelBest, Align: sbbt.PacketSize, AlignOffset: sbbt.HeaderSize,
+		})
+	} else {
+		out, err = compress.CreateFile(outPath, compress.LevelBest)
+	}
 	if err != nil {
 		return err
 	}

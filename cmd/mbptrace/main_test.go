@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mbplib/internal/bench"
+	"mbplib/internal/chunked"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden output files")
@@ -94,5 +96,52 @@ func TestRecompressUsageErrors(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, code, stderr.String())
 		}
+	}
+}
+
+// TestConvertSBBTMLZSIsChunked: convert to .sbbt.mlzs writes a
+// packet-aligned container, so sweeps load it chunk by chunk through the
+// cache instead of streaming it, and its chunks hold the input's events.
+func TestConvertSBBTMLZSIsChunked(t *testing.T) {
+	dir := t.TempDir()
+	ts, err := bench.PrepareSuite(dir, "cbp5-train", 2000, bench.Formats{SBBT: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ts.SBBT[0]
+	out := filepath.Join(dir, "converted.sbbt.mlzs")
+	var stderr bytes.Buffer
+	if code := run([]string{"convert", in, out}, new(bytes.Buffer), &stderr); code != 0 {
+		t.Fatalf("convert exited %d: %s", code, stderr.String())
+	}
+	ct, err := chunked.Open(out)
+	if err != nil {
+		t.Fatalf("chunked.Open on convert output: %v", err)
+	}
+	defer ct.Close()
+	r, c, err := openTrace(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := 0
+	for i := 0; i < ct.NumChunks(); i++ {
+		evs, err := ct.DecodeChunk(i)
+		if err != nil {
+			t.Fatalf("DecodeChunk(%d): %v", i, err)
+		}
+		for _, got := range evs {
+			want, err := r.Read()
+			if err != nil {
+				t.Fatalf("input ends before event %d: %v", n, err)
+			}
+			if got != want {
+				t.Fatalf("event %d: chunk path %+v, input %+v", n, got, want)
+			}
+			n++
+		}
+	}
+	if _, err := r.Read(); err != io.EOF {
+		t.Fatalf("input has events past the %d the chunks hold (err %v)", n, err)
 	}
 }

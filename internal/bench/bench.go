@@ -47,7 +47,7 @@ type TraceSet struct {
 	Specs []tracegen.Spec
 	// Per-spec file paths (empty when the format was not requested).
 	SBBT     []string // .sbbt.mlz — the MBPlib distribution format
-	SBBTMLZS []string // .sbbt.mlzs — seekable chunked container (parallel decode)
+	SBBTMLZS []string // .sbbt.mlzs — packet-aligned seekable container (chunk cache)
 	SBBTGz   []string // .sbbt.gz — gzip SBBT, where decompression dominates
 	BT9Gz    []string // .bt9.gz — the original CBP5 distribution format
 	BT9MLZ   []string // .bt9.mlz — the recompressed traces of Table IV
@@ -146,7 +146,7 @@ func writeSBBTFile(path string, spec tracegen.Spec) error {
 
 // writeSBBTMLZSFile renders spec as a seekable chunked (MLZS) SBBT trace at
 // path. Chunk boundaries are packet-aligned past the SBBT header, so the
-// container qualifies for chunk-granular scheduling and parallel decode.
+// container qualifies for chunk-granular scheduling.
 func writeSBBTMLZSFile(path string, spec tracegen.Spec, workers int) error {
 	instr, branches, err := tracegen.Totals(spec)
 	if err != nil {

@@ -59,19 +59,6 @@ func CompareSnapshots(committed, fresh *SimSnapshot, factor float64) []string {
 		check("journal/journalled", committed.Journal.Journalled.AggBranchesPerSec,
 			fresh.Journal.Journalled.AggBranchesPerSec)
 	}
-	if committed.ChunkDecode != nil && fresh.ChunkDecode != nil {
-		freshPar := map[int]ChunkDecodeMeasurement{}
-		for _, m := range fresh.ChunkDecode.Parallel {
-			freshPar[m.Workers] = m
-		}
-		for _, m := range committed.ChunkDecode.Parallel {
-			f, ok := freshPar[m.Workers]
-			if !ok {
-				continue
-			}
-			check(fmt.Sprintf("chunk_decode/%d-workers", m.Workers), m.BranchesPerSec, f.BranchesPerSec)
-		}
-	}
 	if committed.Sweep != nil && fresh.Sweep != nil {
 		freshPar := map[int]SweepMeasurement{}
 		for _, m := range fresh.Sweep.Parallel {

@@ -52,7 +52,7 @@ func MeasureJournal(paths, predictorSpecs []string, checkpointEvery uint64, roun
 	if rounds < 1 {
 		rounds = 1
 	}
-	sources := sweep.Sources(paths, 1)
+	sources := sweep.Sources(paths)
 	preds, err := sweepPredictors(predictorSpecs)
 	if err != nil {
 		return nil, err

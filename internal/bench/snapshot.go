@@ -78,10 +78,6 @@ type SimSnapshot struct {
 	// sweep matrix (absent in snapshots written before resumable sweeps
 	// existed).
 	Journal *JournalStage `json:"journal,omitempty"`
-	// ChunkDecode records the seekable (MLZS) container's parallel
-	// chunk-decode scaling curve (absent in snapshots written before the
-	// chunked container existed).
-	ChunkDecode *ChunkDecodeStage `json:"chunk_decode,omitempty"`
 }
 
 // collector is the optional command-installed obs collector: when mbpbench

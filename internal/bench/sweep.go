@@ -123,7 +123,7 @@ func MeasureSweep(paths, predictorSpecs []string, workersList []int, rounds int)
 	if rounds < 1 {
 		rounds = 1
 	}
-	sources := sweep.Sources(paths, 1)
+	sources := sweep.Sources(paths)
 	preds, err := sweepPredictors(predictorSpecs)
 	if err != nil {
 		return nil, err

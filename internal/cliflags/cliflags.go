@@ -62,9 +62,6 @@ func Workers(j int) Check { return Check{"-j", ValidateWorkers(j)} }
 // CacheBytes is the table form of ValidateCacheBytes (-cache-bytes).
 func CacheBytes(b int64) Check { return Check{"-cache-bytes", ValidateCacheBytes(b)} }
 
-// DecodeWorkers is the table form of ValidateDecodeWorkers (-decode-j).
-func DecodeWorkers(j int) Check { return Check{"-decode-j", ValidateDecodeWorkers(j)} }
-
 // CellTimeout is the table form of ValidateCellTimeout (-cell-timeout).
 func CellTimeout(d time.Duration) Check { return Check{"-cell-timeout", ValidateCellTimeout(d)} }
 
@@ -165,16 +162,6 @@ func ValidateSnapshotEvery(d time.Duration) error {
 func ValidateWorkers(j int) error {
 	if j < 1 {
 		return fmt.Errorf("-j must be >= 1 (got %d)", j)
-	}
-	return nil
-}
-
-// ValidateDecodeWorkers rejects non-positive -decode-j values. 1 is the
-// sequential decode path; higher values decode chunked (MLZS) traces on a
-// worker pool with byte-identical output.
-func ValidateDecodeWorkers(j int) error {
-	if j < 1 {
-		return fmt.Errorf("-decode-j must be >= 1 (got %d)", j)
 	}
 	return nil
 }

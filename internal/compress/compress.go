@@ -89,26 +89,10 @@ func NewReader(r io.Reader) (io.Reader, error) {
 	case FormatMLZ:
 		return NewMLZReader(br)
 	case FormatMLZS:
-		return NewMLZSReader(br, 1)
+		return NewMLZSReader(br)
 	default:
 		return br, nil
 	}
-}
-
-// NewReaderParallel is NewReader with a decode worker count: formats with
-// independent chunks (MLZS) decompress on a pool of decodeWorkers
-// goroutines, all others fall back to the sequential path. The delivered
-// bytes are identical at any worker count.
-func NewReaderParallel(r io.Reader, decodeWorkers int) (io.Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	prefix, err := br.Peek(4)
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("compress: sniffing stream: %w", err)
-	}
-	if Detect(prefix) == FormatMLZS {
-		return NewMLZSReader(br, decodeWorkers)
-	}
-	return NewReader(br)
 }
 
 // nopWriteCloser adapts a plain Writer to WriteCloser for the raw format.
@@ -164,19 +148,11 @@ func (f *File) Close() error {
 
 // OpenFile opens path for reading with automatic decompression.
 func OpenFile(path string) (*File, error) {
-	return OpenFileParallel(path, 1)
-}
-
-// OpenFileParallel opens path for reading with automatic decompression,
-// decoding chunked containers (MLZS) on decodeWorkers goroutines. The
-// delivered bytes are identical to OpenFile at any worker count; closing
-// the File releases the decode goroutines.
-func OpenFileParallel(path string, decodeWorkers int) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := NewReaderParallel(f, decodeWorkers)
+	r, err := NewReader(f)
 	if err != nil {
 		f.Close() //mbpvet:ignore droppederr -- error path: the NewReader failure outranks a close failure on a read-only file
 		return nil, err

@@ -68,8 +68,8 @@ const (
 	mlzsVersion = 1
 	// DefaultMLZSChunkSize is the raw bytes per chunk when MLZSOptions does
 	// not say otherwise: 1 MiB keeps per-chunk compression ratios within a
-	// few percent of the 4 MiB stream-MLZ blocks while giving a 4-worker
-	// decode enough chunks to stay busy on even short traces.
+	// few percent of the 4 MiB stream-MLZ blocks while cutting even short
+	// traces into several chunks for the chunk cache to load independently.
 	DefaultMLZSChunkSize = 1 << 20
 	// mlzsChunkTag / mlzsEndTag frame the chunk sequence.
 	mlzsChunkTag = 0x01
@@ -573,13 +573,11 @@ type mlzsSeqReader struct {
 }
 
 // NewMLZSReader returns a Reader decompressing an MLZS container from r,
-// decoding chunks with the given number of workers (<= 1 decodes inline on
-// the Read caller). The 4-byte magic must not have been consumed yet. The
-// delivered byte stream — including the position and text of any error — is
-// identical at every worker count. The parallel reader implements io.Closer;
-// closing it releases its goroutines early (reading to EOF or an error also
-// does).
-func NewMLZSReader(r io.Reader, workers int) (io.Reader, error) {
+// one chunk at a time on the Read caller. The 4-byte magic must not have
+// been consumed yet. Random access goes through MLZSChunkDecoder instead;
+// the two share frame parsing and payload decoding, so bytes and error
+// texts agree.
+func NewMLZSReader(r io.Reader) (io.Reader, error) {
 	src, ok := r.(byteSource)
 	if !ok {
 		src = &byteReader{r: r}
@@ -588,10 +586,7 @@ func NewMLZSReader(r io.Reader, workers int) (io.Reader, error) {
 	if _, err := parseMLZSHeader(cs); err != nil {
 		return nil, err
 	}
-	if workers <= 1 {
-		return &mlzsSeqReader{r: cs}, nil
-	}
-	return newMLZSParallelReader(cs, workers), nil
+	return &mlzsSeqReader{r: cs}, nil
 }
 
 func (z *mlzsSeqReader) Read(p []byte) (int, error) {
@@ -639,159 +634,6 @@ func (z *mlzsSeqReader) nextChunk() error {
 	}
 	z.block, z.pos = block, 0
 	z.chunk++
-	return nil
-}
-
-// mlzsDecJob is one chunk travelling through the parallel decode pool.
-type mlzsDecJob struct {
-	chunk   int
-	fr      mlzsFrame
-	payload []byte
-	block   []byte
-	err     error
-	done    chan struct{}
-}
-
-// mlzsParallelReader decodes chunks on a worker pool while delivering bytes
-// strictly in chunk order: a demux goroutine parses frames and reads
-// payloads sequentially, workers CRC-check and decompress concurrently, and
-// Read consumes the jobs in submission order — so output bytes, error
-// position and error text are identical to the sequential reader.
-type mlzsParallelReader struct {
-	order chan *mlzsDecJob
-	quit  chan struct{}
-	free  chan *mlzsDecJob
-	cur   *mlzsDecJob
-	pos   int
-	err   error
-}
-
-func newMLZSParallelReader(cs *countingByteSource, workers int) *mlzsParallelReader {
-	z := &mlzsParallelReader{
-		order: make(chan *mlzsDecJob, 2*workers+2),
-		quit:  make(chan struct{}),
-		free:  make(chan *mlzsDecJob, 2*workers+2),
-	}
-	jobs := make(chan *mlzsDecJob, workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			var huff huffDecoder
-			for j := range jobs {
-				if j.err == nil {
-					j.block, j.err = mlzsDecodePayload(&huff, j.block, j.fr, j.payload, j.chunk)
-				}
-				close(j.done)
-			}
-		}()
-	}
-	go z.demux(cs, jobs)
-	return z
-}
-
-// demux parses frames in order and feeds the worker pool. A parse error (or
-// the end tag) is delivered as a final sentinel job so it surfaces after
-// every preceding chunk's bytes, exactly where the sequential reader would
-// report it.
-func (z *mlzsParallelReader) demux(cs *countingByteSource, jobs chan<- *mlzsDecJob) {
-	defer close(jobs)
-	for chunk := 0; ; chunk++ {
-		j := z.newJob(chunk)
-		fr, done, err := readMLZSFrameHeader(cs, chunk)
-		if err == nil && !done {
-			j.fr = fr
-			if cap(j.payload) < int(fr.dataLen) {
-				j.payload = make([]byte, fr.dataLen)
-			}
-			j.payload = j.payload[:fr.dataLen]
-			if _, rerr := io.ReadFull(cs, j.payload); rerr != nil {
-				if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-					rerr = fmt.Errorf("compress: MLZS chunk %d payload: %w", chunk, faults.ErrTruncated)
-				} else {
-					rerr = fmt.Errorf("compress: MLZS chunk %d payload: %w", chunk, rerr)
-				}
-				err = rerr
-			}
-		}
-		terminal := done || err != nil
-		if terminal {
-			j.err = err // nil on the clean end tag: Read maps it to io.EOF
-			if err == nil {
-				j.err = io.EOF
-			}
-			close(j.done) // sentinel skips the pool
-		} else {
-			select {
-			case jobs <- j:
-			case <-z.quit:
-				return
-			}
-		}
-		select {
-		case z.order <- j:
-		case <-z.quit:
-			return
-		}
-		if terminal {
-			return
-		}
-	}
-}
-
-// newJob recycles a delivered job or allocates a fresh one.
-func (z *mlzsParallelReader) newJob(chunk int) *mlzsDecJob {
-	select {
-	case j := <-z.free:
-		j.chunk, j.err = chunk, nil
-		j.done = make(chan struct{})
-		return j
-	default:
-		return &mlzsDecJob{chunk: chunk, done: make(chan struct{})}
-	}
-}
-
-func (z *mlzsParallelReader) Read(p []byte) (int, error) {
-	for {
-		if z.err != nil {
-			return 0, z.err
-		}
-		if z.cur != nil && z.pos < len(z.cur.block) {
-			n := copy(p, z.cur.block[z.pos:])
-			z.pos += n
-			return n, nil
-		}
-		if z.cur != nil {
-			select {
-			case z.free <- z.cur:
-			default:
-			}
-			z.cur = nil
-		}
-		j, ok := <-z.order
-		if !ok {
-			z.err = io.EOF
-			return 0, z.err
-		}
-		<-j.done
-		if j.err != nil {
-			z.err = j.err
-			return 0, z.err
-		}
-		z.cur, z.pos = j, 0
-	}
-}
-
-// Close tears the pipeline down early; Read afterwards reports the sticky
-// error (or EOF). Reading to the end of the stream already releases the
-// goroutines, so Close is only needed for abandoned readers.
-func (z *mlzsParallelReader) Close() error {
-	select {
-	case <-z.quit:
-	default:
-		close(z.quit)
-	}
-	if z.err == nil {
-		z.err = io.EOF
-	}
 	return nil
 }
 

@@ -44,16 +44,46 @@ func mlzsCompress(t *testing.T, data []byte, opts MLZSOptions) []byte {
 	return buf.Bytes()
 }
 
-// mlzsDecompress reads a container back at the given decode worker count.
-func mlzsDecompress(t *testing.T, container []byte, workers int) []byte {
+// mlzsDecompress streams a container back through the sequential reader.
+func mlzsDecompress(t *testing.T, container []byte) []byte {
 	t.Helper()
-	r, err := NewMLZSReader(bytes.NewReader(container), workers)
+	r, err := NewMLZSReader(bytes.NewReader(container))
 	if err != nil {
-		t.Fatalf("mlzs open (workers=%d): %v", workers, err)
+		t.Fatalf("mlzs open: %v", err)
 	}
 	got, err := io.ReadAll(r)
 	if err != nil {
-		t.Fatalf("mlzs read (workers=%d): %v", workers, err)
+		t.Fatalf("mlzs read: %v", err)
+	}
+	return got
+}
+
+// mlzsChunkWalk decodes chunks 0..n-1 of ix in order through one
+// MLZSChunkDecoder over b — the random-access path read front to back —
+// returning the bytes delivered before the first error.
+func mlzsChunkWalk(b []byte, ix *MLZSIndex) ([]byte, error) {
+	dec := NewMLZSChunkDecoder(bytes.NewReader(b), ix)
+	out := []byte{}
+	for i := range ix.Chunks {
+		chunk, err := dec.Decode(i)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, chunk...)
+	}
+	return out, nil
+}
+
+// mlzsWalkContainer indexes a pristine container and chunk-walks it.
+func mlzsWalkContainer(t *testing.T, container []byte) []byte {
+	t.Helper()
+	ix, err := ReadMLZSIndex(bytes.NewReader(container), int64(len(container)))
+	if err != nil {
+		t.Fatalf("mlzs index: %v", err)
+	}
+	got, err := mlzsChunkWalk(container, ix)
+	if err != nil {
+		t.Fatalf("mlzs chunk walk: %v", err)
 	}
 	return got
 }
@@ -66,11 +96,11 @@ func TestMLZSRoundTrip(t *testing.T) {
 			for _, cw := range []int{1, 3} {
 				data := mlzsTestPayload(n, int64(n)^int64(cs))
 				container := mlzsCompress(t, data, MLZSOptions{ChunkSize: cs, Workers: cw})
-				for _, dw := range []int{1, 2, 4} {
-					got := mlzsDecompress(t, container, dw)
-					if !bytes.Equal(got, data) {
-						t.Fatalf("n=%d chunk=%d cw=%d dw=%d: round-trip mismatch (%d bytes out)", n, cs, cw, dw, len(got))
-					}
+				if got := mlzsDecompress(t, container); !bytes.Equal(got, data) {
+					t.Fatalf("n=%d chunk=%d cw=%d: stream round-trip mismatch (%d bytes out)", n, cs, cw, len(got))
+				}
+				if got := mlzsWalkContainer(t, container); !bytes.Equal(got, data) {
+					t.Fatalf("n=%d chunk=%d cw=%d: chunk-walk round-trip mismatch (%d bytes out)", n, cs, cw, len(got))
 				}
 			}
 		}
@@ -167,18 +197,15 @@ func TestMLZSAlignment(t *testing.T) {
 			t.Fatalf("chunk %d starts at unaligned raw offset %d", i, ci.RawOff)
 		}
 	}
-	if got := mlzsDecompress(t, container, 2); !bytes.Equal(got, data) {
+	if got := mlzsDecompress(t, container); !bytes.Equal(got, data) {
 		t.Fatal("aligned container round-trip mismatch")
 	}
 }
 
 func TestMLZSEmptyStream(t *testing.T) {
 	container := mlzsCompress(t, nil, MLZSOptions{})
-	if got := mlzsDecompress(t, container, 1); len(got) != 0 {
+	if got := mlzsDecompress(t, container); len(got) != 0 {
 		t.Fatalf("empty stream decoded to %d bytes", len(got))
-	}
-	if got := mlzsDecompress(t, container, 4); len(got) != 0 {
-		t.Fatalf("empty stream decoded to %d bytes at 4 workers", len(got))
 	}
 	ix, err := ReadMLZSIndex(bytes.NewReader(container), int64(len(container)))
 	if err != nil {
@@ -213,19 +240,7 @@ func TestMLZSThroughCompressAPI(t *testing.T) {
 	if got := Detect(buf.Bytes()[:4]); got != FormatMLZS {
 		t.Fatalf("Detect = %v", got)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("NewReader round-trip mismatch")
-	}
-	// And the parallel generic entry point, over a legacy MLZ stream too:
-	// old traces must read unchanged regardless of the worker knob.
+	// Old MLZ traces must read unchanged through the same entry point.
 	var legacy bytes.Buffer
 	lw := NewMLZWriter(&legacy, LevelFast)
 	if _, err := lw.Write(data); err != nil {
@@ -235,45 +250,24 @@ func TestMLZSThroughCompressAPI(t *testing.T) {
 		t.Fatalf("mlz close: %v", err)
 	}
 	for _, src := range [][]byte{buf.Bytes(), legacy.Bytes()} {
-		pr, err := NewReaderParallel(bytes.NewReader(src), 4)
+		r, err := NewReader(bytes.NewReader(src))
 		if err != nil {
-			t.Fatalf("NewReaderParallel: %v", err)
+			t.Fatalf("NewReader: %v", err)
 		}
-		got, err := io.ReadAll(pr)
+		got, err := io.ReadAll(r)
 		if err != nil {
-			t.Fatalf("parallel read: %v", err)
+			t.Fatalf("read: %v", err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Fatal("NewReaderParallel round-trip mismatch")
+			t.Fatal("NewReader round-trip mismatch")
 		}
-	}
-}
-
-// TestMLZSParallelReaderClose abandons a parallel reader mid-stream; Close
-// must release the pipeline without deadlocking and further Reads must fail.
-func TestMLZSParallelReaderClose(t *testing.T) {
-	data := mlzsTestPayload(1<<18, 13)
-	container := mlzsCompress(t, data, MLZSOptions{ChunkSize: 1024})
-	r, err := NewMLZSReader(bytes.NewReader(container), 4)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	var first [10]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		t.Fatalf("first read: %v", err)
-	}
-	if err := r.(io.Closer).Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if _, err := r.Read(first[:]); err == nil {
-		t.Fatal("read after close succeeded")
 	}
 }
 
 // TestMLZSErrorEquivalence corrupts a container in targeted ways and
-// requires the sequential and parallel readers to deliver the same byte
-// count and the same error text — the decode-j byte-identity contract on
-// the failure path.
+// requires the two decoders — the streaming reader, and a chunk walk through
+// MLZSChunkDecoder over the pristine index — to deliver the same bytes
+// before the fault and the same error text.
 func TestMLZSErrorEquivalence(t *testing.T) {
 	data := mlzsTestPayload(1<<15, 21)
 	pristine := mlzsCompress(t, data, MLZSOptions{ChunkSize: 1024})
@@ -286,27 +280,22 @@ func TestMLZSErrorEquivalence(t *testing.T) {
 	}
 	mutate := func(name string, f func(b []byte) []byte) {
 		b := f(append([]byte(nil), pristine...))
-		type result struct {
-			n   int
-			err error
+		r, err := NewMLZSReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: stream open: %v", name, err)
 		}
-		read := func(workers int) result {
-			r, err := NewMLZSReader(bytes.NewReader(b), workers)
-			if err != nil {
-				return result{0, err}
-			}
-			n, err := io.Copy(io.Discard, r)
-			return result{int(n), err}
+		seq, seqErr := io.ReadAll(r)
+		walk, walkErr := mlzsChunkWalk(b, ix)
+		if !bytes.Equal(walk, seq) || fmt.Sprint(walkErr) != fmt.Sprint(seqErr) {
+			t.Errorf("%s: chunk walk got (%d bytes, %v), stream (%d bytes, %v)", name, len(walk), walkErr, len(seq), seqErr)
 		}
-		seq := read(1)
-		for _, w := range []int{2, 4} {
-			par := read(w)
-			if par.n != seq.n || fmt.Sprint(par.err) != fmt.Sprint(seq.err) {
-				t.Errorf("%s: workers=%d got (%d, %v), sequential (%d, %v)", name, w, par.n, par.err, seq.n, seq.err)
-			}
+		if !bytes.Equal(seq, data[:len(seq)]) {
+			t.Errorf("%s: stream delivered wrong bytes before the fault", name)
 		}
-		if seq.err != nil && faults.Class(seq.err) == "other" {
-			t.Errorf("%s: untyped error %v", name, seq.err)
+		if seqErr == nil {
+			t.Errorf("%s: damaged container read without error", name)
+		} else if faults.Class(seqErr) == "other" {
+			t.Errorf("%s: untyped error %v", name, seqErr)
 		}
 	}
 	mutate("flip payload byte in chunk 2", func(b []byte) []byte {
@@ -345,7 +334,7 @@ func TestMLZSIndexFallback(t *testing.T) {
 			t.Errorf("%s: untyped index error %v", name, err)
 		}
 		// The data frames are intact, so streaming and scanning still work.
-		r, err := NewMLZSReader(bytes.NewReader(b), 2)
+		r, err := NewMLZSReader(bytes.NewReader(b))
 		if err != nil {
 			t.Errorf("%s: stream open: %v", name, err)
 			continue
@@ -388,9 +377,10 @@ func TestMLZSCorruptChunkIsTyped(t *testing.T) {
 }
 
 // FuzzMLZSRoundTrip feeds arbitrary payloads through the chunked container
-// at fuzzed chunk sizes and worker counts, requires exact reconstruction at
-// decode-j 1 and 3, and feeds the raw fuzz payload to the decoder and index
-// readers, which must reject or decode without panicking.
+// at fuzzed chunk sizes and compression worker counts, requires exact
+// reconstruction from both the streaming reader and a chunk walk over the
+// index, and feeds the raw fuzz payload to the decoders and index readers,
+// which must reject or decode without panicking.
 func FuzzMLZSRoundTrip(f *testing.F) {
 	f.Add([]byte(""), uint16(1), true)
 	f.Add([]byte("abcabcabcabcabcabc"), uint16(4), false)
@@ -412,32 +402,39 @@ func FuzzMLZSRoundTrip(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("compress close: %v", err)
 		}
-		for _, workers := range []int{1, 3} {
-			r, err := NewMLZSReader(bytes.NewReader(comp.Bytes()), workers)
-			if err != nil {
-				t.Fatalf("opening container (workers=%d): %v", workers, err)
-			}
-			got, err := io.ReadAll(r)
-			if err != nil {
-				t.Fatalf("decompress (workers=%d): %v", workers, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("round-trip mismatch at %d workers: %d bytes in, %d bytes out", workers, len(data), len(got))
-			}
+		r, err := NewMLZSReader(bytes.NewReader(comp.Bytes()))
+		if err != nil {
+			t.Fatalf("opening container: %v", err)
 		}
-		if ix, err := ReadMLZSIndex(bytes.NewReader(comp.Bytes()), int64(comp.Len())); err != nil {
+		got, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatalf("decompress: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("stream round-trip mismatch: %d bytes in, %d bytes out", len(data), len(got))
+		}
+		ix, err := ReadMLZSIndex(bytes.NewReader(comp.Bytes()), int64(comp.Len()))
+		if err != nil {
 			t.Fatalf("index of pristine container: %v", err)
-		} else if ix.RawSize != int64(len(data)) {
+		}
+		if ix.RawSize != int64(len(data)) {
 			t.Fatalf("index raw size %d, want %d", ix.RawSize, len(data))
+		}
+		if got, err := mlzsChunkWalk(comp.Bytes(), ix); err != nil {
+			t.Fatalf("chunk walk: %v", err)
+		} else if !bytes.Equal(got, data) {
+			t.Fatalf("chunk-walk round-trip mismatch: %d bytes in, %d bytes out", len(data), len(got))
 		}
 
 		// The decoders must survive the raw fuzz payload itself: a clean
 		// error or a successful decode, never a panic.
-		if r, err := NewMLZSReader(bytes.NewReader(data), 2); err == nil {
+		if r, err := NewMLZSReader(bytes.NewReader(data)); err == nil {
 			io.Copy(io.Discard, r) //nolint:errcheck // any outcome but a panic is acceptable here
 		}
-		ReadMLZSIndex(bytes.NewReader(data), int64(len(data))) //nolint:errcheck // same: must not panic
-		ScanMLZSIndex(bytes.NewReader(data))                   //nolint:errcheck // same: must not panic
+		if ix, err := ReadMLZSIndex(bytes.NewReader(data), int64(len(data))); err == nil {
+			mlzsChunkWalk(data, ix) //nolint:errcheck // same: must not panic
+		}
+		ScanMLZSIndex(bytes.NewReader(data)) //nolint:errcheck // same: must not panic
 	})
 }
 

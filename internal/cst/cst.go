@@ -32,6 +32,7 @@ import (
 	"io"
 
 	"mbplib/internal/bp"
+	"mbplib/internal/faults"
 )
 
 // Special architectural registers, mirroring ChampSim's champsim::REG_*.
@@ -215,10 +216,13 @@ const readerBufRecords = 1024
 func NewReader(r io.Reader) (*Reader, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("cst: reading header: %w", bp.ErrTruncated)
+		}
 		return nil, fmt.Errorf("cst: reading header: %w", err)
 	}
 	if [4]byte(hdr[:4]) != Magic {
-		return nil, errors.New("cst: bad magic")
+		return nil, fmt.Errorf("cst: bad magic: %w", faults.ErrCorrupt)
 	}
 	total := binary.LittleEndian.Uint64(hdr[4:12])
 	return &Reader{r: r, total: total, buf: make([]byte, readerBufRecords*RecordSize)}, nil

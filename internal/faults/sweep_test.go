@@ -16,6 +16,9 @@
 //     the trace reader stops short of), so the contract is "typed error, or
 //     success with a byte-identical event stream" — silent corruption of
 //     consumed data is impossible either way.
+//   - CST (the cycle trace) has no integrity data either: record flips
+//     assert "typed error or clean success", while every truncation, header
+//     cuts included, must fail typed.
 package faults_test
 
 import (
@@ -27,6 +30,7 @@ import (
 	"mbplib/internal/bp"
 	"mbplib/internal/bt9"
 	"mbplib/internal/compress"
+	"mbplib/internal/cst"
 	"mbplib/internal/faults"
 	"mbplib/internal/sbbt"
 )
@@ -176,6 +180,84 @@ func TestSweepSBBTGarbage(t *testing.T) {
 			continue
 		}
 		requireTyped(t, "garbage", err)
+	}
+}
+
+// seedCST writes a small ChampSim-style trace: a mix of branch and
+// non-branch records behind the 12-byte header.
+func seedCST(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := cst.NewWriter(&buf, uint64(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		in := cst.Instruction{IP: 0x400000 + uint64(i)*4, SrcMem: [4]uint64{uint64(i % 3)}}
+		if i%4 == 3 {
+			in.SetBranch(bp.OpCondJump, i%8 == 3)
+		}
+		if err := w.Write(&in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// drainCST reads every record of a CST stream, capped like drain.
+func drainCST(t *testing.T, r io.Reader, cap int) error {
+	t.Helper()
+	cr, err := cst.NewReader(r)
+	if err != nil {
+		return err
+	}
+	var in cst.Instruction
+	for i := 0; ; i++ {
+		if i > cap {
+			t.Fatalf("reader did not terminate after %d records", cap)
+		}
+		if err := cr.Read(&in); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// TestSweepCSTTruncation: every proper prefix of a CST trace fails typed,
+// including cuts inside the 12-byte header.
+func TestSweepCSTTruncation(t *testing.T) {
+	const n = 24
+	data := seedCST(t, n)
+	for off := 0; off < len(data); off++ {
+		err := drainCST(t, faults.NewInjector(bytes.NewReader(data), faults.Truncate(int64(off))), 2*n)
+		if err == nil {
+			t.Fatalf("truncation at %d not detected", off)
+		}
+		requireTyped(t, "truncation", err)
+	}
+}
+
+// TestSweepCSTBitFlips: CST carries no integrity data, so a flip in a
+// record reads cleanly; every flip either reads cleanly or fails typed, and
+// a flip in the magic always fails as corrupt.
+func TestSweepCSTBitFlips(t *testing.T) {
+	const n = 24
+	data := seedCST(t, n)
+	for off := 0; off < len(data); off++ {
+		for bit := uint8(0); bit < 8; bit++ {
+			err := drainCST(t, faults.NewInjector(bytes.NewReader(data), faults.BitFlip(int64(off), bit)), 2*n)
+			if off < len(cst.Magic) && !errors.Is(err, faults.ErrCorrupt) {
+				t.Fatalf("bit flip in magic at %d.%d: err = %v, want corrupt", off, bit, err)
+			}
+			if err != nil {
+				requireTyped(t, "bit flip", err)
+			}
+		}
 	}
 }
 

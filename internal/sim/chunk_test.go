@@ -1,8 +1,8 @@
 // Chunk-path equivalence: sweeps over seekable (MLZS) containers through the
-// chunk-granular cache path and the parallel-decode reader must produce
-// byte-identical result JSON to the sequential streaming path, for every
-// warmup/limit configuration, at every -decode-j width, with fault classes
-// preserved — the MLZS mirror of the PR 3/4 reader-equivalence tables.
+// chunk-granular cache path must produce byte-identical result JSON to the
+// sequential streaming path, for every warmup/limit configuration, with
+// fault classes preserved — the MLZS mirror of the reader-equivalence
+// tables.
 package sim_test
 
 import (
@@ -42,11 +42,11 @@ func writeMLZS(t *testing.T, path string, evs []bp.Event, chunkSize int) {
 	}
 }
 
-// mlzsSource builds a TraceSource for an MLZS file: a streaming open at the
-// given decode width, plus the chunk-granular open when chunked is set.
-func mlzsSource(path string, decodeWorkers int, chunkAccess bool) sim.TraceSource {
+// mlzsSource builds a TraceSource for an MLZS file: a streaming open, plus
+// the chunk-granular open when chunkAccess is set.
+func mlzsSource(path string, chunkAccess bool) sim.TraceSource {
 	src := sim.TraceSource{Name: path, Open: func() (bp.Reader, io.Closer, error) {
-		f, err := compress.OpenFileParallel(path, decodeWorkers)
+		f, err := compress.OpenFile(path)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -86,24 +86,21 @@ var chunkEquivConfigs = map[string]sim.Config{
 }
 
 // TestChunkedSweepMatchesStreaming: the chunk-granular cache path produces
-// byte-identical sweeps to sequential streaming, across configs and at every
-// decode width of the streaming fallback.
+// byte-identical sweeps to sequential streaming, across configs.
 func TestChunkedSweepMatchesStreaming(t *testing.T) {
 	paths := chunkEquivTraces(t)
-	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
+	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
+	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 	for cname, cfg := range chunkEquivConfigs {
 		t.Run(cname, func(t *testing.T) {
 			seq := sequentialSweep(t, streamSrcs, equivPredictors, cfg)
-			for _, decodeJ := range []int{1, 2, 4} {
-				chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], decodeJ, true), mlzsSource(paths[1], decodeJ, true)}
-				par, err := sim.SweepParallel(chunkSrcs, equivPredictors, cfg, sim.ParallelOptions{
-					Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
-				})
-				if err != nil {
-					t.Fatalf("decode-j %d: SweepParallel: %v", decodeJ, err)
-				}
-				diffSweeps(t, seq, par, equivPredictors)
+			par, err := sim.SweepParallel(chunkSrcs, equivPredictors, cfg, sim.ParallelOptions{
+				Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
+			})
+			if err != nil {
+				t.Fatalf("SweepParallel: %v", err)
 			}
+			diffSweeps(t, seq, par, equivPredictors)
 		})
 	}
 }
@@ -113,7 +110,7 @@ func TestChunkedSweepMatchesStreaming(t *testing.T) {
 func TestChunkedSweepRecordsReads(t *testing.T) {
 	paths := chunkEquivTraces(t)
 	col := obs.New()
-	srcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
+	srcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 	if _, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 		Workers: 2, Policy: sim.Policy{Mode: sim.SkipFailed}, Metrics: col,
 	}); err != nil {
@@ -125,23 +122,6 @@ func TestChunkedSweepRecordsReads(t *testing.T) {
 	}
 	if s.Stages["read"].Count == 0 || s.Counters["batches"] == 0 {
 		t.Errorf("chunk loads not timed: read stage count %d, batches %d", s.Stages["read"].Count, s.Counters["batches"])
-	}
-}
-
-// TestChunkedDecodeWorkersMatchSequential: the parallel-decode reader alone
-// (no chunk access) is byte-identical to sequential decode at every width.
-func TestChunkedDecodeWorkersMatchSequential(t *testing.T) {
-	paths := chunkEquivTraces(t)
-	seqSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
-	for cname, cfg := range chunkEquivConfigs {
-		t.Run(cname, func(t *testing.T) {
-			seq := sequentialSweep(t, seqSrcs, equivPredictors, cfg)
-			for _, decodeJ := range []int{2, 4} {
-				srcs := []sim.TraceSource{mlzsSource(paths[0], decodeJ, false), mlzsSource(paths[1], decodeJ, false)}
-				par := sequentialSweep(t, srcs, equivPredictors, cfg)
-				diffSweeps(t, seq, par, equivPredictors)
-			}
-		})
 	}
 }
 
@@ -193,8 +173,8 @@ func TestChunkedFaultEquivalence(t *testing.T) {
 		{"limit-past-fault", sim.Config{}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
-			chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
+			streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
+			chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 			seq := sequentialSweep(t, streamSrcs, equivPredictors, tc.cfg)
 			par, err := sim.SweepParallel(chunkSrcs, equivPredictors, tc.cfg, sim.ParallelOptions{
 				Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
@@ -237,8 +217,8 @@ func TestChunkedTruncatedContainerFallsBack(t *testing.T) {
 	if _, err := chunked.Open(paths[1]); err == nil {
 		t.Fatal("chunked.Open accepted a truncated container")
 	}
-	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
-	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
+	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
+	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
 	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 		Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
@@ -258,8 +238,8 @@ func TestChunkedTruncatedContainerFallsBack(t *testing.T) {
 // direct-decode fallback inside the chunk path; results stay identical.
 func TestChunkedTinyCacheMatches(t *testing.T) {
 	paths := chunkEquivTraces(t)
-	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, false), mlzsSource(paths[1], 1, false)}
-	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], 1, true), mlzsSource(paths[1], 1, true)}
+	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
+	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
 	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 		Workers: 4, CacheBytes: 64, Policy: sim.Policy{Mode: sim.SkipFailed},

@@ -256,7 +256,7 @@ func TestSweepParallelTruncatedGzip(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srcs := []sim.TraceSource{mlzsSource(path, 1, false)} // a plain file source
+	srcs := []sim.TraceSource{mlzsSource(path, false)} // a plain file source
 	for _, tc := range []struct {
 		name    string
 		cfg     sim.Config

@@ -148,7 +148,7 @@ func (s Spec) Resolve() (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Resolved{Spec: s, Specs: specs, Sources: Sources(paths, 1)}
+	r := &Resolved{Spec: s, Specs: specs, Sources: Sources(paths)}
 	r.Preds = make([]sim.PredictorSpec, len(specs))
 	for i, spec := range specs {
 		r.Preds[i] = sim.PredictorSpec{Name: spec, New: newFor(spec)}
@@ -157,15 +157,14 @@ func (s Spec) Resolve() (*Resolved, error) {
 }
 
 // Sources builds the trace sources of a sorted path list, the one way the
-// sweep CLIs open traces: transparent decompression, then the SBBT reader,
-// with chunked (MLZS) containers decompressing on decodeWorkers goroutines
-// (byte-identically to sequential decode). Seekable containers also offer
-// chunk-granular access; the scheduler verifies eligibility (alignment,
-// intact index) per open and streams when it is not met.
-func Sources(paths []string, decodeWorkers int) []sim.TraceSource {
+// sweep CLIs open traces: transparent decompression, then the SBBT reader.
+// Seekable (MLZS) containers also offer chunk-granular access; the
+// scheduler verifies eligibility (alignment, intact index) per open and
+// streams through the sequential decoder when it is not met.
+func Sources(paths []string) []sim.TraceSource {
 	sources := make([]sim.TraceSource, len(paths))
 	for i, path := range paths {
-		sources[i] = sim.TraceSource{Name: path, Open: openSBBT(path, decodeWorkers)}
+		sources[i] = sim.TraceSource{Name: path, Open: openSBBT(path)}
 		if compress.FormatForPath(path) == compress.FormatMLZS {
 			sources[i].OpenChunked = func() (sim.ChunkedTrace, error) { return chunked.Open(path) }
 		}
@@ -174,9 +173,9 @@ func Sources(paths []string, decodeWorkers int) []sim.TraceSource {
 }
 
 // openSBBT is the trace-open closure of Sources.
-func openSBBT(path string, decodeWorkers int) func() (bp.Reader, io.Closer, error) {
+func openSBBT(path string) func() (bp.Reader, io.Closer, error) {
 	return func() (bp.Reader, io.Closer, error) {
-		f, err := compress.OpenFileParallel(path, decodeWorkers)
+		f, err := compress.OpenFile(path)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -242,11 +241,6 @@ func (r *Resolved) Key() string {
 type RunOptions struct {
 	// Jobs is the -j scheduler width. <= 0 means GOMAXPROCS.
 	Jobs int
-	// DecodeWorkers is the -decode-j chunk-decode width inside each trace
-	// open: seekable (MLZS) containers decompress on this many goroutines,
-	// byte-identically to sequential decode. <= 1 decodes sequentially. An
-	// execution option only — it never enters Key().
-	DecodeWorkers int
 	// CacheBytes has sim.ParallelOptions semantics: 0 default, negative
 	// disables the decoded-trace cache.
 	CacheBytes int64
@@ -268,16 +262,7 @@ type RunOptions struct {
 // value. Results and failure tables are deterministic and identical at
 // every Jobs width; a FailFast error reads "<spec>: sim: trace ...".
 func (r *Resolved) Run(opts RunOptions) ([]*sim.SetResult, error) {
-	sources := r.Sources
-	if opts.DecodeWorkers > 1 {
-		// Swap in parallel-decode open closures. Results are byte-identical,
-		// so the sweep identity (Key) is untouched.
-		sources = append([]sim.TraceSource(nil), r.Sources...)
-		for i := range sources {
-			sources[i].Open = openSBBT(sources[i].Name, opts.DecodeWorkers)
-		}
-	}
-	return sim.SweepParallel(sources, r.Preds, sim.Config{Metrics: opts.Metrics}, sim.ParallelOptions{
+	return sim.SweepParallel(r.Sources, r.Preds, sim.Config{Metrics: opts.Metrics}, sim.ParallelOptions{
 		Workers: opts.Jobs, CacheBytes: opts.CacheBytes, Policy: opts.Policy,
 		Metrics: opts.Metrics,
 		Journal: opts.Journal, CheckpointEvery: opts.CheckpointEvery,

@@ -164,7 +164,7 @@ func TestRunJobsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	text1, json1, code1 := render(t, r, sweep.RunOptions{Jobs: 1})
-	for _, opts := range []sweep.RunOptions{{Jobs: 4}, {Jobs: 1, CacheBytes: -1}, {Jobs: 4, DecodeWorkers: 2}} {
+	for _, opts := range []sweep.RunOptions{{Jobs: 4}, {Jobs: 1, CacheBytes: -1}, {Jobs: 4, CacheBytes: -1}} {
 		text, js, code := render(t, r, opts)
 		if code != code1 || code != sweep.ExitOK {
 			t.Errorf("%+v: exit %d, want %d at -j 1 and ExitOK", opts, code, code1)
