@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: check fmt vet build test perfbench-test race race-kernel race-daemon mbpvet vet-fix vet-sarif fault-sweep fuzz-smoke daemon-smoke bench bench-smoke bench-snapshot bench-check metrics-overhead journal-overhead golden
+.PHONY: check fmt vet build test perfbench-test race race-sweep race-kernel race-daemon mbpvet vet-fix vet-sarif fault-sweep fuzz-smoke daemon-smoke bench bench-smoke bench-snapshot bench-check metrics-overhead journal-overhead golden
 
-check: fmt vet build test perfbench-test race race-kernel race-daemon mbpvet fault-sweep fuzz-smoke daemon-smoke bench-smoke
+check: fmt vet build test perfbench-test race race-sweep race-kernel race-daemon mbpvet fault-sweep fuzz-smoke daemon-smoke bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -31,6 +31,13 @@ perfbench-test:
 
 race:
 	$(GO) test -race ./internal/...
+
+# Parallel sweep equivalence under the race detector on a constrained
+# scheduler: GOMAXPROCS=2 forces worker goroutines to interleave on few
+# threads. The chunk-path suites and the trace cache's single-flight and
+# waiter tests ride along.
+race-sweep:
+	GOMAXPROCS=2 $(GO) test -race -run 'TestSweepParallel|TestChunked|TestAcquireDecodesOnce|TestAcquireChunkSingleFlight|TestAcquireCancelledWhileWaiting|TestWaiterOutlivesLoaderContext' ./internal/sim/...
 
 # Kernel-vs-scalar equivalence under the race detector: every batch-kernel
 # dispatch path (single runs and comparisons with warm-up/limit edges,

@@ -13,8 +13,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mbplib/internal/compress"
@@ -24,33 +26,47 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams injected; it returns the exit
+// code: 0 on success, 2 on a usage error, 1 when the simulation fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mbpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		tracePath = flag.String("trace", "", "SBBT trace file (raw, .gz or .mlz)")
-		predSpec  = flag.String("predictor", "gshare", "predictor spec, e.g. gshare:h=25,t=18")
-		warmup    = flag.Uint64("warmup", 0, "warm-up instructions (mispredictions not counted)")
-		simInstr  = flag.Uint64("sim", 0, "instructions to simulate after warm-up (0 = whole trace)")
-		mostN     = flag.Int("most-failed", 0, "cap on most_failed entries (0 = half-of-mispredictions set)")
-		list      = flag.Bool("list", false, "list available predictors and exit")
+		tracePath = fs.String("trace", "", "SBBT trace file (raw, .gz, .mlz or .mlzs)")
+		predSpec  = fs.String("predictor", "gshare", "predictor spec, e.g. gshare:h=25,t=18")
+		warmup    = fs.Uint64("warmup", 0, "warm-up instructions (mispredictions not counted)")
+		simInstr  = fs.Uint64("sim", 0, "instructions to simulate after warm-up (0 = whole trace)")
+		mostN     = fs.Int("most-failed", 0, "cap on most_failed entries (0 = half-of-mispredictions set)")
+		list      = fs.Bool("list", false, "list available predictors and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, name := range registry.Names() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 	if *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "mbpsim: -trace is required (see -help)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mbpsim: -trace is required (see -help)")
+		return 2
 	}
-	if err := run(*tracePath, *predSpec, *warmup, *simInstr, *mostN); err != nil {
-		fmt.Fprintln(os.Stderr, "mbpsim:", err)
-		os.Exit(1)
+	if err := simulate(stdout, *tracePath, *predSpec, *warmup, *simInstr, *mostN); err != nil {
+		fmt.Fprintln(stderr, "mbpsim:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(tracePath, predSpec string, warmup, simInstr uint64, mostN int) error {
+func simulate(stdout io.Writer, tracePath, predSpec string, warmup, simInstr uint64, mostN int) error {
 	p, err := registry.New(predSpec)
 	if err != nil {
 		return err
@@ -73,7 +89,7 @@ func run(tracePath, predSpec string, warmup, simInstr uint64, mostN int) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(res)
 }

@@ -9,30 +9,12 @@ import (
 	"mbplib/internal/vet/driver"
 )
 
-// This file re-expresses the mbpvet rules as driver.Analyzer values and
-// provides RunAnalyzers, the analyzer-based replacement of the legacy Run.
-// The per-package rule bodies live next to each legacy checker and are
-// shared verbatim, so both drivers produce byte-identical findings over the
-// V1-V5 corpus (an equivalence test enforces this). The whole-program rules
-// flow their cross-package state through driver facts instead of module
-// maps: purity exports a methodFact per method, registry consumes the
-// predictorExportFact package facts of the predexport helper analyzer.
-
-// methodFact is the purity summary exported for every function declaration
-// of an analyzed package. Dependent packages resolve callees through it, and
-// the purity analyzer of an embedding package reads the Predict summary of
-// the defining package from it.
-type methodFact struct {
-	Writes         bool
-	ReturnsRecvRef bool
-	WriteNote      string
-	DeclPos        token.Pos
-	// ImpureOK records a justified //mbpvet:impure annotation on the decl,
-	// so a cross-package reader does not need the defining file's comments.
-	ImpureOK bool
-}
-
-func (*methodFact) AFact() {}
+// This file expresses the mbpvet rules as driver.Analyzer values and
+// provides RunAnalyzers, the one driver that runs them. The per-package rule
+// bodies live in one file per rule. The whole-program rules flow their
+// cross-package state through driver facts: purity exports a methodFact per
+// method, registry consumes the predictorExportFact package facts of the
+// predexport helper analyzer.
 
 // predictorExportFact marks a package that exports a Predictor
 // implementation; Name is the exported type's name.
@@ -40,24 +22,18 @@ type predictorExportFact struct{ Name string }
 
 func (*predictorExportFact) AFact() {}
 
-// analyzerSet is the full rule catalogue keyed by rule name, plus the
-// helper analyzers that only exist to feed facts to the rules.
-type analyzerSet struct {
-	rules map[string]*driver.Analyzer
-}
-
-// buildAnalyzers constructs the nine rule analyzers for one run. The set is
-// rebuilt per run because the analyzers close over the configuration, the
-// collected directives and small amounts of cross-pass state (the purity
-// rule's reported set); the driver is single-threaded, so closures are safe.
-func buildAnalyzers(cfg Config, dirs *directives, root string) *analyzerSet {
-	s := &analyzerSet{rules: make(map[string]*driver.Analyzer)}
-
+// buildAnalyzers constructs the nine rule analyzers for one run, keyed by
+// rule name. The set is rebuilt per run because the analyzers close over the
+// configuration, the collected directives and small amounts of cross-pass
+// state (the purity rule's reported set); the driver is single-threaded, so
+// closures are safe.
+func buildAnalyzers(cfg Config, dirs *directives, root string) map[string]*driver.Analyzer {
 	// V1 purity: per-package fixpoint over the local methods; callees in
 	// other packages resolve through methodFacts, which the driver's
 	// import-topological package order guarantees are already exported.
-	// reported mirrors the legacy driver's global seen set: a Predict shared
-	// through cross-package embedding is judged once, by the defining pass.
+	// reported is shared by every pass: a Predict promoted through
+	// cross-package embedding is judged once, by the first pass whose
+	// predictor type reaches it.
 	reported := make(map[token.Pos]bool)
 	purity := &driver.Analyzer{
 		Name:      RulePurity,
@@ -68,7 +44,6 @@ func buildAnalyzers(cfg Config, dirs *directives, root string) *analyzerSet {
 			return nil, nil
 		},
 	}
-	s.rules[RulePurity] = purity
 
 	// predexport is a helper, not a rule: it tags every predictor package
 	// with a predictorExportFact so the registry rule can enumerate them
@@ -90,10 +65,18 @@ func buildAnalyzers(cfg Config, dirs *directives, root string) *analyzerSet {
 		},
 	}
 
-	// V2 registry: runs only on the registry package, diffing the predictor
+	// V2 registry completeness: every package under the predictors tree
+	// that exports a Predictor implementation must be reachable from the
+	// predictor registry, so `mbpsim -predictor <name>` and the sweep
+	// harnesses can construct it. A predictor package that the registry
+	// does not import is a package nobody can select, which in practice
+	// means a contributed predictor that silently fell out of the
+	// catalogue.
+	//
+	// The rule runs only on the registry package, diffing the predictor
 	// facts of the whole module against the registry's imports. This is the
 	// rule the driver's module-wide fact completeness exists for.
-	s.rules[RuleRegistry] = &driver.Analyzer{
+	registry := &driver.Analyzer{
 		Name:     RuleRegistry,
 		Doc:      "every predictor package is constructible through the registry",
 		Requires: []*driver.Analyzer{predexport},
@@ -118,179 +101,54 @@ func buildAnalyzers(cfg Config, dirs *directives, root string) *analyzerSet {
 		},
 	}
 
-	// V3-V5 are per-package scans sharing their bodies with the legacy
-	// checkers; only the package selection lives here.
-	s.rules[RuleDroppedErr] = &driver.Analyzer{
-		Name: RuleDroppedErr,
-		Doc:  "no discarded error results in the codec and simulator packages",
-		Run: func(pass *driver.Pass) (any, error) {
-			if hasPathPrefix(pass.Pkg.Path(), cfg.ErrorPackages) {
-				reportRaw(pass, droppedErrorFindings(pass.Files, pass.TypesInfo))
-			}
-			return nil, nil
-		},
-	}
-	s.rules[RuleBitWidth] = &driver.Analyzer{
+	// V4 scans every package: the table-mask check is module-wide, the
+	// conversion and shift checks apply to the codec packages only.
+	bitwidth := &driver.Analyzer{
 		Name: RuleBitWidth,
 		Doc:  "no silent truncation in codec paths; mask-indexed tables are power-of-two sized",
 		Run: func(pass *driver.Pass) (any, error) {
 			codec := hasPathPrefix(pass.Pkg.Path(), cfg.WidthPackages)
-			reportRaw(pass, bitWidthFindings(pass.Files, pass.TypesInfo, codec, cfg.GuardFuncs))
-			return nil, nil
-		},
-	}
-	s.rules[RulePanicFree] = &driver.Analyzer{
-		Name: RulePanicFree,
-		Doc:  "no panic on untrusted input in the decode packages",
-		Run: func(pass *driver.Pass) (any, error) {
-			if hasPathPrefix(pass.Pkg.Path(), cfg.PanicFreePackages) {
-				reportRaw(pass, panicFreeFindings(pass.Files, pass.TypesInfo))
+			for _, d := range bitWidthFindings(pass.Files, pass.TypesInfo, codec, cfg.GuardFuncs) {
+				pass.Report(d)
 			}
 			return nil, nil
 		},
 	}
 
-	// V6-V9, the concurrency family.
-	s.rules[RuleGoroutine] = &driver.Analyzer{
-		Name: RuleGoroutine,
-		Doc:  "every go statement has a provable join or cancel path",
-		Run: func(pass *driver.Pass) (any, error) {
-			if hasPathPrefix(pass.Pkg.Path(), cfg.ConcurrencyPackages) {
-				reportRaw(pass, goroutineFindings(pass.Files, pass.TypesInfo))
-			}
-			return nil, nil
-		},
+	return map[string]*driver.Analyzer{
+		RulePurity:   purity,
+		RuleRegistry: registry,
+		RuleDroppedErr: packageRule(RuleDroppedErr, "no discarded error results in the codec and simulator packages",
+			cfg.ErrorPackages, droppedErrorFindings),
+		RuleBitWidth: bitwidth,
+		RulePanicFree: packageRule(RulePanicFree, "no panic on untrusted input in the decode packages",
+			cfg.PanicFreePackages, panicFreeFindings),
+		// V6-V9, the concurrency family.
+		RuleGoroutine: packageRule(RuleGoroutine, "every go statement has a provable join or cancel path",
+			cfg.ConcurrencyPackages, goroutineFindings),
+		RuleGuardedBy: packageRule(RuleGuardedBy, "mutex-guarded fields are never accessed without the lock",
+			cfg.ConcurrencyPackages, guardedByFindings),
+		RuleAtomic: packageRule(RuleAtomic, "atomically-accessed fields are never accessed plainly and 64-bit atomics are aligned",
+			cfg.ConcurrencyPackages, atomicFindings),
+		RuleCtxProp: packageRule(RuleCtxProp, "a received context.Context is propagated, not dropped",
+			cfg.ContextPackages, ctxPropFindings),
 	}
-	s.rules[RuleGuardedBy] = &driver.Analyzer{
-		Name: RuleGuardedBy,
-		Doc:  "mutex-guarded fields are never accessed without the lock",
+}
+
+// packageRule builds the analyzer of a per-package rule: body runs on every
+// package under one of prefixes, and its diagnostics are reported as is.
+func packageRule(name, doc string, prefixes []string, body func([]*ast.File, *types.Info) []driver.Diagnostic) *driver.Analyzer {
+	return &driver.Analyzer{
+		Name: name,
+		Doc:  doc,
 		Run: func(pass *driver.Pass) (any, error) {
-			if hasPathPrefix(pass.Pkg.Path(), cfg.ConcurrencyPackages) {
-				reportRaw(pass, guardedByFindings(pass.Files, pass.TypesInfo))
-			}
-			return nil, nil
-		},
-	}
-	s.rules[RuleAtomic] = &driver.Analyzer{
-		Name: RuleAtomic,
-		Doc:  "atomically-accessed fields are never accessed plainly and 64-bit atomics are aligned",
-		Run: func(pass *driver.Pass) (any, error) {
-			if hasPathPrefix(pass.Pkg.Path(), cfg.ConcurrencyPackages) {
-				for _, d := range atomicFindings(pass.Files, pass.TypesInfo) {
+			if hasPathPrefix(pass.Pkg.Path(), prefixes) {
+				for _, d := range body(pass.Files, pass.TypesInfo) {
 					pass.Report(d)
 				}
 			}
 			return nil, nil
 		},
-	}
-	s.rules[RuleCtxProp] = &driver.Analyzer{
-		Name: RuleCtxProp,
-		Doc:  "a received context.Context is propagated, not dropped",
-		Run: func(pass *driver.Pass) (any, error) {
-			if hasPathPrefix(pass.Pkg.Path(), cfg.ContextPackages) {
-				for _, d := range ctxPropFindings(pass.Files, pass.TypesInfo) {
-					pass.Report(d)
-				}
-			}
-			return nil, nil
-		},
-	}
-	return s
-}
-
-// reportRaw reports shared-rule raw findings as driver diagnostics.
-func reportRaw(pass *driver.Pass, raws []rawFinding) {
-	for _, r := range raws {
-		pass.Report(driver.Diagnostic{Pos: r.pos, Category: r.rule, Message: r.msg})
-	}
-}
-
-// localMethod is the purity analyzer's per-package view of one function
-// declaration, mirroring the legacy methodInfo without the package pointer.
-type localMethod struct {
-	decl           *ast.FuncDecl
-	recv           *types.Var
-	writes         bool
-	writeNote      string
-	returnsRecvRef bool
-}
-
-// runPurityPass runs the purity fixpoint over one package, exports a
-// methodFact per declaration, and reports impure Predict methods of the
-// package's predictor types.
-func runPurityPass(pass *driver.Pass, dirs *directives, reported map[token.Pos]bool, root string) {
-	local := make(map[*types.Func]*localMethod)
-	forEachFuncDecl(pass.Files, pass.TypesInfo, func(obj *types.Func, decl *ast.FuncDecl, recv *types.Var) {
-		local[obj] = &localMethod{decl: decl, recv: recv}
-	})
-	resolve := func(callee *types.Func) (methodSummary, bool) {
-		if m := local[callee]; m != nil {
-			return methodSummary{writes: m.writes, returnsRecvRef: m.returnsRecvRef}, true
-		}
-		var f methodFact
-		if pass.ImportObjectFact(callee, &f) {
-			return methodSummary{writes: f.Writes, returnsRecvRef: f.ReturnsRecvRef}, true
-		}
-		return methodSummary{}, false
-	}
-	// Per-package fixpoint: identical dynamics to the legacy module-wide
-	// solve, except imported callees are already final (packages run
-	// dependencies-first), which can only converge faster.
-	for changed := true; changed; {
-		changed = false
-		for _, m := range local {
-			if m.recv == nil || m.writes && m.returnsRecvRef {
-				continue
-			}
-			s := newMethodScan(pass.Fset, root, pass.TypesInfo, pass.Pkg.Scope(), m.decl, m.recv, resolve)
-			s.run()
-			if (s.writes && !m.writes) || (s.returnsRef && !m.returnsRecvRef) {
-				m.writes = m.writes || s.writes
-				if m.writeNote == "" {
-					m.writeNote = s.writeNote
-				}
-				m.returnsRecvRef = m.returnsRecvRef || s.returnsRef
-				changed = true
-			}
-		}
-	}
-	for obj, m := range local {
-		pass.ExportObjectFact(obj, &methodFact{
-			Writes:         m.writes,
-			ReturnsRecvRef: m.returnsRecvRef,
-			WriteNote:      m.writeNote,
-			DeclPos:        m.decl.Pos(),
-			ImpureOK:       m.recv != nil && dirs.isImpureAnnotated(pass.Fset, m.decl),
-		})
-	}
-
-	for _, named := range predictorTypes(pass.Pkg) {
-		judge := func(fn *types.Func, format string) {
-			if fn == nil {
-				return
-			}
-			var sum methodFact
-			if m := local[fn]; m != nil {
-				sum = methodFact{
-					Writes:    m.writes,
-					WriteNote: m.writeNote,
-					DeclPos:   m.decl.Pos(),
-					ImpureOK:  dirs.isImpureAnnotated(pass.Fset, m.decl),
-				}
-			} else if !pass.ImportObjectFact(fn, &sum) {
-				return // body-less or generated method: nothing to judge
-			}
-			if reported[sum.DeclPos] {
-				return // embedded method already judged by another pass
-			}
-			reported[sum.DeclPos] = true
-			if !sum.Writes || sum.ImpureOK {
-				return
-			}
-			pass.Reportf(sum.DeclPos, format, named.Obj().Name(), sum.WriteNote)
-		}
-		judge(lookupMethod(named, "Predict"), msgPredictImpure)
-		judge(lookupBatchPredict(named), msgPredictBatchImpure)
 	}
 }
 
@@ -346,10 +204,12 @@ func (e *UnknownRuleError) Error() string {
 }
 
 // RunAnalyzers executes the selected rules (nil = all nine) over prog
-// through the analyzer driver and returns the surviving findings, sorted
-// and suppressed exactly like the legacy Run. Malformed //mbpvet:
-// directives are always reported, regardless of the rule selection: a
-// suppression that does not parse must never silently vanish.
+// through the analyzer driver and returns the surviving findings sorted by
+// position. Findings suppressed by a justified //mbpvet: directive are
+// dropped; a directive without a justification is itself reported, so
+// suppressions stay documented. Malformed directives are reported
+// regardless of the rule selection: a suppression that does not parse must
+// never silently vanish.
 func RunAnalyzers(prog *Program, cfg Config, rules []string) ([]Finding, error) {
 	selected, err := selectRules(rules)
 	if err != nil {
@@ -359,7 +219,7 @@ func RunAnalyzers(prog *Program, cfg Config, rules []string) ([]Finding, error) 
 	set := buildAnalyzers(cfg, dirs, prog.Root)
 	analyzers := make([]*driver.Analyzer, 0, len(selected))
 	for _, r := range selected {
-		analyzers = append(analyzers, set.rules[r])
+		analyzers = append(analyzers, set[r])
 	}
 	results, err := driver.Run(prog.Fset, driverPackages(prog), analyzers)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+
+	"mbplib/internal/vet/driver"
 )
 
 // Rule V3 — dropped errors: in the trace codec and simulator packages, an
@@ -19,21 +21,8 @@ import (
 // the buffered writer's Flush, where a sticky error surfaces — and direct
 // Write* method calls on a bytes.Buffer or strings.Builder receiver, whose
 // error results are documented to always be nil.
-func checkDroppedErrors(prog *Program, cfg Config) []Finding {
-	var findings []Finding
-	for _, pkg := range prog.Sorted() {
-		if !hasPathPrefix(pkg.Path, cfg.ErrorPackages) {
-			continue
-		}
-		findings = append(findings, renderFindings(prog.Fset, droppedErrorFindings(pkg.Files, pkg.Info))...)
-	}
-	return findings
-}
-
-// droppedErrorFindings is the per-package body shared by the legacy driver
-// and the droppederr analyzer.
-func droppedErrorFindings(files []*ast.File, info *types.Info) []rawFinding {
-	var findings []rawFinding
+func droppedErrorFindings(files []*ast.File, info *types.Info) []driver.Diagnostic {
+	var findings []driver.Diagnostic
 	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -55,7 +44,7 @@ func droppedErrorFindings(files []*ast.File, info *types.Info) []rawFinding {
 }
 
 // discardedCall flags a call statement whose last result is an error.
-func discardedCall(info *types.Info, call *ast.CallExpr, format string) []rawFinding {
+func discardedCall(info *types.Info, call *ast.CallExpr, format string) []driver.Diagnostic {
 	tv, ok := info.Types[call]
 	if !ok || !lastResultIsError(tv.Type) {
 		return nil
@@ -63,22 +52,22 @@ func discardedCall(info *types.Info, call *ast.CallExpr, format string) []rawFin
 	if isExemptPrinter(info, call) || isInMemoryWrite(info, call) {
 		return nil
 	}
-	return []rawFinding{{
-		pos:  call.Pos(),
-		rule: RuleDroppedErr,
-		msg:  fmt.Sprintf(format+" — handle it or annotate with //mbpvet:ignore %s", callName(call), RuleDroppedErr),
+	return []driver.Diagnostic{{
+		Pos:      call.Pos(),
+		Category: RuleDroppedErr,
+		Message:  fmt.Sprintf(format+" — handle it or annotate with //mbpvet:ignore %s", callName(call), RuleDroppedErr),
 	}}
 }
 
 // blankError flags `_` in the position of an error result, including the
 // explicit `_ = f()` discard.
-func blankError(info *types.Info, n *ast.AssignStmt) []rawFinding {
-	var findings []rawFinding
+func blankError(info *types.Info, n *ast.AssignStmt) []driver.Diagnostic {
+	var findings []driver.Diagnostic
 	flag := func(pos ast.Node, what string) {
-		findings = append(findings, rawFinding{
-			pos:  pos.Pos(),
-			rule: RuleDroppedErr,
-			msg:  fmt.Sprintf("error result of %s assigned to _ — handle it or annotate with //mbpvet:ignore %s", what, RuleDroppedErr),
+		findings = append(findings, driver.Diagnostic{
+			Pos:      pos.Pos(),
+			Category: RuleDroppedErr,
+			Message:  fmt.Sprintf("error result of %s assigned to _ — handle it or annotate with //mbpvet:ignore %s", what, RuleDroppedErr),
 		})
 	}
 	// Multi-value form: x, _ := f().

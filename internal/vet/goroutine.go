@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"mbplib/internal/vet/driver"
 )
 
 // Rule V6 — goroutine lifecycle: every `go` statement in the concurrency
@@ -28,12 +30,12 @@ import (
 //	//mbpvet:goroutine-exempt <justification>
 //
 // on the go statement's line or the line above.
-func goroutineFindings(files []*ast.File, info *types.Info) []rawFinding {
+func goroutineFindings(files []*ast.File, info *types.Info) []driver.Diagnostic {
 	decls := make(map[*types.Func]*ast.FuncDecl)
 	forEachFuncDecl(files, info, func(obj *types.Func, decl *ast.FuncDecl, recv *types.Var) {
 		decls[obj] = decl
 	})
-	var out []rawFinding
+	var out []driver.Diagnostic
 	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
@@ -41,10 +43,10 @@ func goroutineFindings(files []*ast.File, info *types.Info) []rawFinding {
 				return true
 			}
 			if !goroutineHasLifecycle(info, decls, g.Call) {
-				out = append(out, rawFinding{
-					pos:  g.Pos(),
-					rule: RuleGoroutine,
-					msg: "go statement has no provable join or cancel path (no WaitGroup.Done, channel close/send/receive, " +
+				out = append(out, driver.Diagnostic{
+					Pos:      g.Pos(),
+					Category: RuleGoroutine,
+					Message: "go statement has no provable join or cancel path (no WaitGroup.Done, channel close/send/receive, " +
 						"or context wait reachable in the goroutine); join it or annotate with //mbpvet:goroutine-exempt <why>",
 				})
 			}

@@ -6,6 +6,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"mbplib/internal/vet/driver"
 )
 
 // Rule V7 — locked-field consistency, in the spirit of gVisor's checklocks:
@@ -46,8 +48,8 @@ type guardedStruct struct {
 	guards map[*types.Var]guardInfo
 }
 
-func guardedByFindings(files []*ast.File, info *types.Info) []rawFinding {
-	var out []rawFinding
+func guardedByFindings(files []*ast.File, info *types.Info) []driver.Diagnostic {
+	var out []driver.Diagnostic
 	structs := make(map[*types.Named]*guardedStruct)
 	var order []*guardedStruct
 
@@ -79,10 +81,10 @@ func guardedByFindings(files []*ast.File, info *types.Info) []rawFinding {
 					continue
 				}
 				if !resolvesToMutex(named, path) {
-					out = append(out, rawFinding{
-						pos:  pos,
-						rule: RuleGuardedBy,
-						msg: fmt.Sprintf("//mbpvet:guardedby %s on %s names no sync.Mutex or sync.RWMutex reachable from the struct",
+					out = append(out, driver.Diagnostic{
+						Pos:      pos,
+						Category: RuleGuardedBy,
+						Message: fmt.Sprintf("//mbpvet:guardedby %s on %s names no sync.Mutex or sync.RWMutex reachable from the struct",
 							path, gs.name),
 					})
 					continue
@@ -199,10 +201,10 @@ func guardedByFindings(files []*ast.File, info *types.Info) []rawFinding {
 			if !guarded || m.locks[g.path] {
 				return true
 			}
-			out = append(out, rawFinding{
-				pos:  sel.Pos(),
-				rule: RuleGuardedBy,
-				msg: fmt.Sprintf("%s.%s is guarded by %s (%s) but %s accesses it without the lock; lock %s first, give the method a Locked suffix, or declare //mbpvet:guardedby in its doc",
+			out = append(out, driver.Diagnostic{
+				Pos:      sel.Pos(),
+				Category: RuleGuardedBy,
+				Message: fmt.Sprintf("%s.%s is guarded by %s (%s) but %s accesses it without the lock; lock %s first, give the method a Locked suffix, or declare //mbpvet:guardedby in its doc",
 					m.gs.name, fv.Name(), g.path, g.source, m.decl.Name.Name, g.path),
 			})
 			return true

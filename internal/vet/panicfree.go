@@ -3,6 +3,8 @@ package vet
 import (
 	"go/ast"
 	"go/types"
+
+	"mbplib/internal/vet/driver"
 )
 
 // Rule V5 — panicfree: the trace codec packages decode untrusted bytes, so
@@ -18,21 +20,8 @@ import (
 // on the call's line or the line above. The check resolves the identifier
 // through go/types, so a shadowing local function or variable named "panic"
 // is not reported.
-func checkPanicFree(prog *Program, cfg Config) []Finding {
-	var findings []Finding
-	for _, pkg := range prog.Sorted() {
-		if !hasPathPrefix(pkg.Path, cfg.PanicFreePackages) {
-			continue
-		}
-		findings = append(findings, renderFindings(prog.Fset, panicFreeFindings(pkg.Files, pkg.Info))...)
-	}
-	return findings
-}
-
-// panicFreeFindings is the per-package body shared by the legacy driver and
-// the panicfree analyzer.
-func panicFreeFindings(files []*ast.File, info *types.Info) []rawFinding {
-	var findings []rawFinding
+func panicFreeFindings(files []*ast.File, info *types.Info) []driver.Diagnostic {
+	var findings []driver.Diagnostic
 	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -46,10 +35,10 @@ func panicFreeFindings(files []*ast.File, info *types.Info) []rawFinding {
 			if _, builtin := info.Uses[id].(*types.Builtin); !builtin {
 				return true
 			}
-			findings = append(findings, rawFinding{
-				pos:  call.Pos(),
-				rule: RulePanicFree,
-				msg: "panic in a decode package — untrusted input must fail with a typed error; " +
+			findings = append(findings, driver.Diagnostic{
+				Pos:      call.Pos(),
+				Category: RulePanicFree,
+				Message: "panic in a decode package — untrusted input must fail with a typed error; " +
 					"annotate with mbpvet:panicfree-exempt <why> if no input can reach it",
 			})
 			return true

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"mbplib/internal/vet/driver"
 )
 
 // Rule V1 — Predict purity (§IV-A): a Predict method of any type that
@@ -13,13 +15,15 @@ import (
 // simulator and every meta-predictor are entitled to call Predict any
 // number of times without perturbing future predictions.
 //
-// The analysis is a whole-program fixpoint over per-method summaries:
-// for every method of every module package it computes whether the method
-// writes through its receiver (directly, through a receiver-derived local,
-// or by calling another method that does). Interface method calls cannot be
-// resolved statically; a call to an interface method named Predict is
-// trusted (the contract is enforced on every implementation), anything else
-// reachable from the receiver is treated conservatively as a write.
+// The analysis is a per-package fixpoint over per-method summaries: for
+// every method it computes whether the method writes through its receiver
+// (directly, through a receiver-derived local, or by calling another method
+// that does). Callees in other packages resolve through the methodFact
+// their package exported; the driver runs packages dependencies-first, so
+// those summaries are final. Interface method calls cannot be resolved
+// statically; a call to an interface method named Predict is trusted (the
+// contract is enforced on every implementation), anything else reachable
+// from the receiver is treated conservatively as a write.
 //
 // Documented exceptions — prediction memoization caches are the classic
 // case — are declared with a justified //mbpvet:impure doc-comment
@@ -30,17 +34,37 @@ import (
 // call and inherits the exact same obligation. TrainBatch is the fused
 // update kernel and is expected to mutate, so it stays out of scope.
 
-// Shared V1 message templates. The legacy whole-program driver and the
-// analyzer port must render byte-identical findings (an equivalence test
-// compares their output verbatim), so both format through these constants.
+// V1 message templates. The golden JSON and SARIF files pin their bytes.
 const (
 	msgPredictImpure      = "Predict of %s mutates predictor state (%s); §IV-A requires Predict to be repeatable — fix it or document with //mbpvet:impure"
 	msgPredictBatchImpure = "PredictBatch of %s mutates predictor state (%s); the batched read path must be as repeatable as Predict (§IV-A) — fix it or document with //mbpvet:impure"
 )
 
-// methodInfo is the analysis state of one function or method declaration.
-type methodInfo struct {
-	pkg  *Package
+// methodFact is the purity summary exported for every function declaration
+// of an analyzed package. Dependent packages resolve callees through it, and
+// the purity analyzer of an embedding package reads the Predict summary of
+// the defining package from it.
+type methodFact struct {
+	Writes         bool
+	ReturnsRecvRef bool
+	WriteNote      string
+	DeclPos        token.Pos
+	// ImpureOK records a justified //mbpvet:impure annotation on the decl,
+	// so a cross-package reader does not need the defining file's comments.
+	ImpureOK bool
+}
+
+func (*methodFact) AFact() {}
+
+// summaryResolver resolves a callee to its summary (local methods directly,
+// imported ones through their methodFact); the boolean reports whether the
+// callee is a known module method at all (an unresolvable callee is treated
+// conservatively by the scan).
+type summaryResolver func(*types.Func) (methodFact, bool)
+
+// localMethod is the analysis state of one function or method declaration
+// of the package under analysis.
+type localMethod struct {
 	decl *ast.FuncDecl
 	recv *types.Var // receiver object, nil for plain functions
 	// writes is true once the method is known to mutate receiver state.
@@ -52,66 +76,71 @@ type methodInfo struct {
 	returnsRecvRef bool
 }
 
-// methodSummary is the callee-facing view of a method: everything a caller's
-// scan needs to judge its own purity. The legacy whole-program driver
-// resolves summaries from its module-wide map; the analyzer port resolves
-// local methods directly and imported ones through driver object facts.
-type methodSummary struct {
-	writes         bool
-	returnsRecvRef bool
-}
-
-// summaryResolver resolves a callee to its summary; the boolean reports
-// whether the callee is a known module method at all (an unresolvable callee
-// is treated conservatively by the scan).
-type summaryResolver func(*types.Func) (methodSummary, bool)
-
-type purityAnalysis struct {
-	prog    *Program
-	methods map[*types.Func]*methodInfo
-}
-
-// resolve is the legacy driver's summaryResolver: straight map lookup.
-func (a *purityAnalysis) resolve(callee *types.Func) (methodSummary, bool) {
-	mi := a.methods[callee]
-	if mi == nil {
-		return methodSummary{}, false
+// runPurityPass runs the purity fixpoint over one package, exports a
+// methodFact per declaration, and reports impure Predict methods of the
+// package's predictor types.
+func runPurityPass(pass *driver.Pass, dirs *directives, reported map[token.Pos]bool, root string) {
+	local := make(map[*types.Func]*localMethod)
+	forEachFuncDecl(pass.Files, pass.TypesInfo, func(obj *types.Func, decl *ast.FuncDecl, recv *types.Var) {
+		local[obj] = &localMethod{decl: decl, recv: recv}
+	})
+	resolve := func(callee *types.Func) (methodFact, bool) {
+		if m := local[callee]; m != nil {
+			return methodFact{Writes: m.writes, ReturnsRecvRef: m.returnsRecvRef}, true
+		}
+		var f methodFact
+		ok := pass.ImportObjectFact(callee, &f)
+		return f, ok
 	}
-	return methodSummary{writes: mi.writes, returnsRecvRef: mi.returnsRecvRef}, true
-}
-
-func checkPurity(prog *Program, dirs *directives) []Finding {
-	a := &purityAnalysis{prog: prog, methods: make(map[*types.Func]*methodInfo)}
-	a.index()
-	a.solve()
-
-	var findings []Finding
-	seen := make(map[*types.Func]bool)
-	for _, pkg := range prog.Sorted() {
-		for _, named := range predictorTypes(pkg.Types) {
-			judge := func(fn *types.Func, format string) {
-				if fn == nil || seen[fn] {
-					return
-				}
-				seen[fn] = true
-				info := a.methods[fn]
-				if info == nil || !info.writes {
-					return
-				}
-				if dirs.isImpureAnnotated(prog.Fset, info.decl) {
-					return
-				}
-				findings = append(findings, Finding{
-					Pos:  prog.Fset.Position(info.decl.Pos()),
-					Rule: RulePurity,
-					Msg:  fmt.Sprintf(format, named.Obj().Name(), info.writeNote),
-				})
+	// Iterate the per-method scan until the summaries stop changing. Both
+	// summary bits only ever flip from false to true, so this terminates.
+	for changed := true; changed; {
+		changed = false
+		for _, m := range local {
+			if m.recv == nil || m.writes && m.returnsRecvRef {
+				continue
 			}
-			judge(lookupMethod(named, "Predict"), msgPredictImpure)
-			judge(lookupBatchPredict(named), msgPredictBatchImpure)
+			s := newMethodScan(pass.Fset, root, pass.TypesInfo, pass.Pkg.Scope(), m.decl, m.recv, resolve)
+			s.run()
+			if (s.writes && !m.writes) || (s.returnsRef && !m.returnsRecvRef) {
+				m.writes = m.writes || s.writes
+				if m.writeNote == "" {
+					m.writeNote = s.writeNote
+				}
+				m.returnsRecvRef = m.returnsRecvRef || s.returnsRef
+				changed = true
+			}
 		}
 	}
-	return findings
+	for obj, m := range local {
+		pass.ExportObjectFact(obj, &methodFact{
+			Writes:         m.writes,
+			ReturnsRecvRef: m.returnsRecvRef,
+			WriteNote:      m.writeNote,
+			DeclPos:        m.decl.Pos(),
+			ImpureOK:       m.recv != nil && dirs.isImpureAnnotated(pass.Fset, m.decl),
+		})
+	}
+
+	for _, named := range predictorTypes(pass.Pkg) {
+		judge := func(fn *types.Func, format string) {
+			// Local methods read back the facts exported above.
+			var sum methodFact
+			if fn == nil || !pass.ImportObjectFact(fn, &sum) {
+				return // body-less or generated method: nothing to judge
+			}
+			if reported[sum.DeclPos] {
+				return // embedded method already judged by another pass
+			}
+			reported[sum.DeclPos] = true
+			if !sum.Writes || sum.ImpureOK {
+				return
+			}
+			pass.Reportf(sum.DeclPos, format, named.Obj().Name(), sum.WriteNote)
+		}
+		judge(lookupMethod(named, "Predict"), msgPredictImpure)
+		judge(lookupBatchPredict(named), msgPredictBatchImpure)
+	}
 }
 
 // predictorTypes returns the named types of pkg whose pointer method set
@@ -217,19 +246,9 @@ func lookupBatchPredict(named *types.Named) *types.Func {
 	return fn
 }
 
-// index records every function declaration of the module.
-func (a *purityAnalysis) index() {
-	for _, pkg := range a.prog.Sorted() {
-		p := pkg
-		forEachFuncDecl(pkg.Files, pkg.Info, func(obj *types.Func, decl *ast.FuncDecl, recv *types.Var) {
-			a.methods[obj] = &methodInfo{pkg: p, decl: decl, recv: recv}
-		})
-	}
-}
-
 // forEachFuncDecl visits every function declaration with a body in files,
 // resolving its object and (when the receiver is a single named variable)
-// its receiver object. Shared by the legacy index and the purity analyzer.
+// its receiver object. Shared by the purity and goroutine rules.
 func forEachFuncDecl(files []*ast.File, info *types.Info, visit func(obj *types.Func, decl *ast.FuncDecl, recv *types.Var)) {
 	for _, file := range files {
 		for _, decl := range file.Decls {
@@ -254,33 +273,9 @@ func forEachFuncDecl(files []*ast.File, info *types.Info, visit func(obj *types.
 	}
 }
 
-// solve iterates the per-method scan until the summaries stop changing.
-// Both summary bits only ever flip from false to true, so this terminates.
-func (a *purityAnalysis) solve() {
-	for changed := true; changed; {
-		changed = false
-		for _, mi := range a.methods {
-			if mi.recv == nil || mi.writes && mi.returnsRecvRef {
-				continue
-			}
-			s := newMethodScan(a.prog.Fset, a.prog.Root, mi.pkg.Info, mi.pkg.Types.Scope(), mi.decl, mi.recv, a.resolve)
-			s.run()
-			if (s.writes && !mi.writes) || (s.returnsRef && !mi.returnsRecvRef) {
-				mi.writes = mi.writes || s.writes
-				if mi.writeNote == "" {
-					mi.writeNote = s.writeNote
-				}
-				mi.returnsRecvRef = mi.returnsRecvRef || s.returnsRef
-				changed = true
-			}
-		}
-	}
-}
-
 // methodScan walks one method body, tracking which locals alias receiver
-// state and whether any statement writes through the receiver. It is shared
-// by the legacy driver and the purity analyzer; callee summaries come
-// through the resolver, so the scan itself is per-package.
+// state and whether any statement writes through the receiver. Callee
+// summaries come through the resolver, so the scan itself is per-package.
 type methodScan struct {
 	fset       *token.FileSet
 	root       string // module root that notes name files relative to
@@ -424,7 +419,7 @@ func (s *methodScan) visitCall(call *ast.CallExpr) {
 			if sum, known := s.resolve(callee); known {
 				// Module-local method with a summary. A mutating method only
 				// affects the caller's state through a pointer receiver.
-				if sum.writes && isPointerRecv(sig) {
+				if sum.Writes && isPointerRecv(sig) {
 					s.note(call, "call to %s, which mutates receiver state", callee.Name())
 				}
 				return
@@ -516,7 +511,7 @@ func (s *methodScan) rooted(e ast.Expr) bool {
 		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 			if selection := s.info.Selections[sel]; selection != nil && selection.Kind() == types.MethodVal {
 				if callee, _ := selection.Obj().(*types.Func); callee != nil {
-					if sum, known := s.resolve(callee); known && sum.returnsRecvRef && s.rooted(sel.X) {
+					if sum, known := s.resolve(callee); known && sum.ReturnsRecvRef && s.rooted(sel.X) {
 						return true
 					}
 				}

@@ -1,49 +1,6 @@
 package vet
 
-import (
-	"fmt"
-	"go/types"
-	"strings"
-)
-
-// Rule V2 — registry completeness: every package under the predictors tree
-// that exports a Predictor implementation must be reachable from the
-// predictor registry, so `mbpsim -bp <name>` and the sweep harnesses can
-// construct it. A predictor package that the registry does not import is a
-// package nobody can select, which in practice means a contributed
-// predictor that silently fell out of the catalogue.
-func checkRegistry(prog *Program, cfg Config) []Finding {
-	if cfg.RegistryPath == "" {
-		return nil
-	}
-	reg, ok := prog.Packages[cfg.RegistryPath]
-	if !ok {
-		return nil // nothing under analysis imports the registry tree
-	}
-	imported := make(map[string]bool)
-	for _, imp := range reg.Types.Imports() {
-		imported[imp.Path()] = true
-	}
-
-	var findings []Finding
-	for _, pkg := range prog.Sorted() {
-		if pkg.Path == cfg.RegistryPath ||
-			!strings.HasPrefix(pkg.Path, cfg.PredictorRoot+"/") {
-			continue
-		}
-		name := exportedPredictorName(pkg.Types)
-		if name == "" || imported[pkg.Path] {
-			continue
-		}
-		findings = append(findings, Finding{
-			Pos:  prog.Fset.Position(reg.Files[0].Name.Pos()),
-			Rule: RuleRegistry,
-			Msg: fmt.Sprintf("predictor package %s exports %s but is not constructible through the registry (add a builder and import)",
-				pkg.Path, name),
-		})
-	}
-	return findings
-}
+import "go/types"
 
 // exportedPredictorName returns the name of an exported type of pkg whose
 // pointer method set has the Predictor shape, or "".

@@ -48,31 +48,13 @@ type Finding struct {
 	Rule string
 	Msg  string
 	// Fix is an optional machine-applicable resolution carried over from the
-	// analyzer driver (the legacy driver never sets it). mbpvet -fix applies
-	// it; the JSON and SARIF renderers describe it.
+	// rule's diagnostic. mbpvet -fix applies it; the JSON and SARIF renderers
+	// describe it.
 	Fix *driver.SuggestedFix
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
-}
-
-// rawFinding is a finding whose position is still a token.Pos. The shared
-// per-package rule bodies return these; the legacy driver renders them to
-// Findings eagerly, while the analyzers report them as driver diagnostics.
-type rawFinding struct {
-	pos  token.Pos
-	rule string
-	msg  string
-}
-
-// renderFindings resolves raw findings against fset.
-func renderFindings(fset *token.FileSet, raws []rawFinding) []Finding {
-	out := make([]Finding, 0, len(raws))
-	for _, r := range raws {
-		out = append(out, Finding{Pos: fset.Position(r.pos), Rule: r.rule, Msg: r.msg})
-	}
-	return out
 }
 
 // Config selects which packages each rule applies to. Paths are import
@@ -152,39 +134,8 @@ func hasPathPrefix(path string, prefixes []string) bool {
 	return false
 }
 
-// Run is the legacy whole-program driver for the original V1-V5 rules: it
-// executes each check over the loaded program and returns the surviving
-// findings sorted by position. Findings suppressed by a justified
-// //mbpvet: directive are dropped; a directive without a justification is
-// itself reported, so suppressions stay documented.
-//
-// Run is kept as the reference implementation the analyzer-based driver
-// (RunAnalyzers) is verified against: both must produce byte-identical
-// findings over the V1-V5 fixture corpus. New callers — including
-// cmd/mbpvet — use RunAnalyzers, which also runs the V6-V9 concurrency
-// rules and carries suggested fixes.
-func Run(prog *Program, cfg Config) []Finding {
-	dirs := collectDirectives(prog)
-	var findings []Finding
-	findings = append(findings, checkPurity(prog, dirs)...)
-	findings = append(findings, checkRegistry(prog, cfg)...)
-	findings = append(findings, checkDroppedErrors(prog, cfg)...)
-	findings = append(findings, checkBitWidths(prog, cfg)...)
-	findings = append(findings, checkPanicFree(prog, cfg)...)
-	findings = append(findings, dirs.malformed...)
-
-	kept := findings[:0]
-	for _, f := range findings {
-		if !dirs.suppressed(f) {
-			kept = append(kept, f)
-		}
-	}
-	sortFindings(kept)
-	return kept
-}
-
 // sortFindings orders findings by file, line, rule and finally message, so
-// every driver renders the same corpus in the same byte order.
+// a corpus renders in the same byte order on every run.
 func sortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

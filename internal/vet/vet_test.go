@@ -96,12 +96,16 @@ func TestFixtureRules(t *testing.T) {
 			t.Errorf("fixture has no want marker for rule %s", rule)
 		}
 	}
-	checkAgainstMarkers(t, want, Run(prog, fixtureConfig()))
+	findings, err := RunAnalyzers(prog, fixtureConfig(), []string{RulePurity, RuleRegistry, RuleDroppedErr, RuleBitWidth, RulePanicFree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstMarkers(t, want, findings)
 }
 
 // TestFixtureRulesAnalyzers runs all nine rules through the analyzer driver
 // over the same fixture module and checks every marker, including the
-// V6-V9 concurrency fixtures the legacy driver does not implement.
+// V6-V9 concurrency fixtures TestFixtureRules leaves out.
 func TestFixtureRulesAnalyzers(t *testing.T) {
 	prog, err := Load(filepath.Join("testdata", "fix"), "fix")
 	if err != nil {
@@ -118,42 +122,6 @@ func TestFixtureRulesAnalyzers(t *testing.T) {
 		}
 	}
 	checkAgainstMarkers(t, want, findings)
-}
-
-// TestAnalyzersMatchLegacyDriver is the byte-equivalence gate for the port:
-// over the fixture corpus, the analyzer driver restricted to V1-V5 must
-// render exactly the findings the legacy whole-program driver renders —
-// same files, lines, columns, rules, and message bytes, in the same order.
-func TestAnalyzersMatchLegacyDriver(t *testing.T) {
-	prog, err := Load(filepath.Join("testdata", "fix"), "fix")
-	if err != nil {
-		t.Fatalf("loading fixtures: %v", err)
-	}
-	cfg := fixtureConfig()
-	legacy := Run(prog, cfg)
-	ported, err := RunAnalyzers(prog, cfg, []string{RulePurity, RuleRegistry, RuleDroppedErr, RuleBitWidth, RulePanicFree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) == 0 {
-		t.Fatal("fixture corpus produced no legacy findings; equivalence test is vacuous")
-	}
-	render := func(fs []Finding) []string {
-		out := make([]string, len(fs))
-		for i, f := range fs {
-			out[i] = f.String()
-		}
-		return out
-	}
-	l, p := render(legacy), render(ported)
-	if len(l) != len(p) {
-		t.Fatalf("legacy driver: %d findings, analyzer driver: %d\nlegacy: %v\nanalyzers: %v", len(l), len(p), l, p)
-	}
-	for i := range l {
-		if l[i] != p[i] {
-			t.Errorf("finding %d differs:\nlegacy:    %s\nanalyzers: %s", i, l[i], p[i])
-		}
-	}
 }
 
 // TestEveryRuleHasFixtures is the corpus meta-test: each of the nine rules
@@ -207,9 +175,6 @@ func TestRepositoryIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading %s: %v", root, err)
 	}
-	for _, f := range Run(prog, DefaultConfig(module)) {
-		t.Errorf("unexpected finding: %s", f)
-	}
 	findings, err := RunAnalyzers(prog, DefaultConfig(module), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +206,10 @@ func Drop(w io.Writer) {
 		t.Fatal(err)
 	}
 	cfg := Config{ErrorPackages: []string{"tmpfix/codec"}}
-	findings := Run(prog, cfg)
+	findings, err := RunAnalyzers(prog, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(findings) != 2 {
 		t.Fatalf("want 2 findings (malformed directive + surviving droppederr), got %v", findings)
 	}
@@ -282,7 +250,10 @@ func Decode(b []byte) byte {
 		t.Fatal(err)
 	}
 	cfg := Config{PanicFreePackages: []string{"tmpfix/codec"}}
-	findings := Run(prog, cfg)
+	findings, err := RunAnalyzers(prog, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(findings) != 2 {
 		t.Fatalf("want 2 findings (malformed directive + surviving panicfree), got %v", findings)
 	}
@@ -329,7 +300,10 @@ func (p *P) Track(b B) {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(prog, Config{})
+	findings, err := RunAnalyzers(prog, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var haveMalformed, havePurity bool
 	for _, f := range findings {
 		if strings.Contains(f.Msg, "needs a justification") {
@@ -352,5 +326,127 @@ func writeFixture(t *testing.T, root, rel, content string) {
 	}
 	if err := os.WriteFile(path, []byte(strings.TrimPrefix(content, "\n")), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPurityCrossPackage covers purity across a package boundary, where
+// callee summaries and embedded Predict methods resolve through facts
+// exported by the defining package: an impure Predict promoted through
+// embedding is reported at its declaration, a justified //mbpvet:impure
+// travels with it, and a call to an imported writing method taints the
+// caller while an imported reader does not.
+func TestPurityCrossPackage(t *testing.T) {
+	dir := t.TempDir()
+	base := `
+// Package base defines predictor parts embedded by another package.
+package base
+
+// B is the branch stub.
+type B struct{ Taken bool }
+
+// Core writes in Predict; without Train/Track it is not a predictor itself.
+type Core struct{ last uint64 }
+
+// Predict records the queried address.
+func (c *Core) Predict(ip uint64) bool { c.last = ip; return true }
+
+// Memo memoizes its last query on purpose.
+type Memo struct{ last uint64 }
+
+// Predict caches the query.
+//
+//mbpvet:impure the cached address never changes the prediction
+func (m *Memo) Predict(ip uint64) bool { m.last = ip; return true }
+
+// Counter is a helper with one writing and one reading method.
+type Counter struct{ n int }
+
+// Touch bumps the counter.
+func (c *Counter) Touch() { c.n++ }
+
+// Peek reads the counter.
+func (c *Counter) Peek() int { return c.n }
+`
+	pred := `
+// Package pred builds predictors from the parts in base.
+package pred
+
+import "tmpfix/base"
+
+// W inherits the writing Predict of base.Core.
+type W struct{ base.Core }
+
+// Train implements the contract.
+func (w *W) Train(b base.B) {}
+
+// Track implements the contract.
+func (w *W) Track(b base.B) {}
+
+// M inherits the justified impure Predict of base.Memo.
+type M struct{ base.Memo }
+
+// Train implements the contract.
+func (m *M) Train(b base.B) {}
+
+// Track implements the contract.
+func (m *M) Track(b base.B) {}
+
+// T calls a writing method of an imported type from Predict.
+type T struct{ c base.Counter }
+
+// Predict bumps the embedded counter.
+func (t *T) Predict(ip uint64) bool { t.c.Touch(); return true }
+
+// Train implements the contract.
+func (t *T) Train(b base.B) {}
+
+// Track implements the contract.
+func (t *T) Track(b base.B) {}
+
+// R calls a reading method of an imported type from Predict.
+type R struct{ c base.Counter }
+
+// Predict reads the counter.
+func (r *R) Predict(ip uint64) bool { return r.c.Peek() > 0 }
+
+// Train implements the contract.
+func (r *R) Train(b base.B) {}
+
+// Track implements the contract.
+func (r *R) Track(b base.B) {}
+`
+	writeFixture(t, dir, "base/base.go", base)
+	writeFixture(t, dir, "pred/pred.go", pred)
+	prog, err := Load(dir, "tmpfix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := RunAnalyzers(prog, Config{}, []string{RulePurity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineOf := func(src, needle string) int {
+		before, _, ok := strings.Cut(strings.TrimPrefix(src, "\n"), needle)
+		if !ok {
+			t.Fatalf("fixture lacks %q", needle)
+		}
+		return strings.Count(before, "\n") + 1
+	}
+	want := []string{
+		fmt.Sprintf("base.go:%d: Predict of W", lineOf(base, "func (c *Core) Predict")),
+		fmt.Sprintf("pred.go:%d: Predict of T", lineOf(pred, "func (t *T) Predict")),
+	}
+	var got []string
+	for _, f := range findings {
+		if f.Rule != RulePurity {
+			t.Errorf("unexpected rule %s: %s", f.Rule, f)
+			continue
+		}
+		subject, _, _ := strings.Cut(f.Msg, " mutates")
+		got = append(got, fmt.Sprintf("%s:%d: %s", filepath.Base(f.Pos.Filename), f.Pos.Line, subject))
+	}
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s\nall: %v", strings.Join(got, "\n"), strings.Join(want, "\n"), findings)
 	}
 }

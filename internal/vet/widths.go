@@ -8,6 +8,8 @@ import (
 	"go/types"
 	"math/bits"
 	"strings"
+
+	"mbplib/internal/vet/driver"
 )
 
 // Rule V4 — bit-width hygiene. The SBBT packet format packs 52-bit
@@ -26,21 +28,11 @@ import (
 // size is not a power of two while the same function derives an index mask
 // from that size: `make([]T, n)` together with `n-1` indexing is only
 // correct when n is a power of two.
-func checkBitWidths(prog *Program, cfg Config) []Finding {
-	var findings []Finding
-	for _, pkg := range prog.Sorted() {
-		codec := hasPathPrefix(pkg.Path, cfg.WidthPackages)
-		findings = append(findings, renderFindings(prog.Fset, bitWidthFindings(pkg.Files, pkg.Info, codec, cfg.GuardFuncs))...)
-	}
-	return findings
-}
-
-// bitWidthFindings is the per-package body shared by the legacy driver and
-// the bitwidth analyzer. codec selects the conversion/shift checks, which
-// apply only to the configured codec packages; the table-mask check runs
-// everywhere.
-func bitWidthFindings(files []*ast.File, info *types.Info, codec bool, guards []string) []rawFinding {
-	var findings []rawFinding
+//
+// codec selects the conversion and shift checks, which apply only to the
+// configured codec packages; the table-mask check runs everywhere.
+func bitWidthFindings(files []*ast.File, info *types.Info, codec bool, guards []string) []driver.Diagnostic {
+	var findings []driver.Diagnostic
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -102,8 +94,8 @@ func (w *widthScan) constVal(e ast.Expr) constant.Value {
 
 // checkConversions flags T(x) where T is narrower than x and nothing in
 // the function establishes that x fits.
-func (w *widthScan) checkConversions() []rawFinding {
-	var findings []rawFinding
+func (w *widthScan) checkConversions() []driver.Diagnostic {
+	var findings []driver.Diagnostic
 	ast.Inspect(w.fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) != 1 {
@@ -125,10 +117,10 @@ func (w *widthScan) checkConversions() []rawFinding {
 		if w.boundedTo(operand, dst) || w.comparisonGuarded(operand) {
 			return true
 		}
-		findings = append(findings, rawFinding{
-			pos:  call.Pos(),
-			rule: RuleBitWidth,
-			msg: fmt.Sprintf("conversion of %d-bit value %s to %d bits may truncate; mask, bounds-check, or annotate with //mbpvet:ignore %s",
+		findings = append(findings, driver.Diagnostic{
+			Pos:      call.Pos(),
+			Category: RuleBitWidth,
+			Message: fmt.Sprintf("conversion of %d-bit value %s to %d bits may truncate; mask, bounds-check, or annotate with //mbpvet:ignore %s",
 				src, types.ExprString(operand), dst, RuleBitWidth),
 		})
 		return true
@@ -137,8 +129,8 @@ func (w *widthScan) checkConversions() []rawFinding {
 }
 
 // checkShifts flags x << k that can drop high bits of a non-constant x.
-func (w *widthScan) checkShifts() []rawFinding {
-	var findings []rawFinding
+func (w *widthScan) checkShifts() []driver.Diagnostic {
+	var findings []driver.Diagnostic
 	consider := func(n ast.Node, x ast.Expr, k ast.Expr) {
 		kv := w.constVal(k)
 		if kv == nil {
@@ -158,10 +150,10 @@ func (w *widthScan) checkShifts() []rawFinding {
 		if w.boundedTo(x, width-int(shift)) || w.guarded(x) || w.comparisonGuarded(x) {
 			return
 		}
-		findings = append(findings, rawFinding{
-			pos:  n.Pos(),
-			rule: RuleBitWidth,
-			msg: fmt.Sprintf("%s << %d silently drops the top %d bits; mask the operand, guard it (%v), or annotate with //mbpvet:ignore %s",
+		findings = append(findings, driver.Diagnostic{
+			Pos:      n.Pos(),
+			Category: RuleBitWidth,
+			Message: fmt.Sprintf("%s << %d silently drops the top %d bits; mask the operand, guard it (%v), or annotate with //mbpvet:ignore %s",
 				types.ExprString(x), shift, shift, w.guards, RuleBitWidth),
 		})
 	}
@@ -285,8 +277,8 @@ func (w *widthScan) comparisonGuarded(e ast.Expr) bool {
 // checkTableMasks flags make([]T, n) where n is not shaped like a power of
 // two while the function also computes n-1 (an index mask): predictor
 // tables must be power-of-two sized for mask indexing to be correct.
-func (w *widthScan) checkTableMasks() []rawFinding {
-	var findings []rawFinding
+func (w *widthScan) checkTableMasks() []driver.Diagnostic {
+	var findings []driver.Diagnostic
 	ast.Inspect(w.fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) < 2 {
@@ -313,10 +305,10 @@ func (w *widthScan) checkTableMasks() []rawFinding {
 		if !w.derivesMask(size) {
 			return true
 		}
-		findings = append(findings, rawFinding{
-			pos:  call.Pos(),
-			rule: RuleBitWidth,
-			msg: fmt.Sprintf("table of size %s is indexed through a mask derived from its size, but the size is not provably a power of two (use 1<<logSize)",
+		findings = append(findings, driver.Diagnostic{
+			Pos:      call.Pos(),
+			Category: RuleBitWidth,
+			Message: fmt.Sprintf("table of size %s is indexed through a mask derived from its size, but the size is not provably a power of two (use 1<<logSize)",
 				types.ExprString(size)),
 		})
 		return true
