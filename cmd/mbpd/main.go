@@ -20,7 +20,9 @@
 // policy), so resubmitting finished work is a cache hit and a restarted
 // daemon serves completed jobs from its data directory without simulating.
 // Every job runs over its own resume journal; a SIGKILL'd daemon replays
-// finished cells on the next run.
+// finished cells on the next run. All jobs share one decoded-trace cache
+// (-cache-bytes), keyed by trace content, so a job over traces an earlier
+// job read starts warm.
 //
 // With -listen on port 0 the kernel picks a free port; the bound address is
 // written to <data-dir>/mbpd.addr for clients and scripts to discover.
@@ -62,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listen     = fs.String("listen", "127.0.0.1:0", "host:port to serve the API on (port 0 = kernel-assigned)")
 		dataDir    = fs.String("data-dir", "", "job store directory (jobs, journals, address file)")
 		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers per sweep job")
-		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget per job (0 disables)")
+		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget, shared by all jobs (0 disables)")
 		queue      = fs.Int("queue", daemon.DefaultQueueDepth, "max admitted-but-unfinished jobs before submissions get 503")
 		ckptEvery  = fs.Uint64("checkpoint-every", cliflags.DefaultCheckpointEvery, "events between in-flight cell checkpoints (0 disables)")
 		cellTime   = fs.Duration("cell-timeout", 0, "wall-time budget per (value, trace) cell (0 = none)")

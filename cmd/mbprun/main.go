@@ -1,9 +1,13 @@
 // Command mbprun scores one predictor configuration over a whole trace set
 // in parallel — the championship evaluation workflow (§II of the MBPlib
 // paper: hundreds of traces per design). Traces are scheduled across -j
-// workers (default GOMAXPROCS) backed by a decoded-trace cache
-// (-cache-bytes); each cell owns a fresh predictor, so throughput scales
-// with cores. Output is byte-identical at every -j.
+// workers (default GOMAXPROCS); each cell owns a fresh predictor, so
+// throughput scales with cores. Output is byte-identical at every -j.
+//
+// The decoded-trace cache is off by default (-cache-bytes 0): one predictor
+// reads each trace exactly once, so a cached trace is never replayed and
+// admission is pure overhead. -cache-bytes N turns it on with an N-byte
+// budget; the output is the same either way.
 //
 // Usage:
 //
@@ -47,6 +51,7 @@ import (
 	"mbplib/internal/prof"
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sim/tracecache"
 	"mbplib/internal/sweep"
 )
 
@@ -72,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warmup     = fs.Uint64("warmup", 0, "warm-up instructions per trace")
 		simInstr   = fs.Uint64("sim", 0, "instructions to simulate per trace after warm-up (0 = all)")
 		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers (concurrent traces)")
-		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget (0 disables)")
+		cacheBytes = fs.Int64("cache-bytes", 0, "decoded-trace cache budget (0 disables: one predictor reads each trace once, so a cache has nothing to reuse)")
 		jsonOut    = fs.Bool("json", false, "print the summary as JSON")
 		metricsTo  = fs.String("metrics", "", "write a pipeline metrics JSON snapshot to this file ('-' = stderr)")
 		progress   = fs.Bool("progress", false, "render a live progress line on stderr")
@@ -169,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The journal keys cells by the predictor spec, so a resumed run with
 	// another -predictor never replays this one's results.
 	sets, err := sim.SweepParallel(sources, []sim.PredictorSpec{{Name: *predSpec, New: newPredictor}}, cfg, sim.ParallelOptions{
-		Workers: *jobs, CacheBytes: cliflags.CacheBudget(*cacheBytes), Policy: policy,
+		Workers: *jobs, Cache: tracecache.New(*cacheBytes), Policy: policy,
 		Metrics: metrics.Collector(),
 		Journal: jnl, CheckpointEvery: *ckptEvery, Drain: drain, CellTimeout: *cellTime,
 	})

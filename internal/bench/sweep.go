@@ -11,6 +11,7 @@ import (
 	"mbplib/internal/predictors/registry"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
+	"mbplib/internal/sim/tracecache"
 	"mbplib/internal/sweep"
 	"mbplib/internal/tracegen"
 )
@@ -150,7 +151,7 @@ func MeasureSweep(paths, predictorSpecs []string, workersList []int, rounds int)
 
 	seqSec, err := best(func() error {
 		_, err := sim.SweepParallel(sources, preds, sim.Config{}, sim.ParallelOptions{
-			Workers: 1, CacheBytes: -1, Metrics: collector,
+			Workers: 1, Metrics: collector,
 		})
 		return err
 	})
@@ -164,8 +165,9 @@ func MeasureSweep(paths, predictorSpecs []string, workersList []int, rounds int)
 
 	for _, w := range workersList {
 		parSec, err := best(func() error {
+			// A cold cache per run, as a one-shot CLI sweep has.
 			_, err := sim.SweepParallel(sources, preds, sim.Config{}, sim.ParallelOptions{
-				Workers: w, Metrics: collector,
+				Workers: w, Cache: tracecache.New(sim.DefaultCacheBytes), Metrics: collector,
 			})
 			return err
 		})

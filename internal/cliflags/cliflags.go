@@ -176,11 +176,11 @@ func ValidateCacheBytes(b int64) error {
 }
 
 // CacheBudget translates the CLI's -cache-bytes convention (0 = disabled)
-// into the library's (tracecache.New treats <= 0 as disabled, but
-// sim.ParallelOptions treats 0 as "use default"), after validation.
+// into that of sweep.RunOptions and daemon.Config (0 = "use default",
+// negative = disabled), after validation.
 func CacheBudget(b int64) int64 {
 	if b == 0 {
-		return -1 // explicit disable for sim.ParallelOptions
+		return -1 // explicit disable
 	}
 	return b
 }

@@ -40,6 +40,7 @@ import (
 	"mbplib/internal/obs"
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sim/tracecache"
 	"mbplib/internal/sweep"
 )
 
@@ -56,8 +57,10 @@ type Config struct {
 	// Jobs is the scheduler width of each sweep (the -j of mbpsweep).
 	// <= 0 means GOMAXPROCS.
 	Jobs int
-	// CacheBytes has sim.ParallelOptions semantics: 0 default, negative
-	// disables the decoded-trace cache.
+	// CacheBytes budgets the one decoded-trace cache that every job
+	// shares for the daemon's life, so a job over traces an earlier job
+	// read decodes nothing. 0 means sim.DefaultCacheBytes, negative
+	// disables the cache.
 	CacheBytes int64
 	// QueueDepth bounds the number of jobs admitted but not yet finished
 	// (queued + running). Submissions beyond it are refused with 503.
@@ -94,8 +97,9 @@ var (
 // Daemon is one sweep service instance. Construct with New, serve its
 // Handler, Start the runner, and Drain then Close on shutdown.
 type Daemon struct {
-	cfg  Config
-	logf func(string, ...any)
+	cfg   Config
+	logf  func(string, ...any)
+	cache *tracecache.Cache // shared by every job; nil when disabled
 
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -150,6 +154,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:      cfg,
 		logf:     cfg.Logf,
+		cache:    sim.NewCache(cfg.CacheBytes),
 		jobs:     map[string]*job{},
 		wake:     make(chan struct{}, 1),
 		draining: make(chan struct{}),
@@ -654,11 +659,11 @@ func (d *Daemon) runJob(j *job) {
 
 	mode, _ := spec.Mode() // validated at resolve time
 	sets, runErr := resolved.Run(sweep.RunOptions{
-		Jobs:       d.cfg.Jobs,
-		CacheBytes: d.cfg.CacheBytes,
-		Policy:     sim.Policy{Mode: mode, Retries: spec.Retries, Backoff: d.cfg.Backoff},
-		Metrics:    metrics,
-		Journal:    jnl, CheckpointEvery: d.cfg.CheckpointEvery,
+		Jobs:    d.cfg.Jobs,
+		Cache:   d.cache,
+		Policy:  sim.Policy{Mode: mode, Retries: spec.Retries, Backoff: d.cfg.Backoff},
+		Metrics: metrics,
+		Journal: jnl, CheckpointEvery: d.cfg.CheckpointEvery,
 		Drain: drain, CellTimeout: d.cfg.CellTimeout,
 	})
 	close(stopMerge)

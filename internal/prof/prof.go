@@ -13,13 +13,15 @@ import (
 
 // Start begins CPU profiling into cpuPath and arranges for a heap profile
 // to be written to memPath; either path may be empty to disable that
-// profile. It returns a stop function that must run before the process
-// exits (deferred in the CLI run functions, which return an exit code
-// instead of calling os.Exit directly for exactly this reason): stop
-// finishes the CPU profile and captures the heap profile after a final GC,
-// so the numbers reflect live memory, not garbage awaiting collection.
+// profile. Both files are created up front, so a bad path fails here, before
+// the run, rather than after it; on error no profile is left running. It
+// returns a stop function that must run before the process exits (deferred
+// in the CLI run functions, which return an exit code instead of calling
+// os.Exit directly for exactly this reason): stop finishes the CPU profile
+// and writes the heap profile after a final GC, so the numbers reflect live
+// memory, not garbage awaiting collection.
 func Start(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
+	var cpuFile, memFile *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
@@ -31,6 +33,17 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		cpuFile = f
 	}
+	if memPath != "" {
+		f, err := os.Create(memPath)
+		if err != nil {
+			if cpuFile != nil {
+				pprof.StopCPUProfile()
+				cpuFile.Close()
+			}
+			return nil, fmt.Errorf("mem profile: %w", err)
+		}
+		memFile = f
+	}
 	return func() error {
 		var firstErr error
 		if cpuFile != nil {
@@ -39,19 +52,12 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 				firstErr = fmt.Errorf("cpu profile: %w", err)
 			}
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("mem profile: %w", err)
-				}
-				return firstErr
-			}
+		if memFile != nil {
 			runtime.GC() // flush garbage so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil && firstErr == nil {
+			if err := pprof.WriteHeapProfile(memFile); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("mem profile: %w", err)
 			}
-			if err := f.Close(); err != nil && firstErr == nil {
+			if err := memFile.Close(); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("mem profile: %w", err)
 			}
 		}

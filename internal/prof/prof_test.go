@@ -47,13 +47,20 @@ func TestStartCPUPathError(t *testing.T) {
 	}
 }
 
-// TestStopMemPathError: an uncreatable heap profile is reported by stop.
+// TestStopMemPathError: an uncreatable heap profile is reported by Start,
+// before the run, and the CPU profile Start began is stopped: a second
+// Start succeeds.
 func TestStopMemPathError(t *testing.T) {
-	stop, err := Start("", filepath.Join(t.TempDir(), "missing", "mem.pprof"))
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	_, err := Start(filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "missing", "mem.pprof"))
+	if err == nil || !strings.Contains(err.Error(), "mem profile") {
+		t.Fatalf("Start error = %v, want one naming the mem profile", err)
 	}
-	if err := stop(); err == nil || !strings.Contains(err.Error(), "mem profile") {
-		t.Fatalf("stop error = %v, want one naming the mem profile", err)
+	stop, err := Start(filepath.Join(dir, "cpu2.pprof"), "")
+	if err != nil {
+		t.Fatalf("second Start: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("stop: %v", err)
 	}
 }

@@ -22,7 +22,8 @@ type ChunkedTrace interface {
 	TotalBranches() uint64
 	// DecodeChunk decodes chunk i, returning its events in trace order.
 	// On a decode failure the events preceding the fault are still
-	// returned. Must be safe for concurrent calls with distinct i.
+	// returned. Must be safe for any concurrent calls, the same i
+	// included: the cells of a sweep share one open trace.
 	DecodeChunk(i int) ([]bp.Event, error)
 	// Close releases the trace. In-flight DecodeChunk calls must have
 	// completed.
@@ -41,10 +42,10 @@ type ChunkedTrace interface {
 type cachedStream struct {
 	ctx   context.Context
 	cache *tracecache.Cache
-	name  string
+	id    string                                    // the cache key of the trace: TraceSource.ID
 	open  func() (bp.Reader, io.Closer, int, error) // the whole trace, with the policy's retries
 	col   *obs.Collector
-	ct    ChunkedTrace // nil: the trace is read whole
+	ct    ChunkedTrace // nil: the trace is read whole; owned by the sweep
 
 	chunk int               // next chunk to load
 	read  uint64            // events delivered so far
@@ -54,20 +55,16 @@ type cachedStream struct {
 }
 
 // openStream opens the batch stream of one cell and loads its first chunk.
-// Chunked access is used only with the cache enabled; an ineligible
-// container (not indexed MLZS, unaligned, damaged trailer) is read whole,
-// whose reader reports any real damage with the canonical diagnostics. A
-// whole trace the cache cannot pin (or any trace, with the cache off) is
-// read afresh through a prefetching stream. attempts counts the opens made,
-// for failure accounting.
-func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Cache, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
+// ct is the trace's chunked handle, shared with the sweep's other cells and
+// closed by the sweep. It is nil with the cache off and for a trace without
+// eligible chunked access (not indexed MLZS, unaligned, damaged trailer);
+// such a trace is read whole, and its reader reports any real damage with
+// the canonical diagnostics. A whole trace the cache cannot pin (or any
+// trace, with the cache off) is read afresh through a prefetching stream.
+// attempts counts the opens made, for failure accounting.
+func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Cache, ct ChunkedTrace, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
 	open := func() (bp.Reader, io.Closer, int, error) { return openWithRetry(ctx, drain, src, policy) }
-	cs := &cachedStream{ctx: ctx, cache: cache, name: src.Name, open: open, col: col}
-	if src.OpenChunked != nil && cache != nil {
-		if ct, err := src.OpenChunked(); err == nil {
-			cs.ct = ct
-		}
-	}
+	cs := &cachedStream{ctx: ctx, cache: cache, id: src.ID(), open: open, col: col, ct: ct}
 	if attempts, err = cs.load(); err != nil {
 		cs.close()
 		return nil, attempts, err
@@ -113,15 +110,15 @@ func (s *cachedStream) next() ([]bp.Event, error) {
 func (s *cachedStream) load() (attempts int, err error) {
 	i := s.chunk
 	s.chunk++
-	id, load := tracecache.Whole, s.loadWhole
+	unit, load := tracecache.Whole, s.loadWhole
 	if s.ct != nil {
-		id, load = i, func(f *tracecache.Fill) (int, error) {
+		unit, load = i, func(f *tracecache.Fill) (int, error) {
 			evs, err := s.decodeChunk(i) // its own open: no f.Opened
 			f.Add(evs)
 			return 1, err
 		}
 	}
-	entry, err := s.cache.Acquire(s.ctx, s.name, id, load)
+	entry, err := s.cache.Acquire(s.ctx, s.col, s.id, unit, load)
 	if err != nil {
 		return 1, err // ctx ended while waiting on another cell's load
 	}
@@ -172,11 +169,9 @@ func (s *cachedStream) decodeChunk(i int) (evs []bp.Event, err error) {
 	return evs, err
 }
 
-// close unpins the current chunk and closes the chunked trace, so a cell
-// that stops early (instruction limit, drain, deadline) cannot leak a pin.
+// close unpins the current chunk, so a cell that stops early (instruction
+// limit, drain, deadline) cannot leak a pin. The chunked trace is the
+// sweep's to close.
 func (s *cachedStream) close() {
 	s.cache.Release(s.entry)
-	if s.ct != nil {
-		s.ct.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
-	}
 }

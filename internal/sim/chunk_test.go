@@ -7,15 +7,18 @@ package sim_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/chunked"
 	"mbplib/internal/compress"
 	"mbplib/internal/obs"
+	"mbplib/internal/predictors/gshare"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
 )
@@ -95,6 +98,7 @@ func TestChunkedSweepMatchesStreaming(t *testing.T) {
 		t.Run(cname, func(t *testing.T) {
 			seq := sequentialSweep(t, streamSrcs, equivPredictors, cfg)
 			par, err := sim.SweepParallel(chunkSrcs, equivPredictors, cfg, sim.ParallelOptions{
+				Cache:   sim.NewCache(0),
 				Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
 			if err != nil {
@@ -112,6 +116,7 @@ func TestChunkedSweepRecordsReads(t *testing.T) {
 	col := obs.New()
 	srcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 	if _, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+		Cache:   sim.NewCache(0),
 		Workers: 2, Policy: sim.Policy{Mode: sim.SkipFailed}, Metrics: col,
 	}); err != nil {
 		t.Fatalf("SweepParallel: %v", err)
@@ -177,6 +182,7 @@ func TestChunkedFaultEquivalence(t *testing.T) {
 			chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 			seq := sequentialSweep(t, streamSrcs, equivPredictors, tc.cfg)
 			par, err := sim.SweepParallel(chunkSrcs, equivPredictors, tc.cfg, sim.ParallelOptions{
+				Cache:   sim.NewCache(0),
 				Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
 			if err != nil {
@@ -221,6 +227,7 @@ func TestChunkedTruncatedContainerFallsBack(t *testing.T) {
 	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
 	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+		Cache:   sim.NewCache(0),
 		Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 	})
 	if err != nil {
@@ -242,7 +249,7 @@ func TestChunkedTinyCacheMatches(t *testing.T) {
 	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
 	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
 	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
-		Workers: 4, CacheBytes: 64, Policy: sim.Policy{Mode: sim.SkipFailed},
+		Workers: 4, Cache: sim.NewCache(64), Policy: sim.Policy{Mode: sim.SkipFailed},
 	})
 	if err != nil {
 		t.Fatalf("SweepParallel: %v", err)
@@ -328,5 +335,82 @@ func TestChunkedOpenRejectsChecksummed(t *testing.T) {
 	}
 	if _, err := chunked.Open(path); err == nil {
 		t.Fatal("chunked.Open accepted a checksummed trace")
+	}
+}
+
+// closeTracked records that a chunked trace was closed, and checks that it
+// is closed once and that no chunk is decoded through it afterwards.
+type closeTracked struct {
+	sim.ChunkedTrace
+	closed *atomic.Bool
+	t      *testing.T
+}
+
+func (c closeTracked) DecodeChunk(i int) ([]bp.Event, error) {
+	if c.closed.Load() {
+		c.t.Errorf("chunk %d decoded after Close", i)
+	}
+	return c.ChunkedTrace.DecodeChunk(i)
+}
+
+func (c closeTracked) Close() error {
+	if c.closed.Swap(true) {
+		c.t.Error("chunked trace closed twice")
+	}
+	return c.ChunkedTrace.Close()
+}
+
+// TestSweepParallelOpensChunkedOnce: the cells of one trace share a single
+// chunked open per sweep, closed once after they finish, and a failed open
+// is one verdict — every cell of that trace streams it whole. Either way
+// the results equal a cache-off run, which streams every cell.
+func TestSweepParallelOpensChunkedOnce(t *testing.T) {
+	paths := chunkEquivTraces(t)
+	preds := []sim.PredictorSpec{equivPredictors[0], equivPredictors[1],
+		{Name: "gshare-h4", New: func() bp.Predictor { return gshare.New(gshare.WithHistoryLength(4)) }}}
+	var streamSrcs []sim.TraceSource
+	for _, p := range paths {
+		streamSrcs = append(streamSrcs, mlzsSource(p, false))
+	}
+	ref, err := sim.SweepParallel(streamSrcs, preds, sim.Config{}, sim.ParallelOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fail := range []bool{false, true} {
+		opens := make([]atomic.Int32, len(paths))
+		closes := make([]atomic.Bool, len(paths))
+		srcs := make([]sim.TraceSource, len(paths))
+		for i, p := range paths {
+			srcs[i] = mlzsSource(p, false)
+			srcs[i].OpenChunked = func() (sim.ChunkedTrace, error) {
+				opens[i].Add(1)
+				if fail {
+					return nil, errors.New("not eligible")
+				}
+				ct, err := chunked.Open(p)
+				if err != nil {
+					return nil, err
+				}
+				return closeTracked{ct, &closes[i], t}, nil
+			}
+		}
+		for run := 0; run < 2; run++ { // a second sweep opens again
+			got, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{
+				Workers: 2, Cache: sim.NewCache(0),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffSweeps(t, ref, got, preds)
+			for i := range paths {
+				if n := opens[i].Load(); n != int32(run+1) {
+					t.Errorf("fail=%v sweep %d: trace %d opened %d times in all, want %d", fail, run, i, n, run+1)
+				}
+				if !fail && !closes[i].Load() {
+					t.Errorf("sweep %d: trace %d left open", run, i)
+				}
+				closes[i].Store(false)
+			}
+		}
 	}
 }

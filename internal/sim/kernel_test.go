@@ -183,11 +183,11 @@ func TestSweepParallelKernelScalarEquivalence(t *testing.T) {
 	}
 	cfg := sim.Config{WarmupInstructions: 3000}
 	for _, workers := range []int{1, 2, 4} {
-		ref, err := sim.SweepParallel(srcs, stripped, cfg, sim.ParallelOptions{Workers: workers})
+		ref, err := sim.SweepParallel(srcs, stripped, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: stripped sweep: %v", workers, err)
 		}
-		got, err := sim.SweepParallel(srcs, native, cfg, sim.ParallelOptions{Workers: workers})
+		got, err := sim.SweepParallel(srcs, native, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: kernel sweep: %v", workers, err)
 		}
@@ -197,7 +197,7 @@ func TestSweepParallelKernelScalarEquivalence(t *testing.T) {
 	// Journalled kernel sweep: first run simulates through the kernels and
 	// journals every cell; the rerun replays from the journal without
 	// simulating. Both must match the stripped reference byte for byte.
-	ref, err := sim.SweepParallel(srcs, stripped, cfg, sim.ParallelOptions{Workers: 2})
+	ref, err := sim.SweepParallel(srcs, stripped, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 2})
 	if err != nil {
 		t.Fatalf("journal reference sweep: %v", err)
 	}
@@ -205,6 +205,7 @@ func TestSweepParallelKernelScalarEquivalence(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		jnl := openJournal(t, dir)
 		got, err := sim.SweepParallel(srcs, native, cfg, sim.ParallelOptions{
+			Cache:   sim.NewCache(0),
 			Workers: 2, Journal: jnl, CheckpointEvery: 4096,
 		})
 		if err != nil {

@@ -68,7 +68,7 @@ func TestRunMetricsOutputByteIdentical(t *testing.T) {
 func TestSweepParallelMetricsPopulated(t *testing.T) {
 	srcs := genSources(t, 8000)
 	cfg := sim.Config{WarmupInstructions: 5_000}
-	base := sim.ParallelOptions{Workers: 4}
+	base := sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 4}
 
 	plain, err := sim.SweepParallel(srcs, equivPredictors, cfg, base)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestSweepParallelMetricsPopulated(t *testing.T) {
 	}
 	col := obs.New()
 	withM := base
-	withM.Metrics = col
+	withM.Cache, withM.Metrics = sim.NewCache(0), col // cold, like plain's
 	metered, err := sim.SweepParallel(srcs, equivPredictors, cfg, withM)
 	if err != nil {
 		t.Fatalf("sweep with metrics: %v", err)
@@ -164,7 +164,7 @@ func TestRunMetricsNoExtraAllocs(t *testing.T) {
 func TestRunSetParallelMetrics(t *testing.T) {
 	srcs := genSources(t, 4000)
 	col := obs.New()
-	opts := sim.ParallelOptions{Workers: 1, CacheBytes: -1, Metrics: col}
+	opts := sim.ParallelOptions{Workers: 1, Metrics: col}
 	sets, err := sim.SweepParallel(srcs, []sim.PredictorSpec{{Name: "gshare", New: func() bp.Predictor { return gshare.New() }}}, sim.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -31,15 +31,26 @@ type PredictorSpec struct {
 // of decoded trace.
 const DefaultCacheBytes int64 = 1 << 30
 
+// NewCache builds a decoded-trace cache from the budget convention of
+// sweep.RunOptions and daemon.Config: 0 means DefaultCacheBytes, negative
+// disables the cache (nil).
+func NewCache(budget int64) *tracecache.Cache {
+	if budget == 0 {
+		budget = DefaultCacheBytes
+	}
+	return tracecache.New(budget)
+}
+
 // ParallelOptions configures the parallel sweep scheduler.
 type ParallelOptions struct {
 	// Workers is the number of concurrent (trace, predictor) simulations.
 	// ≤ 0 means GOMAXPROCS.
 	Workers int
-	// CacheBytes bounds the shared decoded-trace cache. 0 means
-	// DefaultCacheBytes; negative disables the cache (every pair streams
-	// and re-decodes its trace).
-	CacheBytes int64
+	// Cache is the decoded-trace cache the cells share. The caller owns
+	// it and may share it across sweeps (the daemon keeps one for its
+	// whole life). nil disables caching: every pair streams and re-decodes
+	// its trace.
+	Cache *tracecache.Cache
 	// Policy is the per-pair failure policy: FailFast or SkipFailed, and
 	// the retry schedule of transient trace opens.
 	Policy Policy
@@ -155,6 +166,31 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 		}
 	}
 
+	// Trace-major order maximises decode sharing: the nP pairs of one trace
+	// cluster in time, so its cache entry is loaded once, read nP times,
+	// and then becomes the eviction candidate.
+	type pair struct{ pi, ti int }
+	pending := make([]pair, 0, nP*nT-replayed)
+	for ti := range sources {
+		for pi := range predictors {
+			if !skip[pi][ti] {
+				pending = append(pending, pair{pi, ti})
+			}
+		}
+	}
+	cache := opts.Cache
+	chunked := make([]*sharedChunked, nT)
+	if cache != nil { // chunked access serves the cache only
+		for _, tk := range pending {
+			if open := sources[tk.ti].OpenChunked; open != nil {
+				if chunked[tk.ti] == nil {
+					chunked[tk.ti] = &sharedChunked{open: open}
+				}
+				chunked[tk.ti].cells++
+			}
+		}
+	}
+
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -162,12 +198,6 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	if workers > nP*nT {
 		workers = nP * nT
 	}
-	cacheBytes := opts.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = DefaultCacheBytes
-	}
-	cache := tracecache.New(cacheBytes) // nil (stream everything) when negative
-	cache.SetCollector(col)
 	col.Ctr(obs.CtrCellsTotal).Store(uint64(nP * nT))
 	col.Ctr(obs.CtrCellsReplayed).Store(uint64(replayed))
 	col.Ctr(obs.CtrCellsDone).Store(uint64(replayed))
@@ -180,7 +210,6 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	// its caller asked for.
 	var jmu sync.Mutex
 	var jerr error
-	type pair struct{ pi, ti int }
 	tasks := make(chan pair)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -193,7 +222,8 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 					continue // cancelled: leave the cell empty, the sweep is aborting
 				}
 				tCell := col.Now()
-				res, fail := runPair(ctx, cache, sources[tk.ti], predictors[tk.pi], cfg, opts)
+				res, fail := runPair(ctx, cache, chunked[tk.ti], sources[tk.ti], predictors[tk.pi], cfg, opts)
+				chunked[tk.ti].cellDone()
 				cellDur := col.Now().Sub(tCell)
 				ws.Record(cellDur)
 				col.Hist(obs.HistCellNs).ObserveDuration(cellDur)
@@ -224,19 +254,9 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 			}
 		}()
 	}
-	// Trace-major order maximises decode sharing: the nP pairs of one trace
-	// cluster in time, so its cache entry is loaded once, read nP times,
-	// and then becomes the eviction candidate. A drain stops admission at
-	// the current cell; everything not yet admitted is marked drained so
-	// the caller can report (and later resume) exactly what remains.
-	pending := make([]pair, 0, nP*nT-replayed)
-	for ti := range sources {
-		for pi := range predictors {
-			if !skip[pi][ti] {
-				pending = append(pending, pair{pi, ti})
-			}
-		}
-	}
+	// A drain stops admission at the current cell; everything not yet
+	// admitted is marked drained so the caller can report (and later
+	// resume) exactly what remains.
 	for i, tk := range pending {
 		admitted := false
 		select {
@@ -259,6 +279,9 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	}
 	close(tasks)
 	wg.Wait()
+	for _, h := range chunked {
+		h.close() // traces whose cells did not all run (cancelled, drained)
+	}
 
 	out := make([]*SetResult, nP)
 	var firstErr *SweepError
@@ -286,11 +309,12 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 }
 
 // runPair simulates one (trace, predictor) pair: it opens the pair's batch
-// stream and runs it through runCell. A panic anywhere in the pair —
-// predictor, reader or replayed decode — is recovered and classified. With
-// a cell timeout configured the whole pair (opens and cache waits included)
-// runs under a per-cell deadline.
-func runPair(ctx context.Context, cache *tracecache.Cache, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions) (result *Result, failure *TraceFailure) {
+// stream, over the trace's shared chunked handle when it has one, and runs
+// it through runCell. A panic anywhere in the pair — predictor, reader or
+// replayed decode — is recovered and classified. With a cell timeout
+// configured the whole pair (opens and cache waits included) runs under a
+// per-cell deadline.
+func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions) (result *Result, failure *TraceFailure) {
 	start := time.Now()
 	attempts := 1
 	defer func() {
@@ -309,7 +333,7 @@ func runPair(ctx context.Context, cache *tracecache.Cache, src TraceSource, pred
 	if opts.Journal != nil {
 		jc = &cellJournal{j: opts.Journal, key: CellKey(src, pred.Name, cfg), every: opts.CheckpointEvery, col: cfg.Metrics}
 	}
-	stream, attempts, err := openStream(ctx, opts.Drain, cache, src, opts.Policy, cfg.Metrics)
+	stream, attempts, err := openStream(ctx, opts.Drain, cache, ch.get(), src, opts.Policy, cfg.Metrics)
 	if err == nil {
 		defer stream.close()
 		cfg.TraceName = src.Name
@@ -321,6 +345,66 @@ func runPair(ctx context.Context, cache *tracecache.Cache, src TraceSource, pred
 		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
 	}
 	return result, nil
+}
+
+// sharedChunked is one trace's chunked access, shared by the cells of a
+// sweep. Opening validates the container by decoding its chunk 0, so the
+// sweep opens each trace at most once, on the first cell that reads it, and
+// closes it once the trace's last cell has finished. A failed open is the
+// verdict for every cell of the trace: each streams it whole. A nil
+// *sharedChunked is a trace without chunked access.
+type sharedChunked struct {
+	open func() (ChunkedTrace, error)
+
+	mu     sync.Mutex
+	opened bool         // open has been tried
+	ct     ChunkedTrace // nil until opened, and after a failed open or close
+	cells  int          // cells of the trace not yet finished
+}
+
+// get returns the trace's chunked handle, opening it on first use, or nil
+// when the trace has none or its open failed.
+func (h *sharedChunked) get() ChunkedTrace {
+	if h == nil {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.opened {
+		h.opened = true
+		if ct, err := h.open(); err == nil {
+			h.ct = ct
+		}
+	}
+	return h.ct
+}
+
+// cellDone records that one cell of the trace has finished (its stream is
+// closed) and closes the handle after the last.
+func (h *sharedChunked) cellDone() {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	h.cells--
+	last := h.cells == 0
+	h.mu.Unlock()
+	if last {
+		h.close()
+	}
+}
+
+// close releases the handle; later calls do nothing.
+func (h *sharedChunked) close() {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ct != nil {
+		h.ct.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
+		h.ct = nil
+	}
 }
 
 // openWithRetry opens a trace source with the policy's transient-open

@@ -188,6 +188,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 			t.Run(kind+"/"+cname, func(t *testing.T) {
 				seq := sequentialSweep(t, srcs, equivPredictors, cfg)
 				par, err := sim.SweepParallel(srcs, equivPredictors, cfg, sim.ParallelOptions{
+					Cache:   sim.NewCache(0),
 					Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 				})
 				if err != nil {
@@ -216,6 +217,7 @@ func TestSweepParallelLimitBeforeCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			seq := sequentialSweep(t, srcs, equivPredictors, tc.cfg)
 			par, err := sim.SweepParallel(srcs, equivPredictors, tc.cfg, sim.ParallelOptions{
+				Cache:   sim.NewCache(0),
 				Workers: 2, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
 			if err != nil {
@@ -270,7 +272,7 @@ func TestSweepParallelTruncatedGzip(t *testing.T) {
 			var runs [2][]*sim.SetResult
 			for i, cacheBytes := range []int64{0, -1} {
 				runs[i], err = sim.SweepParallel(srcs, equivPredictors, tc.cfg, sim.ParallelOptions{
-					Workers: 2, CacheBytes: cacheBytes, Policy: sim.Policy{Mode: sim.SkipFailed},
+					Workers: 2, Cache: sim.NewCache(cacheBytes), Policy: sim.Policy{Mode: sim.SkipFailed},
 				})
 				if err != nil {
 					t.Fatalf("SweepParallel (cache bytes %d): %v", cacheBytes, err)
@@ -304,7 +306,7 @@ func TestSweepParallelInterleavedFailures(t *testing.T) {
 	}
 	policy := sim.Policy{Mode: sim.SkipFailed}
 	seq := sequentialSweep(t, srcs, preds, sim.Config{})
-	par, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{Workers: 4, Policy: policy})
+	par, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 4, Policy: policy})
 	if err != nil {
 		t.Fatalf("SweepParallel: %v", err)
 	}
@@ -340,6 +342,7 @@ func TestSweepParallelFailFast(t *testing.T) {
 	srcs := genSources(t, 1500)
 	srcs[0] = lateCorruptSource(t, "corrupt-trace", equivSpec(1500))
 	_, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+		Cache:   sim.NewCache(0),
 		Workers: 4, Policy: sim.Policy{Mode: sim.FailFast},
 	})
 	if err == nil {
@@ -365,6 +368,7 @@ func TestSweepParallelOnePredictorMatchesOracle(t *testing.T) {
 	errText := map[int]string{}
 	for _, workers := range []int{1, 4} {
 		par, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{
+			Cache:   sim.NewCache(0),
 			Workers: workers, Policy: sim.Policy{Mode: sim.SkipFailed},
 		})
 		if err != nil {
@@ -373,6 +377,7 @@ func TestSweepParallelOnePredictorMatchesOracle(t *testing.T) {
 		diffSweeps(t, seq, par, preds)
 
 		_, err = sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{
+			Cache:   sim.NewCache(0),
 			Workers: workers, Policy: sim.Policy{Mode: sim.FailFast},
 		})
 		if err == nil {
@@ -395,7 +400,7 @@ func TestSweepParallelCacheBudgets(t *testing.T) {
 	seq := sequentialSweep(t, srcs, equivPredictors, sim.Config{})
 	for _, budget := range []int64{64, -1} {
 		par, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
-			Workers: 4, CacheBytes: budget, Policy: sim.Policy{Mode: sim.SkipFailed},
+			Workers: 4, Cache: sim.NewCache(budget), Policy: sim.Policy{Mode: sim.SkipFailed},
 		})
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)

@@ -26,11 +26,7 @@ import (
 // key, so a journal never replays a result the current invocation would not
 // have produced itself.
 func CellKey(src TraceSource, predictor string, cfg Config) string {
-	id := src.Digest
-	if id == "" {
-		id = src.Name
-	}
-	return fmt.Sprintf("%s|%s|w=%d|s=%d", id, predictor, cfg.WarmupInstructions, cfg.SimInstructions)
+	return fmt.Sprintf("%s|%s|w=%d|s=%d", src.ID(), predictor, cfg.WarmupInstructions, cfg.SimInstructions)
 }
 
 // journalCell durably appends one finished cell. Resumable (drained)

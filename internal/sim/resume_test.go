@@ -65,7 +65,7 @@ func TestSweepParallelJournalReplay(t *testing.T) {
 	dir := t.TempDir()
 
 	jnl := openJournal(t, dir)
-	first, err := sim.SweepParallel(srcs, equivPredictors, cfg, sim.ParallelOptions{Workers: 4, Journal: jnl})
+	first, err := sim.SweepParallel(srcs, equivPredictors, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 4, Journal: jnl})
 	if err != nil {
 		t.Fatalf("journalled sweep: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestSweepParallelJournalReplay(t *testing.T) {
 	}
 	jnl2 := openJournal(t, dir)
 	defer jnl2.Close()
-	second, err := sim.SweepParallel(srcs, counting, cfg, sim.ParallelOptions{Workers: 4, Journal: jnl2})
+	second, err := sim.SweepParallel(srcs, counting, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 4, Journal: jnl2})
 	if err != nil {
 		t.Fatalf("replay sweep: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestSweepParallelCheckpointDrainResume(t *testing.T) {
 
 	var baseN atomic.Uint64
 	base := []sim.PredictorSpec{spySpec(&baseN, 0, nil)}
-	baseline, err := sim.SweepParallel(srcs, base, cfg, sim.ParallelOptions{Workers: 1})
+	baseline, err := sim.SweepParallel(srcs, base, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 1})
 	if err != nil {
 		t.Fatalf("baseline sweep: %v", err)
 	}
@@ -144,6 +144,7 @@ func TestSweepParallelCheckpointDrainResume(t *testing.T) {
 	var cutN atomic.Uint64
 	cut := []sim.PredictorSpec{spySpec(&cutN, 6000, func() { once.Do(func() { close(drain) }) })}
 	cutSets, err := sim.SweepParallel(srcs, cut, cfg, sim.ParallelOptions{
+		Cache:   sim.NewCache(0),
 		Workers: 1, Journal: jnl, CheckpointEvery: 4096, Drain: drain,
 	})
 	if err != nil {
@@ -174,6 +175,7 @@ func TestSweepParallelCheckpointDrainResume(t *testing.T) {
 	var resumeN atomic.Uint64
 	resume := []sim.PredictorSpec{spySpec(&resumeN, 0, nil)}
 	resumed, err := sim.SweepParallel(srcs, resume, cfg, sim.ParallelOptions{
+		Cache:   sim.NewCache(0),
 		Workers: 1, Journal: jnl2, CheckpointEvery: 4096,
 	})
 	if err != nil {
@@ -205,7 +207,7 @@ func TestSweepParallelCheckpointDrainResume(t *testing.T) {
 	defer jnl3.Close()
 	var replayN atomic.Uint64
 	replaySpecs := []sim.PredictorSpec{spySpec(&replayN, 0, nil)}
-	replayed, err := sim.SweepParallel(srcs, replaySpecs, cfg, sim.ParallelOptions{Workers: 1, Journal: jnl3})
+	replayed, err := sim.SweepParallel(srcs, replaySpecs, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 1, Journal: jnl3})
 	if err != nil {
 		t.Fatalf("replay sweep: %v", err)
 	}
@@ -230,6 +232,7 @@ func TestSweepParallelCellTimeout(t *testing.T) {
 	jnl := openJournal(t, dir)
 	preds := []sim.PredictorSpec{{Name: "taken", New: func() bp.Predictor { return takenPredictor{} }}}
 	sets, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{
+		Cache:   sim.NewCache(0),
 		Workers: 1, Policy: sim.Policy{Mode: sim.SkipFailed}, Journal: jnl, CellTimeout: time.Nanosecond,
 	})
 	if err != nil {
@@ -259,6 +262,7 @@ func TestSweepParallelCellTimeout(t *testing.T) {
 		return takenPredictor{}
 	}}}
 	sets2, err := sim.SweepParallel(srcs, counting, sim.Config{}, sim.ParallelOptions{
+		Cache:   sim.NewCache(0),
 		Workers: 1, Policy: sim.Policy{Mode: sim.SkipFailed}, Journal: jnl2,
 	})
 	if err != nil {
@@ -285,7 +289,7 @@ func TestSweepParallelCellTimeoutDuringOpenRetry(t *testing.T) {
 	for _, cacheBytes := range []int64{-1, 0} {
 		start := time.Now()
 		sets, err := sim.SweepParallel([]sim.TraceSource{down}, preds, sim.Config{}, sim.ParallelOptions{
-			Workers: 1, CacheBytes: cacheBytes, CellTimeout: 50 * time.Millisecond,
+			Workers: 1, Cache: sim.NewCache(cacheBytes), CellTimeout: 50 * time.Millisecond,
 			Policy: sim.Policy{Mode: sim.SkipFailed, Retries: 50, Backoff: 100 * time.Millisecond, Seed: 1},
 		})
 		elapsed := time.Since(start)
@@ -316,7 +320,7 @@ func TestSweepParallelDrainDuringOpenRetry(t *testing.T) {
 		timer := time.AfterFunc(50*time.Millisecond, func() { close(drain) })
 		start := time.Now()
 		sets, err := sim.SweepParallel([]sim.TraceSource{down}, preds, sim.Config{}, sim.ParallelOptions{
-			Workers: 1, CacheBytes: cacheBytes, Drain: drain,
+			Workers: 1, Cache: sim.NewCache(cacheBytes), Drain: drain,
 			Policy: sim.Policy{Mode: sim.SkipFailed, Retries: 50, Backoff: 100 * time.Millisecond, Seed: 1},
 		})
 		elapsed := time.Since(start)
@@ -352,7 +356,7 @@ func TestSweepParallelOneWorkerDrain(t *testing.T) {
 	}
 	preds := []sim.PredictorSpec{{Name: "taken", New: func() bp.Predictor { return takenPredictor{} }}}
 	for _, cacheBytes := range []int64{0, -1} {
-		opts := sim.ParallelOptions{Workers: 1, CacheBytes: cacheBytes, Policy: sim.Policy{Mode: sim.SkipFailed}}
+		opts := sim.ParallelOptions{Workers: 1, Cache: sim.NewCache(cacheBytes), Policy: sim.Policy{Mode: sim.SkipFailed}}
 		plain, err := sim.SweepParallel(srcs, preds, sim.Config{}, opts)
 		if err != nil {
 			t.Fatalf("cache %d: plain run: %v", cacheBytes, err)

@@ -27,8 +27,19 @@ type TraceSource struct {
 	// Digest optionally identifies the trace contents (conventionally the
 	// hex SHA-256 of the file, journal.DigestFile). The sweep journal keys
 	// cells by it, so journalled results survive file renames and reject
-	// silently swapped bytes. Empty falls back to Name.
+	// silently swapped bytes, and the decoded-trace cache keys entries by
+	// it, so a rewritten file never replays stale events. Empty falls back
+	// to Name.
 	Digest string
+}
+
+// ID identifies the trace's contents: its Digest, or its Name when it has
+// none.
+func (s TraceSource) ID() string {
+	if s.Digest != "" {
+		return s.Digest
+	}
+	return s.Name
 }
 
 // FailureMode selects how a sweep reacts to a per-cell failure.

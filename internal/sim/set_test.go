@@ -49,7 +49,7 @@ var sweepShapes = []struct {
 func forEachShape(t *testing.T, f func(t *testing.T, opts ParallelOptions)) {
 	for _, sh := range sweepShapes {
 		t.Run(sh.name, func(t *testing.T) {
-			f(t, ParallelOptions{Workers: sh.workers, CacheBytes: sh.cacheBytes})
+			f(t, ParallelOptions{Workers: sh.workers, Cache: NewCache(sh.cacheBytes)})
 		})
 	}
 }
@@ -63,7 +63,7 @@ func runSet(srcs []TraceSource, newPredictor func() bp.Predictor, cfg Config, op
 	return sets[0], nil
 }
 
-func TestRunSetMatchesSequentialRuns(t *testing.T) {
+func TestSweepParallelMatchesSequentialRuns(t *testing.T) {
 	srcs := suiteSources(t, 3000)
 	newPred := func() bp.Predictor { return &staticPredictor{taken: true} }
 	forEachShape(t, func(t *testing.T, opts ParallelOptions) {
@@ -94,9 +94,9 @@ func TestRunSetMatchesSequentialRuns(t *testing.T) {
 	})
 }
 
-// TestRunSetPropagatesError: under FailFast the one failing trace ends the
-// set with the same error text at every scheduler shape.
-func TestRunSetPropagatesError(t *testing.T) {
+// TestSweepParallelPropagatesError: under FailFast the one failing trace
+// ends the set with the same error text at every scheduler shape.
+func TestSweepParallelPropagatesError(t *testing.T) {
 	srcs := suiteSources(t, 2000)
 	srcs[3] = TraceSource{Name: "broken", Open: func() (bp.Reader, io.Closer, error) {
 		return nil, nil, errors.New("boom")
@@ -135,7 +135,7 @@ func TestSweepParallelClosesSources(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				opened.Store(0)
 				closed.Store(0)
-				opts := ParallelOptions{Workers: workers, CacheBytes: cacheBytes, Policy: Policy{Mode: SkipFailed}}
+				opts := ParallelOptions{Workers: workers, Cache: NewCache(cacheBytes), Policy: Policy{Mode: SkipFailed}}
 				if _, err := runSet(srcs, newPred, cfg, opts); err != nil {
 					t.Fatal(err)
 				}
@@ -155,7 +155,7 @@ type closerFunc func() error
 
 func (f closerFunc) Close() error { return f() }
 
-func TestRunSetNilPredictorFactory(t *testing.T) {
+func TestSweepParallelNilPredictorFactory(t *testing.T) {
 	forEachShape(t, func(t *testing.T, opts ParallelOptions) {
 		if _, err := runSet(nil, nil, Config{}, opts); err != ErrNilPredictor {
 			t.Errorf("err = %v", err)
@@ -165,7 +165,7 @@ func TestRunSetNilPredictorFactory(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	srcs := suiteSources(t, 3000)
-	set, err := runSet(srcs, func() bp.Predictor { return &staticPredictor{taken: true} }, Config{}, ParallelOptions{Workers: 4})
+	set, err := runSet(srcs, func() bp.Predictor { return &staticPredictor{taken: true} }, Config{}, ParallelOptions{Cache: NewCache(0), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,15 @@
 // simulated by many predictors concurrently, instead of being re-decoded P
 // times.
 //
+// The caller owns the cache and may share it across sweeps: the daemon holds
+// one for its whole life, so a job over traces an earlier job read decodes
+// nothing. Entries are keyed by content — the caller passes the trace's
+// digest when it has one, its path otherwise — so a trace file rewritten
+// between two sweeps gets a new key and never replays stale events. Metrics
+// go to the collector passed with each Acquire: a sweep's snapshot counts
+// only its own hits, misses, coalesces and waits, while the resident-bytes
+// gauge reports the cache as a whole.
+//
 // Every entry is one chunk of a trace. A trace with chunked access (an
 // indexed MLZS container) is cached chunk by chunk; any other trace is a
 // trace of one chunk, its whole stream, cached under a key of its own
@@ -57,7 +66,7 @@ const BatchEvents = 4096
 const eventBytes = int64(unsafe.Sizeof(bp.Event{}))
 
 // Whole is the chunk index of a trace read whole, as the one chunk of a
-// one-chunk trace. Its entry is keyed apart from chunk 0 of the same name: a
+// one-chunk trace. Its entry is keyed apart from chunk 0 of the same trace: a
 // cell whose chunked open failed streams the whole trace and must never be
 // served one chunk's events.
 const Whole = -1
@@ -89,9 +98,10 @@ type Stats struct {
 	TooBig    uint64
 }
 
-// key names one entry: a chunk of a trace, or the trace read Whole.
+// key names one entry: a chunk of a trace, or the trace read Whole. id is
+// the trace's content digest, or its path when it has none.
 type key struct {
-	name  string
+	id    string
 	chunk int
 }
 
@@ -105,7 +115,6 @@ type Cache struct {
 	clock   uint64 // LRU timestamp source, advanced under mu
 	entries map[key]*Entry
 	stats   Stats
-	col     *obs.Collector // nil when metrics are disabled
 }
 
 // New returns a cache bounded to budget bytes of decoded events. A budget
@@ -157,57 +166,47 @@ func (e *Entry) TooBig() bool { return e.tooBig }
 // retry-aware failure accounting.
 func (e *Entry) Attempts() int { return e.attempts }
 
-// SetCollector mirrors the cache counters into col as they change, so a
-// live progress reporter can read hit rates without polling Stats. Call it
-// before the first Acquire; a nil col (the default) disables mirroring.
-// Safe on a nil (disabled) cache.
-func (c *Cache) SetCollector(col *obs.Collector) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.col = col
-	c.mu.Unlock()
-}
-
-// Acquire returns the decoded form of one chunk of the named trace — chunk
-// Whole for a trace read whole — loading it through load on first use.
+// Acquire returns the decoded form of one chunk of the trace identified by
+// id — chunk Whole for a trace read whole — loading it through load on first
+// use. id is the trace's content digest when the caller has one, so equal
+// bytes share entries and rewritten bytes never match; otherwise its path.
 // Concurrent Acquires of the same chunk share one load: the first caller
 // decodes, the rest wait. A waiter whose shared load was abandoned because
 // the loading caller's context ended, while its own ctx is live, loads the
-// chunk itself. The returned entry is pinned; the caller must Release it
-// exactly once, even when Err reports a failure or TooBig is set. A non-nil
-// error is returned only when ctx ends while waiting for another
-// goroutine's load.
-func (c *Cache) Acquire(ctx context.Context, name string, chunk int, load LoadFunc) (*Entry, error) {
+// chunk itself. The caller's hits, misses, coalesces, waits and (for a load
+// it runs) evictions and too-big verdicts are counted into col, which may be
+// nil. The returned entry is pinned; the caller must Release it exactly
+// once, even when Err reports a failure or TooBig is set. A non-nil error is
+// returned only when ctx ends while waiting for another goroutine's load.
+func (c *Cache) Acquire(ctx context.Context, col *obs.Collector, id string, chunk int, load LoadFunc) (*Entry, error) {
 	if c == nil {
 		return &Entry{attempts: 1, tooBig: true}, nil
 	}
-	k := key{name, chunk}
+	k := key{id, chunk}
 	for {
 		c.mu.Lock()
+		col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
 		e, ok := c.entries[k]
 		if !ok {
 			e = &Entry{c: c, key: k, ready: make(chan struct{}), refs: 1}
 			c.entries[k] = e
 			c.stats.Misses++
-			c.col.Ctr(obs.CtrCacheMisses).Add(1)
+			col.Ctr(obs.CtrCacheMisses).Add(1)
 			c.mu.Unlock()
-			e.load(load)
+			e.load(load, col)
 			return e, nil
 		}
 		e.refs++
 		c.stats.Hits++
-		c.col.Ctr(obs.CtrCacheHits).Add(1)
+		col.Ctr(obs.CtrCacheHits).Add(1)
 		// A hit on an entry whose load has not published yet is a coalesce:
 		// single-flight sharing spared this caller a redundant decode.
 		select {
 		case <-e.ready:
 		default:
 			c.stats.Coalesced++
-			c.col.Ctr(obs.CtrCacheCoalesced).Add(1)
+			col.Ctr(obs.CtrCacheCoalesced).Add(1)
 		}
-		col := c.col
 		c.mu.Unlock()
 		tWait := col.Now()
 		select {
@@ -260,7 +259,8 @@ func (c *Cache) Stats() Stats {
 // events.
 type Fill struct {
 	e      *Entry
-	opened bool // later errors are the bytes', whatever their class
+	col    *obs.Collector // the loading caller's metrics
+	opened bool           // later errors are the bytes', whatever their class
 }
 
 // Opened tells the cache that the loader opened r: an error that ends the
@@ -290,7 +290,7 @@ func (f *Fill) Add(evs []bp.Event) bool {
 	if len(evs) == 0 {
 		return true
 	}
-	if ok, contention := e.c.reserve(e, int64(len(evs))*eventBytes); !ok {
+	if ok, contention := e.c.reserve(e, int64(len(evs))*eventBytes, f.col); !ok {
 		e.tooBig, e.volatile = true, contention
 		return false
 	}
@@ -312,11 +312,11 @@ func AppendBatches(dst [][]bp.Event, evs []bp.Event) [][]bp.Event {
 }
 
 // load runs the loader into e and publishes the outcome by closing ready.
-// It runs on the Acquire caller that created the entry, and it is the one
-// place a load's outcome is judged.
-func (e *Entry) load(load LoadFunc) {
+// It runs on the Acquire caller that created the entry, whose metrics go to
+// col, and it is the one place a load's outcome is judged.
+func (e *Entry) load(load LoadFunc, col *obs.Collector) {
 	defer close(e.ready)
-	f := &Fill{e: e}
+	f := &Fill{e: e, col: col}
 	attempts, err := loadSafe(load, f)
 	e.attempts = max(attempts, 1)
 	switch {
@@ -335,7 +335,7 @@ func (e *Entry) load(load LoadFunc) {
 		e.err, e.volatile = err, true
 	}
 	if e.tooBig || e.volatile {
-		e.drop()
+		e.drop(col)
 	}
 }
 
@@ -356,17 +356,17 @@ func loadSafe(load LoadFunc, f *Fill) (attempts int, err error) {
 // also leaves the map, so a later Acquire loads again. A size verdict stays
 // in the map at zero bytes, so later Acquires learn at once that the chunk
 // must be read uncached.
-func (e *Entry) drop() {
+func (e *Entry) drop(col *obs.Collector) {
 	c := e.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.used -= e.bytes
 	e.bytes = 0
 	e.batches = nil
-	c.col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
+	col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
 	if e.tooBig {
 		c.stats.TooBig++
-		c.col.Ctr(obs.CtrCacheTooBig).Add(1)
+		col.Ctr(obs.CtrCacheTooBig).Add(1)
 	}
 	if e.volatile {
 		delete(c.entries, e.key)
@@ -374,10 +374,11 @@ func (e *Entry) drop() {
 }
 
 // reserve charges delta more bytes to a loading entry, evicting idle
-// entries (least recently used first) as needed. ok is false when the
-// entry cannot fit; contention distinguishes "every other resident byte is
-// pinned by concurrent holders" from "the entry alone exceeds the budget".
-func (c *Cache) reserve(e *Entry, delta int64) (ok, contention bool) {
+// entries (least recently used first) as needed, and counts into the
+// loading caller's col. ok is false when the entry cannot fit; contention
+// distinguishes "every other resident byte is pinned by concurrent holders"
+// from "the entry alone exceeds the budget".
+func (c *Cache) reserve(e *Entry, delta int64, col *obs.Collector) (ok, contention bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.bytes+delta > c.budget {
@@ -391,11 +392,11 @@ func (c *Cache) reserve(e *Entry, delta int64) (ok, contention bool) {
 		c.used -= victim.bytes
 		delete(c.entries, victim.key)
 		c.stats.Evictions++
-		c.col.Ctr(obs.CtrCacheEvictions).Add(1)
+		col.Ctr(obs.CtrCacheEvictions).Add(1)
 	}
 	c.used += delta
 	e.bytes += delta
-	c.col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
+	col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
 	return true, false
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -111,7 +112,7 @@ func TestAcquireDecodesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.Acquire(ctx, "t0", Whole, load)
+			e, err := c.Acquire(ctx, nil, "t0", Whole, load)
 			if err != nil {
 				t.Error(err)
 				return
@@ -170,7 +171,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	var opens [3]atomic.Int32
 	for round := 0; round < 2; round++ {
 		for i, name := range names {
-			e, err := c.Acquire(ctx, name, Whole, genLoad(t, testSpec(name, branches), &opens[i]))
+			e, err := c.Acquire(ctx, nil, name, Whole, genLoad(t, testSpec(name, branches), &opens[i]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +207,7 @@ func TestLRUPrefersColdEntries(t *testing.T) {
 	var opensA atomic.Int32
 	acquire := func(name string, opens *atomic.Int32) {
 		t.Helper()
-		e, err := c.Acquire(ctx, name, Whole, genLoad(t, testSpec(name, branches), opens))
+		e, err := c.Acquire(ctx, nil, name, Whole, genLoad(t, testSpec(name, branches), opens))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestTooBigFallsBackToStreaming(t *testing.T) {
 	var opens atomic.Int32
 	spec := testSpec("big", 5000)
 	for i := 0; i < 2; i++ {
-		e, err := c.Acquire(ctx, "big", Whole, genLoad(t, spec, &opens))
+		e, err := c.Acquire(ctx, nil, "big", Whole, genLoad(t, spec, &opens))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestTooBigFallsBackToStreaming(t *testing.T) {
 		g, err := tracegen.New(testSpec("big-nosizer", 5000))
 		return hideSizer{g}, err
 	})
-	e, err := c.Acquire(ctx, "big-nosizer", Whole, noSizer)
+	e, err := c.Acquire(ctx, nil, "big-nosizer", Whole, noSizer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestContentionTooBigIsVolatile(t *testing.T) {
 	const branches = 1000
 	c := New(1500 * eventBytes) // fits one trace
 	ctx := context.Background()
-	held, err := c.Acquire(ctx, "held", Whole, genLoad(t, testSpec("held", branches), nil))
+	held, err := c.Acquire(ctx, nil, "held", Whole, genLoad(t, testSpec("held", branches), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestContentionTooBigIsVolatile(t *testing.T) {
 	// While "held" is pinned, a second trace cannot evict it: streamed, but
 	// the verdict must not stick.
 	var opens atomic.Int32
-	e, err := c.Acquire(ctx, "later", Whole, genLoad(t, testSpec("later", branches), &opens))
+	e, err := c.Acquire(ctx, nil, "later", Whole, genLoad(t, testSpec("later", branches), &opens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestContentionTooBigIsVolatile(t *testing.T) {
 	c.Release(e)
 	c.Release(held)
 	// With the pin gone, the same trace now caches normally.
-	e, err = c.Acquire(ctx, "later", Whole, genLoad(t, testSpec("later", branches), &opens))
+	e, err = c.Acquire(ctx, nil, "later", Whole, genLoad(t, testSpec("later", branches), &opens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestCorruptTracePoisonsOnlyItself(t *testing.T) {
 		return sbbt.NewReader(bytes.NewReader(data))
 	})
 	for i := 0; i < 3; i++ {
-		e, err := c.Acquire(ctx, "corrupt", Whole, openCorrupt)
+		e, err := c.Acquire(ctx, nil, "corrupt", Whole, openCorrupt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +356,7 @@ func TestCorruptTracePoisonsOnlyItself(t *testing.T) {
 		t.Errorf("corrupt trace decoded %d times, want 1", got)
 	}
 	// The cache itself stays healthy for other traces.
-	e, err := c.Acquire(ctx, "healthy", Whole, genLoad(t, testSpec("healthy", 2000), nil))
+	e, err := c.Acquire(ctx, nil, "healthy", Whole, genLoad(t, testSpec("healthy", 2000), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestDecodeErrorAfterOpenIsCached(t *testing.T) {
 	})
 	want := readAll(t, spec)[:cut]
 	for i := 0; i < 3; i++ {
-		e, err := c.Acquire(ctx, "cut", Whole, load)
+		e, err := c.Acquire(ctx, nil, "cut", Whole, load)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +426,7 @@ func TestTransientOpenFailureNotCached(t *testing.T) {
 		}
 		return tracegen.New(spec)
 	})
-	e, err := c.Acquire(ctx, "flaky", Whole, open)
+	e, err := c.Acquire(ctx, nil, "flaky", Whole, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +435,7 @@ func TestTransientOpenFailureNotCached(t *testing.T) {
 	}
 	c.Release(e)
 	// The failure was transient, so the entry must not have been cached.
-	e, err = c.Acquire(ctx, "flaky", Whole, open)
+	e, err = c.Acquire(ctx, nil, "flaky", Whole, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +454,7 @@ func TestTransientOpenFailureNotCached(t *testing.T) {
 		return nil, faults.ErrCorrupt
 	})
 	for i := 0; i < 2; i++ {
-		e, err := c.Acquire(ctx, "perm", Whole, permanent)
+		e, err := c.Acquire(ctx, nil, "perm", Whole, permanent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +471,7 @@ func TestTransientOpenFailureNotCached(t *testing.T) {
 func TestDisabledCacheStreamsEverything(t *testing.T) {
 	for _, budget := range []int64{0, -1} {
 		c := New(budget)
-		e, err := c.Acquire(context.Background(), "t", Whole, genLoad(t, testSpec("t", 100), nil))
+		e, err := c.Acquire(context.Background(), nil, "t", Whole, genLoad(t, testSpec("t", 100), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +495,7 @@ func TestAcquireCancelledWhileWaiting(t *testing.T) {
 		return tracegen.New(testSpec("slow", 100))
 	})
 	go func() {
-		e, err := c.Acquire(context.Background(), "slow", Whole, slowOpen)
+		e, err := c.Acquire(context.Background(), nil, "slow", Whole, slowOpen)
 		if err == nil {
 			c.Release(e)
 		}
@@ -502,7 +503,7 @@ func TestAcquireCancelledWhileWaiting(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Acquire(ctx, "slow", Whole, slowOpen); !errors.Is(err, context.Canceled) {
+	if _, err := c.Acquire(ctx, nil, "slow", Whole, slowOpen); !errors.Is(err, context.Canceled) {
 		t.Errorf("Acquire under cancelled ctx = %v, want context.Canceled", err)
 	}
 	close(unblock)
@@ -530,13 +531,13 @@ func TestWaiterOutlivesLoaderContext(t *testing.T) {
 	}
 	loaderDone := make(chan *Entry)
 	go func() {
-		e, _ := c.Acquire(loaderCtx, "shared", Whole, load(loaderCtx))
+		e, _ := c.Acquire(loaderCtx, nil, "shared", Whole, load(loaderCtx))
 		loaderDone <- e
 	}()
 	<-started
 	waiterDone := make(chan *Entry)
 	go func() {
-		e, err := c.Acquire(context.Background(), "shared", Whole, load(context.Background()))
+		e, err := c.Acquire(context.Background(), nil, "shared", Whole, load(context.Background()))
 		if err != nil {
 			t.Error(err)
 		}
@@ -586,61 +587,72 @@ func (g *gateFirstRead) Read() (bp.Event, error) {
 	return g.r.Read()
 }
 
-// TestSetCollectorDuringLoads pins the locking protocol around the metrics
-// collector: loads read it only under c.mu, so wiring a collector while
-// decodes are in flight must be race-free and must not disturb byte
-// accounting. Regression test for the mbpvet guardedby audit: budget
-// accounting happens only under c.mu.
-func TestSetCollectorDuringLoads(t *testing.T) {
+// TestCollectorPerCaller: the cache is shared, its metrics are not. Two
+// callers, each with its own collector and each acquiring concurrently, see
+// only their own hits and misses, while the resident-bytes gauge both see
+// is the cache's shared total.
+func TestCollectorPerCaller(t *testing.T) {
 	c := New(1 << 20)
 	ctx := context.Background()
-	var wg, spinner sync.WaitGroup
-	stop := make(chan struct{})
-	spinner.Add(1)
-	go func() {
-		defer spinner.Done()
-		col := obs.New()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.SetCollector(col)
-			c.SetCollector(nil)
-		}
-	}()
+	colA, colB := obs.New(), obs.New()
 	const traces = 4
-	var total int64
-	var mu sync.Mutex
+	acquireAll := func(col *obs.Collector, names ...string) {
+		var wg sync.WaitGroup
+		for _, name := range names {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e, err := c.Acquire(ctx, col, name, Whole, genLoad(t, testSpec(name, 2_000), nil))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if e.Err() != io.EOF {
+					t.Errorf("%s: err = %v, want io.EOF", name, e.Err())
+				}
+				c.Release(e)
+			}()
+		}
+		wg.Wait()
+	}
+	var aNames, bNames []string
 	for i := 0; i < traces; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			spec := testSpec("sc"+string(rune('a'+i)), 2_000)
-			e, err := c.Acquire(ctx, spec.Name, Whole, genLoad(t, spec, nil))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if e.Err() != io.EOF {
-				t.Errorf("trace %d err = %v, want io.EOF", i, e.Err())
-			}
-			mu.Lock()
-			total += int64(len(drain(t, e))) * eventBytes
-			mu.Unlock()
-			c.Release(e)
-		}(i)
+		aNames = append(aNames, fmt.Sprintf("a%d", i))
+		bNames = append(bNames, fmt.Sprintf("b%d", i))
 	}
-	wg.Wait()
-	close(stop)
-	spinner.Wait()
+	both := func(a, b []string) {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); acquireAll(colA, a...) }()
+		go func() { defer wg.Done(); acquireAll(colB, b...) }()
+		wg.Wait()
+	}
+	both(aNames, bNames)               // each caller loads its own traces
+	both(append(bNames, "a0"), aNames) // then hits the other's, A one more
+
+	for _, tc := range []struct {
+		name         string
+		col          *obs.Collector
+		misses, hits uint64
+	}{{"A", colA, traces, traces + 1}, {"B", colB, traces, traces}} {
+		if got := tc.col.Ctr(obs.CtrCacheMisses).Load(); got != tc.misses {
+			t.Errorf("caller %s misses = %d, want %d", tc.name, got, tc.misses)
+		}
+		if got := tc.col.Ctr(obs.CtrCacheHits).Load(); got != tc.hits {
+			t.Errorf("caller %s hits = %d, want %d", tc.name, got, tc.hits)
+		}
+	}
 	st := c.Stats()
-	if st.Misses != traces {
-		t.Errorf("misses = %d, want %d", st.Misses, traces)
+	if st.Misses != 2*traces || st.Hits != 2*traces+1 {
+		t.Errorf("cache misses/hits = %d/%d, want %d/%d", st.Misses, st.Hits, 2*traces, 2*traces+1)
 	}
-	if st.BytesUsed != total {
-		t.Errorf("bytes used = %d, want %d", st.BytesUsed, total)
+	if want := int64(2*traces*2_000) * eventBytes; st.BytesUsed != want {
+		t.Errorf("bytes used = %d, want %d", st.BytesUsed, want)
+	}
+	for name, col := range map[string]*obs.Collector{"A": colA, "B": colB} {
+		if got := col.Ctr(obs.CtrCacheBytes).Load(); got != uint64(st.BytesUsed) {
+			t.Errorf("caller %s cache_bytes = %d, want the shared total %d", name, got, st.BytesUsed)
+		}
 	}
 }
 
@@ -659,7 +671,7 @@ func TestCancelledLoadReturnsBudget(t *testing.T) {
 		}
 		return &cancelAfter{r: g, after: 5_000, cancel: cancel}, nil
 	})
-	e, err := c.Acquire(ctx, "cancelled", Whole, open)
+	e, err := c.Acquire(ctx, nil, "cancelled", Whole, open)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.Acquire(ctx, "trace", 3, countingChunkLoad(3, 1000, &loads))
+			e, err := c.Acquire(ctx, nil, "trace", 3, countingChunkLoad(3, 1000, &loads))
 			if err != nil {
 				t.Error(err)
 				return
@@ -84,7 +84,7 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 		c.Release(e)
 	}
 	// Chunks of the same trace are independent entries.
-	e0, err := c.Acquire(ctx, "trace", 0, countingChunkLoad(0, 10, &loads))
+	e0, err := c.Acquire(ctx, nil, "trace", 0, countingChunkLoad(0, 10, &loads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 func TestAcquireChunkKeyIsolation(t *testing.T) {
 	c := New(1 << 20)
 	ctx := context.Background()
-	e1, err := c.Acquire(ctx, "t", 12, countingChunkLoad(12, 50, nil))
+	e1, err := c.Acquire(ctx, nil, "t", 12, countingChunkLoad(12, 50, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c.Acquire(ctx, "t", 1, countingChunkLoad(1, 50, nil))
+	e2, err := c.Acquire(ctx, nil, "t", 1, countingChunkLoad(1, 50, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestAcquireChunkKeyIsolation(t *testing.T) {
 
 	// A trace read whole is keyed apart from chunk 0 of the same name: a
 	// cell whose chunked open failed must never be served a chunk's events.
-	e0, err := c.Acquire(ctx, "t", 0, countingChunkLoad(0, 50, nil))
+	e0, err := c.Acquire(ctx, nil, "t", 0, countingChunkLoad(0, 50, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := c.Acquire(ctx, "t", Whole, countingChunkLoad(7, 80, nil))
+	whole, err := c.Acquire(ctx, nil, "t", Whole, countingChunkLoad(7, 80, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 		return chunkEvents(1, 100), corrupt // events before the fault survive
 	})
 
-	e1, err := c.Acquire(ctx, "t", 1, badLoad)
+	e1, err := c.Acquire(ctx, nil, "t", 1, badLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 	c.Release(e1)
 
 	// The permanent fault is cached: no re-decode on a second acquire.
-	e1b, err := c.Acquire(ctx, "t", 1, badLoad)
+	e1b, err := c.Acquire(ctx, nil, "t", 1, badLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 
 	// Neighbours decode cleanly.
 	for _, i := range []int{0, 2} {
-		e, err := c.Acquire(ctx, "t", i, countingChunkLoad(i, 100, nil))
+		e, err := c.Acquire(ctx, nil, "t", i, countingChunkLoad(i, 100, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 		return chunkEvents(0, 64), nil
 	})
 
-	e, err := c.Acquire(ctx, "t", 0, flaky)
+	e, err := c.Acquire(ctx, nil, "t", 0, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 	}
 	c.Release(e)
 
-	e2, err := c.Acquire(ctx, "t", 0, flaky)
+	e2, err := c.Acquire(ctx, nil, "t", 0, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 // typed fault, never a crashed scheduler.
 func TestAcquireChunkPanicIsTyped(t *testing.T) {
 	c := New(1 << 20)
-	e, err := c.Acquire(context.Background(), "t", 0, chunkLoad(func() ([]bp.Event, error) {
+	e, err := c.Acquire(context.Background(), nil, "t", 0, chunkLoad(func() ([]bp.Event, error) {
 		panic("deliberate test panic")
 	}))
 	if err != nil {
@@ -249,7 +249,7 @@ func TestAcquireChunkPanicIsTyped(t *testing.T) {
 // too-big verdict and charges nothing.
 func TestAcquireChunkTooBig(t *testing.T) {
 	c := New(100 * eventBytes)
-	e, err := c.Acquire(context.Background(), "t", 0, countingChunkLoad(0, 1000, nil))
+	e, err := c.Acquire(context.Background(), nil, "t", 0, countingChunkLoad(0, 1000, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				chunk := (w + round) % 8
-				e, err := c.Acquire(ctx, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
+				e, err := c.Acquire(ctx, nil, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
 				if err != nil {
 					t.Error(err)
 					return
@@ -323,7 +323,7 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 // verdict so callers decode directly.
 func TestAcquireChunkDisabledCache(t *testing.T) {
 	var c *Cache
-	e, err := c.Acquire(context.Background(), "t", 0, countingChunkLoad(0, 10, nil))
+	e, err := c.Acquire(context.Background(), nil, "t", 0, countingChunkLoad(0, 10, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sim/tracecache"
 )
 
 // Exit codes shared by the sweep CLIs and mapped onto HTTP statuses by
@@ -223,11 +224,7 @@ func (r *Resolved) Key() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mbp-sweep-key-v1\n")
 	for _, src := range r.Sources {
-		id := src.Digest
-		if id == "" {
-			id = src.Name
-		}
-		fmt.Fprintf(h, "trace %s\n", id)
+		fmt.Fprintf(h, "trace %s\n", src.ID())
 	}
 	for _, spec := range r.Specs {
 		fmt.Fprintf(h, "pred %s\n", spec)
@@ -237,12 +234,17 @@ func (r *Resolved) Key() string {
 }
 
 // RunOptions configures one execution of a resolved sweep. The zero value
-// runs the scheduler with default workers and cache.
+// runs the scheduler with default workers and a default cache of its own.
 type RunOptions struct {
 	// Jobs is the -j scheduler width. <= 0 means GOMAXPROCS.
 	Jobs int
-	// CacheBytes has sim.ParallelOptions semantics: 0 default, negative
-	// disables the decoded-trace cache.
+	// Cache, when non-nil, is the decoded-trace cache the run shares with
+	// its caller's other runs (the daemon passes its one cache to every
+	// job); CacheBytes is then ignored.
+	Cache *tracecache.Cache
+	// CacheBytes budgets a decoded-trace cache built for this run alone
+	// when Cache is nil: 0 means sim.DefaultCacheBytes, negative disables
+	// the cache (see sim.NewCache).
 	CacheBytes int64
 	// Policy is the full failure policy, including the retry backoff the
 	// wire Spec does not carry.
@@ -262,8 +264,12 @@ type RunOptions struct {
 // value. Results and failure tables are deterministic and identical at
 // every Jobs width; a FailFast error reads "<spec>: sim: trace ...".
 func (r *Resolved) Run(opts RunOptions) ([]*sim.SetResult, error) {
+	cache := opts.Cache
+	if cache == nil {
+		cache = sim.NewCache(opts.CacheBytes)
+	}
 	return sim.SweepParallel(r.Sources, r.Preds, sim.Config{Metrics: opts.Metrics}, sim.ParallelOptions{
-		Workers: opts.Jobs, CacheBytes: opts.CacheBytes, Policy: opts.Policy,
+		Workers: opts.Jobs, Cache: cache, Policy: opts.Policy,
 		Metrics: opts.Metrics,
 		Journal: opts.Journal, CheckpointEvery: opts.CheckpointEvery,
 		Drain: opts.Drain, CellTimeout: opts.CellTimeout,
