@@ -34,10 +34,11 @@ race:
 
 # Parallel sweep equivalence under the race detector on a constrained
 # scheduler: GOMAXPROCS=2 forces worker goroutines to interleave on few
-# threads. The chunk-path suites and the trace cache's single-flight,
-# waiter and per-caller collector tests ride along.
+# threads. The chunk-path suites, the trace cache's single-flight, waiter
+# and per-caller collector tests, and the static-table tests (one table is
+# shared by cells that load chunks concurrently) ride along.
 race-sweep:
-	GOMAXPROCS=2 $(GO) test -race -run 'TestSweepParallel|TestChunked|TestAcquireDecodesOnce|TestAcquireChunkSingleFlight|TestAcquireCancelledWhileWaiting|TestWaiterOutlivesLoaderContext|TestCollectorPerCaller' ./internal/sim/...
+	GOMAXPROCS=2 $(GO) test -race -run 'TestSweepParallel|TestChunked|TestAcquireDecodesOnce|TestAcquireChunkSingleFlight|TestAcquireCancelledWhileWaiting|TestWaiterOutlivesLoaderContext|TestCollectorPerCaller|TestStaticTable|TestTable|TestRecordRoundTrip' ./internal/sim/...
 
 # Kernel-vs-scalar equivalence under the race detector: every batch-kernel
 # dispatch path (single runs and comparisons with warm-up/limit edges,

@@ -10,8 +10,10 @@
 //
 // With -j N (default GOMAXPROCS) the whole value × trace matrix is scheduled
 // across N workers backed by a shared decoded-trace cache (-cache-bytes), so
-// each trace is decoded once and scored by every swept value. -j 1 is the
-// same scheduler with one worker. Output is byte-identical at every -j.
+// each trace is decoded once and scored by every swept value. A sweep of
+// one value builds no cache: each trace is read by one cell, which streams
+// it. -j 1 is the same scheduler with one worker. Output is byte-identical
+// at every -j.
 //
 // Each value's trace set runs through the sim fault policy: with -policy
 // skip, traces that fail to decode (or whose predictor panics) are excluded

@@ -103,8 +103,8 @@ func TestSweepMetricsAndProgress(t *testing.T) {
 			t.Errorf("stage %q = %+v, want non-zero time", stage, s)
 		}
 	}
-	// 4 traces × 4 values, trace-major: each trace decodes once (miss) and
-	// is shared by the other three values (hits).
+	// 4 traces × 4 values, the cells of a trace together: each trace
+	// decodes once (miss) and is shared by the other three values (hits).
 	if got := snap.Counters["cache_misses"]; got != 4 {
 		t.Errorf("cache_misses = %d, want 4", got)
 	}

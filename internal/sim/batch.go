@@ -14,18 +14,21 @@ import (
 	"mbplib/internal/sim/tracecache"
 )
 
-// batch is one unit of prefetched work: the decoded events plus the error,
-// if any, that ended the batch ("error after n" — events is valid even when
-// err is non-nil, including io.EOF).
+// batch is one unit of prefetched work: the decoded records, the view of
+// the stream's table that covers them, and the error, if any, that ended
+// the batch ("error after n" — recs is valid even when err is non-nil,
+// including io.EOF).
 type batch struct {
-	events []bp.Event
-	err    error
+	recs []tracecache.Record
+	view tracecache.View
+	err  error
 }
 
 // prefetcher decodes ahead of the simulation loop: a single producer
 // goroutine owns the reader and double-buffers batches — including any
-// decompression the reader performs underneath — while the consumer
-// simulates the previous batch.
+// decompression the reader performs underneath, and the interning of each
+// batch into the stream's own static table — while the consumer simulates
+// the previous batch.
 //
 // Lifecycle rules (see DESIGN.md):
 //
@@ -40,19 +43,32 @@ type batch struct {
 //     the fault classifiable (faults.Class reports "panic"), exactly as a
 //     predictor panic is inside a SweepParallel cell.
 type prefetcher struct {
-	filled  chan batch      // producer -> consumer, decoded batches
-	free    chan []bp.Event // consumer -> producer, recycled buffers
-	done    chan struct{}   // closed to request producer shutdown
-	stopped chan struct{}   // closed by the producer on exit
-	once    sync.Once       // guards close(done)
-	col     *obs.Collector  // nil when metrics are disabled
+	filled  chan batch                        // producer -> consumer, decoded batches
+	free    chan []tracecache.Record          // consumer -> producer, recycled buffers
+	done    chan struct{}                     // closed to request producer shutdown
+	stopped chan struct{}                     // closed by the producer on exit
+	once    sync.Once                         // guards close(done)
+	col     *obs.Collector                    // nil when metrics are disabled
+	tab     *tracecache.Table                 // the stream's own table, interned by the producer
+	evs     *[tracecache.BatchEvents]bp.Event // the producer's decode buffer
 }
 
-// eventBufs recycles prefetch buffers across runs. Allocating and zeroing
-// two fresh 128 KiB buffers costs about as much as simulating a few
-// thousand branches, which would otherwise dominate runs over short traces.
-// Events hold no pointers, so pooled buffers cost the collector nothing.
-var eventBufs = sync.Pool{New: func() any { return new([tracecache.BatchEvents]bp.Event) }}
+// Prefetch buffers and tables are recycled across runs. Allocating and
+// zeroing fresh buffers, or regrowing a table, costs about as much as
+// simulating a few thousand branches, which would otherwise dominate runs
+// over short traces. Events and records hold no pointers, so pooled
+// buffers cost the collector nothing.
+var (
+	eventBufs  = sync.Pool{New: func() any { return new([tracecache.BatchEvents]bp.Event) }}
+	recordBufs = sync.Pool{New: func() any { return new([tracecache.BatchEvents]tracecache.Record) }}
+	tablePool  = sync.Pool{New: func() any { return tracecache.NewTable() }}
+)
+
+// releaseTable empties a private table and returns it to its pool.
+func releaseTable(t *tracecache.Table) {
+	t.Reset()
+	tablePool.Put(t)
+}
 
 // startPrefetch launches the producer goroutine reading from r in batches
 // of up to tracecache.BatchEvents events. Ownership of r passes to the
@@ -60,15 +76,17 @@ var eventBufs = sync.Pool{New: func() any { return new([tracecache.BatchEvents]b
 func startPrefetch(r bp.Reader, col *obs.Collector) *prefetcher {
 	pf := &prefetcher{
 		filled:  make(chan batch, 1),
-		free:    make(chan []bp.Event, 2),
+		free:    make(chan []tracecache.Record, 2),
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		col:     col,
+		tab:     tablePool.Get().(*tracecache.Table),
+		evs:     eventBufs.Get().(*[tracecache.BatchEvents]bp.Event),
 	}
 	// Two buffers: one being consumed, one being filled. With filled
 	// buffered to depth 1, the producer can stay one full batch ahead.
-	pf.free <- eventBufs.Get().(*[tracecache.BatchEvents]bp.Event)[:]
-	pf.free <- eventBufs.Get().(*[tracecache.BatchEvents]bp.Event)[:]
+	pf.free <- recordBufs.Get().(*[tracecache.BatchEvents]tracecache.Record)[:]
+	pf.free <- recordBufs.Get().(*[tracecache.BatchEvents]tracecache.Record)[:]
 	go pf.produce(r)
 	return pf
 }
@@ -77,7 +95,7 @@ func (pf *prefetcher) produce(r bp.Reader) {
 	defer close(pf.stopped)
 	col := pf.col
 	for {
-		var buf []bp.Event
+		var buf []tracecache.Record
 		tStall := col.Now()
 		select {
 		case <-pf.done:
@@ -87,11 +105,15 @@ func (pf *prefetcher) produce(r bp.Reader) {
 		col.Stage(obs.StageProduceStall).Since(tStall)
 		var n int
 		var err error
-		timedRead(col, func() { n, err = readBatchSafe(r, buf[:cap(buf)]) })
+		timedRead(col, func() { n, err = readBatchSafe(r, pf.evs[:]) })
+		recs, ierr := pf.tab.Intern(buf[:0], pf.evs[:n])
+		if ierr != nil {
+			err = ierr
+		}
 		select {
 		case <-pf.done:
 			return
-		case pf.filled <- batch{events: buf[:n], err: err}:
+		case pf.filled <- batch{recs: recs, view: pf.tab.View(), err: err}:
 		}
 		if err != nil {
 			// Errors are sticky; further reads would return (0, err)
@@ -138,7 +160,7 @@ func (pf *prefetcher) next() (batch, bool) {
 
 // recycle hands a consumed batch buffer back to the producer. Callers must
 // not touch the slice afterwards.
-func (pf *prefetcher) recycle(buf []bp.Event) {
+func (pf *prefetcher) recycle(buf []tracecache.Record) {
 	select {
 	case pf.free <- buf[:cap(buf)]:
 	default:
@@ -147,11 +169,11 @@ func (pf *prefetcher) recycle(buf []bp.Event) {
 }
 
 // shutdown stops the producer and blocks until it no longer touches the
-// reader, then returns the recycled buffers to the pool. Safe to call
-// multiple times; prefetchStream.close calls it so that early returns
-// (decode error, instruction limit) cannot leak the goroutine or race the
-// caller's file close. A buffer the consumer still holds is not returned to
-// the pool.
+// reader, then returns the recycled buffers and the table to their pools.
+// Safe to call multiple times; prefetchStream.close calls it so that early
+// returns (decode error, instruction limit) cannot leak the goroutine or
+// race the caller's file close. A buffer the consumer still holds is not
+// returned to the pool.
 func (pf *prefetcher) shutdown() {
 	pf.once.Do(func() { close(pf.done) })
 	// Drain filled so a producer blocked on delivery can proceed, until the
@@ -164,10 +186,15 @@ func (pf *prefetcher) shutdown() {
 			stopped = true
 		}
 	}
+	if pf.tab != nil {
+		eventBufs.Put(pf.evs)
+		releaseTable(pf.tab)
+		pf.evs, pf.tab = nil, nil
+	}
 	for {
 		select {
 		case buf := <-pf.free:
-			eventBufs.Put((*[tracecache.BatchEvents]bp.Event)(buf[:tracecache.BatchEvents]))
+			recordBufs.Put((*[tracecache.BatchEvents]tracecache.Record)(buf[:tracecache.BatchEvents]))
 		default:
 			return
 		}
@@ -175,14 +202,15 @@ func (pf *prefetcher) shutdown() {
 }
 
 // batchStream is how a cell consumes its trace: a chunk-by-chunk walk
-// through the cache (cachedStream) or a prefetching reader. next
-// returns a non-empty batch, or (nil, io.EOF) on clean exhaustion, or
-// (nil, err) on a decode error — always after every event decoded before
-// the error was delivered. A batch stays valid until the next call. close
-// releases what the stream holds (cache pins, the prefetch goroutine, the
-// trace file); the stream is unusable afterwards.
+// through the cache (cachedStream) or a prefetching reader. next returns a
+// non-empty batch of records with a view of the trace's static table that
+// covers them, or io.EOF on clean exhaustion, or a decode error — always
+// after every record decoded before the error was delivered. A batch stays
+// valid until the next call, a view until close. close releases what the
+// stream holds (cache pins, the prefetch goroutine, the trace file); the
+// stream is unusable afterwards.
 type batchStream interface {
-	next() ([]bp.Event, error)
+	next() ([]tracecache.Record, tracecache.View, error)
 	close()
 }
 
@@ -195,22 +223,22 @@ type prefetchStream struct {
 	pf     *prefetcher
 	closer io.Closer // closed once the producer has stopped; may be nil
 	col    *obs.Collector
-	cur    []bp.Event // the batch last delivered, recycled on the next call
-	err    error      // terminal error held back behind cur
+	cur    []tracecache.Record // the batch last delivered, recycled on the next call
+	err    error               // terminal error held back behind cur
 }
 
 func newPrefetchStream(r bp.Reader, closer io.Closer, col *obs.Collector) *prefetchStream {
 	return &prefetchStream{pf: startPrefetch(r, col), closer: closer, col: col}
 }
 
-func (s *prefetchStream) next() ([]bp.Event, error) {
+func (s *prefetchStream) next() ([]tracecache.Record, tracecache.View, error) {
 	for {
 		if s.cur != nil {
 			s.pf.recycle(s.cur)
 			s.cur = nil
 		}
 		if s.err != nil {
-			return nil, s.err
+			return nil, tracecache.View{}, s.err
 		}
 		tWait := s.col.Now()
 		b, ok := s.pf.next()
@@ -218,11 +246,11 @@ func (s *prefetchStream) next() ([]bp.Event, error) {
 		if !ok {
 			// The producer closes filled only after a terminal batch, which
 			// set s.err above; it cannot end the stream silently.
-			return nil, io.ErrUnexpectedEOF
+			return nil, tracecache.View{}, io.ErrUnexpectedEOF
 		}
-		s.cur, s.err = b.events, b.err
-		if len(b.events) > 0 {
-			return b.events, nil
+		s.cur, s.err = b.recs, b.err
+		if len(b.recs) > 0 {
+			return b.recs, b.view, nil
 		}
 	}
 }
@@ -238,31 +266,57 @@ func (s *prefetchStream) close() {
 	}
 }
 
+// errStaleCheckpoint reports a restored checkpoint that does not describe
+// the trace: once its prefix was skipped, the trace's first branches are
+// not the addresses it lists. The cell reruns from the start.
+var errStaleCheckpoint = errors.New("sim: checkpoint does not match the trace")
+
 // runCell is the one simulation loop: Run and every SweepParallel cell
-// drive a fresh predictor from newP over a batch stream through it. On top
-// of runLoop it restores a journalled checkpoint, checkpoints every
-// jc.every events, and observes the drain and the context between batches.
-// With a nil jc and a nil drain it is the plain loop behind Run. On a drain
-// the current state is checkpointed (when journalling a checkpointable
-// predictor) before the drained error returns, so the resumed sweep
-// continues mid-trace instead of starting over.
-func runCell(ctx context.Context, drain <-chan struct{}, stream batchStream, newP func() bp.Predictor, cfg Config, jc *cellJournal) (*Result, error) {
+// drive a fresh predictor from newP over a batch stream from open through
+// it. On top of runLoop it restores a journalled checkpoint, checkpoints
+// every jc.every records, and observes the drain and the context between
+// batches. With a nil jc and a nil drain it is the plain loop behind Run.
+// On a drain the current state is checkpointed (when journalling a
+// checkpointable predictor) before the drained error returns, so the
+// resumed sweep continues mid-trace instead of starting over. A checkpoint
+// that turns out not to match the trace is dropped and the cell reruns on a
+// fresh stream.
+func runCell(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newP func() bp.Predictor, cfg Config, jc *cellJournal) (*Result, error) {
+	res, err := runStream(ctx, drain, open, newP, cfg, jc, true)
+	if err == errStaleCheckpoint {
+		res, err = runStream(ctx, drain, open, newP, cfg, jc, false)
+	}
+	return res, err
+}
+
+// runStream is one attempt of runCell over a stream it opens and closes,
+// restoring jc's checkpoint when restore is set.
+func runStream(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newP func() bp.Predictor, cfg Config, jc *cellJournal, restore bool) (*Result, error) {
 	start := time.Now()
 	col := cfg.Metrics
+	stream, err := open()
+	if err != nil {
+		return nil, err
+	}
+	defer stream.close()
 	loop := newRunLoop(cfg)
+	defer func() { loop.release() }() // the loop in use at return; result releases it too
 	p := newP()
 	var consumed, toSkip, lastCkpt uint64
 	every := uint64(0)
+	verify := false      // a restored checkpoint awaits its check
+	var skippedHW uint32 // 1 + the highest IP id of the skipped records
 	if jc != nil {
 		if _, ok := p.(bp.Checkpointer); ok {
 			every = jc.every
 		}
-		if rec, ok := jc.j.Checkpoint(jc.key); ok {
+		if rec, ok := jc.j.Checkpoint(jc.key); ok && restore {
 			if err := restoreCellState(rec.State, loop, p); err != nil {
-				loop.stats.release()
+				loop.release()
 				loop, p = newRunLoop(cfg), newP() // bad checkpoint: restart clean
 			} else {
 				consumed, toSkip, lastCkpt = rec.Events, rec.Events, rec.Events
+				verify = true
 			}
 		}
 	}
@@ -278,24 +332,38 @@ func runCell(ctx context.Context, drain <-chan struct{}, stream batchStream, new
 			}
 			return nil, err
 		}
-		b, err := stream.next()
-		if err != nil {
-			if err == io.EOF {
-				return loop.result(p, cfg, true, start), nil
-			}
+		b, v, err := stream.next()
+		if err != nil && err != io.EOF {
 			return nil, err
 		}
-		if toSkip >= uint64(len(b)) {
-			// Entirely inside the restored prefix: the loop and predictor
-			// already account for these events.
-			toSkip -= uint64(len(b))
+		if verify {
+			// Skip the restored prefix: the loop and predictor already
+			// account for these records. Then the checkpoint must name the
+			// trace's first branches, in order.
+			n := min(toSkip, uint64(len(b)))
+			for _, r := range b[:n] {
+				skippedHW = max(skippedHW, v.Statics[r.ID].IPID+1)
+			}
+			toSkip -= n
+			b = b[n:]
+			if toSkip > 0 && err == nil {
+				continue
+			}
+			if toSkip > 0 || !loop.matches(v, skippedHW) {
+				return nil, errStaleCheckpoint
+			}
+			verify = false
+			loop.setView(v)
+		}
+		if err == io.EOF {
+			return loop.result(p, cfg, true, start), nil
+		}
+		if len(b) == 0 {
 			continue
 		}
-		b = b[toSkip:]
-		toSkip = 0
 		simStage := loop.stage()
 		tSim := col.Now()
-		stop := loop.process(b, p)
+		stop := loop.process(b, v, p)
 		col.Stage(simStage).Since(tSim)
 		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
 		consumed += uint64(len(b))

@@ -33,25 +33,30 @@ type ChunkedTrace interface {
 // cachedStream reads a cell's trace through the shared cache, one chunk at
 // a time: it walks chunks 0…n−1, pinning each chunk's entry while its
 // batches are consumed and releasing it before the next chunk loads, so a
-// cell holds one chunk, not one trace. A trace without chunked access (ct
-// nil) is a trace of one chunk, its whole stream, cached under its own key
-// (tracecache.Whole). A chunk the cache cannot pin is decoded directly, with
-// the same error-after-events contract. The end of a chunked trace follows
-// the streaming SBBT reader: a branch count short of the header's promise
-// is a truncation fault, surplus packets are delivered.
+// cell holds one chunk, not one trace. It pins the trace's static table for
+// the whole walk, and a chunk's load interns it before the walk moves on,
+// which keeps the table's ids in first-seen order (DESIGN.md, "Static
+// tables"). A trace without chunked access (ct nil) is a trace of one
+// chunk, its whole stream, cached under its own key (tracecache.Whole). A
+// chunk the cache cannot pin is decoded and interned directly, with the
+// same error-after-events contract. The end of a chunked trace follows the
+// streaming SBBT reader: a branch count short of the header's promise is a
+// truncation fault, surplus packets are delivered.
 type cachedStream struct {
 	ctx   context.Context
 	cache *tracecache.Cache
 	id    string                                    // the cache key of the trace: TraceSource.ID
 	open  func() (bp.Reader, io.Closer, int, error) // the whole trace, with the policy's retries
 	col   *obs.Collector
-	ct    ChunkedTrace // nil: the trace is read whole; owned by the sweep
+	ct    ChunkedTrace      // nil: the trace is read whole; owned by the sweep
+	tab   *tracecache.Table // the trace's static table, pinned for the walk
 
-	chunk int               // next chunk to load
-	read  uint64            // events delivered so far
-	entry *tracecache.Entry // pinned entry of the current chunk, if cached
-	cur   [][]bp.Event      // undelivered batches of the current chunk
-	end   error             // the current chunk's terminal error (io.EOF when clean)
+	chunk int                   // next chunk to load
+	read  uint64                // records delivered so far
+	entry *tracecache.Entry     // pinned entry of the current chunk, if cached
+	cur   [][]tracecache.Record // undelivered batches of the current chunk
+	view  tracecache.View       // the table, as of the current chunk's load
+	end   error                 // the current chunk's terminal error (io.EOF when clean)
 }
 
 // openStream opens the batch stream of one cell and loads its first chunk.
@@ -64,7 +69,7 @@ type cachedStream struct {
 // attempts counts the opens made, for failure accounting.
 func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Cache, ct ChunkedTrace, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
 	open := func() (bp.Reader, io.Closer, int, error) { return openWithRetry(ctx, drain, src, policy) }
-	cs := &cachedStream{ctx: ctx, cache: cache, id: src.ID(), open: open, col: col, ct: ct}
+	cs := &cachedStream{ctx: ctx, cache: cache, id: src.ID(), open: open, col: col, ct: ct, tab: cache.Pin(src.ID())}
 	if attempts, err = cs.load(); err != nil {
 		cs.close()
 		return nil, attempts, err
@@ -72,6 +77,7 @@ func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Ca
 	if cs.entry != nil || cs.ct != nil {
 		return cs, attempts, nil
 	}
+	cs.close()
 	r, closer, attempts, err := open()
 	if err != nil {
 		return nil, attempts, err
@@ -79,34 +85,34 @@ func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Ca
 	return newPrefetchStream(r, closer, col), attempts, nil
 }
 
-func (s *cachedStream) next() ([]bp.Event, error) {
+func (s *cachedStream) next() ([]tracecache.Record, tracecache.View, error) {
 	for {
 		if len(s.cur) > 0 {
 			b := s.cur[0]
 			s.cur = s.cur[1:]
 			s.read += uint64(len(b))
-			return b, nil
+			return b, s.view, nil
 		}
 		if s.end != io.EOF {
-			return nil, s.end
+			return nil, tracecache.View{}, s.end
 		}
 		s.cache.Release(s.entry) // clean chunk: unpin before loading the next
 		s.entry = nil
 		if s.ct == nil || s.chunk >= s.ct.NumChunks() {
 			if s.ct != nil && s.read < s.ct.TotalBranches() {
-				return nil, fmt.Errorf("sbbt: trace ends after %d of %d branches: %w", s.read, s.ct.TotalBranches(), bp.ErrTruncated)
+				return nil, tracecache.View{}, fmt.Errorf("sbbt: trace ends after %d of %d branches: %w", s.read, s.ct.TotalBranches(), bp.ErrTruncated)
 			}
-			return nil, io.EOF
+			return nil, tracecache.View{}, io.EOF
 		}
 		if _, err := s.load(); err != nil {
-			return nil, err
+			return nil, tracecache.View{}, err
 		}
 	}
 }
 
-// load acquires the next chunk, decoding a chunk the cache turns away
-// directly, and reports the open attempts made. A whole trace the cache
-// turns away leaves the stream without an entry.
+// load acquires the next chunk, decoding and interning a chunk the cache
+// turns away directly, and reports the open attempts made. A whole trace
+// the cache turns away leaves the stream without an entry.
 func (s *cachedStream) load() (attempts int, err error) {
 	i := s.chunk
 	s.chunk++
@@ -124,12 +130,17 @@ func (s *cachedStream) load() (attempts int, err error) {
 	}
 	if !entry.TooBig() {
 		s.entry, s.cur, s.end = entry, entry.Batches(), entry.Err()
+		s.view = s.tab.View()
 		return entry.Attempts(), nil
 	}
 	s.cache.Release(entry)
 	if s.ct != nil {
 		evs, err := s.decodeChunk(i)
-		s.cur, s.end = tracecache.AppendBatches(nil, evs), err
+		recs, ierr := s.cache.Intern(s.col, s.tab, nil, evs)
+		if ierr != nil {
+			err = ierr
+		}
+		s.cur, s.end, s.view = tracecache.AppendBatches(nil, recs), err, s.tab.View()
 		if err == nil {
 			s.end = io.EOF
 		}
@@ -150,13 +161,14 @@ func (s *cachedStream) loadWhole(f *tracecache.Fill) (int, error) {
 	if !f.Opened(r) {
 		return attempts, nil // too big by its header: not decoded
 	}
+	buf := eventBufs.Get().(*[tracecache.BatchEvents]bp.Event)
+	defer eventBufs.Put(buf)
 	for {
 		if err := s.ctx.Err(); err != nil {
 			return attempts, err
 		}
-		buf := make([]bp.Event, tracecache.BatchEvents)
 		var n int
-		timedRead(s.col, func() { n, err = readBatchSafe(r, buf) })
+		timedRead(s.col, func() { n, err = readBatchSafe(r, buf[:]) })
 		if !f.Add(buf[:n]) || err != nil {
 			return attempts, err
 		}
@@ -169,9 +181,12 @@ func (s *cachedStream) decodeChunk(i int) (evs []bp.Event, err error) {
 	return evs, err
 }
 
-// close unpins the current chunk, so a cell that stops early (instruction
-// limit, drain, deadline) cannot leak a pin. The chunked trace is the
-// sweep's to close.
+// close unpins the current chunk and the table, so a cell that stops early
+// (instruction limit, drain, deadline) cannot leak a pin. The chunked trace
+// is the sweep's to close.
 func (s *cachedStream) close() {
 	s.cache.Release(s.entry)
+	s.entry = nil
+	s.cache.Unpin(s.tab)
+	s.tab = nil
 }

@@ -74,11 +74,11 @@ func Compare(r bp.Reader, p0, p1 bp.Predictor, cfg Config) (*CompareResult, erro
 	s := newPrefetchStream(r, nil, col)
 	defer s.close()
 	l0, l1 := newRunLoop(cfg), newRunLoop(cfg)
-	defer l0.stats.release()
-	defer l1.stats.release()
+	defer l0.release()
+	defer l1.release()
 	exhausted := false
 	for {
-		b, err := s.next()
+		b, v, err := s.next()
 		if err == io.EOF {
 			exhausted = true
 			break
@@ -88,8 +88,8 @@ func Compare(r bp.Reader, p0, p1 bp.Predictor, cfg Config) (*CompareResult, erro
 		}
 		stage := l0.stage()
 		t := col.Now()
-		stop := l0.process(b, p0)
-		l1.process(b, p1)
+		stop := l0.process(b, v, p0)
+		l1.process(b, v, p1)
 		col.Stage(stage).Since(t)
 		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
 		if stop {
@@ -116,17 +116,17 @@ func Compare(r bp.Reader, p0, p1 bp.Predictor, cfg Config) (*CompareResult, erro
 }
 
 // compareMostFailed lists branches by descending |MPKI difference|, ties by
-// address. l0 and l1 are the two sides' loops over the same events, so
-// their entries hold the same addresses in the same order; entries never
-// counted (warm-up only, non-conditional) have no difference and are
-// skipped with every other zero-difference branch. It is nil when no
-// branch was counted. limit caps the report; 0 defaults to 20 entries.
+// address. l0 and l1 are the two sides' loops over the same records, so
+// their counters share IP ids; branches never counted (warm-up only,
+// non-conditional) have no difference and are skipped with every other
+// zero-difference branch. It is nil when no branch was counted. limit caps
+// the report; 0 defaults to 20 entries.
 func compareMostFailed(l0, l1 *runLoop, limit int) []CompareBranchReport {
 	simInstr := l0.simInstr()
 	if simInstr == 0 || l0.condBranches == 0 {
 		return nil
 	}
-	s0, s1 := l0.stats, l1.stats
+	ips := l0.ips
 	if limit <= 0 {
 		limit = 20
 	}
@@ -135,8 +135,8 @@ func compareMostFailed(l0, l1 *runLoop, limit int) []CompareBranchReport {
 		d int64
 	}
 	var diffs []diff
-	for i := range s0.entries {
-		if d := int64(s1.entries[i].missed) - int64(s0.entries[i].missed); d != 0 {
+	for i := range int(l0.hw) {
+		if d := int64(l1.missed[i]) - int64(l0.missed[i]); d != 0 {
 			diffs = append(diffs, diff{i, d})
 		}
 	}
@@ -144,7 +144,7 @@ func compareMostFailed(l0, l1 *runLoop, limit int) []CompareBranchReport {
 		if c := cmp.Compare(abs64(b.d), abs64(a.d)); c != 0 {
 			return c
 		}
-		return cmp.Compare(s0.entries[a.i].ip, s0.entries[b.i].ip)
+		return cmp.Compare(ips[a.i], ips[b.i])
 	})
 	if len(diffs) > limit {
 		diffs = diffs[:limit]
@@ -152,12 +152,11 @@ func compareMostFailed(l0, l1 *runLoop, limit int) []CompareBranchReport {
 	kilo := float64(simInstr) / 1000
 	reports := make([]CompareBranchReport, 0, len(diffs))
 	for _, d := range diffs {
-		e0, e1 := &s0.entries[d.i], &s1.entries[d.i]
 		reports = append(reports, CompareBranchReport{
-			IP:          e0.ip,
-			Occurrences: e0.occ,
-			MPKI0:       float64(e0.missed) / kilo,
-			MPKI1:       float64(e1.missed) / kilo,
+			IP:          ips[d.i],
+			Occurrences: l0.occ[d.i],
+			MPKI0:       float64(l0.missed[d.i]) / kilo,
+			MPKI1:       float64(l1.missed[d.i]) / kilo,
 			MPKIDiff:    float64(d.d) / kilo,
 		})
 	}

@@ -95,8 +95,8 @@ func TestSweepParallelMetricsPopulated(t *testing.T) {
 	if s.Counters["events"] == 0 {
 		t.Errorf("no events counted: %v", s.Counters)
 	}
-	// Trace-major scheduling: each trace misses once, then hits for every
-	// further predictor of the column.
+	// The cells of a trace run together: each trace misses once, then hits
+	// for every further predictor of the column.
 	wantMisses := uint64(len(srcs))
 	if s.Counters["cache_misses"] != wantMisses {
 		t.Errorf("cache_misses = %d, want %d", s.Counters["cache_misses"], wantMisses)
@@ -157,11 +157,11 @@ func TestRunMetricsNoExtraAllocs(t *testing.T) {
 	}
 }
 
-// TestRunSetParallelMetrics: a one-predictor sweep on one worker with the
+// TestSweepParallelStreamingMetrics: a one-predictor sweep on one worker with the
 // cache off streams every cell through a prefetching reader, and the
 // collector sees the cells, the events and the time spent waiting on the
 // prefetcher.
-func TestRunSetParallelMetrics(t *testing.T) {
+func TestSweepParallelStreamingMetrics(t *testing.T) {
 	srcs := genSources(t, 4000)
 	col := obs.New()
 	opts := sim.ParallelOptions{Workers: 1, Metrics: col}

@@ -27,8 +27,8 @@ type PredictorSpec struct {
 }
 
 // DefaultCacheBytes is the default decoded-trace cache budget of the
-// parallel scheduler: at 32 bytes per event, 1 GiB pins about 33M branches
-// of decoded trace.
+// parallel scheduler: at 8 bytes per record, 1 GiB pins about 130M branches
+// of decoded trace, less the traces' static tables.
 const DefaultCacheBytes int64 = 1 << 30
 
 // NewCache builds a decoded-trace cache from the budget convention of
@@ -83,10 +83,11 @@ type ParallelOptions struct {
 
 // SweepError is the error SweepParallel returns under FailFast: the
 // lowest-indexed (predictor, trace) failure observed before cancellation.
-// Cells are dispatched in trace-major order, and cancellation stops the
-// cells after a failure from running, so which pair is reported follows
-// trace-major order and, with several workers, the timing of the
-// failures. The text reads "<predictor>: sim: trace "<name>": <cause>".
+// Cells are dispatched in groups of one trace per worker, predictor-major
+// inside a group (cellOrder), and cancellation stops the cells after a
+// failure from running, so which pair is reported follows that order and,
+// with several workers, the timing of the failures. The text reads
+// "<predictor>: sim: trace "<name>": <cause>".
 type SweepError struct {
 	Predictor string
 	Trace     string
@@ -166,18 +167,15 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 		}
 	}
 
-	// Trace-major order maximises decode sharing: the nP pairs of one trace
-	// cluster in time, so its cache entry is loaded once, read nP times,
-	// and then becomes the eviction candidate.
-	type pair struct{ pi, ti int }
-	pending := make([]pair, 0, nP*nT-replayed)
-	for ti := range sources {
-		for pi := range predictors {
-			if !skip[pi][ti] {
-				pending = append(pending, pair{pi, ti})
-			}
-		}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	if workers > nP*nT {
+		workers = nP * nT
+	}
+
+	pending := cellOrder(nP, nT, workers, skip)
 	cache := opts.Cache
 	chunked := make([]*sharedChunked, nT)
 	if cache != nil { // chunked access serves the cache only
@@ -191,13 +189,6 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nP*nT {
-		workers = nP * nT
-	}
 	col.Ctr(obs.CtrCellsTotal).Store(uint64(nP * nT))
 	col.Ctr(obs.CtrCellsReplayed).Store(uint64(replayed))
 	col.Ctr(obs.CtrCellsDone).Store(uint64(replayed))
@@ -308,6 +299,31 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	return out, nil
 }
 
+// pair is one cell of a sweep: predictor pi over trace ti.
+type pair struct{ pi, ti int }
+
+// cellOrder lists the cells to run, those skip marks left out, in dispatch
+// order: groups of one trace per worker, predictor-major inside a group.
+// The first cells of a group decode its traces on every worker at once
+// instead of queueing behind one load, and the nP cells of a trace still
+// cluster in time, so its cache entries are loaded once, read nP times,
+// and then become the eviction candidates.
+func cellOrder(nP, nT, workers int, skip [][]bool) []pair {
+	var pending []pair
+	w := max(workers, 1)
+	for g := 0; g < nT; g += w {
+		end := min(g+w, nT)
+		for pi := range nP {
+			for ti := g; ti < end; ti++ {
+				if !skip[pi][ti] {
+					pending = append(pending, pair{pi, ti})
+				}
+			}
+		}
+	}
+	return pending
+}
+
 // runPair simulates one (trace, predictor) pair: it opens the pair's batch
 // stream, over the trace's shared chunked handle when it has one, and runs
 // it through runCell. A panic anywhere in the pair — predictor, reader or
@@ -333,12 +349,12 @@ func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, sr
 	if opts.Journal != nil {
 		jc = &cellJournal{j: opts.Journal, key: CellKey(src, pred.Name, cfg), every: opts.CheckpointEvery, col: cfg.Metrics}
 	}
-	stream, attempts, err := openStream(ctx, opts.Drain, cache, ch.get(), src, opts.Policy, cfg.Metrics)
-	if err == nil {
-		defer stream.close()
-		cfg.TraceName = src.Name
-		result, err = runCell(ctx, opts.Drain, stream, pred.New, cfg, jc)
+	open := func() (s batchStream, err error) {
+		s, attempts, err = openStream(ctx, opts.Drain, cache, ch.get(), src, opts.Policy, cfg.Metrics)
+		return s, err
 	}
+	cfg.TraceName = src.Name
+	result, err := runCell(ctx, opts.Drain, open, pred.New, cfg, jc)
 	if err != nil {
 		// mapDeadline also covers a deadline surfacing through an open or a
 		// stream's terminal error rather than through interruptErr.

@@ -12,11 +12,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/faults"
 	"mbplib/internal/obs"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sim/tracecache"
 )
 
 // CellKey is the journal identity of one (trace, predictor) cell: the trace
@@ -191,22 +193,13 @@ func encodeCellState(loop *runLoop, p bp.Predictor) ([]byte, error) {
 	cw.U64(loop.condBranches)
 	cw.U64(loop.mispredictions)
 	// Version 1 stores three length-prefixed slices: every branch address
-	// in first-seen order, then the occurrence and misprediction rows up to
-	// the last counted branch.
-	entries := loop.stats.entries
-	rows := entries[:loop.stats.counted()]
-	cw.U64(uint64(len(entries)))
-	for i := range entries {
-		cw.U64(entries[i].ip)
-	}
-	cw.U64(uint64(len(rows)))
-	for i := range rows {
-		cw.U64(rows[i].occ)
-	}
-	cw.U64(uint64(len(rows)))
-	for i := range rows {
-		cw.U64(rows[i].missed)
-	}
+	// in first-seen order (by IP id), then the occurrence and misprediction
+	// rows up to the last counted branch.
+	hw := int(loop.hw)
+	rows := loop.counted(hw)
+	cw.U64s(loop.ips[:hw])
+	cw.U64s(loop.occ[:rows])
+	cw.U64s(loop.missed[:rows])
 	cw.Bytes(pstate.Bytes())
 	if err := cw.Err(); err != nil {
 		return nil, err
@@ -239,28 +232,37 @@ func restoreCellState(state []byte, loop *runLoop, p bp.Predictor) error {
 	if len(occ) > len(ips) || len(missed) != len(occ) {
 		return fmt.Errorf("simcell checkpoint: %d stats rows over %d branches: %w", len(occ), len(ips), faults.ErrCorrupt)
 	}
-	// Reinserting the addresses in order reproduces the entry order the
-	// counters were recorded under; a repeated address has no such order.
-	stats := loop.stats
+	// Row i is the branch of IP id i: the addresses are the trace's first
+	// branches in first-seen order, which a repeated address cannot be.
+	seen := make(map[uint64]bool, len(ips))
 	for _, ip := range ips {
-		n := len(stats.entries)
-		stats.entry(ip)
-		if len(stats.entries) == n {
+		if seen[ip] {
 			return fmt.Errorf("simcell checkpoint: branch %#x listed twice: %w", ip, faults.ErrCorrupt)
 		}
+		seen[ip] = true
 	}
+	loop.grow(len(ips))
 	var sumOcc, sumMissed uint64
 	for i := range occ {
 		if missed[i] > occ[i] {
 			return fmt.Errorf("simcell checkpoint: branch %#x missed %d of %d: %w", ips[i], missed[i], occ[i], faults.ErrCorrupt)
 		}
-		stats.entries[i].occ, stats.entries[i].missed = occ[i], missed[i]
+		loop.occ[i], loop.missed[i] = occ[i], missed[i]
 		sumOcc += occ[i]
 		sumMissed += missed[i]
 	}
 	if sumOcc != cond || sumMissed != miss {
 		return fmt.Errorf("simcell checkpoint: branch rows sum to %d/%d, totals are %d/%d: %w", sumMissed, sumOcc, miss, cond, faults.ErrCorrupt)
 	}
+	loop.ips, loop.hw = ips, uint32(len(ips))
 	loop.instr, loop.condBranches, loop.mispredictions = instr, cond, miss
 	return ck.Restore(bytes.NewReader(pstate))
+}
+
+// matches reports whether a restored checkpoint describes the trace of v,
+// once its prefix was skipped: the skipped records saw exactly the
+// checkpoint's branches, and they are the table's first ones, in order.
+func (l *runLoop) matches(v tracecache.View, skippedHW uint32) bool {
+	n := len(l.ips)
+	return skippedHW == l.hw && len(v.IPs) >= n && slices.Equal(v.IPs[:n], l.ips)
 }

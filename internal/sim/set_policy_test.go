@@ -141,9 +141,9 @@ func TestRunSetPolicySkipFailed(t *testing.T) {
 	})
 }
 
-// TestRunSetFailFastOnPanic: under FailFast a predictor panic surfaces as a
+// TestSweepParallelFailFastOnPanic: under FailFast a predictor panic surfaces as a
 // returned error, not a crash, preserving the one-error contract.
-func TestRunSetFailFastOnPanic(t *testing.T) {
+func TestSweepParallelFailFastOnPanic(t *testing.T) {
 	srcs := suiteSources(t, 1000)
 	forEachShape(t, func(t *testing.T, opts ParallelOptions) {
 		_, err := runSet(srcs, func() bp.Predictor { return &panicPredictor{} }, Config{}, opts)
@@ -156,11 +156,11 @@ func TestRunSetFailFastOnPanic(t *testing.T) {
 	})
 }
 
-// TestRunSetPolicyRetriesTransientOpen: a source that fails twice with an
+// TestSweepParallelRetriesTransientOpen: a source that fails twice with an
 // unclassified error and then succeeds is retried to success on a seeded
 // backoff schedule, while a classified (permanent) failure is not retried
 // at all.
-func TestRunSetPolicyRetriesTransientOpen(t *testing.T) {
+func TestSweepParallelRetriesTransientOpen(t *testing.T) {
 	newPred := func() bp.Predictor { return &staticPredictor{} }
 	policy := Policy{Mode: SkipFailed, Retries: 3, Backoff: time.Microsecond, Seed: 7}
 	forEachShape(t, func(t *testing.T, opts ParallelOptions) {

@@ -18,6 +18,7 @@ import (
 
 	"mbplib/internal/bp"
 	"mbplib/internal/obs"
+	"mbplib/internal/sim/tracecache"
 )
 
 // Name and Version identify the simulator in result metadata, as in
@@ -95,9 +96,17 @@ type Result struct {
 
 // runLoop holds the mutable state of one simulation: the per-branch
 // counters and the aggregate counts that the batched and scalar loops both
-// accumulate.
+// accumulate. It reads records through the view of the trace's static
+// table that came with the current batch.
 type runLoop struct {
-	stats          *branchStats
+	view tracecache.View
+	// ips are the branch addresses by IP id: the view's, or a restored
+	// checkpoint's until the view covers them.
+	ips []uint64
+	*counters
+	// hw is 1 + the highest IP id seen. IP ids follow first-seen order, so
+	// it is the number of distinct branches seen (num_branch_instructions).
+	hw             uint32
 	instr          uint64 // instructions retired so far
 	condBranches   uint64 // conditional branches after warm-up
 	mispredictions uint64
@@ -105,50 +114,62 @@ type runLoop struct {
 	limit          uint64 // absolute instruction limit, 0 = none
 
 	col *obs.Collector // dispatch counters and batch-size histogram; nil = off
-
-	// Reusable kernel scratch: the branch view and prediction buffer handed
-	// to BatchPredictor kernels. Sized to the first full batch and reused,
-	// so the kernel path allocates nothing in steady state.
-	branchBuf []bp.Branch
-	predBuf   []bp.Prediction
 }
 
 func newRunLoop(cfg Config) *runLoop {
-	l := &runLoop{stats: newBranchStats(), warmup: cfg.WarmupInstructions, col: cfg.Metrics}
+	l := &runLoop{counters: countersPool.Get().(*counters), warmup: cfg.WarmupInstructions, col: cfg.Metrics}
 	if cfg.SimInstructions > 0 {
 		l.limit = cfg.WarmupInstructions + cfg.SimInstructions
 	}
 	return l
 }
 
-// process consumes one batch of events, returning true when the instruction
-// limit was reached and the simulation must stop mid-trace.
+// release returns the loop's counters to their pool, once; l must not be
+// used again.
+func (l *runLoop) release() {
+	if l.counters != nil {
+		l.counters.release()
+		l.counters = nil
+	}
+}
+
+// setView adopts the view that came with a batch, growing the counters to
+// cover every address it holds.
+func (l *runLoop) setView(v tracecache.View) {
+	l.view, l.ips = v, v.IPs
+	l.grow(len(v.IPs))
+}
+
+// process consumes one batch of records, whose ids index v, returning true
+// when the instruction limit was reached and the simulation must stop
+// mid-trace.
 //
-// When the warm-up window is already behind and the limit cannot be reached
-// even if every event carries the maximum instruction gap, the whole batch
-// runs through a fast path with the warm-up and limit checks hoisted out of
+// When the warm-up window is already behind and the batch's instructions
+// cannot reach the limit, the whole batch runs through a fast path with the warm-up and limit checks hoisted out of
 // the per-event loop — and, for predictors with a native BatchPredictor
 // kernel, through one TrainBatch call for the entire batch. Batches
 // straddling a warm-up or limit boundary (the edge batches) fall back to
 // careful, which is also the body of the scalar reference loop, so
 // boundary semantics are decided by exactly one piece of code on either
 // dispatch path.
-func (l *runLoop) process(events []bp.Event, p bp.Predictor) bool {
-	l.col.Hist(obs.HistBatchEvents).Observe(uint64(len(events)))
-	if l.instr >= l.warmup && (l.limit == 0 || l.instr+uint64(len(events))*(bp.MaxInstrGap+1) < l.limit) {
+func (l *runLoop) process(recs []tracecache.Record, v tracecache.View, p bp.Predictor) bool {
+	l.setView(v)
+	l.col.Hist(obs.HistBatchEvents).Observe(uint64(len(recs)))
+	if l.instr >= l.warmup && (l.limit == 0 || l.instr+span(recs) < l.limit) {
 		if kp, ok := p.(bp.BatchPredictor); ok {
 			l.col.Ctr(obs.CtrDispatchKernel).Add(1)
-			l.processKernel(events, kp)
+			l.processKernel(recs, kp)
 			return false
 		}
 		l.col.Ctr(obs.CtrDispatchScalar).Add(1)
-		for i := range events {
-			ev := &events[i]
-			l.instr += ev.InstrsSinceLastBranch + 1
-			b := ev.Branch
-			e := l.stats.entry(b.IP)
+		statics := v.Statics
+		for _, r := range recs {
+			s := &statics[r.ID]
+			l.instr += r.Gap() + 1
+			b := s.Branch(r)
+			l.hw = max(l.hw, s.IPID+1)
 			if b.Opcode.IsConditional() {
-				l.count(e, p.Predict(b.IP) != b.Taken)
+				l.count(s.IPID, p.Predict(b.IP) != b.Taken)
 				p.Train(b)
 			}
 			p.Track(b)
@@ -156,57 +177,73 @@ func (l *runLoop) process(events []bp.Event, p bp.Predictor) bool {
 		return false
 	}
 	l.col.Ctr(obs.CtrDispatchScalar).Add(1)
-	return l.careful(events, p)
+	return l.careful(recs, p)
 }
 
-// count records one conditional branch past warm-up in e and the totals.
-func (l *runLoop) count(e *branchEntry, mispredicted bool) {
+// span is the number of instructions recs retire. It bounds the batch
+// exactly: BT9 gaps are not held to the 12 bits of an SBBT packet.
+func span(recs []tracecache.Record) uint64 {
+	n := uint64(len(recs))
+	for _, r := range recs {
+		n += r.Gap()
+	}
+	return n
+}
+
+// count records one conditional branch past warm-up at IP id and in the
+// totals.
+func (l *runLoop) count(id uint32, mispredicted bool) {
 	m := b2u(mispredicted)
 	l.condBranches++
 	l.mispredictions += m
-	e.occ++
-	e.missed += m
+	l.occ[id]++
+	l.missed[id] += m
 }
 
 // processKernel runs one full post-warm-up batch through the predictor's
-// native kernel: the events' branches are copied into a reusable
-// contiguous view, TrainBatch simulates them in one virtual call, and a
-// second pass folds the recorded predictions into the per-branch counters.
-// Splitting simulation from accounting keeps the kernel free of branch-stats
-// probes (so predictor tables stay hot in cache) while producing exactly
-// the counters the scalar loop accumulates. Only called on batches where
-// warm-up is behind and the limit is unreachable, so neither check appears
-// here.
-func (l *runLoop) processKernel(events []bp.Event, kp bp.BatchPredictor) {
-	n := len(events)
+// native kernel: the records' branches are gathered from the static table
+// into a reusable contiguous view, TrainBatch simulates them in one virtual
+// call, and a second pass folds the recorded predictions into the counters,
+// indexed by IP id. Splitting simulation from accounting keeps the kernel
+// free of counter traffic (so predictor tables stay hot in cache) while
+// producing exactly the counters the scalar loop accumulates. Only called
+// on batches where warm-up is behind and the limit is unreachable, so
+// neither check appears here.
+func (l *runLoop) processKernel(recs []tracecache.Record, kp bp.BatchPredictor) {
+	n := len(recs)
 	if cap(l.branchBuf) < n {
 		l.branchBuf = make([]bp.Branch, n)
 		l.predBuf = make([]bp.Prediction, n)
+		l.accBuf = make([]uint32, n)
 	}
-	branches, preds := l.branchBuf[:n], l.predBuf[:n]
+	branches, preds, acc := l.branchBuf[:n], l.predBuf[:n], l.accBuf[:n]
+	statics := l.view.Statics
 	instr := l.instr
-	for i := range events {
-		branches[i] = events[i].Branch
-		instr += events[i].InstrsSinceLastBranch + 1
+	for i, r := range recs {
+		s := &statics[r.ID]
+		branches[i] = s.Branch(r)
+		acc[i] = s.IPID<<1 | uint32(b2u(s.Opcode.IsConditional()))
+		instr += r.Gap() + 1
 	}
 	kp.TrainBatch(branches, preds)
-	stats, cond, miss := l.stats, l.condBranches, l.mispredictions
-	for i := range branches {
-		b := &branches[i]
-		e := stats.entry(b.IP)
-		if b.Opcode.IsConditional() {
-			m := b2u(bool(preds[i]) != b.Taken)
+	occ, missed := l.occ, l.missed
+	hw, cond, miss := l.hw, l.condBranches, l.mispredictions
+	for i, a := range acc {
+		id := a >> 1
+		hw = max(hw, id+1)
+		if a&1 != 0 {
+			m := b2u(bool(preds[i]) != branches[i].Taken)
 			cond++
 			miss += m
-			e.occ++
-			e.missed += m
+			occ[id]++
+			missed[id] += m
 		}
 	}
-	l.instr, l.condBranches, l.mispredictions = instr, cond, miss
+	l.instr, l.hw, l.condBranches, l.mispredictions = instr, hw, cond, miss
 }
 
 // result assembles the final Result from the loop state, timed as
-// obs.StageResult, and returns the branch statistics to their pool.
+// obs.StageResult, and returns the counters to their pool.
 func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.Time) *Result {
 	tRes := l.col.Now()
 	defer l.col.Stage(obs.StageResult).Since(tRes)
@@ -220,7 +257,7 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 			SimulationInstr:        simInstr,
 			ExhaustedTrace:         exhausted,
 			NumConditionalBranches: l.condBranches,
-			NumBranchInstructions:  uint64(len(l.stats.entries)),
+			NumBranchInstructions:  uint64(l.hw),
 			Predictor:              predictorMetadata(p),
 		},
 		PredictorStatistics: predictorStatistics(p),
@@ -232,9 +269,13 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 		Accuracy:       m.Accuracy,
 		SimulationTime: time.Since(start).Seconds(),
 	}
-	res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.stats, l.mispredictions, simInstr, cfg.MostFailedLimit)
-	l.stats.release()
-	l.stats = nil
+	var order []uint32
+	if l.mispredictions > 0 {
+		order = l.view.Order()
+	}
+	hw := l.hw
+	res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.ips, l.occ[:hw], l.missed[:hw], order, l.mispredictions, simInstr, cfg.MostFailedLimit)
+	l.release()
 	return res
 }
 
@@ -286,9 +327,8 @@ func (l *runLoop) stage() obs.Stage {
 // error, as a sweep classifies it. The reader is no longer in use when Run
 // returns.
 func Run(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
-	s := newPrefetchStream(r, nil, cfg.Metrics)
-	defer s.close()
-	return runCell(context.TODO(), nil, s, func() bp.Predictor { return p }, cfg, nil)
+	open := func() (batchStream, error) { return newPrefetchStream(r, nil, cfg.Metrics), nil }
+	return runCell(context.TODO(), nil, open, func() bp.Predictor { return p }, cfg, nil)
 }
 
 // RunScalar is the scalar reference implementation of Run: one Read call,
@@ -299,9 +339,16 @@ func Run(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 func RunScalar(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 	start := time.Now()
 	loop := newRunLoop(cfg)
+	defer loop.release()
+	tab := tablePool.Get().(*tracecache.Table)
+	defer releaseTable(tab)
+	var rec [1]tracecache.Record
 	exhausted := false
 	for {
 		ev, err := r.Read()
+		if err == nil {
+			_, err = tab.Intern(rec[:0], []bp.Event{ev})
+		}
 		if err != nil {
 			if err == io.EOF {
 				exhausted = true
@@ -309,7 +356,8 @@ func RunScalar(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 			}
 			return nil, err
 		}
-		if loop.careful([]bp.Event{ev}, p) {
+		loop.setView(tab.View())
+		if loop.careful(rec[:], p) {
 			break
 		}
 	}
@@ -319,16 +367,17 @@ func RunScalar(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 // careful simulates events one at a time with the warm-up and limit checks
 // in line, returning true when the instruction limit was reached: the edge
 // batches of process and, one event per call, the scalar reference loop.
-func (l *runLoop) careful(events []bp.Event, p bp.Predictor) bool {
-	for i := range events {
-		ev := &events[i]
-		l.instr += ev.InstrsSinceLastBranch + 1
-		b := ev.Branch
-		e := l.stats.entry(b.IP)
+func (l *runLoop) careful(recs []tracecache.Record, p bp.Predictor) bool {
+	statics := l.view.Statics
+	for _, r := range recs {
+		s := &statics[r.ID]
+		l.instr += r.Gap() + 1
+		b := s.Branch(r)
+		l.hw = max(l.hw, s.IPID+1)
 		if b.Opcode.IsConditional() {
 			predicted := p.Predict(b.IP)
 			if l.instr > l.warmup {
-				l.count(e, predicted != b.Taken)
+				l.count(s.IPID, predicted != b.Taken)
 			}
 			p.Train(b)
 		}

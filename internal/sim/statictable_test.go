@@ -1,0 +1,295 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"math/rand/v2"
+	"slices"
+	"sync"
+	"testing"
+
+	"mbplib/internal/bp"
+	"mbplib/internal/sim/journal"
+	"mbplib/internal/sim/tracecache"
+)
+
+// memChunks is a ChunkedTrace over events held in memory.
+type memChunks struct{ chunks [][]bp.Event }
+
+func (m *memChunks) NumChunks() int { return len(m.chunks) }
+
+func (m *memChunks) TotalBranches() uint64 {
+	var n uint64
+	for _, c := range m.chunks {
+		n += uint64(len(c))
+	}
+	return n
+}
+
+func (m *memChunks) DecodeChunk(i int) ([]bp.Event, error) { return slices.Clone(m.chunks[i]), nil }
+func (m *memChunks) Close() error                          { return nil }
+
+// genBranchStream draws n events over a pool of addresses with locality:
+// conditional branches, and indirect jumps with several targets each, at
+// gaps over the whole SBBT range.
+func genBranchStream(r *rand.Rand, n int) []bp.Event {
+	ips := make([]uint64, 1+r.IntN(n/4+1))
+	for i := range ips {
+		ips[i] = 0x400000 + uint64(i)*0x40 + uint64(r.IntN(8))*0x100000
+	}
+	evs := make([]bp.Event, n)
+	for i := range evs {
+		k := r.IntN(r.IntN(len(ips)) + 1)
+		b := bp.Branch{IP: ips[k], Target: ips[k] + 0x20, Opcode: bp.OpCondJump, Taken: r.IntN(2) == 0}
+		if k%5 == 4 {
+			b = bp.Branch{IP: ips[k], Target: 0x800000 + uint64(r.IntN(6))*0x100, Opcode: bp.OpIndJump, Taken: true}
+		}
+		evs[i] = bp.Event{Branch: b, InstrsSinceLastBranch: r.Uint64N(bp.MaxInstrGap + 1)}
+	}
+	return evs
+}
+
+// splitChunks cuts evs into chunks of random lengths.
+func splitChunks(r *rand.Rand, evs []bp.Event) [][]bp.Event {
+	var chunks [][]bp.Event
+	for len(evs) > 0 {
+		n := min(len(evs), 1+r.IntN(600))
+		chunks = append(chunks, evs[:n])
+		evs = evs[n:]
+	}
+	return chunks
+}
+
+// firstSeen lists the addresses and the tuples of evs in order of first
+// appearance.
+func firstSeen(evs []bp.Event) (ips []uint64, tuples []tracecache.Static) {
+	ipID := map[uint64]uint32{}
+	seen := map[tracecache.Static]bool{}
+	for _, ev := range evs {
+		b := ev.Branch
+		id, ok := ipID[b.IP]
+		if !ok {
+			id = uint32(len(ips))
+			ipID[b.IP] = id
+			ips = append(ips, b.IP)
+		}
+		if s := (tracecache.Static{IP: b.IP, Target: b.Target, Opcode: b.Opcode, IPID: id}); !seen[s] {
+			seen[s] = true
+			tuples = append(tuples, s)
+		}
+	}
+	return ips, tuples
+}
+
+// TestStaticTableFirstSeenOrder: generated event streams, split into
+// chunks, are read by concurrent cells through a cache too small to hold
+// them, so chunks are evicted, reloaded and turned away while other cells
+// intern. Every cell replays exactly the events, meets tuple and IP ids in
+// counting order, and the trace's one table ends in first-seen order.
+func TestStaticTableFirstSeenOrder(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 24))
+	var evictions, tooBig uint64
+	for round := 0; round < 12; round++ {
+		evs := genBranchStream(r, 500+r.IntN(6000))
+		ct := &memChunks{splitChunks(r, evs)}
+		wantIPs, wantTuples := firstSeen(evs)
+		full := tracecache.NewTable()
+		if _, err := full.Intern(nil, evs); err != nil {
+			t.Fatal(err)
+		}
+		// The table and about two chunks' records fit.
+		cache := tracecache.New(full.Size() + int64(len(evs)/len(ct.chunks))*16)
+		id := fmt.Sprintf("trace-%d", round)
+		tab := cache.Pin(id) // outlives the cells, to be checked after them
+		src := TraceSource{Name: id, Open: func() (bp.Reader, io.Closer, error) { return &sliceReader{evs: evs}, nil, nil }}
+
+		var wg sync.WaitGroup
+		for cell := 0; cell < 4; cell++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s, _, err := openStream(context.Background(), nil, cache, ct, src, Policy{}, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer s.close()
+				pos, nextTuple, nextIP := 0, uint32(0), uint32(0)
+				for {
+					recs, v, err := s.next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Errorf("round %d cell %d: %v", round, cell, err)
+						return
+					}
+					for _, rec := range recs {
+						st := v.Statics[rec.ID]
+						if rec.ID > nextTuple || st.IPID > nextIP {
+							t.Errorf("round %d cell %d, event %d: tuple %d and IP id %d, next new ones are %d and %d",
+								round, cell, pos, rec.ID, st.IPID, nextTuple, nextIP)
+							return
+						}
+						nextTuple, nextIP = max(nextTuple, rec.ID+1), max(nextIP, st.IPID+1)
+						if got := (bp.Event{Branch: st.Branch(rec), InstrsSinceLastBranch: rec.Gap()}); got != evs[pos] {
+							t.Errorf("round %d cell %d, event %d: replayed %+v, want %+v", round, cell, pos, got, evs[pos])
+							return
+						}
+						pos++
+					}
+				}
+				if pos != len(evs) {
+					t.Errorf("round %d cell %d: %d events, want %d", round, cell, pos, len(evs))
+				}
+			}()
+		}
+		wg.Wait()
+		v := tab.View()
+		if !slices.Equal(v.IPs, wantIPs) || !slices.Equal(v.Statics, wantTuples) {
+			t.Errorf("round %d: the table holds %d addresses and %d tuples out of first-seen order (want %d and %d)",
+				round, len(v.IPs), len(v.Statics), len(wantIPs), len(wantTuples))
+		}
+		cache.Unpin(tab)
+		st := cache.Stats()
+		evictions += st.Evictions
+		tooBig += st.TooBig
+	}
+	if evictions == 0 || tooBig == 0 {
+		t.Errorf("%d evictions and %d turned-away chunks over all rounds; the budget put no pressure on the cache", evictions, tooBig)
+	}
+}
+
+// TestManyTargetsOneMostFailedRow: a conditional indirect branch jumping to
+// many targets is many tuples but one static branch: it counts once in
+// num_branch_instructions and is one most_failed row holding all its
+// executions, on the kernel and the scalar path alike.
+func TestManyTargetsOneMostFailedRow(t *testing.T) {
+	const ip, n = 0x401000, 3000
+	op := bp.NewOpcode(bp.Jump, true, true)
+	evs := make([]bp.Event, n)
+	for i := range evs {
+		b := bp.Branch{IP: ip, Opcode: op}
+		if i%3 != 0 { // taken, to one of many targets; not taken has none
+			b.Taken, b.Target = true, 0x600000+uint64(i%97)*0x40
+		}
+		evs[i] = bp.Event{Branch: b, InstrsSinceLastBranch: 3}
+	}
+	for _, run := range []struct {
+		name string
+		fn   func(bp.Reader, bp.Predictor, Config) (*Result, error)
+		p    bp.Predictor
+	}{
+		{"Run/scalar", Run, &staticPredictor{taken: false}},
+		{"RunScalar", RunScalar, &staticPredictor{taken: false}},
+		{"Run/kernel", Run, smallGshare()},
+	} {
+		res, err := run.fn(&sliceReader{evs: evs}, run.p, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metadata.NumBranchInstructions != 1 || len(res.MostFailed) != 1 {
+			t.Fatalf("%s: %d static branches, %d most_failed rows; want 1 and 1", run.name, res.Metadata.NumBranchInstructions, len(res.MostFailed))
+		}
+		row := res.MostFailed[0]
+		if row.IP != ip || row.Occurrences != n || row.MPKI != res.Metrics.MPKI {
+			t.Errorf("%s: row %+v, want %d occurrences holding the run's %v MPKI", run.name, row, n, res.Metrics.MPKI)
+		}
+		if _, static := run.p.(*staticPredictor); static && res.Metrics.Mispredictions != n*2/3 {
+			t.Errorf("%s: %d mispredictions, want %d", run.name, res.Metrics.Mispredictions, n*2/3)
+		}
+	}
+}
+
+// TestRunCellStaleCheckpointRestartsClean: a journalled checkpoint that is
+// well formed but names other branches than the trace's first ones is
+// found out once its prefix is skipped, and the cell reruns from the start
+// on a fresh stream, to the result of a run without a journal.
+func TestRunCellStaleCheckpointRestartsClean(t *testing.T) {
+	evs := fixtureEvents(t)
+	fresh, err := runCell(context.Background(), nil, sliceOpener(t, evs), smallGshare, fixtureCfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := resultJSONNoTime(t, fresh)
+
+	for _, tc := range []struct {
+		name   string
+		events uint64
+		ips    []uint64
+	}{
+		{"foreign-address", 2, []uint64{0x40}},
+		{"too-few-addresses", 1500, []uint64{evs[0].Branch.IP}},
+		{"past-the-end", uint64(len(evs)) + 10, []uint64{evs[0].Branch.IP}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := simcellV1(t, 100, 0, 0, tc.ips, nil, nil, smallGshare().(bp.Checkpointer))
+			jnl, err := journal.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jnl.Close()
+			if _, err := jnl.AppendCheckpoint(journal.CheckpointRecord{Key: "cell", Events: tc.events, State: state}); err != nil {
+				t.Fatal(err)
+			}
+			var built, opened int
+			newP := func() bp.Predictor { built++; return smallGshare() }
+			open := sliceOpener(t, evs)
+			counted := func() (batchStream, error) { opened++; return open() }
+			res, err := runCell(context.Background(), nil, counted, newP, fixtureCfg, &cellJournal{j: jnl, key: "cell"})
+			if err != nil {
+				t.Fatalf("cell with a stale checkpoint: %v", err)
+			}
+			if built != 2 || opened != 2 {
+				t.Errorf("built %d predictors over %d streams, want 2 and 2 (the checkpoint restored, then dropped)", built, opened)
+			}
+			if gotJSON := resultJSONNoTime(t, res); string(gotJSON) != string(wantJSON) {
+				t.Errorf("restarted cell differs from a clean run\ngot:  %s\nwant: %s", gotJSON, wantJSON)
+			}
+		})
+	}
+}
+
+// TestSweepParallelCellOrder: cells go out in groups of one trace per
+// worker, predictor-major inside a group, without the skipped ones.
+func TestSweepParallelCellOrder(t *testing.T) {
+	skip := [][]bool{{false, false, false, false, false}, {false, true, false, false, false}}
+	got := cellOrder(2, 5, 2, skip)
+	want := []pair{{0, 0}, {0, 1}, {1, 0}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {0, 4}, {1, 4}}
+	if !slices.Equal(got, want) {
+		t.Errorf("order %v, want %v", got, want)
+	}
+	if got := cellOrder(2, 3, 1, [][]bool{make([]bool, 3), make([]bool, 3)}); !slices.Equal(got, []pair{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 2}}) {
+		t.Errorf("one worker: order %v, want trace-major", got)
+	}
+}
+
+// TestRunLimitWithWideGaps: BT9 gaps are not held to SBBT's 12 bits, and a
+// record keeps them whole. A batch of wide gaps that crosses the
+// instruction limit must stop at the limit, as the scalar loop does, not
+// run whole through the fast path on the strength of a 12-bit bound.
+func TestRunLimitWithWideGaps(t *testing.T) {
+	evs := make([]bp.Event, 3*tracecache.BatchEvents)
+	for i := range evs {
+		evs[i] = bp.Event{
+			Branch:                bp.Branch{IP: 0x400000 + uint64(i%64)*4, Target: 0x500000, Opcode: bp.OpCondJump, Taken: i%3 == 0},
+			InstrsSinceLastBranch: 100_000,
+		}
+	}
+	cfg := Config{SimInstructions: 20_000_000}
+	want, err := RunScalar(&sliceReader{evs: evs}, smallGshare(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(&sliceReader{evs: evs}, smallGshare(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, g := resultJSONNoTime(t, want), resultJSONNoTime(t, got); string(w) != string(g) {
+		t.Errorf("Run differs from RunScalar at a limit inside a batch of wide gaps\nRun:       %s\nRunScalar: %s", g, w)
+	}
+	if got.Metadata.SimulationInstr > cfg.SimInstructions+100_001 {
+		t.Errorf("simulated %d instructions past a limit of %d", got.Metadata.SimulationInstr, cfg.SimInstructions)
+	}
+}

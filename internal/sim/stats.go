@@ -4,102 +4,53 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+
+	"mbplib/internal/bp"
 )
 
-// branchEntry is one static branch: its address and, once it is counted
-// past warm-up as a conditional branch, how often it executed and how often
-// it was mispredicted. Branches seen only in warm-up or only as
-// non-conditional branches keep zero counters.
-type branchEntry struct {
-	ip     uint64
-	occ    uint64
-	missed uint64
+// counters are a run's per-static-branch counters, dense by the IP ids of
+// the trace's static table: how often each branch executed past warm-up as
+// a conditional branch, and how often it was mispredicted. Branches seen
+// only in warm-up or only as non-conditional branches keep zero counters.
+// They carry the kernel path's scratch buffers too, so that both come from
+// one pool.
+type counters struct {
+	occ, missed []uint64
+
+	// Reusable kernel scratch: the branch view and prediction buffer handed
+	// to BatchPredictor kernels, and each record's IP id<<1 | conditional
+	// for the accounting pass. Sized to the first full batch and reused,
+	// so the kernel path allocates nothing in steady state.
+	branchBuf []bp.Branch
+	predBuf   []bp.Prediction
+	accBuf    []uint32
 }
 
-// branchStats accumulates per-static-branch counters. entries holds every
-// branch address the run has seen, in first-seen order; slots is an
-// open-addressed, linear-probing hash table (power-of-two size) mapping an
-// address to its entry. The hot loop probes it once per branch and then
-// touches a single entry, so it must stay several times cheaper than a Go
-// map lookup — part of what keeps the simulator in the paper's "results
-// within seconds" class.
-type branchStats struct {
-	slots   []int32 // hash slot -> entry index + 1; 0 = empty
-	mask    uint64
-	entries []branchEntry
-}
+// countersPool recycles counters across runs, so a sweep cell starts on
+// arrays already grown by the previous cell instead of regrowing them.
+var countersPool = sync.Pool{New: func() any { return new(counters) }}
 
-const branchStatsInitialSlots = 4096
-
-// statsPool recycles branch statistics across runs, so a sweep cell starts
-// on a slot table already grown by the previous cell instead of regrowing
-// (and rezeroing) it from the initial size.
-var statsPool = sync.Pool{New: func() any {
-	return &branchStats{slots: make([]int32, branchStatsInitialSlots), mask: branchStatsInitialSlots - 1}
-}}
-
-func newBranchStats() *branchStats { return statsPool.Get().(*branchStats) }
-
-// release clears s and returns it to the pool; s must not be used again.
-func (s *branchStats) release() {
-	clear(s.slots)
-	s.entries = s.entries[:0]
-	statsPool.Put(s)
-}
-
-func ipHash(ip uint64) uint64 {
-	ip ^= ip >> 33
-	ip *= 0xff51afd7ed558ccd
-	ip ^= ip >> 33
-	return ip
-}
-
-// entry returns the entry of ip, appending a zeroed one if ip is new. The
-// pointer is valid until the next call.
-func (s *branchStats) entry(ip uint64) *branchEntry {
-	slot := ipHash(ip) & s.mask
-	for {
-		idx := s.slots[slot]
-		if idx == 0 {
-			return s.insert(ip, slot)
-		}
-		if e := &s.entries[idx-1]; e.ip == ip {
-			return e
-		}
-		slot = (slot + 1) & s.mask
+// grow extends the counters, zeroed, to cover n IP ids.
+func (c *counters) grow(n int) {
+	if old := len(c.occ); n > old {
+		c.occ = slices.Grow(c.occ, n-old)[:n]
+		c.missed = slices.Grow(c.missed, n-old)[:n]
+		clear(c.occ[old:])
+		clear(c.missed[old:])
 	}
 }
 
-// insert appends a new entry for ip into the empty slot, growing the table
-// past half load: short probe sequences matter more here than the table's
-// size, which the pool keeps across runs.
-func (s *branchStats) insert(ip, slot uint64) *branchEntry {
-	s.entries = append(s.entries, branchEntry{ip: ip})
-	s.slots[slot] = int32(len(s.entries))
-	if uint64(len(s.entries))*2 > uint64(len(s.slots)) {
-		s.grow()
-	}
-	return &s.entries[len(s.entries)-1]
+// release empties c and returns it to the pool; c must not be used again.
+func (c *counters) release() {
+	c.occ, c.missed = c.occ[:0], c.missed[:0]
+	countersPool.Put(c)
 }
 
-// grow doubles the slot table and rehashes the entries into it.
-func (s *branchStats) grow() {
-	s.slots = make([]int32, len(s.slots)*2)
-	s.mask = uint64(len(s.slots) - 1)
-	for i := range s.entries {
-		slot := ipHash(s.entries[i].ip) & s.mask
-		for s.slots[slot] != 0 {
-			slot = (slot + 1) & s.mask
-		}
-		s.slots[slot] = int32(i + 1)
-	}
-}
-
-// counted returns 1 + the index of the last entry with a non-zero
-// occurrence count: the number of counter rows a checkpoint stores.
-func (s *branchStats) counted() int {
-	n := len(s.entries)
-	for n > 0 && s.entries[n-1].occ == 0 {
+// counted returns 1 + the last IP id below hw with a non-zero occurrence
+// count: the number of counter rows a checkpoint stores.
+func (c *counters) counted(hw int) int {
+	n := hw
+	for n > 0 && c.occ[n-1] == 0 {
 		n--
 	}
 	return n
@@ -120,16 +71,20 @@ const mostFailedHistCap = 1024
 // mostFailed returns the smallest set of branches that covers half of all
 // mispredictions, sorted by descending misprediction count and then by
 // ascending address, and the size of that set (the
-// num_most_failed_branches metric). limit > 0 truncates the report (but not
-// the metric).
+// num_most_failed_branches metric). ips, occ and missed are indexed by IP
+// id and cover the run's branches (occ and missed set the count); order
+// lists IP ids by ascending address and may name ids past the run's. limit
+// > 0 truncates the report (but not the metric).
 //
 // The set is what walking every mispredicted branch in that order yields,
 // stopping once the misses taken reach half of totalMisses. It is found by
-// selection instead of a full sort (DESIGN.md, "Branch statistics"): a
-// histogram of miss counts gives the boundary count T of the last branch
-// taken and how many branches at T are needed; only the branches above T
-// are sorted, and those at T are taken by address.
-func mostFailed(stats *branchStats, totalMisses, simInstr uint64, limit int) ([]BranchReport, int) {
+// selection in linear time (DESIGN.md, "Branch statistics"): a histogram of
+// miss counts gives the boundary count T of the last branch taken and how
+// many branches at T are needed, and one pass over the address order
+// places every branch above T by counting sort into its bucket, in address
+// order, and takes the first branches at T. Only the overflow bucket is
+// sorted by comparison.
+func mostFailed(ips, occ, missed []uint64, order []uint32, totalMisses, simInstr uint64, limit int) ([]BranchReport, int) {
 	if totalMisses == 0 {
 		return nil, 0
 	}
@@ -138,30 +93,43 @@ func mostFailed(stats *branchStats, totalMisses, simInstr uint64, limit int) ([]
 		overflowSum  uint64 // misses of the branches in the overflow bucket
 		overflowSize int
 	)
-	for i := range stats.entries {
-		if m := stats.entries[i].missed; m < mostFailedHistCap {
+	for _, m := range missed {
+		if m < mostFailedHistCap {
 			hist[m]++
 		} else {
 			overflowSum += m
 			overflowSize++
 		}
 	}
-	if 2*overflowSum >= totalMisses {
-		// The overflow bucket alone covers half: sort it and walk it.
-		sel := make([]branchEntry, 0, overflowSize)
-		for i := range stats.entries {
-			if stats.entries[i].missed >= mostFailedHistCap {
-				sel = append(sel, stats.entries[i])
+	byMisses := func(a, b uint32) int {
+		if c := cmp.Compare(missed[b], missed[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ips[a], ips[b])
+	}
+	overflow := func() []uint32 {
+		if overflowSize == 0 {
+			return nil
+		}
+		sel := make([]uint32, 0, overflowSize)
+		for id, m := range missed {
+			if m >= mostFailedHistCap {
+				sel = append(sel, uint32(id))
 			}
 		}
-		slices.SortFunc(sel, byMissesThenIP)
+		slices.SortFunc(sel, byMisses)
+		return sel
+	}
+	if 2*overflowSum >= totalMisses {
+		// The overflow bucket alone covers half: sort it and walk it.
+		sel := overflow()
 		var cum uint64
 		n := 0
 		for n < len(sel) && 2*cum < totalMisses {
-			cum += sel[n].missed
+			cum += missed[sel[n]]
 			n++
 		}
-		return branchReports(sel[:n], simInstr, limit), n
+		return branchReports(ips, occ, missed, sel[:n], simInstr, limit), n
 	}
 	// Walk the exact buckets from the top to the boundary count t, where
 	// the misses of every branch above t plus those of k branches at t
@@ -179,39 +147,36 @@ func mostFailed(stats *branchStats, totalMisses, simInstr uint64, limit int) ([]
 	}
 	// t stays 0 only when the counters cover less than half of totalMisses
 	// (a run whose totals disagree with its counters): like the walk, take
-	// every mispredicted branch then.
-	sel := make([]branchEntry, 0, nAbove+k)
-	var atT []uint64
-	if t > 0 {
-		atT = make([]uint64, 0, hist[t])
+	// every mispredicted branch then. The histogram becomes each bucket's
+	// next free position in sel: the overflow first, then the buckets from
+	// the top, then the k branches at t.
+	sel := make([]uint32, nAbove+k)
+	copy(sel, overflow())
+	pos := int32(overflowSize)
+	for c := mostFailedHistCap - 1; c > int(t); c-- {
+		pos, hist[c] = pos+hist[c], pos
 	}
-	for i := range stats.entries {
-		switch e := &stats.entries[i]; {
-		case e.missed > t:
-			sel = append(sel, *e)
-		case e.missed == t && t > 0:
-			atT = append(atT, e.ip)
+	atT := nAbove
+	for _, id := range order {
+		if int(id) >= len(missed) {
+			continue
+		}
+		switch m := missed[id]; {
+		case m >= mostFailedHistCap:
+		case m > t:
+			sel[hist[m]] = id
+			hist[m]++
+		case m == t && t > 0 && atT < len(sel):
+			sel[atT] = id
+			atT++
 		}
 	}
-	slices.SortFunc(sel, byMissesThenIP)
-	slices.Sort(atT)
-	for _, ip := range atT[:k] {
-		sel = append(sel, *stats.entry(ip)) // a known address: no insert
-	}
-	return branchReports(sel, simInstr, limit), len(sel)
-}
-
-// byMissesThenIP orders branches by descending misses, ties by address.
-func byMissesThenIP(a, b branchEntry) int {
-	if c := cmp.Compare(b.missed, a.missed); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.ip, b.ip)
+	return branchReports(ips, occ, missed, sel, simInstr, limit), len(sel)
 }
 
 // branchReports renders the first limit (all when limit <= 0) of the
 // selected branches.
-func branchReports(sel []branchEntry, simInstr uint64, limit int) []BranchReport {
+func branchReports(ips, occ, missed []uint64, sel []uint32, simInstr uint64, limit int) []BranchReport {
 	if limit > 0 && len(sel) > limit {
 		sel = sel[:limit]
 	}
@@ -220,14 +185,14 @@ func branchReports(sel []branchEntry, simInstr uint64, limit int) []BranchReport
 	}
 	reports := make([]BranchReport, len(sel))
 	kilo := float64(simInstr) / 1000
-	for i, e := range sel {
+	for i, id := range sel {
 		reports[i] = BranchReport{
-			IP:          e.ip,
-			Occurrences: e.occ,
-			Accuracy:    1 - float64(e.missed)/float64(e.occ),
+			IP:          ips[id],
+			Occurrences: occ[id],
+			Accuracy:    1 - float64(missed[id])/float64(occ[id]),
 		}
 		if kilo > 0 {
-			reports[i].MPKI = float64(e.missed) / kilo
+			reports[i].MPKI = float64(missed[id]) / kilo
 		}
 	}
 	return reports

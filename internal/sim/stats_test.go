@@ -17,6 +17,7 @@ import (
 	"mbplib/internal/faults"
 	"mbplib/internal/predictors/gshare"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sim/tracecache"
 	"mbplib/internal/tracegen"
 )
 
@@ -119,19 +120,26 @@ func (s statsSet) sum() uint64 {
 	return t
 }
 
-// load builds branch statistics holding s.
-func (s statsSet) load() *branchStats {
-	st := newBranchStats()
+// load lays s out as a run does: the addresses interned into a static
+// table in first-seen order, its IP-sorted order, and counter rows by IP
+// id covering every address.
+func (s statsSet) load(t *testing.T) (ips, occ, missed []uint64, order []uint32) {
+	t.Helper()
+	tab := tracecache.NewTable()
+	evs := make([]bp.Event, len(s.ips))
 	for i, ip := range s.ips {
-		e := st.entry(ip)
-		if i < len(s.occ) {
-			e.occ, e.missed = s.occ[i], s.missed[i]
-		}
+		evs[i].Branch = bp.Branch{IP: ip, Opcode: bp.OpCondJump}
 	}
-	return st
+	if _, err := tab.Intern(nil, evs); err != nil {
+		t.Fatal(err)
+	}
+	v := tab.View()
+	occ = append(slices.Clone(s.occ), make([]uint64, len(s.ips)-len(s.occ))...)
+	missed = append(slices.Clone(s.missed), make([]uint64, len(s.ips)-len(s.missed))...)
+	return v.IPs, occ, missed, v.Order()
 }
 
-// TestMostFailedMatchesOracle checks the selection-based report against the
+// TestMostFailedMatchesOracle checks the linear selection against the
 // full-sort oracle, byte for byte, over generated tables: heavy ties at the
 // boundary count, counts straddling the histogram cap, an overflow bucket
 // that covers half on its own, zero-counter branches, totals that disagree
@@ -180,9 +188,8 @@ func TestMostFailedMatchesOracle(t *testing.T) {
 			limits := []int{0, 1, 1 + r.IntN(20), len(set.ips) + 5}
 			for _, total := range totals {
 				for _, limit := range limits {
-					st := set.load()
-					got, gotN := mostFailed(st, total, simInstr, limit)
-					st.release()
+					ips, occ, missed, order := set.load(t)
+					got, gotN := mostFailed(ips, occ, missed, order, total, simInstr, limit)
 					want, wantN := mostFailedOracle(set.ips, set.occ, set.missed, total, simInstr, limit)
 					gj, err := json.Marshal(got)
 					if err != nil {
@@ -202,35 +209,6 @@ func TestMostFailedMatchesOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases", cases)
-}
-
-// TestBranchStatsTable: entries keep first-seen order across slot-table
-// growth, every address maps back to its own entry, and a released table
-// comes back from the pool empty.
-func TestBranchStatsTable(t *testing.T) {
-	st := newBranchStats()
-	const n = 3 * branchStatsInitialSlots
-	for i := uint64(0); i < n; i++ {
-		st.entry(i*0x1000 + 0x400000).occ = i + 1
-	}
-	if len(st.entries) != n || len(st.slots) <= branchStatsInitialSlots {
-		t.Fatalf("%d entries over %d slots, want %d entries and a grown table", len(st.entries), len(st.slots), n)
-	}
-	for i := uint64(0); i < n; i++ {
-		ip := i*0x1000 + 0x400000
-		if e := st.entry(ip); e.ip != ip || e.occ != i+1 || st.entries[i].ip != ip {
-			t.Fatalf("branch %#x: entry %+v at position %d holds %#x", ip, *e, i, st.entries[i].ip)
-		}
-	}
-	if len(st.entries) != n {
-		t.Fatalf("lookups of known branches added entries: %d, want %d", len(st.entries), n)
-	}
-	st.release()
-	again := newBranchStats()
-	defer again.release()
-	if len(again.entries) != 0 || slices.ContainsFunc(again.slots, func(s int32) bool { return s != 0 }) {
-		t.Errorf("pooled stats not cleared: %d entries", len(again.entries))
-	}
 }
 
 // simcellV1 writes a simcell checkpoint in the version-1 layout from
@@ -281,7 +259,7 @@ func TestRestoreCellStateRejectsBadRows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			state := simcellV1(t, 100, tc.cond, tc.miss, tc.ips, tc.occ, tc.missed, smallGshare().(bp.Checkpointer))
 			loop := newRunLoop(Config{})
-			defer loop.stats.release()
+			defer loop.release()
 			err := restoreCellState(state, loop, smallGshare())
 			if !errors.Is(err, faults.ErrCorrupt) || !strings.Contains(err.Error(), tc.wantMessageSubstr) {
 				t.Fatalf("restore = %v, want a corrupt error mentioning %q", err, tc.wantMessageSubstr)
@@ -316,17 +294,37 @@ func fixtureEvents(t *testing.T) []bp.Event {
 	}
 }
 
-// sliceStream hands out events in fixed-size batches.
-type sliceStream struct{ evs []bp.Event }
-
-func (s *sliceStream) next() ([]bp.Event, error) {
-	if len(s.evs) == 0 {
-		return nil, io.EOF
+// records interns evs into a fresh table.
+func records(t *testing.T, evs []bp.Event) ([]tracecache.Record, tracecache.View) {
+	t.Helper()
+	tab := tracecache.NewTable()
+	recs, err := tab.Intern(nil, evs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := min(1000, len(s.evs))
-	b := s.evs[:n]
-	s.evs = s.evs[n:]
-	return b, nil
+	return recs, tab.View()
+}
+
+// sliceStream hands out the records of events in fixed-size batches.
+type sliceStream struct {
+	recs []tracecache.Record
+	view tracecache.View
+}
+
+// sliceOpener opens a sliceStream over evs afresh on every call.
+func sliceOpener(t *testing.T, evs []bp.Event) func() (batchStream, error) {
+	recs, v := records(t, evs)
+	return func() (batchStream, error) { return &sliceStream{recs, v}, nil }
+}
+
+func (s *sliceStream) next() ([]tracecache.Record, tracecache.View, error) {
+	if len(s.recs) == 0 {
+		return nil, tracecache.View{}, io.EOF
+	}
+	n := min(1000, len(s.recs))
+	b := s.recs[:n]
+	s.recs = s.recs[n:]
+	return b, s.view, nil
 }
 
 func (s *sliceStream) close() {}
@@ -349,7 +347,7 @@ const fixtureCkptEvents = 8000
 var fixtureCfg = Config{TraceName: "simcell-v1", WarmupInstructions: 20000}
 
 // TestCellStateV1Fixture: testdata/simcell-v1.ckpt was written by the
-// per-array encoder that preceded branchEntry (a small gshare over the first
+// per-array encoder of an earlier branch table (a small gshare over the first
 // 8000 events of fixtureEvents, 56 branches of which 41 counted). It must
 // restore, re-encode to the same bytes, and resume to the result of an
 // uninterrupted run — both directly and through a journalled cell.
@@ -365,8 +363,8 @@ func TestCellStateV1Fixture(t *testing.T) {
 	if err := restoreCellState(want, loop, p); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if len(loop.stats.entries) != 56 || loop.stats.counted() != 41 {
-		t.Errorf("restored %d branches, %d counted; want 56 and 41", len(loop.stats.entries), loop.stats.counted())
+	if loop.hw != 56 || loop.counted(int(loop.hw)) != 41 {
+		t.Errorf("restored %d branches, %d counted; want 56 and 41", loop.hw, loop.counted(int(loop.hw)))
 	}
 	got, err := encodeCellState(loop, p)
 	if err != nil {
@@ -376,7 +374,7 @@ func TestCellStateV1Fixture(t *testing.T) {
 		t.Fatalf("re-encoded checkpoint differs from the fixture (%d vs %d bytes)", len(got), len(want))
 	}
 
-	fresh, err := runCell(context.Background(), nil, &sliceStream{evs}, smallGshare, fixtureCfg, nil)
+	fresh, err := runCell(context.Background(), nil, sliceOpener(t, evs), smallGshare, fixtureCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,13 +383,14 @@ func TestCellStateV1Fixture(t *testing.T) {
 	// Live encoding matches the fixture at the same point of a fresh run.
 	live := newRunLoop(fixtureCfg)
 	lp := smallGshare()
+	recs, v := records(t, evs)
 	for i := 0; i < fixtureCkptEvents; i += 1000 {
-		live.process(evs[i:i+1000], lp)
+		live.process(recs[i:i+1000], v, lp)
 	}
 	if enc, err := encodeCellState(live, lp); err != nil || !bytes.Equal(enc, want) {
 		t.Errorf("live checkpoint at %d events differs from the fixture (err %v)", fixtureCkptEvents, err)
 	}
-	live.stats.release()
+	live.release()
 
 	jnl, err := journal.Open(t.TempDir())
 	if err != nil {
@@ -403,7 +402,7 @@ func TestCellStateV1Fixture(t *testing.T) {
 	}
 	var built int
 	newP := func() bp.Predictor { built++; return smallGshare() }
-	resumed, err := runCell(context.Background(), nil, &sliceStream{evs}, newP, fixtureCfg, &cellJournal{j: jnl, key: "cell"})
+	resumed, err := runCell(context.Background(), nil, sliceOpener(t, evs), newP, fixtureCfg, &cellJournal{j: jnl, key: "cell"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +419,7 @@ func TestCellStateV1Fixture(t *testing.T) {
 // result of a run without a journal.
 func TestRunCellDuplicateCheckpointRestartsClean(t *testing.T) {
 	evs := fixtureEvents(t)
-	fresh, err := runCell(context.Background(), nil, &sliceStream{evs}, smallGshare, fixtureCfg, nil)
+	fresh, err := runCell(context.Background(), nil, sliceOpener(t, evs), smallGshare, fixtureCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +436,7 @@ func TestRunCellDuplicateCheckpointRestartsClean(t *testing.T) {
 	}
 	var built int
 	newP := func() bp.Predictor { built++; return smallGshare() }
-	res, err := runCell(context.Background(), nil, &sliceStream{evs}, newP, fixtureCfg, &cellJournal{j: jnl, key: "cell"})
+	res, err := runCell(context.Background(), nil, sliceOpener(t, evs), newP, fixtureCfg, &cellJournal{j: jnl, key: "cell"})
 	if err != nil {
 		t.Fatalf("cell with a corrupt checkpoint: %v", err)
 	}

@@ -1,8 +1,14 @@
 // Package tracecache is the shared decoded-trace cache behind the parallel
 // sweep scheduler: when P predictors are scored over T traces, each trace is
-// opened, decompressed and decoded once into pinned event batches and then
+// opened, decompressed and decoded once into pinned record batches and then
 // simulated by many predictors concurrently, instead of being re-decoded P
 // times.
+//
+// Each trace has one static Table in the cache, keyed like its entries. It
+// interns the trace's (IP, target, opcode) tuples in first-seen order, and
+// an entry holds 8-byte Records that index it instead of 32-byte
+// bp.Events. The table lives while any entry of its trace is resident or
+// any reader has it pinned (Pin), and its bytes count against the budget.
 //
 // The caller owns the cache and may share it across sweeps: the daemon holds
 // one for its whole life, so a job over traces an earlier job read decodes
@@ -47,23 +53,19 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
-	"unsafe"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/faults"
 	"mbplib/internal/obs"
 )
 
-// BatchEvents is the simulator's batch size: entries hold decoded events in
-// batches at most this long, and the streaming prefetcher reads batches this
-// long, so a cell sees one shape either way. At 32 bytes per event a batch
-// is 128 KiB — large enough to amortise the channel handoff and the
-// batch-boundary checks over thousands of events, small enough to stay
-// cache-resident and to keep at most a few hundred KiB in flight.
+// BatchEvents is the simulator's batch size: entries hold decoded records
+// in batches at most this long, and the streaming prefetcher reads batches
+// this long, so a cell sees one shape either way. At 8 bytes per record a
+// batch is 32 KiB — large enough to amortise the channel handoff and the
+// batch-boundary checks over thousands of branches, small enough to stay
+// cache-resident.
 const BatchEvents = 4096
-
-// eventBytes is the in-memory footprint charged per decoded event.
-const eventBytes = int64(unsafe.Sizeof(bp.Event{}))
 
 // Whole is the chunk index of a trace read whole, as the one chunk of a
 // one-chunk trace. Its entry is keyed apart from chunk 0 of the same trace: a
@@ -72,17 +74,19 @@ const eventBytes = int64(unsafe.Sizeof(bp.Event{}))
 const Whole = -1
 
 // LoadFunc decodes one chunk of a trace for Acquire. It hands the chunk's
-// events to f.Add in trace order and returns the open attempts it made
-// (≥ 1) and the chunk's terminal error: nil or io.EOF after a clean decode,
-// otherwise the error that ended it, after every event decoded before it
-// was added. A loader that opens a stream calls f.Opened once it is open.
+// events to f.Add in trace order (Add interns them into the trace's table)
+// and returns the open attempts it made (≥ 1) and the chunk's terminal
+// error: nil or io.EOF after a clean decode, otherwise the error that ended
+// it, after every event decoded before it was added. A loader that opens a stream calls f.Opened once it is open.
 // Once f.Opened or f.Add reports false the loader returns at once.
 type LoadFunc func(f *Fill) (attempts int, err error)
 
 // Stats is a snapshot of the cache counters, for logging and tests.
 type Stats struct {
-	// Entries and BytesUsed describe the current resident set.
+	// Entries, Tables and BytesUsed describe the current resident set;
+	// BytesUsed counts records and tables.
 	Entries   int
+	Tables    int
 	BytesUsed int64
 	// Hits counts Acquire calls served by an existing entry (including
 	// waits on an in-flight load); Misses counts loads started.
@@ -114,16 +118,84 @@ type Cache struct {
 	used    int64
 	clock   uint64 // LRU timestamp source, advanced under mu
 	entries map[key]*Entry
+	tables  map[string]*Table
 	stats   Stats
 }
 
-// New returns a cache bounded to budget bytes of decoded events. A budget
-// ≤ 0 disables caching: every Acquire reports too-big and callers stream.
+// New returns a cache bounded to budget bytes of decoded records and static
+// tables. A budget ≤ 0 disables caching: every Acquire reports too-big and
+// callers stream.
 func New(budget int64) *Cache {
 	if budget <= 0 {
 		return nil
 	}
-	return &Cache{budget: budget, entries: make(map[key]*Entry)}
+	return &Cache{budget: budget, entries: make(map[key]*Entry), tables: make(map[string]*Table)}
+}
+
+// Pin returns the static table of the trace identified by id, creating it,
+// and keeps it alive until Unpin: a reader walking the trace pins its table
+// for the whole walk, so the ids of the chunks it reads, cached or decoded
+// directly, come from one table. A nil cache returns a fresh table of the
+// caller's own.
+func (c *Cache) Pin(id string) *Table {
+	if c == nil {
+		return NewTable()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pinLocked(id)
+}
+
+// Unpin releases a table obtained from Pin. Safe on tables of a nil cache.
+func (c *Cache) Unpin(t *Table) {
+	if c == nil || t == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.unpinLocked(t)
+}
+
+// pinLocked is Pin with c.mu held.
+func (c *Cache) pinLocked(id string) *Table {
+	t := c.tables[id]
+	if t == nil {
+		t = NewTable()
+		t.id = id
+		c.tables[id] = t
+		c.chargeLocked(t)
+	}
+	t.refs++
+	return t
+}
+
+// unpinLocked drops one hold on t; the last one frees the table and its
+// bytes. Caller holds c.mu.
+func (c *Cache) unpinLocked(t *Table) {
+	t.refs--
+	if t.refs == 0 {
+		delete(c.tables, t.id)
+		c.used -= t.charged
+		t.charged = 0
+	}
+}
+
+// chargeLocked brings t's charge up to its footprint. Caller holds c.mu.
+func (c *Cache) chargeLocked(t *Table) {
+	size := t.Size()
+	c.used += size - t.charged
+	t.charged = size
+}
+
+// Intern interns evs into t, a table pinned from c, appending their records
+// to dst, and charges the table's growth to the budget, evicting idle
+// entries to make room: the direct decode of a chunk the cache turned away.
+func (c *Cache) Intern(col *obs.Collector, t *Table, dst []Record, evs []bp.Event) ([]Record, error) {
+	dst, err := t.Intern(dst, evs)
+	if c != nil {
+		c.reserve(nil, 0, t, col)
+	}
+	return dst, err
 }
 
 // Entry is one decoded chunk, pinned from Acquire until Release. All fields
@@ -132,6 +204,7 @@ func New(budget int64) *Cache {
 type Entry struct {
 	c     *Cache
 	key   key
+	tab   *Table // the trace's table, held while the entry is resident
 	ready chan struct{}
 
 	// Guarded by c.mu.
@@ -140,17 +213,19 @@ type Entry struct {
 	bytes   int64
 
 	// Written by the loader before close(ready), read-only afterwards.
-	batches  [][]bp.Event
+	batches  [][]Record
 	err      error // terminal error: io.EOF after a clean decode
 	attempts int
 	tooBig   bool
 	volatile bool // transient failure: not kept in the map
 }
 
-// Batches returns the decoded events, in trace order, split into batches of
-// at most BatchEvents events. Valid only when TooBig is false. Callers must
-// not modify the events and must not retain the slices past Release.
-func (e *Entry) Batches() [][]bp.Event { return e.batches }
+// Batches returns the decoded records, in trace order, split into batches
+// of at most BatchEvents records. Their ids index the table Pin returns for
+// the trace; a View taken after Acquire covers them. Valid only when TooBig
+// is false. Callers must not modify the records and must not retain the
+// slices past Release.
+func (e *Entry) Batches() [][]Record { return e.batches }
 
 // Err returns the terminal error of the decode: io.EOF after a clean end
 // of the chunk, or the error that ended it. The events of Batches remain
@@ -188,7 +263,7 @@ func (c *Cache) Acquire(ctx context.Context, col *obs.Collector, id string, chun
 		col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
 		e, ok := c.entries[k]
 		if !ok {
-			e = &Entry{c: c, key: k, ready: make(chan struct{}), refs: 1}
+			e = &Entry{c: c, key: k, tab: c.pinLocked(id), ready: make(chan struct{}), refs: 1}
 			c.entries[k] = e
 			c.stats.Misses++
 			col.Ctr(obs.CtrCacheMisses).Add(1)
@@ -251,6 +326,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Entries = len(c.entries)
+	s.Tables = len(c.tables)
 	s.BytesUsed = c.used
 	return s
 }
@@ -261,52 +337,57 @@ type Fill struct {
 	e      *Entry
 	col    *obs.Collector // the loading caller's metrics
 	opened bool           // later errors are the bytes', whatever their class
+	err    error          // an event Add could not intern, ending the chunk
 }
 
 // Opened tells the cache that the loader opened r: an error that ends the
 // decode from here on is a property of the bytes, cached with the events
 // before it. It reports false when r's header (a bp.Sizer) declares more
-// events than the budget holds, so the trace is turned away undecoded;
+// records than the budget holds, so the trace is turned away undecoded;
 // that size verdict is cached.
 func (f *Fill) Opened(r bp.Reader) bool {
 	f.opened = true
-	if sz, ok := r.(bp.Sizer); ok && int64(sz.TotalBranches())*eventBytes > f.e.c.budget {
+	if sz, ok := r.(bp.Sizer); ok && int64(sz.TotalBranches())*recordBytes > f.e.c.budget {
 		f.e.tooBig = true
 		return false
 	}
 	return true
 }
 
-// Add charges evs to the entry, which keeps them in batches of at most
-// BatchEvents events; the loader must not touch them afterwards. Add
-// reports false once the chunk cannot be pinned — it alone exceeds the
-// budget, or every other resident byte is pinned by concurrent holders —
-// and the loader must then stop.
+// Add interns evs into the trace's table and charges their records, and
+// the table's growth, to the entry, which keeps the records in batches of
+// at most BatchEvents; evs are not retained. Add reports false once the
+// chunk cannot be pinned — it alone exceeds the budget, or every other
+// resident byte is pinned by concurrent holders — or an event cannot be
+// interned, which ends the chunk with that error after the records before
+// it; the loader must then stop.
 func (f *Fill) Add(evs []bp.Event) bool {
 	e := f.e
-	if e.tooBig {
+	if e.tooBig || f.err != nil {
 		return false
 	}
 	if len(evs) == 0 {
 		return true
 	}
-	if ok, contention := e.c.reserve(e, int64(len(evs))*eventBytes, f.col); !ok {
+	recs, err := e.tab.Intern(make([]Record, 0, len(evs)), evs)
+	if ok, contention := e.c.reserve(e, int64(len(recs))*recordBytes, e.tab, f.col); !ok {
 		e.tooBig, e.volatile = true, contention
 		return false
 	}
-	e.batches = AppendBatches(e.batches, evs)
-	return true
+	e.batches = AppendBatches(e.batches, recs)
+	f.err = err
+	return err == nil
 }
 
-// AppendBatches appends evs to dst split into batches of at most
-// BatchEvents events, the one shape a cell reads, cached or not.
-func AppendBatches(dst [][]bp.Event, evs []bp.Event) [][]bp.Event {
-	for len(evs) > BatchEvents {
-		dst = append(dst, evs[:BatchEvents])
-		evs = evs[BatchEvents:]
+// AppendBatches appends recs to dst split into batches of at most
+// BatchEvents records, the one shape a cell reads, cached or not.
+func AppendBatches(dst [][]Record, recs []Record) [][]Record {
+	for len(recs) > BatchEvents {
+		dst = append(dst, recs[:BatchEvents])
+		recs = recs[BatchEvents:]
 	}
-	if len(evs) > 0 {
-		dst = append(dst, evs)
+	if len(recs) > 0 {
+		dst = append(dst, recs)
 	}
 	return dst
 }
@@ -319,6 +400,9 @@ func (e *Entry) load(load LoadFunc, col *obs.Collector) {
 	f := &Fill{e: e, col: col}
 	attempts, err := loadSafe(load, f)
 	e.attempts = max(attempts, 1)
+	if f.err != nil {
+		err = f.err // the loader stopped at the event Add refused
+	}
 	switch {
 	case e.tooBig:
 		// Opened or Add turned the chunk away and the loader stopped.
@@ -351,11 +435,11 @@ func loadSafe(load LoadFunc, f *Fill) (attempts int, err error) {
 }
 
 // drop discards the batches of a turned-away or transiently failed entry
-// and returns its budget bytes. A volatile entry — a transient failure, or
-// a contention verdict while the budget is pinned by concurrent holders —
-// also leaves the map, so a later Acquire loads again. A size verdict stays
-// in the map at zero bytes, so later Acquires learn at once that the chunk
-// must be read uncached.
+// and returns its budget bytes and its hold on the table. A volatile entry
+// — a transient failure, or a contention verdict while the budget is
+// pinned by concurrent holders — also leaves the map, so a later Acquire
+// loads again. A size verdict stays in the map at zero bytes, so later
+// Acquires learn at once that the chunk must be read uncached.
 func (e *Entry) drop(col *obs.Collector) {
 	c := e.c
 	c.mu.Lock()
@@ -363,6 +447,8 @@ func (e *Entry) drop(col *obs.Collector) {
 	c.used -= e.bytes
 	e.bytes = 0
 	e.batches = nil
+	c.unpinLocked(e.tab)
+	e.tab = nil
 	col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
 	if e.tooBig {
 		c.stats.TooBig++
@@ -373,30 +459,38 @@ func (e *Entry) drop(col *obs.Collector) {
 	}
 }
 
-// reserve charges delta more bytes to a loading entry, evicting idle
-// entries (least recently used first) as needed, and counts into the
-// loading caller's col. ok is false when the entry cannot fit; contention
-// distinguishes "every other resident byte is pinned by concurrent holders"
-// from "the entry alone exceeds the budget".
-func (c *Cache) reserve(e *Entry, delta int64, col *obs.Collector) (ok, contention bool) {
+// reserve charges the growth of table t, then delta more bytes to a
+// loading entry e, evicting idle entries (least recently used first) as
+// needed, and counts into the loading caller's col. The table's growth is
+// charged whether or not it fits: its memory is spent, and it returns to
+// the budget with the table's last holder. ok is false when the entry
+// cannot fit; contention distinguishes "every other resident byte is
+// pinned by concurrent holders" from "the entry alone exceeds the budget".
+// A nil e charges the table alone, evicting what idle entries it can.
+func (c *Cache) reserve(e *Entry, delta int64, t *Table, col *obs.Collector) (ok, contention bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.bytes+delta > c.budget {
+	defer func() { col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used)) }()
+	c.chargeLocked(t)
+	if e != nil && e.bytes+delta > c.budget {
 		return false, false
 	}
 	for c.used+delta > c.budget {
 		victim := c.idleLRU()
 		if victim == nil {
-			return false, true
+			return false, e != nil
 		}
 		c.used -= victim.bytes
 		delete(c.entries, victim.key)
+		c.unpinLocked(victim.tab)
+		victim.tab = nil
 		c.stats.Evictions++
 		col.Ctr(obs.CtrCacheEvictions).Add(1)
 	}
-	c.used += delta
-	e.bytes += delta
-	col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
+	if e != nil {
+		c.used += delta
+		e.bytes += delta
+	}
 	return true, false
 }
 

@@ -69,13 +69,37 @@ type hideSizer struct{ r bp.Reader }
 
 func (h hideSizer) Read() (bp.Event, error) { return h.r.Read() }
 
+// drain replays an entry's records through its trace's table.
 func drain(t *testing.T, e *Entry) []bp.Event {
 	t.Helper()
+	if len(e.Batches()) == 0 {
+		return nil
+	}
+	return replay(e.tab.View(), e.Batches()...)
+}
+
+// replay turns records back into the events they were interned from.
+func replay(v View, batches ...[]Record) []bp.Event {
 	var evs []bp.Event
-	for _, b := range e.Batches() {
-		evs = append(evs, b...)
+	for _, b := range batches {
+		for _, r := range b {
+			evs = append(evs, bp.Event{Branch: v.Statics[r.ID].Branch(r), InstrsSinceLastBranch: r.Gap()})
+		}
 	}
 	return evs
+}
+
+// tableBytes is the footprint of a table holding evs: the charge, besides
+// the records, of a cached trace of those events.
+func tableBytes(t *testing.T, evs ...[]bp.Event) int64 {
+	t.Helper()
+	tab := NewTable()
+	for _, e := range evs {
+		if _, err := tab.Intern(nil, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab.Size()
 }
 
 func readAll(t *testing.T, spec tracegen.Spec) []bp.Event {
@@ -145,8 +169,8 @@ func TestAcquireDecodesOnce(t *testing.T) {
 	if st.Misses != 1 || st.Hits != readers-1 {
 		t.Errorf("stats = %+v, want 1 miss, %d hits", st, readers-1)
 	}
-	if st.Entries != 1 || st.BytesUsed != int64(len(want))*eventBytes {
-		t.Errorf("stats = %+v, want 1 entry of %d bytes", st, int64(len(want))*eventBytes)
+	if wantBytes := int64(len(want))*recordBytes + tableBytes(t, want); st.Entries != 1 || st.BytesUsed != wantBytes {
+		t.Errorf("stats = %+v, want 1 entry of %d bytes with its table", st, wantBytes)
 	}
 }
 
@@ -164,8 +188,10 @@ func equalEvents(a, b []bp.Event) bool {
 
 func TestEvictionUnderTinyBudget(t *testing.T) {
 	const branches = 2000
-	// Budget fits one decoded trace (2000 events) but not two.
-	c := New(3000 * eventBytes)
+	// Budget fits one decoded trace (2000 records and a table) but not two.
+	tab := tableBytes(t, readAll(t, testSpec("a", branches)))
+	budget := 3000*recordBytes + 2*tab
+	c := New(budget)
 	ctx := context.Background()
 	names := []string{"a", "b", "c"}
 	var opens [3]atomic.Int32
@@ -182,7 +208,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 				t.Fatalf("round %d, trace %s: %d events, want %d", round, name, got, branches)
 			}
 			c.Release(e)
-			if st := c.Stats(); st.BytesUsed > 3000*eventBytes {
+			if st := c.Stats(); st.BytesUsed > budget {
 				t.Fatalf("budget exceeded: %+v", st)
 			}
 		}
@@ -201,8 +227,9 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 
 func TestLRUPrefersColdEntries(t *testing.T) {
 	const branches = 1000
-	// Budget fits two decoded traces.
-	c := New(2500 * eventBytes)
+	// Budget fits two decoded traces (1000 records and a table each) but
+	// not three.
+	c := New(2500*recordBytes + 3*tableBytes(t, readAll(t, testSpec("a", branches))))
 	ctx := context.Background()
 	var opensA atomic.Int32
 	acquire := func(name string, opens *atomic.Int32) {
@@ -224,7 +251,7 @@ func TestLRUPrefersColdEntries(t *testing.T) {
 }
 
 func TestTooBigFallsBackToStreaming(t *testing.T) {
-	c := New(100 * eventBytes)
+	c := New(100 * recordBytes)
 	ctx := context.Background()
 
 	// Sizer pre-check: the header already rules the trace out — the decode
@@ -268,7 +295,8 @@ func TestTooBigFallsBackToStreaming(t *testing.T) {
 
 func TestContentionTooBigIsVolatile(t *testing.T) {
 	const branches = 1000
-	c := New(1500 * eventBytes) // fits one trace
+	// Fits one trace of 1000 records and its table, not two.
+	c := New(1500*recordBytes + 2*tableBytes(t, readAll(t, testSpec("held", branches))))
 	ctx := context.Background()
 	held, err := c.Acquire(ctx, nil, "held", Whole, genLoad(t, testSpec("held", branches), nil))
 	if err != nil {
@@ -646,7 +674,7 @@ func TestCollectorPerCaller(t *testing.T) {
 	if st.Misses != 2*traces || st.Hits != 2*traces+1 {
 		t.Errorf("cache misses/hits = %d/%d, want %d/%d", st.Misses, st.Hits, 2*traces, 2*traces+1)
 	}
-	if want := int64(2*traces*2_000) * eventBytes; st.BytesUsed != want {
+	if want := 2 * traces * (2_000*recordBytes + tableBytes(t, readAll(t, testSpec("a0", 2_000)))); st.BytesUsed != want {
 		t.Errorf("bytes used = %d, want %d", st.BytesUsed, want)
 	}
 	for name, col := range map[string]*obs.Collector{"A": colA, "B": colB} {

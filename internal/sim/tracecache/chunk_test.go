@@ -248,7 +248,7 @@ func TestAcquireChunkPanicIsTyped(t *testing.T) {
 // TestAcquireChunkTooBig: a chunk that alone exceeds the budget yields a
 // too-big verdict and charges nothing.
 func TestAcquireChunkTooBig(t *testing.T) {
-	c := New(100 * eventBytes)
+	c := New(100 * recordBytes)
 	e, err := c.Acquire(context.Background(), nil, "t", 0, countingChunkLoad(0, 1000, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -266,10 +266,25 @@ func TestAcquireChunkTooBig(t *testing.T) {
 // pin/release cycles over more chunks than fit, checking the budget
 // invariant after every acquire and the final accounting.
 func TestAcquireChunkEvictionBudget(t *testing.T) {
-	const chunkLen = 500
-	budget := 3 * chunkLen * eventBytes // fits 3 chunks of 500 events
+	const chunkLen, chunks = 500, 8
+	var all [][]bp.Event
+	for chunk := range chunks {
+		all = append(all, chunkEvents(chunk, chunkLen))
+	}
+	// Fits the trace's table and 3 chunks of 500 records.
+	budget := 3*chunkLen*recordBytes + tableBytes(t, all...)
 	c := New(budget)
 	ctx := context.Background()
+	// One pass in trace order grows the table to its full size first: a
+	// table's growth is charged even while every entry is pinned, so only
+	// a grown table keeps the budget a hard bound under contention.
+	for chunk := range chunks {
+		e, err := c.Acquire(ctx, nil, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Release(e)
+	}
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -278,7 +293,7 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				chunk := (w + round) % 8
+				chunk := (w + round) % chunks
 				e, err := c.Acquire(ctx, nil, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
 				if err != nil {
 					t.Error(err)
@@ -313,9 +328,12 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 		}
 		sum += e.bytes
 	}
+	for _, tab := range c.tables {
+		sum += tab.charged
+	}
 	c.mu.Unlock()
 	if sum != st.BytesUsed {
-		t.Errorf("entry bytes sum %d != BytesUsed %d", sum, st.BytesUsed)
+		t.Errorf("entry and table bytes sum %d != BytesUsed %d", sum, st.BytesUsed)
 	}
 }
 

@@ -244,7 +244,8 @@ type RunOptions struct {
 	Cache *tracecache.Cache
 	// CacheBytes budgets a decoded-trace cache built for this run alone
 	// when Cache is nil: 0 means sim.DefaultCacheBytes, negative disables
-	// the cache (see sim.NewCache).
+	// the cache (see sim.NewCache). A sweep of one value builds none: each
+	// trace is read by one cell, which streams it.
 	CacheBytes int64
 	// Policy is the full failure policy, including the retry backoff the
 	// wire Spec does not carry.
@@ -265,7 +266,7 @@ type RunOptions struct {
 // every Jobs width; a FailFast error reads "<spec>: sim: trace ...".
 func (r *Resolved) Run(opts RunOptions) ([]*sim.SetResult, error) {
 	cache := opts.Cache
-	if cache == nil {
+	if cache == nil && len(r.Preds) > 1 {
 		cache = sim.NewCache(opts.CacheBytes)
 	}
 	return sim.SweepParallel(r.Sources, r.Preds, sim.Config{Metrics: opts.Metrics}, sim.ParallelOptions{
