@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: check fmt vet build test perfbench-test race race-sweep race-kernel race-daemon mbpvet vet-fix vet-sarif fault-sweep fuzz-smoke daemon-smoke bench bench-smoke bench-snapshot bench-check metrics-overhead journal-overhead golden
+.PHONY: check fmt vet build test perfbench-test race race-sweep race-kernel race-daemon race-resume mbpvet vet-fix vet-sarif fault-sweep fuzz-smoke daemon-smoke bench bench-smoke bench-snapshot bench-check metrics-overhead journal-overhead golden
 
-check: fmt vet build test perfbench-test race race-sweep race-kernel race-daemon mbpvet fault-sweep fuzz-smoke daemon-smoke bench-smoke
+check: fmt vet build test perfbench-test race race-sweep race-kernel race-daemon race-resume mbpvet fault-sweep fuzz-smoke daemon-smoke bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -53,6 +53,13 @@ race-kernel:
 # while the runner, SSE watchers and drain merger interleave on two threads.
 race-daemon:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/daemon/ ./cmd/mbpctl/ ./cmd/mbpd/
+
+# The resumable-cell suite under the race detector: journal replay (records
+# of live cells and legacy records that carry a most_failed report), the
+# size of a journalled cell, drain with checkpoint and resume, and cell
+# deadlines and drains that land during open retries.
+race-resume:
+	$(GO) test -race -run 'TestSweepParallelJournalReplay|TestSweepParallelJournalCellBytes|TestSweepParallelCheckpointDrainResume|TestSweepParallelCellTimeout|TestSweepParallelCellTimeoutDuringOpenRetry|TestSweepParallelDrainDuringOpenRetry|TestSweepParallelOneWorkerDrain' ./internal/sim/
 
 # End-to-end service smoke over real processes and a real TCP port: build
 # mbpd + mbpctl, submit a generated-trace sweep, diff the result JSON

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestFlagValidation: bad -j values must be rejected as usage errors with a
-// message naming the flag, before any trace is opened — never silently
-// clamped.
+// TestFlagValidation: bad -j and -most-failed values must be rejected as
+// usage errors with a message naming the flag, before any trace is opened —
+// never silently clamped or read as the default.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -18,6 +18,7 @@ func TestFlagValidation(t *testing.T) {
 		{"j zero", []string{"-trace", "nope.sbbt", "-j", "0"}, "-j must be >= 1"},
 		{"j negative", []string{"-trace", "nope.sbbt", "-j", "-2"}, "-j must be >= 1"},
 		{"missing trace", []string{"-j", "2"}, "-trace is required"},
+		{"most-failed negative", []string{"-trace", "nope.sbbt", "-most-failed", "-3"}, "-most-failed must be >= 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

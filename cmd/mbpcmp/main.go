@@ -82,6 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The shared validation table, same order and messages as every CLI.
 	if err := cliflags.Validate(
 		cliflags.Workers(*jobs),
+		cliflags.MostFailed(*mostN),
 	); err != nil {
 		fmt.Fprintln(stderr, "mbpcmp:", err)
 		return exitUsage

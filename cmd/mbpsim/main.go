@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 
+	"mbplib/internal/cliflags"
 	"mbplib/internal/compress"
 	"mbplib/internal/predictors/registry"
 	"mbplib/internal/sbbt"
@@ -57,6 +58,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *tracePath == "" {
 		fmt.Fprintln(stderr, "mbpsim: -trace is required (see -help)")
+		return 2
+	}
+	if err := cliflags.Validate(cliflags.MostFailed(*mostN)); err != nil {
+		fmt.Fprintln(stderr, "mbpsim:", err)
 		return 2
 	}
 	if err := simulate(stdout, *tracePath, *predSpec, *warmup, *simInstr, *mostN); err != nil {

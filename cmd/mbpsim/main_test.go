@@ -119,6 +119,21 @@ func TestSimMissingTrace(t *testing.T) {
 	}
 }
 
+// TestSimNegativeMostFailed: a negative -most-failed cap is a usage error
+// (exit 2) naming the flag, not a silent "no cap".
+func TestSimNegativeMostFailed(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-trace", writeTrace(t), "-most-failed", "-3"}, &out, &errBuf); code != 2 {
+		t.Errorf("exit = %d, want 2 (stderr %q)", code, errBuf.String())
+	}
+	if !strings.Contains(errBuf.String(), "-most-failed must be >= 0") {
+		t.Errorf("stderr = %q, want the -most-failed check", errBuf.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("stdout = %q, want empty", out.String())
+	}
+}
+
 // TestSimUnknownPredictor: a spec the registry rejects is a run failure
 // (exit 1) reported on stderr.
 func TestSimUnknownPredictor(t *testing.T) {

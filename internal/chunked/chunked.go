@@ -25,6 +25,7 @@ package chunked
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/compress"
@@ -32,9 +33,9 @@ import (
 	"mbplib/internal/sbbt"
 )
 
-// Trace is an SBBT trace inside an eligible MLZS container. DecodeChunk may
-// be called from multiple goroutines concurrently; Close invalidates the
-// trace.
+// Trace is an SBBT trace inside an eligible MLZS container. DecodeChunk and
+// AppendChunk may be called from multiple goroutines concurrently; Close
+// invalidates the trace.
 type Trace struct {
 	f   *os.File
 	ix  *compress.MLZSIndex
@@ -115,34 +116,39 @@ func (t *Trace) TotalInstructions() uint64 { return t.hdr.TotalInstructions }
 func (t *Trace) NumChunks() int { return t.ix.NumChunks() }
 
 // DecodeChunk decompresses container chunk i and decodes its packets,
-// returning the events it held. On a decode error the events preceding the
-// failure are still returned — the same "error after n" contract the
-// streaming batch reader follows — and the error carries the identical text
-// and fault class the streaming path would report at that offset. Safe for
-// concurrent use: each call owns its decompression state, and os.File
-// ReadAt carries no shared cursor.
-func (t *Trace) DecodeChunk(i int) ([]bp.Event, error) {
+// returning the events it held in a new slice: AppendChunk(nil, i).
+func (t *Trace) DecodeChunk(i int) ([]bp.Event, error) { return t.AppendChunk(nil, i) }
+
+// AppendChunk decompresses container chunk i, decodes its packets and
+// appends their events to dst, returning the extended slice, so a caller
+// can decode chunk after chunk into one buffer. On a decode error the
+// events preceding the failure are still appended — the same "error after
+// n" contract the streaming batch reader follows — and the error carries
+// the identical text and fault class the streaming path would report at
+// that offset. Safe for concurrent use: each call owns its decompression
+// state, and os.File ReadAt carries no shared cursor.
+func (t *Trace) AppendChunk(dst []bp.Event, i int) ([]bp.Event, error) {
 	raw, err := compress.NewMLZSChunkDecoder(t.f, t.ix).Decode(i)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if i == 0 {
 		raw = raw[sbbt.HeaderSize:]
 	}
-	evs := make([]bp.Event, 0, len(raw)/sbbt.PacketSize)
+	dst = slices.Grow(dst, len(raw)/sbbt.PacketSize)
 	for off := 0; off < len(raw); off += sbbt.PacketSize {
 		if len(raw)-off < sbbt.PacketSize {
 			// Only the final chunk can hold a partial packet; report it the
 			// way the streaming reader does.
-			return evs, fmt.Errorf("sbbt: trace ends mid-packet: %w", bp.ErrTruncated)
+			return dst, fmt.Errorf("sbbt: trace ends mid-packet: %w", bp.ErrTruncated)
 		}
 		ev, err := sbbt.DecodePacket(raw[off : off+sbbt.PacketSize])
 		if err != nil {
-			return evs, err
+			return dst, err
 		}
-		evs = append(evs, ev)
+		dst = append(dst, ev)
 	}
-	return evs, nil
+	return dst, nil
 }
 
 // Close releases the underlying file. In-flight DecodeChunk calls must have

@@ -3,8 +3,10 @@ package chunked
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,5 +151,38 @@ func TestDecodeChunkEndsMidPacket(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("event %d differs from the streaming reader", i)
 		}
+	}
+}
+
+// TestAppendChunkReusesBuffer: decoding every chunk into one reused buffer
+// yields DecodeChunk's events and errors, the final chunk cut mid-packet
+// included, and appends to what the buffer already holds.
+func TestAppendChunkReusesBuffer(t *testing.T) {
+	full := encode(t, 300)
+	tr, err := Open(writeAligned(t, full[:len(full)-sbbt.PacketSize/2], 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var buf []bp.Event
+	for i := 0; i < tr.NumChunks(); i++ {
+		want, wantErr := tr.DecodeChunk(i)
+		got, err := tr.AppendChunk(buf[:0], i)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("chunk %d: AppendChunk gave %d events and %v, DecodeChunk %d and %v", i, len(got), err, len(want), wantErr)
+		}
+		if len(want) > 0 && cap(buf) >= len(want) && &got[0] != &buf[:1][0] {
+			t.Errorf("chunk %d: decoded into a new array while the buffer had room", i)
+		}
+		buf = got
+	}
+	if last := tr.NumChunks() - 1; last < 2 {
+		t.Fatalf("want several chunks, got %d", last+1)
+	}
+	head := []bp.Event{{InstrsSinceLastBranch: 7}}
+	got, err := tr.AppendChunk(head, 1)
+	want, _ := tr.DecodeChunk(1)
+	if err != nil || !slices.Equal(got, append(head, want...)) {
+		t.Errorf("AppendChunk onto one event: %d events and %v, want %d and nil", len(got), err, 1+len(want))
 	}
 }

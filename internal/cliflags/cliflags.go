@@ -89,6 +89,9 @@ func QueueDepth(n int) Check { return Check{"-queue", ValidateQueueDepth(n)} }
 // SnapshotEvery is the table form of ValidateSnapshotEvery (-snapshot-every).
 func SnapshotEvery(d time.Duration) Check { return Check{"-snapshot-every", ValidateSnapshotEvery(d)} }
 
+// MostFailed is the table form of ValidateMostFailed (-most-failed).
+func MostFailed(n int) Check { return Check{"-most-failed", ValidateMostFailed(n)} }
+
 // ValidateRetries rejects negative -retries values. Historically mbprun
 // checked this inside its policy parser while mbpsweep checked it inline
 // after parsing the policy (and after starting profiles) — the same rule,
@@ -162,6 +165,16 @@ func ValidateSnapshotEvery(d time.Duration) error {
 func ValidateWorkers(j int) error {
 	if j < 1 {
 		return fmt.Errorf("-j must be >= 1 (got %d)", j)
+	}
+	return nil
+}
+
+// ValidateMostFailed rejects negative -most-failed caps, which the
+// simulator would otherwise read as its default (no cap for mbpsim, 20
+// entries for mbpcmp).
+func ValidateMostFailed(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-most-failed must be >= 0 (got %d)", n)
 	}
 	return nil
 }

@@ -41,6 +41,20 @@ func TestValidateCacheBytes(t *testing.T) {
 	}
 }
 
+func TestValidateMostFailed(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{
+		{0, true}, {1, true}, {20, true}, {-1, false}, {-3, false},
+	} {
+		err := ValidateMostFailed(c.n)
+		if (err == nil) != c.ok {
+			t.Errorf("ValidateMostFailed(%d) = %v, want ok=%v", c.n, err, c.ok)
+		}
+	}
+}
+
 func TestCacheBudget(t *testing.T) {
 	if got := CacheBudget(0); got != -1 {
 		t.Errorf("CacheBudget(0) = %d, want -1 (disable)", got)

@@ -65,8 +65,8 @@ const (
 	// of the resume journal.
 	StageJournal
 	// StageResult is consumer time assembling a finished run's Result: the
-	// most_failed report, the summary metrics and the predictor's metadata
-	// and statistics.
+	// summary metrics, the predictor's metadata and statistics, and, for a
+	// single run (not a sweep cell), the most_failed report.
 	StageResult
 	numStages
 )

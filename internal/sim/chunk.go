@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/obs"
@@ -29,6 +30,17 @@ type ChunkedTrace interface {
 	// completed.
 	Close() error
 }
+
+// chunkAppender is a ChunkedTrace that can decode a chunk into the
+// caller's buffer, as internal/chunked's Trace can. A chunk load keeps only
+// the records it interns from the events, so it decodes into a pooled
+// buffer instead of a fresh slice per chunk.
+type chunkAppender interface {
+	AppendChunk(dst []bp.Event, i int) ([]bp.Event, error)
+}
+
+// chunkBufs recycles the event buffers of chunk loads.
+var chunkBufs = sync.Pool{New: func() any { return new([]bp.Event) }}
 
 // cachedStream reads a cell's trace through the shared cache, one chunk at
 // a time: it walks chunks 0…n−1, pinning each chunk's entry while its
@@ -117,9 +129,12 @@ func (s *cachedStream) load() (attempts int, err error) {
 	i := s.chunk
 	s.chunk++
 	unit, load := tracecache.Whole, s.loadWhole
+	var buf *[]bp.Event
 	if s.ct != nil {
+		buf = chunkBufs.Get().(*[]bp.Event)
+		defer chunkBufs.Put(buf)
 		unit, load = i, func(f *tracecache.Fill) (int, error) {
-			evs, err := s.decodeChunk(i) // its own open: no f.Opened
+			evs, err := s.decodeChunk(i, buf) // its own open: no f.Opened
 			f.Add(evs)
 			return 1, err
 		}
@@ -135,7 +150,7 @@ func (s *cachedStream) load() (attempts int, err error) {
 	}
 	s.cache.Release(entry)
 	if s.ct != nil {
-		evs, err := s.decodeChunk(i)
+		evs, err := s.decodeChunk(i, buf)
 		recs, ierr := s.cache.Intern(s.col, s.tab, nil, evs)
 		if ierr != nil {
 			err = ierr
@@ -175,9 +190,18 @@ func (s *cachedStream) loadWhole(f *tracecache.Fill) (int, error) {
 	}
 }
 
-// decodeChunk decodes chunk i of a chunked trace, timed as one read.
-func (s *cachedStream) decodeChunk(i int) (evs []bp.Event, err error) {
-	timedRead(s.col, func() { evs, err = s.ct.DecodeChunk(i) })
+// decodeChunk decodes chunk i of a chunked trace, timed as one read. A
+// chunkAppender decodes into *buf, which keeps the grown buffer; the events
+// are then valid until buf is used again.
+func (s *cachedStream) decodeChunk(i int, buf *[]bp.Event) (evs []bp.Event, err error) {
+	timedRead(s.col, func() {
+		if a, ok := s.ct.(chunkAppender); ok {
+			evs, err = a.AppendChunk((*buf)[:0], i)
+			*buf = evs
+		} else {
+			evs, err = s.ct.DecodeChunk(i)
+		}
+	})
 	return evs, err
 }
 

@@ -344,10 +344,9 @@ func syncDir(dir string) error {
 }
 
 // encodeRecord assembles the record envelope. Cell payloads are opaque
-// pre-encoded JSON that can run to hundreds of KB (a full per-branch
-// result), and pushing them through json.Marshal as a RawMessage
-// re-validates and re-compacts every byte — more CPU than the fsync the
-// append already pays. Cell envelopes are assembled by hand instead, with
+// pre-encoded JSON, and pushing them through json.Marshal as a RawMessage
+// re-validates and re-compacts every byte, which cost more CPU than the
+// fsync when a cell's result carried a per-branch report. Cell envelopes are assembled by hand instead, with
 // the payload bytes embedded verbatim and unchecked: callers own the
 // payload contract (it must be json.Marshal output), and a violation is
 // caught on replay, where the intact CRC distinguishes a committed

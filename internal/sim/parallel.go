@@ -109,6 +109,11 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // predictor. Each cell owns a fresh predictor and its own stream, so no
 // locking touches the hot loop, which is the same loop as Run's.
 //
+// A sweep scores predictors by their metrics (§VI), so a cell's Result is
+// the metrics-only form: the Result sim.Run would return with most_failed
+// nil and num_most_failed_branches 0. Cells skip the selection and the
+// rendering of that report, and a journalled cell does not write it.
+//
 // Results are deterministic regardless of completion order and worker
 // count: the returned slice is indexed like predictors, each
 // SetResult.Results like sources, and failures are listed in source order,
@@ -326,10 +331,10 @@ func cellOrder(nP, nT, workers int, skip [][]bool) []pair {
 
 // runPair simulates one (trace, predictor) pair: it opens the pair's batch
 // stream, over the trace's shared chunked handle when it has one, and runs
-// it through runCell. A panic anywhere in the pair — predictor, reader or
-// replayed decode — is recovered and classified. With a cell timeout
-// configured the whole pair (opens and cache waits included) runs under a
-// per-cell deadline.
+// it through runCell for a metrics-only Result. A panic anywhere in the
+// pair — predictor, reader or replayed decode — is recovered and
+// classified. With a cell timeout configured the whole pair (opens and
+// cache waits included) runs under a per-cell deadline.
 func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions) (result *Result, failure *TraceFailure) {
 	start := time.Now()
 	attempts := 1
@@ -353,7 +358,7 @@ func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, sr
 		s, attempts, err = openStream(ctx, opts.Drain, cache, ch.get(), src, opts.Policy, cfg.Metrics)
 		return s, err
 	}
-	cfg.TraceName = src.Name
+	cfg.TraceName, cfg.metricsOnly = src.Name, true
 	result, err := runCell(ctx, opts.Drain, open, pred.New, cfg, jc)
 	if err != nil {
 		// mapDeadline also covers a deadline surfacing through an open or a

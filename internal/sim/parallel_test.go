@@ -83,7 +83,9 @@ var equivPredictors = []sim.PredictorSpec{
 
 // sequentialSweep is the oracle the scheduler must match: every cell in
 // order through sim.Run on a freshly opened reader, open errors and panics
-// classified the way a sweep reports them.
+// classified the way a sweep reports them. The sweep contract is kept here
+// and nowhere else: a cell's result is sim.Run's without the most_failed
+// report, so the oracle clears most_failed and num_most_failed_branches.
 func sequentialSweep(t *testing.T, srcs []sim.TraceSource, preds []sim.PredictorSpec, cfg sim.Config) []*sim.SetResult {
 	t.Helper()
 	out := make([]*sim.SetResult, len(preds))
@@ -97,6 +99,7 @@ func sequentialSweep(t *testing.T, srcs []sim.TraceSource, preds []sim.Predictor
 				})
 				continue
 			}
+			res.MostFailed, res.Metrics.NumMostFailedBranches = nil, 0
 			set.Results[ti] = res
 		}
 		out[i] = set
@@ -414,5 +417,61 @@ func TestSweepParallelNilPredictor(t *testing.T) {
 	_, err := sim.SweepParallel(srcs, []sim.PredictorSpec{{Name: "nil"}}, sim.Config{}, sim.ParallelOptions{})
 	if !errors.Is(err, sim.ErrNilPredictor) {
 		t.Errorf("err = %v, want ErrNilPredictor", err)
+	}
+}
+
+// manyMissTrace writes a trace over 4096 near-random static branches as an
+// aligned MLZS container and returns its path. sim.Run's most_failed report
+// over it lists more than a thousand branches, for gshare and for taken.
+func manyMissTrace(t *testing.T) string {
+	t.Helper()
+	spec := tracegen.Spec{
+		Name: "many-miss", Seed: 0x5EED, Branches: 30000, ChunkLen: 16,
+		Kernels: []tracegen.KernelSpec{{Kind: tracegen.Biased, Branches: 4096, Bias: 0.5, GapMean: 9}},
+	}
+	path := filepath.Join(t.TempDir(), "many-miss.sbbt.mlzs")
+	writeMLZS(t, path, generate(t, spec), 64<<10)
+	return path
+}
+
+// TestSweepParallelCellsAreMetricsOnly: on the streaming, the cached and
+// the chunked path, a sweep cell's result is sim.Run's with most_failed
+// and num_most_failed_branches cleared, on a trace whose full report is
+// long.
+func TestSweepParallelCellsAreMetricsOnly(t *testing.T) {
+	path := manyMissTrace(t)
+	for _, ps := range equivPredictors {
+		full, err := oracleCell(mlzsSource(path, false), ps.New(), sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(full.MostFailed); n <= 1000 || full.Metrics.NumMostFailedBranches != n {
+			t.Fatalf("%s: sim.Run reports %d most_failed rows (metric %d), want the same count above 1000", ps.Name, n, full.Metrics.NumMostFailedBranches)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		src   sim.TraceSource
+		cache int64
+	}{
+		{"streaming", mlzsSource(path, false), -1},
+		{"cached", mlzsSource(path, false), 0},
+		{"chunked", mlzsSource(path, true), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srcs := []sim.TraceSource{tc.src}
+			par, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+				Workers: 2, Cache: sim.NewCache(tc.cache), Policy: sim.Policy{Mode: sim.SkipFailed},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi, set := range par {
+				if res := set.Results[0]; res == nil || res.MostFailed != nil || res.Metrics.NumMostFailedBranches != 0 {
+					t.Errorf("%s: cell result %+v, want one without most_failed", equivPredictors[pi].Name, res)
+				}
+			}
+			diffSweeps(t, sequentialSweep(t, srcs, equivPredictors, sim.Config{}), par, equivPredictors)
+		})
 	}
 }

@@ -58,13 +58,16 @@ func journalCell(jnl *journal.Journal, col *obs.Collector, key string, res *Resu
 // decodeCell rehydrates one journalled cell. Replayed results are
 // re-marshalled from the typed structs downstream, which is where the
 // byte-identical-output guarantee of a resumed sweep is enforced (the
-// journal envelope itself only promises semantic JSON equality).
+// journal envelope itself only promises semantic JSON equality). A record
+// journalled when cells still built a most_failed report replays without
+// it, as the metrics-only result a live cell returns.
 func decodeCell(rec journal.CellRecord) (*Result, *TraceFailure, error) {
 	if rec.Result != nil {
 		var res Result
 		if err := json.Unmarshal(rec.Result, &res); err != nil {
 			return nil, nil, err
 		}
+		res.MostFailed, res.Metrics.NumMostFailedBranches = nil, 0
 		return &res, nil, nil
 	}
 	var fail TraceFailure

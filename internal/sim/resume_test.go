@@ -13,6 +13,7 @@ import (
 
 	"mbplib/internal/bp"
 	"mbplib/internal/faults"
+	"mbplib/internal/obs"
 	"mbplib/internal/predictors/gshare"
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
@@ -416,4 +417,83 @@ func TestCellKey(t *testing.T) {
 	if other == sim.CellKey(src, "gshare:h=12", cfg) {
 		t.Error("CellKey ignores the simulation window")
 	}
+}
+
+// TestSweepParallelJournalCellBytes: a journalled cell records its metrics
+// and no most_failed report, so a cell's record stays under 2 KiB on a
+// trace whose full report lists more than a thousand branches.
+func TestSweepParallelJournalCellBytes(t *testing.T) {
+	srcs := []sim.TraceSource{mlzsSource(manyMissTrace(t), true)}
+	jnl := openJournal(t, t.TempDir())
+	defer jnl.Close()
+	col := obs.New()
+	if _, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+		Cache: sim.NewCache(0), Workers: 2, Journal: jnl, Metrics: col,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := col.Snapshot().Counters
+	cells := uint64(len(srcs) * len(equivPredictors))
+	if c["journal_records"] != cells {
+		t.Fatalf("%d journal records, want one per cell (%d)", c["journal_records"], cells)
+	}
+	if per := c["journal_bytes"] / cells; per >= 2<<10 {
+		t.Errorf("%d journalled bytes per cell, want under 2 KiB", per)
+	}
+}
+
+// TestSweepParallelJournalReplayLegacyRecord: a journal written when cells
+// still recorded sim.Run's whole result, most_failed included, replays
+// without simulating to the SetResults of a live sweep.
+func TestSweepParallelJournalReplayLegacyRecord(t *testing.T) {
+	srcs := append(genSources(t, 4000)[:2], mlzsSource(manyMissTrace(t), true))
+	cfg := sim.Config{WarmupInstructions: 10_000}
+	live, err := sim.SweepParallel(srcs, equivPredictors, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	jnl := openJournal(t, dir)
+	for _, ps := range equivPredictors {
+		for _, src := range srcs {
+			full, err := oracleCell(src, ps.New(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(full.MostFailed) == 0 {
+				t.Fatalf("%s over %s: sim.Run reports no most_failed rows", ps.Name, src.Name)
+			}
+			data, err := json.Marshal(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := jnl.AppendCell(journal.CellRecord{Key: sim.CellKey(src, ps.Name, cfg), Result: data}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var constructed atomic.Uint64
+	counting := make([]sim.PredictorSpec, len(equivPredictors))
+	for i, ps := range equivPredictors {
+		inner := ps.New
+		counting[i] = sim.PredictorSpec{Name: ps.Name, New: func() bp.Predictor {
+			constructed.Add(1)
+			return inner()
+		}}
+	}
+	jnl = openJournal(t, dir)
+	defer jnl.Close()
+	replayed, err := sim.SweepParallel(srcs, counting, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 2, Journal: jnl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := constructed.Load(); n != 0 {
+		t.Errorf("replay constructed %d predictors, want 0 (every cell on record)", n)
+	}
+	diffSweeps(t, live, replayed, equivPredictors)
 }

@@ -156,7 +156,9 @@ type TraceFailure struct {
 
 // SetResult carries one predictor's outcome over a trace set:
 // Results is index-aligned with the sources (nil for a failed trace) and
-// Failures lists every trace that could not be scored.
+// Failures lists every trace that could not be scored. Each Result is a
+// sweep cell's metrics-only form (SweepParallel): it carries no
+// most_failed report.
 type SetResult struct {
 	Results  []*Result
 	Failures []TraceFailure

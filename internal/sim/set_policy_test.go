@@ -84,11 +84,11 @@ func sentinelSource(name string) TraceSource {
 	}}
 }
 
-// TestRunSetPolicySkipFailed is the graceful-degradation acceptance
+// TestSweepParallelPolicySkipFailed is the graceful-degradation acceptance
 // scenario: a set with one corrupt trace and one trace that panics its
 // predictor still yields results for every healthy trace plus two
 // classified failures, at every scheduler shape.
-func TestRunSetPolicySkipFailed(t *testing.T) {
+func TestSweepParallelPolicySkipFailed(t *testing.T) {
 	srcs := suiteSources(t, 2000)
 	if len(srcs) < 5 {
 		t.Fatalf("suite too small: %d traces", len(srcs))

@@ -39,15 +39,21 @@ type Config struct {
 	// SimInstructions caps the number of instructions simulated after
 	// warm-up. Zero means run until the trace is exhausted.
 	SimInstructions uint64
-	// MostFailedLimit caps the most_failed report length. Zero keeps every
-	// branch needed to cover half of all mispredictions, as the paper's
-	// num_most_failed_branches metric defines.
+	// MostFailedLimit caps the most_failed report of Run, RunScalar and
+	// Compare. Zero keeps every branch needed to cover half of all
+	// mispredictions, as the paper's num_most_failed_branches metric
+	// defines (Compare: 20 entries); negative values act as zero, and the
+	// commands reject them. SweepParallel cells build no report, so it
+	// does not apply to them.
 	MostFailedLimit int
 	// Metrics receives pipeline observability data (stage timings, event
 	// counts) when non-nil. A nil collector is the disabled state: the
 	// instrumentation points are zero-allocation no-ops, and results are
 	// byte-identical either way — collectors only observe (see internal/obs).
 	Metrics *obs.Collector
+	// metricsOnly asks for the metrics-only Result of a sweep cell
+	// (SweepParallel sets it): no most_failed report.
+	metricsOnly bool
 }
 
 // Metadata is the "metadata" section of a result (Listing 1). The paper's
@@ -243,7 +249,10 @@ func (l *runLoop) processKernel(recs []tracecache.Record, kp bp.BatchPredictor) 
 }
 
 // result assembles the final Result from the loop state, timed as
-// obs.StageResult, and returns the counters to their pool.
+// obs.StageResult, and returns the counters to their pool. It is Listing
+// 1's whole report, or with cfg.metricsOnly the result of a sweep cell:
+// most_failed nil and num_most_failed_branches 0, the per-branch counters
+// unread.
 func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.Time) *Result {
 	tRes := l.col.Now()
 	defer l.col.Stage(obs.StageResult).Since(tRes)
@@ -269,12 +278,10 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 		Accuracy:       m.Accuracy,
 		SimulationTime: time.Since(start).Seconds(),
 	}
-	var order []uint32
-	if l.mispredictions > 0 {
-		order = l.view.Order()
+	if !cfg.metricsOnly && l.mispredictions > 0 {
+		hw := l.hw
+		res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.ips, l.occ[:hw], l.missed[:hw], l.view.Order(), l.mispredictions, simInstr, cfg.MostFailedLimit)
 	}
-	hw := l.hw
-	res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.ips, l.occ[:hw], l.missed[:hw], order, l.mispredictions, simInstr, cfg.MostFailedLimit)
 	l.release()
 	return res
 }

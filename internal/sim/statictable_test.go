@@ -293,3 +293,47 @@ func TestRunLimitWithWideGaps(t *testing.T) {
 		t.Errorf("simulated %d instructions past a limit of %d", got.Metadata.SimulationInstr, cfg.SimInstructions)
 	}
 }
+
+// TestCachePathsCountLikeRun: the per-branch counters of a cell read
+// through the cache — a trace whole or in chunks, admitted or turned away —
+// are Run's. Asked for the whole report, such a cell returns Run's result
+// byte for byte. Sweep cells build no report, so this is where the
+// counters of those paths (which checkpoints store) are checked.
+func TestCachePathsCountLikeRun(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 25))
+	evs := genBranchStream(r, 20000)
+	chunks := splitChunks(r, evs)
+	cfg := Config{TraceName: "t", WarmupInstructions: 40_000}
+	want, err := Run(&sliceReader{evs: evs}, smallGshare(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.MostFailed) < 100 {
+		t.Fatalf("Run reports %d most_failed rows, want a long report", len(want.MostFailed))
+	}
+	wantJSON := resultJSONNoTime(t, want)
+	src := TraceSource{Name: "t", Open: func() (bp.Reader, io.Closer, error) { return &sliceReader{evs: evs}, nil, nil }}
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		ct     ChunkedTrace
+	}{
+		{"whole", 0, nil},
+		{"whole-turned-away", 64, nil},
+		{"chunked", 0, &memChunks{chunks}},
+		{"chunked-turned-away", 64, &memChunks{chunks}},
+	} {
+		cache := NewCache(tc.budget)
+		open := func() (batchStream, error) {
+			s, _, err := openStream(context.Background(), nil, cache, tc.ct, src, Policy{}, nil)
+			return s, err
+		}
+		res, err := runCell(context.Background(), nil, open, smallGshare, cfg, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := resultJSONNoTime(t, res); string(got) != string(wantJSON) {
+			t.Errorf("%s: result differs from Run's\ngot:  %.300s\nwant: %.300s", tc.name, got, wantJSON)
+		}
+	}
+}
