@@ -43,9 +43,11 @@ race-sweep:
 # Kernel-vs-scalar equivalence under the race detector: every batch-kernel
 # dispatch path (single runs and comparisons with warm-up/limit edges,
 # parallel sweeps at several worker counts, journalled replays) must produce
-# byte-identical results with the kernels stripped.
+# byte-identical results with the kernels stripped. The comparison-set tests
+# ride along: comparisons on the sweep scheduler at several worker counts, a
+# panicking predictor, and a drain closed before the set starts.
 race-kernel:
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestKernelRunMatchesScalar|TestSweepParallelKernelScalarEquivalence|TestCompareMatchesOracle|TestCompareMatchesRun' ./internal/sim/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestKernelRunMatchesScalar|TestSweepParallelKernelScalarEquivalence|TestCompareMatchesOracle|TestCompareMatchesRun|TestCompareSet' ./internal/sim/
 
 # Remote-vs-local sweep equivalence under the race detector on a
 # constrained scheduler: the daemon path (submit over the HTTP API, wait,

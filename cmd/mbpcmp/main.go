@@ -11,14 +11,19 @@
 //
 // -trace is a glob: a single match prints one JSON object (the historical
 // format), several matches print a JSON array in sorted path order, compared
-// across -j workers (default GOMAXPROCS). A comparison reads its trace once
+// across -j workers (default GOMAXPROCS) on the scheduler that runs mbprun's
+// and mbpsweep's cells (sim.CompareSet). A comparison reads its trace once
 // and feeds each decoded batch to both predictors in lockstep, through the
 // same simulation loop as mbpsim — batch kernels included — so each worker
 // streams its own trace and no decoded-trace cache is involved.
 //
+// A trace that cannot be compared costs only its own comparison: its error
+// goes to stderr with its faults taxonomy class — "[panic]" for a predictor
+// or reader that panicked — and the array holds the other comparisons.
+//
 // SIGINT/SIGTERM drain gracefully: comparisons not yet started are skipped
-// and reported as drained, in-flight ones finish, and the command exits 4;
-// a second signal aborts immediately.
+// and reported as drained ("not started"), in-flight ones finish, and the
+// command exits 4; a second signal aborts immediately.
 //
 // Exit codes: 0 success, 1 usage error, 3 run failure (the stderr message
 // carries the faults taxonomy class of a classified trace error), 4 drained
@@ -27,7 +32,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,15 +39,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 
 	"mbplib/internal/cliflags"
-	"mbplib/internal/compress"
-	"mbplib/internal/faults"
-	"mbplib/internal/obs"
 	"mbplib/internal/predictors/registry"
-	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
+	"mbplib/internal/sweep"
 )
 
 // Exit codes.
@@ -106,146 +106,64 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sort.Strings(paths)
 
 	metrics := cliflags.NewMetrics(*metricsTo, *progress, stderr)
-	col := metrics.Collector()
-	cfgFor := func(path string) sim.Config {
-		return sim.Config{
-			TraceName:          path,
-			WarmupInstructions: *warmup,
-			SimInstructions:    *simInstr,
-			MostFailedLimit:    *mostN,
-			Metrics:            col,
-		}
-	}
-
-	// Compare every trace across a worker pool. Each comparison constructs
-	// fresh predictor instances (predictors are stateful) and streams its own
-	// trace; results are collected index-aligned so output order is the
-	// sorted path order regardless of completion order.
-	col.Ctr(obs.CtrCellsTotal).Store(uint64(len(paths)))
-	results := make([]*sim.CompareResult, len(paths))
-	errs := make([]error, len(paths))
-	workers := *jobs
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		ws := col.Worker(w)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				tCell := col.Now()
-				results[i], errs[i] = compareOne(paths[i], *spec0, *spec1, cfgFor(paths[i]))
-				cellDur := col.Now().Sub(tCell)
-				ws.Record(cellDur)
-				col.Hist(obs.HistCellNs).ObserveDuration(cellDur)
-				col.Ctr(obs.CtrCellsDone).Add(1)
-			}
-		}()
+	cfg := sim.Config{
+		WarmupInstructions: *warmup,
+		SimInstructions:    *simInstr,
+		MostFailedLimit:    *mostN,
+		Metrics:            metrics.Collector(),
 	}
 	drain, stopSignals := cliflags.DrainOnSignal("mbpcmp", stderr)
 	defer stopSignals()
-	// Draining: in-flight comparisons finish, the rest never start.
-	for i := admit(next, len(paths), drain); i < len(paths); i++ {
-		errs[i] = fmt.Errorf("not started: %w", faults.ErrDrained)
+	// Each comparison constructs fresh predictor instances (predictors are
+	// stateful) and streams its own trace; results come back index-aligned,
+	// so output order is the sorted path order regardless of completion
+	// order.
+	results, failures, err := sim.CompareSet(sweep.Sources(paths), newFor(*spec0), newFor(*spec1), cfg, *jobs, drain)
+	if merr := metrics.Close(); merr != nil {
+		fmt.Fprintln(stderr, "mbpcmp:", merr)
 	}
-	close(next)
-	wg.Wait()
-	if err := metrics.Close(); err != nil {
+	if err != nil {
 		fmt.Fprintln(stderr, "mbpcmp:", err)
+		return exitTotal
 	}
 
-	failed, drained := 0, 0
-	for i, err := range errs {
-		if err == nil {
+	// A drain wins over a failure: the rest can still be run.
+	code := exitOK
+	ok := make([]*sim.CompareResult, 0, len(results))
+	for i, f := range failures {
+		switch {
+		case f == nil:
+			ok = append(ok, results[i])
 			continue
+		case f.Resumable:
+			code = exitDrained
+		case code == exitOK:
+			code = exitTotal
 		}
-		failed++
-		if errors.Is(err, faults.ErrDrained) {
-			drained++
-		}
-		if class := faults.Class(err); class != "other" {
-			fmt.Fprintf(stderr, "mbpcmp: %s: [%s] %v\n", paths[i], class, err)
+		if f.Class != "other" {
+			fmt.Fprintf(stderr, "mbpcmp: %s: [%s] %v\n", f.Trace, f.Class, f.Err)
 		} else {
-			fmt.Fprintf(stderr, "mbpcmp: %s: %v\n", paths[i], err)
+			fmt.Fprintf(stderr, "mbpcmp: %s: %v\n", f.Trace, f.Err)
 		}
 	}
-
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
+	var out any = ok
 	if len(paths) == 1 {
 		// Historical single-trace format: one bare object.
-		if errs[0] != nil {
-			if drained > 0 {
-				return exitDrained
-			}
-			return exitTotal
+		if code != exitOK {
+			return code
 		}
-		if err := enc.Encode(results[0]); err != nil {
-			fmt.Fprintln(stderr, "mbpcmp:", err)
-			return exitTotal
-		}
-		return exitOK
+		out = results[0]
 	}
-	ok := make([]*sim.CompareResult, 0, len(results))
-	for _, r := range results {
-		if r != nil {
-			ok = append(ok, r)
-		}
-	}
-	if err := enc.Encode(ok); err != nil {
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
 		fmt.Fprintln(stderr, "mbpcmp:", err)
 		return exitTotal
 	}
-	if drained > 0 {
-		return exitDrained
-	}
-	if failed > 0 {
-		return exitTotal
-	}
-	return exitOK
+	return code
 }
 
-// admit hands the indices 0..n-1 to next in order until drain closes and
-// returns how many it handed out. The drain is checked first, so once it is
-// closed nothing more is admitted, even with a worker ready to receive.
-func admit(next chan<- int, n int, drain <-chan struct{}) int {
-	for i := 0; i < n; i++ {
-		select {
-		case <-drain:
-			return i
-		default:
-		}
-		select {
-		case next <- i:
-		case <-drain:
-			return i
-		}
-	}
-	return n
-}
-
-// compareOne opens one trace and compares fresh instances of the two
-// predictors over it.
-func compareOne(tracePath, spec0, spec1 string, cfg sim.Config) (*sim.CompareResult, error) {
-	p0, err := registry.New(spec0)
-	if err != nil {
-		return nil, err
-	}
-	p1, err := registry.New(spec1)
-	if err != nil {
-		return nil, err
-	}
-	f, err := compress.OpenFile(tracePath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := sbbt.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Compare(r, p0, p1, cfg)
-}
+// newFor builds the predictor constructor of a validated spec. Tests
+// substitute predictors the registry does not offer, such as one that
+// panics.
+var newFor = sweep.NewFor

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mbplib/internal/bench"
+	"mbplib/internal/bp"
 	"mbplib/internal/compress"
 	"mbplib/internal/obs"
 	"mbplib/internal/sbbt"
+	"mbplib/internal/sim"
+	"mbplib/internal/sweep"
 )
 
 // TestCmpGlobParallel: a multi-trace glob prints a JSON array in sorted path
@@ -128,16 +132,77 @@ func TestCmpMetrics(t *testing.T) {
 	}
 }
 
-// TestAdmitClosedDrain: once the drain is closed, admit hands out nothing,
-// even with room to send — a two-way select would pick the send about half
-// the time.
-func TestAdmitClosedDrain(t *testing.T) {
-	drain := make(chan struct{})
-	close(drain)
-	for trial := 0; trial < 100; trial++ {
-		next := make(chan int, 4) // a send is always ready
-		if n := admit(next, 4, drain); n != 0 || len(next) != 0 {
-			t.Fatalf("trial %d: admitted %d (%d sent) after the drain closed", trial, n, len(next))
+// boomIP is the branch address only the middle trace of
+// TestCmpPredictorPanic holds; boomPredictor panics on it.
+const boomIP = 0x9000
+
+// boomPredictor predicts not-taken and panics on boomIP.
+type boomPredictor struct{}
+
+func (boomPredictor) Predict(ip uint64) bool {
+	if ip == boomIP {
+		panic("boom")
+	}
+	return false
+}
+func (boomPredictor) Train(bp.Branch) {}
+func (boomPredictor) Track(bp.Branch) {}
+
+// writeTrace writes a raw SBBT trace of n conditional branches that
+// alternate between two addresses from base, each taken every other time.
+func writeTrace(t *testing.T, path string, base uint64, n int) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := sbbt.NewWriter(f, uint64(n), uint64(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		ip := base + uint64(i%2)*4
+		ev := bp.Event{Branch: bp.Branch{IP: ip, Target: ip + 64, Opcode: bp.OpCondJump, Taken: i%4 < 2}}
+		if err := w.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCmpPredictorPanic: a predictor panicking on one trace fails that
+// comparison alone, as a panic-class failure line, and the others are
+// still printed; the command exits 3 instead of crashing.
+func TestCmpPredictorPanic(t *testing.T) {
+	defer func(orig func(string) func() bp.Predictor) { newFor = orig }(newFor)
+	newFor = func(spec string) func() bp.Predictor {
+		if spec == "always-taken" {
+			return func() bp.Predictor { return boomPredictor{} }
+		}
+		return sweep.NewFor(spec)
+	}
+	dir := t.TempDir()
+	writeTrace(t, filepath.Join(dir, "a.sbbt"), 0x1000, 500)
+	writeTrace(t, filepath.Join(dir, "b.sbbt"), boomIP, 500)
+	writeTrace(t, filepath.Join(dir, "c.sbbt"), 0x5000, 500)
+	for _, j := range []string{"1", "3"} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-trace", filepath.Join(dir, "*.sbbt"), "-p0", "bimodal", "-p1", "always-taken", "-j", j}, &out, &errBuf)
+		if code != exitTotal {
+			t.Fatalf("-j %s: exit = %d, want %d (stderr: %s)", j, code, exitTotal, errBuf.String())
+		}
+		if want := "b.sbbt: [panic] "; !strings.Contains(errBuf.String(), want) {
+			t.Errorf("-j %s: stderr %q does not report %q", j, errBuf.String(), want)
+		}
+		var arr []sim.CompareResult
+		if err := json.Unmarshal(out.Bytes(), &arr); err != nil {
+			t.Fatalf("-j %s: output is not a JSON array: %v", j, err)
+		}
+		if len(arr) != 2 || filepath.Base(arr[0].Metadata.Trace) != "a.sbbt" || filepath.Base(arr[1].Metadata.Trace) != "c.sbbt" {
+			t.Errorf("-j %s: printed %d comparisons, want those of a.sbbt and c.sbbt: %s", j, len(arr), out.String())
 		}
 	}
 }

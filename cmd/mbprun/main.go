@@ -4,10 +4,9 @@
 // workers (default GOMAXPROCS); each cell owns a fresh predictor, so
 // throughput scales with cores. Output is byte-identical at every -j.
 //
-// The decoded-trace cache is off by default (-cache-bytes 0): one predictor
-// reads each trace exactly once, so a cached trace is never replayed and
-// admission is pure overhead. -cache-bytes N turns it on with an N-byte
-// budget; the output is the same either way.
+// No decoded-trace cache is involved: one predictor reads each trace
+// exactly once, so a cached trace would never be replayed and admission
+// would be pure overhead.
 //
 // Usage:
 //
@@ -44,14 +43,12 @@ import (
 	"sort"
 	"time"
 
-	"mbplib/internal/bp"
 	"mbplib/internal/cliflags"
 	"mbplib/internal/faults"
 	"mbplib/internal/predictors/registry"
 	"mbplib/internal/prof"
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
-	"mbplib/internal/sim/tracecache"
 	"mbplib/internal/sweep"
 )
 
@@ -77,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warmup     = fs.Uint64("warmup", 0, "warm-up instructions per trace")
 		simInstr   = fs.Uint64("sim", 0, "instructions to simulate per trace after warm-up (0 = all)")
 		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers (concurrent traces)")
-		cacheBytes = fs.Int64("cache-bytes", 0, "decoded-trace cache budget (0 disables: one predictor reads each trace once, so a cache has nothing to reuse)")
 		jsonOut    = fs.Bool("json", false, "print the summary as JSON")
 		metricsTo  = fs.String("metrics", "", "write a pipeline metrics JSON snapshot to this file ('-' = stderr)")
 		progress   = fs.Bool("progress", false, "render a live progress line on stderr")
@@ -103,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// profiles had started; the shared table closed that drift.
 	if err := cliflags.Validate(
 		cliflags.Workers(*jobs),
-		cliflags.CacheBytes(*cacheBytes),
 		cliflags.CellTimeout(*cellTime),
 		cliflags.ResumeOptions(*resume, cliflags.FlagWasSet(fs, "checkpoint-every")),
 		cliflags.PolicyName(*policyName),
@@ -149,18 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Cells are keyed by trace content digest, so renamed trace files
 		// still replay; unreadable files fall back to their path.
-		for i := range sources {
-			if d, derr := journal.DigestFile(sources[i].Name); derr == nil {
-				sources[i].Digest = d
-			}
-		}
-	}
-	newPredictor := func() bp.Predictor {
-		p, err := registry.New(*predSpec)
-		if err != nil {
-			panic(err) // validated above; specs are immutable strings
-		}
-		return p
+		sweep.AttachDigests(sources)
 	}
 	metrics := cliflags.NewMetrics(*metricsTo, *progress, stderr)
 	closeMetrics := func() {
@@ -173,8 +157,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stopSignals()
 	// The journal keys cells by the predictor spec, so a resumed run with
 	// another -predictor never replays this one's results.
-	sets, err := sim.SweepParallel(sources, []sim.PredictorSpec{{Name: *predSpec, New: newPredictor}}, cfg, sim.ParallelOptions{
-		Workers: *jobs, Cache: tracecache.New(*cacheBytes), Policy: policy,
+	sets, err := sim.SweepParallel(sources, []sim.PredictorSpec{{Name: *predSpec, New: sweep.NewFor(*predSpec)}}, cfg, sim.ParallelOptions{
+		Workers: *jobs, Policy: policy,
 		Metrics: metrics.Collector(),
 		Journal: jnl, CheckpointEvery: *ckptEvery, Drain: drain, CellTimeout: *cellTime,
 	})

@@ -14,22 +14,20 @@
 // those. Open never reads beyond chunk 0, so the fallback decision is cheap
 // even on huge traces.
 //
-// Decoding reuses the sbbt packet decoder byte-for-byte, so a damaged
-// packet fails with exactly the error text and fault class the streaming
-// reader would produce at the same offset, and damage confined to one chunk
-// (a flipped payload byte, a bad per-chunk CRC) fails only that chunk's
-// decode — the property the trace cache uses to poison single chunks
-// instead of whole traces.
+// Decoding runs the streaming reader's batch decode loop
+// (sbbt.AppendPackets), so a damaged packet fails with exactly the error
+// text and fault class the streaming reader would produce at the same
+// offset, and damage confined to one chunk (a flipped payload byte, a bad
+// per-chunk CRC) fails only that chunk's decode — the property the trace
+// cache uses to poison single chunks instead of whole traces.
 package chunked
 
 import (
 	"fmt"
 	"os"
-	"slices"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/compress"
-	"mbplib/internal/faults"
 	"mbplib/internal/sbbt"
 )
 
@@ -94,11 +92,8 @@ func open(f *os.File) (*Trace, error) {
 		// handles them.
 		return nil, fmt.Errorf("chunked: checksummed SBBT traces stream only")
 	}
-	if hdr.TotalBranches > sbbt.MaxTraceBranches {
-		return nil, fmt.Errorf("sbbt: header declares %d branches, limit %d: %w", hdr.TotalBranches, uint64(sbbt.MaxTraceBranches), faults.ErrLimit)
-	}
-	if hdr.TotalBranches > hdr.TotalInstructions {
-		return nil, fmt.Errorf("sbbt: header declares %d branches but only %d instructions: %w", hdr.TotalBranches, hdr.TotalInstructions, faults.ErrCorrupt)
+	if err := hdr.CheckTotals(); err != nil {
+		return nil, err
 	}
 	return &Trace{f: f, ix: ix, hdr: hdr}, nil
 }
@@ -135,20 +130,13 @@ func (t *Trace) AppendChunk(dst []bp.Event, i int) ([]bp.Event, error) {
 	if i == 0 {
 		raw = raw[sbbt.HeaderSize:]
 	}
-	dst = slices.Grow(dst, len(raw)/sbbt.PacketSize)
-	for off := 0; off < len(raw); off += sbbt.PacketSize {
-		if len(raw)-off < sbbt.PacketSize {
-			// Only the final chunk can hold a partial packet; report it the
-			// way the streaming reader does.
-			return dst, fmt.Errorf("sbbt: trace ends mid-packet: %w", bp.ErrTruncated)
-		}
-		ev, err := sbbt.DecodePacket(raw[off : off+sbbt.PacketSize])
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, ev)
+	dst, err = sbbt.AppendPackets(dst, raw)
+	if err == nil && len(raw)%sbbt.PacketSize != 0 {
+		// Only the final chunk can hold a partial packet; report it the
+		// way the streaming reader does.
+		err = fmt.Errorf("sbbt: trace ends mid-packet: %w", bp.ErrTruncated)
 	}
-	return dst, nil
+	return dst, err
 }
 
 // Close releases the underlying file. In-flight DecodeChunk calls must have

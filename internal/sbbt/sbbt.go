@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/faults"
@@ -141,8 +142,8 @@ func (h Header) AppendTo(buf []byte) []byte {
 
 // ParseHeader decodes a header from the first HeaderSize bytes of buf. It
 // validates only the fixed layout (signature, major version); plausibility
-// of the declared totals is enforced by NewReader, which is where the totals
-// drive allocation.
+// of the declared totals is Header.CheckTotals, which the readers apply
+// where the totals drive allocation.
 func ParseHeader(buf []byte) (Header, error) {
 	if len(buf) < HeaderSize {
 		return Header{}, fmt.Errorf("sbbt: header needs %d bytes, have %d: %w", HeaderSize, len(buf), bp.ErrTruncated)
@@ -161,6 +162,20 @@ func ParseHeader(buf []byte) (Header, error) {
 		return Header{}, fmt.Errorf("sbbt: unsupported major version %d (want %d): %w", h.Major, VersionMajor, faults.ErrCorrupt)
 	}
 	return h, nil
+}
+
+// CheckTotals rejects a header whose declared sizes are implausible: a
+// branch count above MaxTraceBranches (faults.ErrLimit) or more branches
+// than instructions (faults.ErrCorrupt). Every reader applies it before
+// the totals drive an allocation.
+func (h Header) CheckTotals() error {
+	if h.TotalBranches > MaxTraceBranches {
+		return fmt.Errorf("sbbt: header declares %d branches, limit %d: %w", h.TotalBranches, uint64(MaxTraceBranches), faults.ErrLimit)
+	}
+	if h.TotalBranches > h.TotalInstructions {
+		return fmt.Errorf("sbbt: header declares %d branches but only %d instructions: %w", h.TotalBranches, h.TotalInstructions, faults.ErrCorrupt)
+	}
+	return nil
 }
 
 // Address-encoding limits: a virtual address round-trips iff it is canonical
@@ -257,9 +272,8 @@ const readerBufPackets = 4096
 // decompressed (see package compress for auto-detection).
 //
 // Beyond the layout checks of ParseHeader, NewReader rejects headers whose
-// declared sizes are implausible — a branch count above MaxTraceBranches
-// (faults.ErrLimit) or more branches than instructions (faults.ErrCorrupt) —
-// so a hostile header cannot drive large allocations. For checksummed
+// declared sizes are implausible (Header.CheckTotals), so a hostile header
+// cannot drive large allocations. For checksummed
 // traces it verifies the header CRC-32C here and then verifies each chunk
 // trailer as the packet stream is consumed.
 func NewReader(r io.Reader) (*Reader, error) {
@@ -274,11 +288,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.TotalBranches > MaxTraceBranches {
-		return nil, fmt.Errorf("sbbt: header declares %d branches, limit %d: %w", h.TotalBranches, uint64(MaxTraceBranches), faults.ErrLimit)
-	}
-	if h.TotalBranches > h.TotalInstructions {
-		return nil, fmt.Errorf("sbbt: header declares %d branches but only %d instructions: %w", h.TotalBranches, h.TotalInstructions, faults.ErrCorrupt)
+	if err := h.CheckTotals(); err != nil {
+		return nil, err
 	}
 	if h.Checksummed {
 		var trailer [ChecksumSize]byte
@@ -432,12 +443,9 @@ var packetClassTable = func() [1 << 12]uint8 {
 }()
 
 // ReadBatch implements bp.BatchReader: it decodes up to len(dst) packets
-// into dst and returns how many it decoded. Whole buffered chunks are
-// decoded per fill through a specialised loop — two 8-byte loads, a
-// table-driven validity check and a direct store into the caller's slice;
-// no per-packet function call, allocation or read syscall. Packets that
-// fail the fast check are re-decoded through DecodePacket so the error
-// text and fault class are identical to the scalar path's. Errors follow
+// into dst and returns how many it decoded. The whole packets each fill
+// buffers go through AppendPackets straight into the caller's slice: no
+// read syscall per packet. Errors follow
 // the "error after n" contract: dst[:n] is valid even when err is non-nil,
 // and the error is sticky thereafter.
 func (r *Reader) ReadBatch(dst []bp.Event) (int, error) {
@@ -457,49 +465,64 @@ func (r *Reader) ReadBatch(dst []bp.Event) (int, error) {
 		if rem := len(dst) - n; avail > rem {
 			avail = rem
 		}
-		buf := r.buf[r.pos : r.pos+avail*PacketSize]
-		for i := 0; i+PacketSize <= len(buf); i += PacketSize {
-			block1 := binary.LittleEndian.Uint64(buf[i : i+8])
-			block2 := binary.LittleEndian.Uint64(buf[i+8 : i+16])
-			target := uint64(int64(block2) >> addrShift)
-			switch packetClassTable[block1&(1<<12-1)] {
-			case packetOK:
-			case packetNeedNullTg:
-				if target != 0 {
-					return n, r.failPacket()
-				}
-			default:
-				return n, r.failPacket()
-			}
-			dst[n] = bp.Event{
-				Branch: bp.Branch{
-					IP:     uint64(int64(block1) >> addrShift),
-					Target: target,
-					Opcode: bp.Opcode(block1 & opcodeMask),
-					Taken:  block1>>outcomeBit&1 == 1,
-				},
-				InstrsSinceLastBranch: block2 & lowMask,
-			}
-			r.pos += PacketSize
-			r.read++
-			n++
+		got, err := AppendPackets(dst[n:n], r.buf[r.pos:r.pos+avail*PacketSize])
+		r.pos += len(got) * PacketSize
+		r.read += uint64(len(got))
+		n += len(got)
+		if err != nil {
+			r.err = err
+			return n, err
 		}
 	}
 	return n, nil
 }
 
-// failPacket re-decodes the packet at the current consume position (the
-// one the fast check just rejected; r.pos only advances past packets that
-// decoded cleanly) through the generic path, producing exactly the
-// diagnostic the scalar Read would, and latches it as the sticky error.
-func (r *Reader) failPacket() error {
-	_, err := DecodePacket(r.buf[r.pos : r.pos+PacketSize])
+// AppendPackets appends the events of buf's whole packets to dst; bytes
+// past the last whole packet are the caller's. It is the one batch decode
+// loop, ReadBatch's too: per packet, two loads, a table-driven validity
+// check and a store. A packet failing the check is re-decoded through
+// DecodePacket, so the error is the scalar path's, after the events
+// before it.
+func AppendPackets(dst []bp.Event, buf []byte) ([]bp.Event, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(buf)/PacketSize)
+	dst = dst[:n+len(buf)/PacketSize]
+	for i := 0; n < len(dst); i += PacketSize {
+		block1 := binary.LittleEndian.Uint64(buf[i : i+8])
+		block2 := binary.LittleEndian.Uint64(buf[i+8 : i+16])
+		target := uint64(int64(block2) >> addrShift)
+		switch packetClassTable[block1&(1<<12-1)] {
+		case packetOK:
+		case packetNeedNullTg:
+			if target != 0 {
+				return dst[:n], badPacket(buf[i : i+PacketSize])
+			}
+		default:
+			return dst[:n], badPacket(buf[i : i+PacketSize])
+		}
+		dst[n] = bp.Event{
+			Branch: bp.Branch{
+				IP:     uint64(int64(block1) >> addrShift),
+				Target: target,
+				Opcode: bp.Opcode(block1 & opcodeMask),
+				Taken:  block1>>outcomeBit&1 == 1,
+			},
+			InstrsSinceLastBranch: block2 & lowMask,
+		}
+		n++
+	}
+	return dst, nil
+}
+
+// badPacket re-decodes a packet the fast check rejected through the
+// generic path, producing exactly the diagnostic the scalar Read would.
+func badPacket(pkt []byte) error {
+	_, err := DecodePacket(pkt)
 	if err == nil {
 		// Unreachable unless the class table and DecodePacket disagree;
 		// fail closed as corruption rather than silently diverging.
 		err = fmt.Errorf("sbbt: packet rejected by batch decoder: %w", faults.ErrCorrupt)
 	}
-	r.err = err
 	return err
 }
 

@@ -271,49 +271,67 @@ func (s *prefetchStream) close() {
 // not the addresses it lists. The cell reruns from the start.
 var errStaleCheckpoint = errors.New("sim: checkpoint does not match the trace")
 
-// runCell is the one simulation loop: Run and every SweepParallel cell
-// drive a fresh predictor from newP over a batch stream from open through
-// it. On top of runLoop it restores a journalled checkpoint, checkpoints
-// every jc.every records, and observes the drain and the context between
-// batches. With a nil jc and a nil drain it is the plain loop behind Run.
-// On a drain the current state is checkpointed (when journalling a
-// checkpointable predictor) before the drained error returns, so the
-// resumed sweep continues mid-trace instead of starting over. A checkpoint
-// that turns out not to match the trace is dropped and the cell reruns on a
-// fresh stream.
+// runCell is one simulation cell: Run and every SweepParallel cell drive
+// a fresh predictor from newP over a batch stream from open, as runStream's
+// one lane. Between batches runStream observes the drain and the context;
+// with jc it restores the cell's journalled checkpoint, checkpoints every
+// jc.every records, and checkpoints again on a drain before the drained
+// error returns, so a resumed sweep continues mid-trace. A checkpoint that
+// turns out not to match the trace is dropped and the cell reruns on a
+// fresh stream. With a nil jc and a nil drain it is the plain loop of Run.
 func runCell(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newP func() bp.Predictor, cfg Config, jc *cellJournal) (*Result, error) {
-	res, err := runStream(ctx, drain, open, newP, cfg, jc, true)
+	start := time.Now()
+	var res *Result
+	newPs := []func() bp.Predictor{newP}
+	finish := func(lanes []lane, exhausted bool) { res = lanes[0].loop.result(lanes[0].p, cfg, exhausted, start) }
+	err := runStream(ctx, drain, open, newPs, cfg, jc, true, finish)
 	if err == errStaleCheckpoint {
-		res, err = runStream(ctx, drain, open, newP, cfg, jc, false)
+		err = runStream(ctx, drain, open, newPs, cfg, jc, false, finish)
 	}
-	return res, err
+	return res, err // res is nil unless a stream finished
 }
 
-// runStream is one attempt of runCell over a stream it opens and closes,
-// restoring jc's checkpoint when restore is set.
-func runStream(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newP func() bp.Predictor, cfg Config, jc *cellJournal, restore bool) (*Result, error) {
-	start := time.Now()
+// lane is one predictor a stream feeds and the runLoop that accounts it.
+type lane struct {
+	p    bp.Predictor
+	loop *runLoop
+}
+
+// runStream is the one stream driver: it opens a stream and feeds every
+// batch to one lane per constructor in newPs, in order, so all lanes stop
+// at the same record. A cell is one lane (runCell), Compare two. At the end
+// of the trace or the instruction limit, finish reads the lanes while the
+// stream's view is valid. jc journals a cell's one lane; restore asks for
+// jc's checkpoint to be restored first.
+func runStream(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newPs []func() bp.Predictor, cfg Config, jc *cellJournal, restore bool, finish func(lanes []lane, exhausted bool)) error {
 	col := cfg.Metrics
 	stream, err := open()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer stream.close()
-	loop := newRunLoop(cfg)
-	defer func() { loop.release() }() // the loop in use at return; result releases it too
-	p := newP()
+	lanes := make([]lane, len(newPs))
+	for i, newP := range newPs {
+		lanes[i] = lane{p: newP(), loop: newRunLoop(cfg)}
+	}
+	defer func() {
+		for _, ln := range lanes {
+			ln.loop.release() // idempotent: result releases too
+		}
+	}()
+	ln := &lanes[0] // the lane jc journals and that decides the stage
 	var consumed, toSkip, lastCkpt uint64
 	every := uint64(0)
 	verify := false      // a restored checkpoint awaits its check
 	var skippedHW uint32 // 1 + the highest IP id of the skipped records
 	if jc != nil {
-		if _, ok := p.(bp.Checkpointer); ok {
+		if _, ok := ln.p.(bp.Checkpointer); ok {
 			every = jc.every
 		}
 		if rec, ok := jc.j.Checkpoint(jc.key); ok && restore {
-			if err := restoreCellState(rec.State, loop, p); err != nil {
-				loop.release()
-				loop, p = newRunLoop(cfg), newP() // bad checkpoint: restart clean
+			if err := restoreCellState(rec.State, ln.loop, ln.p); err != nil {
+				ln.loop.release()
+				*ln = lane{p: newPs[0](), loop: newRunLoop(cfg)} // bad checkpoint: restart clean
 			} else {
 				consumed, toSkip, lastCkpt = rec.Events, rec.Events, rec.Events
 				verify = true
@@ -325,16 +343,16 @@ func runStream(ctx context.Context, drain <-chan struct{}, open func() (batchStr
 			if errors.Is(err, faults.ErrDrained) {
 				col.Ctr(obs.CtrDraining).Store(1)
 				if every > 0 && consumed > lastCkpt {
-					if cerr := jc.checkpoint(loop, p, consumed); cerr != nil {
-						return nil, cerr
+					if cerr := jc.checkpoint(ln.loop, ln.p, consumed); cerr != nil {
+						return cerr
 					}
 				}
 			}
-			return nil, err
+			return err
 		}
 		b, v, err := stream.next()
 		if err != nil && err != io.EOF {
-			return nil, err
+			return err
 		}
 		if verify {
 			// Skip the restored prefix: the loop and predictor already
@@ -349,32 +367,39 @@ func runStream(ctx context.Context, drain <-chan struct{}, open func() (batchStr
 			if toSkip > 0 && err == nil {
 				continue
 			}
-			if toSkip > 0 || !loop.matches(v, skippedHW) {
-				return nil, errStaleCheckpoint
+			if toSkip > 0 || !ln.loop.matches(v, skippedHW) {
+				return errStaleCheckpoint
 			}
 			verify = false
-			loop.setView(v)
+			ln.loop.setView(v)
 		}
 		if err == io.EOF {
-			return loop.result(p, cfg, true, start), nil
+			finish(lanes, true)
+			return nil
 		}
 		if len(b) == 0 {
 			continue
 		}
-		simStage := loop.stage()
+		simStage := ln.loop.stage()
 		tSim := col.Now()
-		stop := loop.process(b, v, p)
+		stop := false
+		for i := range lanes {
+			if lanes[i].loop.process(b, v, lanes[i].p) {
+				stop = true
+			}
+		}
 		col.Stage(simStage).Since(tSim)
 		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
 		consumed += uint64(len(b))
 		if stop {
 			// Instruction limit hit: a pending decode error past the stop
 			// point is moot.
-			return loop.result(p, cfg, false, start), nil
+			finish(lanes, false)
+			return nil
 		}
 		if every > 0 && consumed-lastCkpt >= every {
-			if err := jc.checkpoint(loop, p, consumed); err != nil {
-				return nil, err
+			if err := jc.checkpoint(ln.loop, ln.p, consumed); err != nil {
+				return err
 			}
 			lastCkpt = consumed
 		}

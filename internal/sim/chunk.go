@@ -81,15 +81,17 @@ type cachedStream struct {
 // attempts counts the opens made, for failure accounting.
 func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Cache, ct ChunkedTrace, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
 	open := func() (bp.Reader, io.Closer, int, error) { return openWithRetry(ctx, drain, src, policy) }
-	cs := &cachedStream{ctx: ctx, cache: cache, id: src.ID(), open: open, col: col, ct: ct, tab: cache.Pin(src.ID())}
-	if attempts, err = cs.load(); err != nil {
+	if cache != nil {
+		cs := &cachedStream{ctx: ctx, cache: cache, id: src.ID(), open: open, col: col, ct: ct, tab: cache.Pin(src.ID())}
+		if attempts, err = cs.load(); err != nil {
+			cs.close()
+			return nil, attempts, err
+		}
+		if cs.entry != nil || cs.ct != nil {
+			return cs, attempts, nil
+		}
 		cs.close()
-		return nil, attempts, err
 	}
-	if cs.entry != nil || cs.ct != nil {
-		return cs, attempts, nil
-	}
-	cs.close()
 	r, closer, attempts, err := open()
 	if err != nil {
 		return nil, attempts, err

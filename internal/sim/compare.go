@@ -2,7 +2,7 @@ package sim
 
 import (
 	"cmp"
-	"io"
+	"context"
 	"slices"
 	"time"
 
@@ -59,60 +59,78 @@ type CompareResult struct {
 // per-branch misprediction deltas come from exactly the same event stream
 // (§VI-C). p0 and p1 must be distinct instances.
 //
-// The trace is prefetched in batches as in Run, and every batch goes
-// through one runLoop per predictor — p0's, then p1's — kernels, warm-up
-// and limit included. Both loops see the same events, so both stop at the
-// same one. As with Run, a panic inside the reader returns a
-// faults.ErrPredictorPanic-classified error, and the reader is no longer in
-// use when Compare returns.
+// The trace is prefetched in batches as in Run, and the two predictors are
+// two lanes of the stream driver Run uses: every batch goes through p0's
+// runLoop, then p1's, kernels, warm-up and limit included. Both loops see
+// the same events, so both stop at the same one. As with Run, a panic
+// inside the reader returns a faults.ErrPredictorPanic-classified error,
+// and the reader is no longer in use when Compare returns.
 func Compare(r bp.Reader, p0, p1 bp.Predictor, cfg Config) (*CompareResult, error) {
+	open := func() (batchStream, error) { return newPrefetchStream(r, nil, cfg.Metrics), nil }
+	return compareStream(open, p0, p1, cfg)
+}
+
+// compareStream is Compare over the stream from open.
+func compareStream(open func() (batchStream, error), p0, p1 bp.Predictor, cfg Config) (*CompareResult, error) {
 	if p0 == nil || p1 == nil {
 		return nil, ErrNilPredictor
 	}
 	start := time.Now()
-	col := cfg.Metrics
-	s := newPrefetchStream(r, nil, col)
-	defer s.close()
-	l0, l1 := newRunLoop(cfg), newRunLoop(cfg)
-	defer l0.release()
-	defer l1.release()
-	exhausted := false
-	for {
-		b, v, err := s.next()
-		if err == io.EOF {
-			exhausted = true
-			break
+	var res *CompareResult
+	newPs := []func() bp.Predictor{func() bp.Predictor { return p0 }, func() bp.Predictor { return p1 }}
+	err := runStream(context.TODO(), nil, open, newPs, cfg, nil, false, func(lanes []lane, exhausted bool) {
+		l0, l1 := lanes[0].loop, lanes[1].loop
+		res = &CompareResult{
+			Metadata: CompareMetadata{
+				Simulator:              CompareName,
+				Version:                Version,
+				Trace:                  cfg.TraceName,
+				WarmupInstr:            cfg.WarmupInstructions,
+				SimulationInstr:        l0.simInstr(),
+				ExhaustedTrace:         exhausted,
+				NumConditionalBranches: l0.condBranches,
+				Predictor0:             predictorMetadata(p0),
+				Predictor1:             predictorMetadata(p1),
+			},
+			Metrics0:       l0.summary(),
+			Metrics1:       l1.summary(),
+			MostFailed:     compareMostFailed(l0, l1, cfg.MostFailedLimit),
+			SimulationTime: time.Since(start).Seconds(),
 		}
-		if err != nil {
-			return nil, err
-		}
-		stage := l0.stage()
-		t := col.Now()
-		stop := l0.process(b, v, p0)
-		l1.process(b, v, p1)
-		col.Stage(stage).Since(t)
-		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
-		if stop {
-			break
-		}
+	})
+	return res, err // res is nil unless the stream finished
+}
+
+// CompareSet compares fresh predictors from newP0 and newP1 over each
+// trace of a set, on SweepParallel's scheduler: up to workers comparisons
+// at once (≤ 0 means GOMAXPROCS), each streaming its own trace, named
+// cfg.TraceName, with no cache. Results and failures are index-aligned with
+// sources. A failure, a recovered panic included (class "panic"), costs
+// only its own trace. A closed drain lets comparisons in flight finish and
+// fails the rest as resumable "not started" faults.ErrDrained failures.
+func CompareSet(sources []TraceSource, newP0, newP1 func() bp.Predictor, cfg Config, workers int, drain <-chan struct{}) ([]*CompareResult, []*TraceFailure, error) {
+	if newP0 == nil || newP1 == nil {
+		return nil, nil, ErrNilPredictor
 	}
-	return &CompareResult{
-		Metadata: CompareMetadata{
-			Simulator:              CompareName,
-			Version:                Version,
-			Trace:                  cfg.TraceName,
-			WarmupInstr:            cfg.WarmupInstructions,
-			SimulationInstr:        l0.simInstr(),
-			ExhaustedTrace:         exhausted,
-			NumConditionalBranches: l0.condBranches,
-			Predictor0:             predictorMetadata(p0),
-			Predictor1:             predictorMetadata(p1),
-		},
-		Metrics0:       l0.summary(),
-		Metrics1:       l1.summary(),
-		MostFailed:     compareMostFailed(l0, l1, cfg.MostFailedLimit),
-		SimulationTime: time.Since(start).Seconds(),
-	}, nil
+	n := len(sources)
+	results := make([]*CompareResult, n)
+	failures := make([]*TraceFailure, n)
+	col := cfg.Metrics
+	col.Ctr(obs.CtrCellsTotal).Store(uint64(n))
+	admitted := schedule(context.Background(), n, poolSize(workers, n), drain, col, func(i int) {
+		src, cfg := sources[i], cfg
+		cfg.TraceName = src.Name
+		open := func() (batchStream, int, error) {
+			return openStream(context.Background(), nil, nil, nil, src, Policy{}, col)
+		}
+		results[i], failures[i] = runGuarded(src, open, func(open func() (batchStream, error)) (*CompareResult, error) {
+			return compareStream(open, newP0(), newP1(), cfg)
+		})
+	})
+	for i := admitted; i < n; i++ {
+		failures[i] = drainedFailure(sources[i].Name)
+	}
+	return results, failures, nil
 }
 
 // compareMostFailed lists branches by descending |MPKI difference|, ties by

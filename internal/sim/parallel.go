@@ -172,14 +172,7 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nP*nT {
-		workers = nP * nT
-	}
-
+	workers := poolSize(opts.Workers, nP*nT)
 	pending := cellOrder(nP, nT, workers, skip)
 	cache := opts.Cache
 	chunked := make([]*sharedChunked, nT)
@@ -206,75 +199,38 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	// its caller asked for.
 	var jmu sync.Mutex
 	var jerr error
-	tasks := make(chan pair)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		ws := col.Worker(w) // registered up front so snapshots list idle workers
-		go func() {
-			defer wg.Done()
-			for tk := range tasks {
-				if ctx.Err() != nil {
-					continue // cancelled: leave the cell empty, the sweep is aborting
+	admitted := schedule(ctx, len(pending), workers, opts.Drain, col, func(i int) {
+		tk := pending[i]
+		res, fail := runPair(ctx, cache, chunked[tk.ti], sources[tk.ti], predictors[tk.pi], cfg, opts)
+		chunked[tk.ti].cellDone()
+		if fail != nil && errors.Is(fail.Err, context.Canceled) {
+			return // a cancellation echo, not a trace failure
+		}
+		results[tk.pi][tk.ti], failures[tk.pi][tk.ti] = res, fail
+		if fail != nil && fail.Resumable {
+			col.Ctr(obs.CtrCellsDrained).Add(1)
+			return // drained: not final, not journalled, no FailFast
+		}
+		if jnl != nil {
+			key := CellKey(sources[tk.ti], predictors[tk.pi].Name, cfg)
+			if err := journalCell(jnl, col, key, res, fail); err != nil {
+				jmu.Lock()
+				if jerr == nil {
+					jerr = err
 				}
-				tCell := col.Now()
-				res, fail := runPair(ctx, cache, chunked[tk.ti], sources[tk.ti], predictors[tk.pi], cfg, opts)
-				chunked[tk.ti].cellDone()
-				cellDur := col.Now().Sub(tCell)
-				ws.Record(cellDur)
-				col.Hist(obs.HistCellNs).ObserveDuration(cellDur)
-				col.Ctr(obs.CtrCellsDone).Add(1)
-				col.Ctr(obs.CtrQueueDepth).Store(uint64(nP*nT) - col.Ctr(obs.CtrCellsDone).Load())
-				if fail != nil && errors.Is(fail.Err, context.Canceled) {
-					continue // a cancellation echo, not a trace failure
-				}
-				results[tk.pi][tk.ti], failures[tk.pi][tk.ti] = res, fail
-				if fail != nil && fail.Resumable {
-					col.Ctr(obs.CtrCellsDrained).Add(1)
-					continue // drained: not final, not journalled, no FailFast
-				}
-				if jnl != nil {
-					key := CellKey(sources[tk.ti], predictors[tk.pi].Name, cfg)
-					if err := journalCell(jnl, col, key, res, fail); err != nil {
-						jmu.Lock()
-						if jerr == nil {
-							jerr = err
-						}
-						jmu.Unlock()
-						cancel()
-					}
-				}
-				if fail != nil && opts.Policy.Mode == FailFast {
-					cancel()
-				}
-			}
-		}()
-	}
-	// A drain stops admission at the current cell; everything not yet
-	// admitted is marked drained so the caller can report (and later
-	// resume) exactly what remains.
-	for i, tk := range pending {
-		admitted := false
-		select {
-		case <-opts.Drain: // checked first: a closed drain admits nothing more
-		default:
-			select {
-			case tasks <- tk:
-				admitted = true
-			case <-opts.Drain:
+				jmu.Unlock()
+				cancel()
 			}
 		}
-		if !admitted {
-			col.Ctr(obs.CtrDraining).Store(1)
-			for _, rest := range pending[i:] {
-				failures[rest.pi][rest.ti] = drainedFailure(sources[rest.ti].Name)
-				col.Ctr(obs.CtrCellsDrained).Add(1)
-			}
-			break
+		if fail != nil && opts.Policy.Mode == FailFast {
+			cancel()
 		}
+	})
+	// Everything the drain kept from admission is reported drained, so the
+	// caller can report (and later resume) exactly what remains.
+	for _, rest := range pending[admitted:] {
+		failures[rest.pi][rest.ti] = drainedFailure(sources[rest.ti].Name)
 	}
-	close(tasks)
-	wg.Wait()
 	for _, h := range chunked {
 		h.close() // traces whose cells did not all run (cancelled, drained)
 	}
@@ -296,9 +252,7 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	jmu.Lock()
-	defer jmu.Unlock()
-	if jerr != nil {
+	if jerr != nil { // schedule has returned: no cell writes it any more
 		return nil, fmt.Errorf("sweep journal: %w", jerr)
 	}
 	return out, nil
@@ -331,20 +285,10 @@ func cellOrder(nP, nT, workers int, skip [][]bool) []pair {
 
 // runPair simulates one (trace, predictor) pair: it opens the pair's batch
 // stream, over the trace's shared chunked handle when it has one, and runs
-// it through runCell for a metrics-only Result. A panic anywhere in the
-// pair — predictor, reader or replayed decode — is recovered and
-// classified. With a cell timeout configured the whole pair (opens and
-// cache waits included) runs under a per-cell deadline.
-func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions) (result *Result, failure *TraceFailure) {
-	start := time.Now()
-	attempts := 1
-	defer func() {
-		if v := recover(); v != nil {
-			err := faults.NewPanicError(v, debug.Stack())
-			result = nil
-			failure = newFailure(src.Name, err, attempts, start)
-		}
-	}()
+// it through runCell for a metrics-only Result, framed by runGuarded. With
+// a cell timeout configured the whole pair (opens and cache waits
+// included) runs under a per-cell deadline.
+func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions) (*Result, *TraceFailure) {
 	if opts.CellTimeout > 0 {
 		var cancelCell context.CancelFunc
 		ctx, cancelCell = context.WithTimeout(ctx, opts.CellTimeout)
@@ -354,18 +298,98 @@ func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, sr
 	if opts.Journal != nil {
 		jc = &cellJournal{j: opts.Journal, key: CellKey(src, pred.Name, cfg), every: opts.CheckpointEvery, col: cfg.Metrics}
 	}
-	open := func() (s batchStream, err error) {
-		s, attempts, err = openStream(ctx, opts.Drain, cache, ch.get(), src, opts.Policy, cfg.Metrics)
-		return s, err
+	open := func() (batchStream, int, error) {
+		return openStream(ctx, opts.Drain, cache, ch.get(), src, opts.Policy, cfg.Metrics)
 	}
 	cfg.TraceName, cfg.metricsOnly = src.Name, true
-	result, err := runCell(ctx, opts.Drain, open, pred.New, cfg, jc)
+	return runGuarded(src, open, func(open func() (batchStream, error)) (*Result, error) {
+		return runCell(ctx, opts.Drain, open, pred.New, cfg, jc)
+	})
+}
+
+// runGuarded frames one cell of a trace set: simulate runs over streams
+// from open, which reports the opens it made. A panic anywhere in the cell
+// (predictor, reader, replayed decode) is recovered and classified, and an
+// error becomes the cell's TraceFailure, with the opens as its attempts.
+func runGuarded[R any](src TraceSource, open func() (batchStream, int, error), simulate func(open func() (batchStream, error)) (*R, error)) (result *R, failure *TraceFailure) {
+	start := time.Now()
+	attempts := 1
+	defer func() {
+		if v := recover(); v != nil {
+			result, failure = nil, newFailure(src.Name, faults.NewPanicError(v, debug.Stack()), attempts, start)
+		}
+	}()
+	result, err := simulate(func() (s batchStream, err error) {
+		s, attempts, err = open()
+		return s, err
+	})
 	if err != nil {
 		// mapDeadline also covers a deadline surfacing through an open or a
 		// stream's terminal error rather than through interruptErr.
 		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
 	}
 	return result, nil
+}
+
+// poolSize is the worker count of a set of n cells: workers, GOMAXPROCS
+// when workers ≤ 0, and never more than n.
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
+}
+
+// schedule is the one worker pool of SweepParallel and CompareSet: workers
+// goroutines run cell(i) for i = 0…n−1 in order, each recording the cell's
+// time (cell_ns, its worker's stats), cells_done and the queue depth. Cells
+// handed out after ctx ended are skipped. The drain is checked before each
+// hand-off, so once it is closed no cell starts, even with a worker ready.
+// schedule returns the number admitted once they have all finished, and
+// counts the rest as drained; the caller reports them.
+func schedule(ctx context.Context, n, workers int, drain <-chan struct{}, col *obs.Collector, cell func(i int)) int {
+	tasks := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		ws := col.Worker(w) // registered up front so snapshots list idle workers
+		go func() {
+			defer wg.Done()
+			for i := range tasks {
+				if ctx.Err() != nil {
+					continue
+				}
+				tCell := col.Now()
+				cell(i)
+				cellDur := col.Now().Sub(tCell)
+				ws.Record(cellDur)
+				col.Hist(obs.HistCellNs).ObserveDuration(cellDur)
+				col.Ctr(obs.CtrCellsDone).Add(1)
+				col.Ctr(obs.CtrQueueDepth).Store(col.Ctr(obs.CtrCellsTotal).Load() - col.Ctr(obs.CtrCellsDone).Load())
+			}
+		}()
+	}
+	admitted := 0
+admit:
+	for ; admitted < n; admitted++ {
+		select {
+		case <-drain: // checked first: a closed drain admits nothing more
+			break admit
+		default:
+		}
+		select {
+		case tasks <- admitted:
+		case <-drain:
+			break admit
+		}
+	}
+	if admitted < n {
+		col.Ctr(obs.CtrDraining).Store(1)
+		col.Ctr(obs.CtrCellsDrained).Add(uint64(n - admitted))
+	}
+	close(tasks)
+	wg.Wait()
+	return admitted
 }
 
 // sharedChunked is one trace's chunked access, shared by the cells of a

@@ -152,7 +152,7 @@ func (s Spec) Resolve() (*Resolved, error) {
 	r := &Resolved{Spec: s, Specs: specs, Sources: Sources(paths)}
 	r.Preds = make([]sim.PredictorSpec, len(specs))
 	for i, spec := range specs {
-		r.Preds[i] = sim.PredictorSpec{Name: spec, New: newFor(spec)}
+		r.Preds[i] = sim.PredictorSpec{Name: spec, New: NewFor(spec)}
 	}
 	return r, nil
 }
@@ -189,8 +189,9 @@ func openSBBT(path string) func() (bp.Reader, io.Closer, error) {
 	}
 }
 
-// newFor builds the per-cell predictor constructor for one validated spec.
-func newFor(spec string) func() bp.Predictor {
+// NewFor builds the per-cell predictor constructor of a spec the registry
+// has already accepted.
+func NewFor(spec string) func() bp.Predictor {
 	return func() bp.Predictor {
 		p, err := registry.New(spec)
 		if err != nil {
@@ -205,10 +206,13 @@ func newFor(spec string) func() bp.Predictor {
 // paths: a renamed file still replays, swapped bytes never do. An unreadable
 // file keeps an empty digest and falls back to its path — the open will fail
 // properly during the sweep.
-func (r *Resolved) AttachDigests() {
-	for i := range r.Sources {
-		if d, err := journal.DigestFile(r.Sources[i].Name); err == nil {
-			r.Sources[i].Digest = d
+func (r *Resolved) AttachDigests() { AttachDigests(r.Sources) }
+
+// AttachDigests is Resolved.AttachDigests over a list of sources.
+func AttachDigests(sources []sim.TraceSource) {
+	for i := range sources {
+		if d, err := journal.DigestFile(sources[i].Name); err == nil {
+			sources[i].Digest = d
 		}
 	}
 }
