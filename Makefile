@@ -58,10 +58,12 @@ race-daemon:
 
 # The resumable-cell suite under the race detector: journal replay (records
 # of live cells and legacy records that carry a most_failed report), the
-# size of a journalled cell, drain with checkpoint and resume, and cell
-# deadlines and drains that land during open retries.
+# size of a journalled cell, drain with checkpoint and resume, lanes of one
+# trace group resuming from checkpoints of their own (one stale), and cell
+# deadlines: a slow lane beside a fast one, and deadlines and drains that
+# land during open retries.
 race-resume:
-	$(GO) test -race -run 'TestSweepParallelJournalReplay|TestSweepParallelJournalCellBytes|TestSweepParallelCheckpointDrainResume|TestSweepParallelCellTimeout|TestSweepParallelCellTimeoutDuringOpenRetry|TestSweepParallelDrainDuringOpenRetry|TestSweepParallelOneWorkerDrain' ./internal/sim/
+	$(GO) test -race -run 'TestSweepParallelJournalReplay|TestSweepParallelJournalCellBytes|TestSweepParallelCheckpointDrainResume|TestSweepParallelCellTimeout|TestSweepParallelCellTimeoutDuringOpenRetry|TestSweepParallelDrainDuringOpenRetry|TestSweepParallelOneWorkerDrain|TestSweepParallelLanesResumeOwnCheckpoints|TestSweepParallelCellTimeoutSlowLane' ./internal/sim/
 
 # End-to-end service smoke over real processes and a real TCP port: build
 # mbpd + mbpctl, submit a generated-trace sweep, diff the result JSON

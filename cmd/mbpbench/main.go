@@ -74,7 +74,7 @@ func main() {
 // and measures every stage: scalar-vs-batched decode and full runs over one
 // .sbbt.mlz trace, then the parallel-sweep scaling curve over a matrix of
 // gzip-compressed traces (where per-pair decompression dominates, which is
-// exactly the cost the shared decoded-trace cache removes).
+// exactly the cost reading each trace once for all its predictors removes).
 func measureSnapshot(scale uint64, dir, predictors, sweepPreds string, sweepSize, rounds int) (*bench.SimSnapshot, error) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "mbpbench")

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget, shared by all jobs (0 disables)")
 		queue      = fs.Int("queue", daemon.DefaultQueueDepth, "max admitted-but-unfinished jobs before submissions get 503")
 		ckptEvery  = fs.Uint64("checkpoint-every", cliflags.DefaultCheckpointEvery, "events between in-flight cell checkpoints (0 disables)")
-		cellTime   = fs.Duration("cell-timeout", 0, "wall-time budget per (value, trace) cell (0 = none)")
+		cellTime   = fs.Duration("cell-timeout", 0, "time budget per (value, trace) cell: its trace's shared reading time plus its own simulation (0 = none)")
 		backoff    = fs.Duration("retry-backoff", 100*time.Millisecond, "delay before the first transient-open retry (doubles per attempt)")
 		snapEvery  = fs.Duration("snapshot-every", daemon.DefaultSnapshotEvery, "cadence of SSE progress snapshots")
 	)

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestFlagValidation: bad -j and -cache-bytes values must be rejected as
-// usage errors with a message naming the flag, before any trace is opened —
-// never silently clamped.
+// TestFlagValidation: bad -j values must be rejected as usage errors with
+// a message naming the flag, before any trace is opened — never silently
+// clamped.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -17,7 +17,6 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"j zero", []string{"-traces", "nope.sbbt", "-j", "0"}, "-j must be >= 1"},
 		{"j negative", []string{"-traces", "nope.sbbt", "-j", "-8"}, "-j must be >= 1"},
-		{"cache-bytes negative", []string{"-traces", "nope.sbbt", "-cache-bytes", "-1024"}, "-cache-bytes must be >= 0"},
 		{"missing traces", []string{"-j", "2"}, "-traces is required"},
 	}
 	for _, c := range cases {

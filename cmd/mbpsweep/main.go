@@ -8,12 +8,13 @@
 // The predictor spec contains a %d placeholder that receives each swept
 // value; the output is one row per value with the average MPKI.
 //
-// With -j N (default GOMAXPROCS) the whole value × trace matrix is scheduled
-// across N workers backed by a shared decoded-trace cache (-cache-bytes), so
-// each trace is decoded once and scored by every swept value. A sweep of
-// one value builds no cache: each trace is read by one cell, which streams
-// it. -j 1 is the same scheduler with one worker. Output is byte-identical
-// at every -j.
+// With -j N (default GOMAXPROCS) the value × trace matrix is scheduled
+// across N workers trace by trace: the swept values of a trace run as lanes
+// of one stream, so each trace is read and decoded once and scored by
+// every value in that one reading. With fewer traces than workers, a
+// trace's values split into ceil(N / traces) groups, each reading the
+// trace once. -j 1 is the same scheduler with one worker. Output is
+// byte-identical at every -j.
 //
 // Each value's trace set runs through the sim fault policy: with -policy
 // skip, traces that fail to decode (or whose predictor panics) are excluded
@@ -29,7 +30,8 @@
 // resumes mid-trace. SIGINT/SIGTERM drain gracefully: no new cells start,
 // in-flight cells checkpoint, and unfinished work is reported as resumable
 // (exit code 4); a second signal aborts immediately. -cell-timeout bounds
-// each cell's wall time; a blown deadline is a final, journalled failure.
+// each cell's time — its trace's shared reading time plus its own
+// simulation; a blown deadline is a final, journalled failure.
 //
 // The same sweep can run remotely: mbpd executes submitted specs through
 // the identical internal/sweep pipeline, and `mbpctl submit`/`mbpctl wait`
@@ -86,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		to         = fs.Int("to", 30, "last swept value")
 		step       = fs.Int("step", 1, "sweep step")
 		jobs       = fs.Int("j", runtime.GOMAXPROCS(0), "scheduler workers over the value × trace matrix")
-		cacheBytes = fs.Int64("cache-bytes", sim.DefaultCacheBytes, "decoded-trace cache budget (0 disables)")
 		jsonOut    = fs.Bool("json", false, "print the sweep as JSON")
 		metricsTo  = fs.String("metrics", "", "write a pipeline metrics JSON snapshot to this file ('-' = stderr)")
 		progress   = fs.Bool("progress", false, "render a live progress line on stderr")
@@ -97,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		resume     = fs.String("resume", "", "journal directory for crash-safe, resumable sweeps")
 		ckptEvery  = fs.Uint64("checkpoint-every", cliflags.DefaultCheckpointEvery, "events between in-flight cell checkpoints (with -resume; 0 disables)")
-		cellTime   = fs.Duration("cell-timeout", 0, "wall-time budget per (value, trace) cell (0 = none)")
+		cellTime   = fs.Duration("cell-timeout", 0, "time budget per (value, trace) cell: its trace's shared reading time plus its own simulation (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -110,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// journal directories), so a usage error never leaves files behind.
 	if err := cliflags.Validate(
 		cliflags.Workers(*jobs),
-		cliflags.CacheBytes(*cacheBytes),
 		cliflags.CellTimeout(*cellTime),
 		cliflags.ResumeOptions(*resume, cliflags.FlagWasSet(fs, "checkpoint-every")),
 		cliflags.PolicyName(*policyName),
@@ -174,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drain, stopSignals := cliflags.DrainOnSignal("mbpsweep", stderr)
 	defer stopSignals()
 	sets, err := resolved.Run(sweep.RunOptions{
-		Jobs: *jobs, CacheBytes: cliflags.CacheBudget(*cacheBytes), Policy: policy,
+		Jobs: *jobs, Policy: policy,
 		Metrics: metrics.Collector(),
 		Journal: jnl, CheckpointEvery: *ckptEvery, Drain: drain, CellTimeout: *cellTime,
 	})

@@ -11,7 +11,6 @@ import (
 	"mbplib/internal/predictors/registry"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
-	"mbplib/internal/sim/tracecache"
 	"mbplib/internal/sweep"
 	"mbplib/internal/tracegen"
 )
@@ -28,9 +27,10 @@ type SweepMeasurement struct {
 }
 
 // SweepStage records the sweep scheduler's scaling on a traces × predictors
-// matrix: the sequential baseline runs SweepParallel on one worker with the
-// cache off (re-decoding every trace per predictor), the parallel rows run
-// it with its shared decoded-trace cache at increasing worker counts.
+// matrix: the sequential baseline runs SweepParallel on one worker, the
+// parallel rows run it at increasing worker counts, all without a cache as
+// mbpsweep does (each trace group reads its trace once for all its
+// predictors).
 type SweepStage struct {
 	Traces        []string           `json:"traces"`
 	Predictors    []string           `json:"predictors"`
@@ -41,9 +41,9 @@ type SweepStage struct {
 
 // SweepSpecs returns n high-entropy synthetic trace specs for the sweep
 // stage: near-unbiased outcomes over large working sets compress poorly, so
-// the per-pair gzip decode the cache eliminates is a realistic share of the
-// pair cost (real CBP5 traces are likewise far less regular than the table
-// suites' loop kernels).
+// the gzip decode a trace group shares across its predictors is a
+// realistic share of the pair cost (real CBP5 traces are likewise far less
+// regular than the table suites' loop kernels).
 func SweepSpecs(n int, scale uint64) []tracegen.Spec {
 	specs := make([]tracegen.Spec, n)
 	for i := range specs {
@@ -165,9 +165,9 @@ func MeasureSweep(paths, predictorSpecs []string, workersList []int, rounds int)
 
 	for _, w := range workersList {
 		parSec, err := best(func() error {
-			// A cold cache per run, as a one-shot CLI sweep has.
+			// No cache, as mbpsweep runs: each trace is read once.
 			_, err := sim.SweepParallel(sources, preds, sim.Config{}, sim.ParallelOptions{
-				Workers: w, Cache: tracecache.New(sim.DefaultCacheBytes), Metrics: collector,
+				Workers: w, Metrics: collector,
 			})
 			return err
 		})

@@ -69,7 +69,8 @@ type Config struct {
 	// CheckpointEvery is the per-cell checkpoint interval (events) written
 	// to each job's journal. 0 disables in-flight checkpoints.
 	CheckpointEvery uint64
-	// CellTimeout bounds each (value, trace) cell's wall time. 0 = none.
+	// CellTimeout bounds each (value, trace) cell's time: its trace's
+	// shared reading time plus its own simulation. 0 = none.
 	CellTimeout time.Duration
 	// Backoff is the delay before the first transient-open retry.
 	Backoff time.Duration

@@ -83,7 +83,7 @@ type Ctr int
 // Pipeline counters. The cache_* counters mirror tracecache.Stats so live
 // progress can read them without reaching into the cache.
 const (
-	// CtrEvents is dynamic branch events simulated (all predictors).
+	// CtrEvents is dynamic branch events simulated, each stream event once.
 	CtrEvents Ctr = iota
 	// CtrBatches is decoded batches delivered by readers.
 	CtrBatches
@@ -272,11 +272,11 @@ type WorkerStats struct {
 	cells  atomic.Uint64
 }
 
-// Record accrues one completed cell that took d of worker time.
-func (w *WorkerStats) Record(d time.Duration) {
+// Record accrues d of worker time in which cells cells completed.
+func (w *WorkerStats) Record(d time.Duration, cells uint64) {
 	if w != nil {
 		w.busyNs.Add(int64(d))
-		w.cells.Add(1)
+		w.cells.Add(cells)
 	}
 }
 

@@ -18,8 +18,8 @@ func TestCollectorBasics(t *testing.T) {
 	c.Ctr(CtrCacheBytes).Store(42)
 	c.Hist(HistBatchReadNs).Observe(3)
 	c.Hist(HistBatchReadNs).Observe(1000)
-	c.Worker(1).Record(time.Second)
-	c.Worker(0).Record(2 * time.Second)
+	c.Worker(1).Record(time.Second, 1)
+	c.Worker(0).Record(2*time.Second, 1)
 
 	if got := c.Stage(StageRead).Total(); got != 3*time.Second {
 		t.Errorf("StageRead total = %v, want 3s", got)
@@ -83,7 +83,7 @@ func TestNilCollectorNoOps(t *testing.T) {
 	c.Ctr(CtrEvents).Store(1)
 	c.Hist(HistCellNs).Observe(1)
 	c.Hist(HistCellNs).ObserveDuration(time.Second)
-	c.Worker(3).Record(time.Second)
+	c.Worker(3).Record(time.Second, 1)
 	if got := c.Stage(StageSim).Total(); got != 0 {
 		t.Errorf("nil stage accumulated %v", got)
 	}
@@ -105,7 +105,7 @@ func TestDisabledCollectorZeroAlloc(t *testing.T) {
 		c.Ctr(CtrEvents).Add(4096)
 		c.Ctr(CtrCacheBytes).Store(1)
 		c.Hist(HistBatchReadNs).ObserveDuration(time.Millisecond)
-		c.Worker(0).Record(time.Millisecond)
+		c.Worker(0).Record(time.Millisecond, 1)
 		_ = c.Enabled()
 	})
 	if allocs != 0 {
@@ -122,7 +122,7 @@ func TestEnabledHotOpsZeroAlloc(t *testing.T) {
 		c.Stage(StageRead).Add(time.Millisecond)
 		c.Ctr(CtrEvents).Add(4096)
 		c.Hist(HistBatchReadNs).Observe(1 << 20)
-		w.Record(time.Millisecond)
+		w.Record(time.Millisecond, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("enabled hot ops allocate %v per run, want 0", allocs)
@@ -143,7 +143,7 @@ func TestConcurrentWriters(t *testing.T) {
 				c.Ctr(CtrEvents).Add(1)
 				c.Stage(StageSim).Add(time.Microsecond)
 				c.Hist(HistCellNs).Observe(uint64(i))
-				c.Worker(g % 4).Record(time.Microsecond)
+				c.Worker(g%4).Record(time.Microsecond, 1)
 				if i%100 == 0 {
 					c.Snapshot() // concurrent reads must be safe
 				}

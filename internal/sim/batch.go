@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -201,7 +202,7 @@ func (pf *prefetcher) shutdown() {
 	}
 }
 
-// batchStream is how a cell consumes its trace: a chunk-by-chunk walk
+// batchStream is how a reading consumes its trace: a chunk-by-chunk walk
 // through the cache (cachedStream) or a prefetching reader. next returns a
 // non-empty batch of records with a view of the trace's static table that
 // covers them, or io.EOF on clean exhaustion, or a decode error — always
@@ -215,7 +216,7 @@ type batchStream interface {
 }
 
 // prefetchStream reads a trace straight from its reader: a prefetcher
-// decodes the next batch while the cell simulates the current one. A
+// decodes the next batch while the lanes simulate the current one. A
 // terminal error arriving with a non-empty batch is held back until that
 // batch was delivered. It is the only stream that waits on a producer, so
 // it alone times obs.StagePrefetchStall.
@@ -266,142 +267,274 @@ func (s *prefetchStream) close() {
 	}
 }
 
-// errStaleCheckpoint reports a restored checkpoint that does not describe
-// the trace: once its prefix was skipped, the trace's first branches are
-// not the addresses it lists. The cell reruns from the start.
-var errStaleCheckpoint = errors.New("sim: checkpoint does not match the trace")
-
-// runCell is one simulation cell: Run and every SweepParallel cell drive
-// a fresh predictor from newP over a batch stream from open, as runStream's
-// one lane. Between batches runStream observes the drain and the context;
-// with jc it restores the cell's journalled checkpoint, checkpoints every
-// jc.every records, and checkpoints again on a drain before the drained
-// error returns, so a resumed sweep continues mid-trace. A checkpoint that
-// turns out not to match the trace is dropped and the cell reruns on a
-// fresh stream. With a nil jc and a nil drain it is the plain loop of Run.
-func runCell(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newP func() bp.Predictor, cfg Config, jc *cellJournal) (*Result, error) {
-	start := time.Now()
-	var res *Result
-	newPs := []func() bp.Predictor{newP}
-	finish := func(lanes []lane, exhausted bool) { res = lanes[0].loop.result(lanes[0].p, cfg, exhausted, start) }
-	err := runStream(ctx, drain, open, newPs, cfg, jc, true, finish)
-	if err == errStaleCheckpoint {
-		err = runStream(ctx, drain, open, newPs, cfg, jc, false, finish)
-	}
-	return res, err // res is nil unless a stream finished
-}
-
-// lane is one predictor a stream feeds and the runLoop that accounts it.
+// lane is one predictor a stream feeds, a cell of its own. A lane with a
+// nil loop sits out the current reading.
 type lane struct {
+	id   int // the caller's index of the lane
+	newP func() bp.Predictor
+	jc   *cellJournal // nil: not journalled
 	p    bp.Predictor
 	loop *runLoop
+
+	every    uint64 // checkpoint interval; 0 = none
+	fresh    bool   // its checkpoint went stale: never restore it again
+	verify   bool   // a restored checkpoint awaits its check
+	skip     uint64 // records of the restored prefix still to pass over
+	skipHW   uint32 // 1 + the highest IP id of the records passed over
+	consumed uint64 // records accounted, the restored prefix included
+	lastCkpt uint64
+
+	sim     time.Duration // time spent on this lane alone
+	ended   bool
+	err     error         // why the lane failed; nil if it finished
+	elapsed time.Duration // its time when it ended: the shared time plus sim
 }
 
-// runStream is the one stream driver: it opens a stream and feeds every
-// batch to one lane per constructor in newPs, in order, so all lanes stop
-// at the same record. A cell is one lane (runCell), Compare two. At the end
-// of the trace or the instruction limit, finish reads the lanes while the
-// stream's view is valid. jc journals a cell's one lane; restore asks for
-// jc's checkpoint to be restored first.
-func runStream(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newPs []func() bp.Predictor, cfg Config, jc *cellJournal, restore bool, finish func(lanes []lane, exhausted bool)) error {
-	col := cfg.Metrics
-	stream, err := open()
-	if err != nil {
-		return err
+// begin readies ln for a reading: a fresh predictor and loop and, unless
+// it went stale before, its journalled checkpoint. A checkpoint that does
+// not restore is dropped and the lane starts clean.
+func (ln *lane) begin(cfg Config) {
+	ln.p, ln.loop = ln.newP(), newRunLoop(cfg)
+	ln.verify, ln.skip, ln.skipHW, ln.consumed, ln.lastCkpt = false, 0, 0, 0, 0
+	if ln.jc == nil {
+		return
 	}
-	defer stream.close()
-	lanes := make([]lane, len(newPs))
-	for i, newP := range newPs {
-		lanes[i] = lane{p: newP(), loop: newRunLoop(cfg)}
+	if _, ok := ln.p.(bp.Checkpointer); ok {
+		ln.every = ln.jc.every
 	}
+	if rec, ok := ln.jc.j.Checkpoint(ln.jc.key); ok && !ln.fresh {
+		if err := restoreCellState(rec.State, ln.loop, ln.p); err != nil {
+			ln.loop.release()
+			ln.p, ln.loop = ln.newP(), newRunLoop(cfg)
+			return
+		}
+		ln.skip, ln.consumed, ln.lastCkpt, ln.verify = rec.Events, rec.Events, rec.Events, true
+	}
+}
+
+// settle checks a restored checkpoint once its prefix is behind or the
+// reading ended: the skipped records must have seen exactly its branches,
+// the trace's first ones, in order. A stale checkpoint takes the lane out
+// of the reading, to rerun fresh in the next one.
+func (ln *lane) settle(v tracecache.View) {
+	ln.verify = false
+	if ln.skip > 0 || !ln.loop.matches(v, ln.skipHW) {
+		ln.fresh = true
+		ln.loop.release()
+		ln.loop = nil
+		return
+	}
+	ln.loop.setView(v)
+}
+
+func (ln *lane) checkpoint() error {
+	err := ln.jc.checkpoint(ln.loop, ln.p, ln.consumed)
+	if err == nil {
+		ln.lastCkpt = ln.consumed
+	}
+	return err
+}
+
+// result is the Result of a finished lane, or the error it failed with.
+func (ln *lane) result(cfg Config, exhausted bool) (res *Result, err error) {
+	if ln.err != nil {
+		return nil, ln.err
+	}
+	err = guarded(func() error {
+		res = ln.loop.result(ln.p, cfg, exhausted, ln.elapsed)
+		return nil
+	})
+	return res, err
+}
+
+// guarded runs f, turning a panic into a typed error with its stack.
+func guarded(f func() error) (err error) {
 	defer func() {
-		for _, ln := range lanes {
-			ln.loop.release() // idempotent: result releases too
+		if v := recover(); v != nil {
+			err = faults.NewPanicError(v, debug.Stack())
 		}
 	}()
-	ln := &lanes[0] // the lane jc journals and that decides the stage
-	var consumed, toSkip, lastCkpt uint64
-	every := uint64(0)
-	verify := false      // a restored checkpoint awaits its check
-	var skippedHW uint32 // 1 + the highest IP id of the skipped records
-	if jc != nil {
-		if _, ok := ln.p.(bp.Checkpointer); ok {
-			every = jc.every
+	return f()
+}
+
+// group is the one stream driver: Run is a group of one lane, Compare of
+// two, a sweep's trace group of one per predictor. A reading feeds every
+// batch of one stream to each lane in turn, so all lanes stop at the same
+// record. A panic in a lane's code fails that lane alone; a stream error,
+// a drain or a cancellation, every lane of the reading. A lane's time is
+// the shared time (opens, waits, reads) plus its own; past the timeout it
+// fails as a deadline fault between batches. end reports lanes as they
+// end: a failed one at once, the finished ones together while the
+// stream's view is valid.
+type group struct {
+	ctx     context.Context
+	drain   <-chan struct{}
+	open    func() (batchStream, error)
+	cfg     Config
+	timeout time.Duration // per lane; 0 = none
+	lanes   []*lane
+	end     func(ended []*lane, exhausted bool)
+
+	start  time.Time
+	simSum time.Duration // the lanes' sim, summed
+}
+
+// run reads the trace until every lane has ended: a lane whose checkpoint
+// went stale reruns in a second reading. A panic outside the lanes' own
+// code fails every lane still live.
+func (g *group) run() {
+	g.start = time.Now()
+	defer func() {
+		if v := recover(); v != nil {
+			g.endLanes(g.live(), faults.NewPanicError(v, debug.Stack()), false)
 		}
-		if rec, ok := jc.j.Checkpoint(jc.key); ok && restore {
-			if err := restoreCellState(rec.State, ln.loop, ln.p); err != nil {
-				ln.loop.release()
-				*ln = lane{p: newPs[0](), loop: newRunLoop(cfg)} // bad checkpoint: restart clean
-			} else {
-				consumed, toSkip, lastCkpt = rec.Events, rec.Events, rec.Events
-				verify = true
-			}
+	}()
+	for live := g.live(); len(live) > 0; live = g.live() {
+		g.read(live)
+	}
+}
+
+func (g *group) live() []*lane {
+	return slices.DeleteFunc(slices.Clone(g.lanes), func(ln *lane) bool { return ln.ended })
+}
+
+// reading drops the lanes that ended or sit out the reading, in place.
+func reading(lanes []*lane) []*lane {
+	return slices.DeleteFunc(lanes, func(ln *lane) bool { return ln.ended || ln.loop == nil })
+}
+
+// read is one reading of the trace for lanes.
+func (g *group) read(lanes []*lane) {
+	stream, err := g.open()
+	if err != nil {
+		g.endLanes(lanes, err, false)
+		return
+	}
+	defer stream.close()
+	for _, ln := range lanes {
+		if err := guarded(func() error { ln.begin(g.cfg); return nil }); err != nil {
+			g.endLanes([]*lane{ln}, err, false)
 		}
 	}
-	for {
-		if err := interruptErr(ctx, drain); err != nil {
-			if errors.Is(err, faults.ErrDrained) {
+	col := g.cfg.Metrics
+	for lanes = reading(lanes); len(lanes) > 0; lanes = reading(lanes) {
+		if err := interruptErr(g.ctx, g.drain); err != nil {
+			// On a drain each lane checkpoints what it consumed since its
+			// last checkpoint, so a resumed sweep continues mid-trace.
+			drained := errors.Is(err, faults.ErrDrained)
+			if drained {
 				col.Ctr(obs.CtrDraining).Store(1)
-				if every > 0 && consumed > lastCkpt {
-					if cerr := jc.checkpoint(ln.loop, ln.p, consumed); cerr != nil {
-						return cerr
+			}
+			for _, ln := range lanes {
+				if drained && ln.every > 0 && ln.consumed > ln.lastCkpt {
+					if cerr := guarded(ln.checkpoint); cerr != nil {
+						ln.err = cerr
 					}
 				}
 			}
-			return err
+			g.endLanes(lanes, err, false)
+			return
+		}
+		expired := false
+		for _, ln := range lanes {
+			if g.timeout > 0 && time.Since(g.start)-(g.simSum-ln.sim) >= g.timeout {
+				g.endLanes([]*lane{ln}, mapDeadline(context.DeadlineExceeded), false)
+				expired = true
+			}
+		}
+		if expired {
+			continue
 		}
 		b, v, err := stream.next()
 		if err != nil && err != io.EOF {
-			return err
+			g.endLanes(lanes, err, false)
+			return
 		}
-		if verify {
-			// Skip the restored prefix: the loop and predictor already
-			// account for these records. Then the checkpoint must name the
-			// trace's first branches, in order.
-			n := min(toSkip, uint64(len(b)))
-			for _, r := range b[:n] {
-				skippedHW = max(skippedHW, v.Statics[r.ID].IPID+1)
+		stop := err == io.EOF
+		var events uint64
+		for _, ln := range lanes {
+			recs := b
+			if ln.verify {
+				// Pass over the prefix the restored state accounts for.
+				n := min(ln.skip, uint64(len(b)))
+				for _, r := range b[:n] {
+					ln.skipHW = max(ln.skipHW, v.Statics[r.ID].IPID+1)
+				}
+				if ln.skip -= n; ln.skip == 0 {
+					ln.settle(v)
+				}
+				if recs = b[n:]; ln.verify || ln.loop == nil {
+					continue
+				}
 			}
-			toSkip -= n
-			b = b[n:]
-			if toSkip > 0 && err == nil {
+			if len(recs) == 0 {
 				continue
 			}
-			if toSkip > 0 || !ln.loop.matches(v, skippedHW) {
-				return errStaleCheckpoint
+			stage, t := ln.loop.stage(), time.Now()
+			var limit bool
+			err := guarded(func() error {
+				limit = ln.loop.process(recs, v, ln.p)
+				ln.consumed += uint64(len(recs))
+				if !limit && ln.every > 0 && ln.consumed-ln.lastCkpt >= ln.every {
+					return ln.checkpoint()
+				}
+				return nil
+			})
+			d := time.Since(t)
+			ln.sim, g.simSum = ln.sim+d, g.simSum+d
+			col.Stage(stage).Add(d)
+			if err != nil {
+				g.endLanes([]*lane{ln}, err, false)
+				continue
 			}
-			verify = false
-			ln.loop.setView(v)
+			events = max(events, uint64(len(recs))) // each record of the stream counts once
+			stop = stop || limit
 		}
-		if err == io.EOF {
-			finish(lanes, true)
-			return nil
-		}
-		if len(b) == 0 {
-			continue
-		}
-		simStage := ln.loop.stage()
-		tSim := col.Now()
-		stop := false
-		for i := range lanes {
-			if lanes[i].loop.process(b, v, lanes[i].p) {
-				stop = true
-			}
-		}
-		col.Stage(simStage).Since(tSim)
-		col.Ctr(obs.CtrEvents).Add(uint64(len(b)))
-		consumed += uint64(len(b))
+		col.Ctr(obs.CtrEvents).Add(events)
 		if stop {
-			// Instruction limit hit: a pending decode error past the stop
-			// point is moot.
-			finish(lanes, false)
-			return nil
-		}
-		if every > 0 && consumed-lastCkpt >= every {
-			if err := jc.checkpoint(ln.loop, ln.p, consumed); err != nil {
-				return err
+			// The end of the trace or the instruction limit: a pending
+			// decode error past the stop point is moot.
+			lanes = reading(lanes)
+			for _, ln := range lanes {
+				if ln.verify {
+					ln.settle(v)
+				}
 			}
-			lastCkpt = consumed
+			if lanes = reading(lanes); len(lanes) > 0 {
+				g.endLanes(lanes, nil, err == io.EOF)
+			}
+			return
 		}
 	}
+}
+
+// endLanes ends lanes, failed with err unless nil (a lane keeps an error
+// of its own), stamps their time, reports them and returns their counters
+// to the pool.
+func (g *group) endLanes(lanes []*lane, err error, exhausted bool) {
+	now := time.Since(g.start)
+	for _, ln := range lanes {
+		ln.ended, ln.elapsed = true, now-(g.simSum-ln.sim)
+		if ln.err == nil {
+			ln.err = err
+		}
+	}
+	g.end(lanes, exhausted)
+	for _, ln := range lanes {
+		ln.loop.release()
+	}
+}
+
+// runCell is one simulation cell, a group of one lane: a fresh predictor
+// from newP over a batch stream from open, observing ctx and the drain
+// between batches. With jc it restores the cell's journalled checkpoint,
+// checkpoints every jc.every records and again on a drain, and reruns on a
+// fresh stream when the checkpoint turns out not to match the trace. With
+// a nil jc and a nil drain it is the plain loop of Run.
+func runCell(ctx context.Context, drain <-chan struct{}, open func() (batchStream, error), newP func() bp.Predictor, cfg Config, jc *cellJournal) (res *Result, err error) {
+	ln := &lane{newP: newP, jc: jc}
+	g := &group{ctx: ctx, drain: drain, open: open, cfg: cfg, lanes: []*lane{ln},
+		end: func(_ []*lane, exhausted bool) { res, err = ln.result(cfg, exhausted) }}
+	g.run()
+	return res, err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/obs"
@@ -23,8 +24,8 @@ type ChunkedTrace interface {
 	TotalBranches() uint64
 	// DecodeChunk decodes chunk i, returning its events in trace order.
 	// On a decode failure the events preceding the fault are still
-	// returned. Must be safe for any concurrent calls, the same i
-	// included: the cells of a sweep share one open trace.
+	// returned. Must be safe for concurrent calls, the same i included;
+	// a trace group calls it from one goroutine, one chunk at a time.
 	DecodeChunk(i int) ([]bp.Event, error)
 	// Close releases the trace. In-flight DecodeChunk calls must have
 	// completed.
@@ -42,12 +43,12 @@ type chunkAppender interface {
 // chunkBufs recycles the event buffers of chunk loads.
 var chunkBufs = sync.Pool{New: func() any { return new([]bp.Event) }}
 
-// cachedStream reads a cell's trace through the shared cache, one chunk at
-// a time: it walks chunks 0…n−1, pinning each chunk's entry while its
+// cachedStream reads a trace through the shared cache, one chunk at a
+// time: it walks chunks 0…n−1, pinning each chunk's entry while its
 // batches are consumed and releasing it before the next chunk loads, so a
-// cell holds one chunk, not one trace. It pins the trace's static table for
-// the whole walk, and a chunk's load interns it before the walk moves on,
-// which keeps the table's ids in first-seen order (DESIGN.md, "Static
+// reading holds one chunk, not one trace. It pins the trace's static table
+// for the whole walk, and a chunk's load interns it before the walk moves
+// on, which keeps the table's ids in first-seen order (DESIGN.md, "Static
 // tables"). A trace without chunked access (ct nil) is a trace of one
 // chunk, its whole stream, cached under its own key (tracecache.Whole). A
 // chunk the cache cannot pin is decoded and interned directly, with the
@@ -60,7 +61,7 @@ type cachedStream struct {
 	id    string                                    // the cache key of the trace: TraceSource.ID
 	open  func() (bp.Reader, io.Closer, int, error) // the whole trace, with the policy's retries
 	col   *obs.Collector
-	ct    ChunkedTrace      // nil: the trace is read whole; owned by the sweep
+	ct    ChunkedTrace      // nil: the trace is read whole
 	tab   *tracecache.Table // the trace's static table, pinned for the walk
 
 	chunk int                   // next chunk to load
@@ -71,19 +72,33 @@ type cachedStream struct {
 	end   error                 // the current chunk's terminal error (io.EOF when clean)
 }
 
-// openStream opens the batch stream of one cell and loads its first chunk.
-// ct is the trace's chunked handle, shared with the sweep's other cells and
-// closed by the sweep. It is nil with the cache off and for a trace without
-// eligible chunked access (not indexed MLZS, unaligned, damaged trailer);
-// such a trace is read whole, and its reader reports any real damage with
-// the canonical diagnostics. A whole trace the cache cannot pin (or any
-// trace, with the cache off) is read afresh through a prefetching stream.
-// attempts counts the opens made, for failure accounting.
-func openStream(ctx context.Context, drain <-chan struct{}, cache *tracecache.Cache, ct ChunkedTrace, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
-	open := func() (bp.Reader, io.Closer, int, error) { return openWithRetry(ctx, drain, src, policy) }
+// openStream opens the batch stream of one reading and loads its first
+// chunk. Through the cache, a trace with eligible chunked access (indexed,
+// aligned MLZS) is walked chunk by chunk on a handle the stream opens and
+// closes; any other trace is read whole, and its reader reports any real
+// damage with the canonical diagnostics. A whole trace the cache cannot
+// pin (or any trace, with the cache off) is read afresh through a
+// prefetching stream. A non-zero deadline bounds the open, its retries and
+// the first load; later loads run under ctx alone. attempts counts the
+// opens made, for failure accounting.
+func openStream(ctx context.Context, deadline time.Time, drain <-chan struct{}, cache *tracecache.Cache, src TraceSource, policy Policy, col *obs.Collector) (s batchStream, attempts int, err error) {
+	octx := ctx
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		octx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	open := func() (bp.Reader, io.Closer, int, error) { return openWithRetry(octx, drain, src, policy) }
 	if cache != nil {
-		cs := &cachedStream{ctx: ctx, cache: cache, id: src.ID(), open: open, col: col, ct: ct, tab: cache.Pin(src.ID())}
-		if attempts, err = cs.load(); err != nil {
+		cs := &cachedStream{ctx: octx, cache: cache, id: src.ID(), open: open, col: col, tab: cache.Pin(src.ID())}
+		if src.OpenChunked != nil {
+			if ct, err := src.OpenChunked(); err == nil { // else not eligible: read whole
+				cs.ct = ct
+			}
+		}
+		attempts, err = cs.load()
+		cs.ctx = ctx
+		if err != nil {
 			cs.close()
 			return nil, attempts, err
 		}
@@ -143,7 +158,7 @@ func (s *cachedStream) load() (attempts int, err error) {
 	}
 	entry, err := s.cache.Acquire(s.ctx, s.col, s.id, unit, load)
 	if err != nil {
-		return 1, err // ctx ended while waiting on another cell's load
+		return 1, err // ctx ended while waiting on another reading's load
 	}
 	if !entry.TooBig() {
 		s.entry, s.cur, s.end = entry, entry.Batches(), entry.Err()
@@ -166,7 +181,7 @@ func (s *cachedStream) load() (attempts int, err error) {
 }
 
 // loadWhole loads a trace read whole: the retrying open, then the
-// batch-read loop, which stops at the cell's context.
+// batch-read loop, which stops at the stream's context.
 func (s *cachedStream) loadWhole(f *tracecache.Fill) (int, error) {
 	r, closer, attempts, err := s.open()
 	if err != nil {
@@ -207,12 +222,15 @@ func (s *cachedStream) decodeChunk(i int, buf *[]bp.Event) (evs []bp.Event, err 
 	return evs, err
 }
 
-// close unpins the current chunk and the table, so a cell that stops early
-// (instruction limit, drain, deadline) cannot leak a pin. The chunked trace
-// is the sweep's to close.
+// close unpins the current chunk and the table, so a reading that stops
+// early (instruction limit, drain, deadline) cannot leak a pin, and closes
+// the chunked trace.
 func (s *cachedStream) close() {
 	s.cache.Release(s.entry)
 	s.entry = nil
 	s.cache.Unpin(s.tab)
 	s.tab = nil
+	if s.ct != nil {
+		s.ct.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
+	}
 }

@@ -63,42 +63,53 @@ type CompareResult struct {
 // two lanes of the stream driver Run uses: every batch goes through p0's
 // runLoop, then p1's, kernels, warm-up and limit included. Both loops see
 // the same events, so both stop at the same one. As with Run, a panic
-// inside the reader returns a faults.ErrPredictorPanic-classified error,
-// and the reader is no longer in use when Compare returns.
+// inside the reader or a predictor returns a
+// faults.ErrPredictorPanic-classified error, and the reader is no longer in
+// use when Compare returns.
 func Compare(r bp.Reader, p0, p1 bp.Predictor, cfg Config) (*CompareResult, error) {
-	open := func() (batchStream, error) { return newPrefetchStream(r, nil, cfg.Metrics), nil }
-	return compareStream(open, p0, p1, cfg)
-}
-
-// compareStream is Compare over the stream from open.
-func compareStream(open func() (batchStream, error), p0, p1 bp.Predictor, cfg Config) (*CompareResult, error) {
 	if p0 == nil || p1 == nil {
 		return nil, ErrNilPredictor
 	}
+	open := func() (batchStream, error) { return newPrefetchStream(r, nil, cfg.Metrics), nil }
+	return compareStream(open, func() bp.Predictor { return p0 }, func() bp.Predictor { return p1 }, cfg)
+}
+
+// compareStream compares predictors from newP0 and newP1 over the stream
+// from open, as a group of two lanes.
+func compareStream(open func() (batchStream, error), newP0, newP1 func() bp.Predictor, cfg Config) (res *CompareResult, err error) {
 	start := time.Now()
-	var res *CompareResult
-	newPs := []func() bp.Predictor{func() bp.Predictor { return p0 }, func() bp.Predictor { return p1 }}
-	err := runStream(context.TODO(), nil, open, newPs, cfg, nil, false, func(lanes []lane, exhausted bool) {
-		l0, l1 := lanes[0].loop, lanes[1].loop
-		res = &CompareResult{
-			Metadata: CompareMetadata{
-				Simulator:              CompareName,
-				Version:                Version,
-				Trace:                  cfg.TraceName,
-				WarmupInstr:            cfg.WarmupInstructions,
-				SimulationInstr:        l0.simInstr(),
-				ExhaustedTrace:         exhausted,
-				NumConditionalBranches: l0.condBranches,
-				Predictor0:             predictorMetadata(p0),
-				Predictor1:             predictorMetadata(p1),
-			},
-			Metrics0:       l0.summary(),
-			Metrics1:       l1.summary(),
-			MostFailed:     compareMostFailed(l0, l1, cfg.MostFailedLimit),
-			SimulationTime: time.Since(start).Seconds(),
+	g := &group{ctx: context.TODO(), open: open, cfg: cfg, lanes: []*lane{{newP: newP0}, {newP: newP1}}}
+	g.end = func(ended []*lane, exhausted bool) {
+		for _, ln := range ended {
+			err = cmp.Or(err, ln.err) // a failed lane fails the comparison
 		}
-	})
-	return res, err // res is nil unless the stream finished
+		if err != nil {
+			return
+		}
+		err = guarded(func() error {
+			l0, l1 := ended[0].loop, ended[1].loop
+			res = &CompareResult{
+				Metadata: CompareMetadata{
+					Simulator:              CompareName,
+					Version:                Version,
+					Trace:                  cfg.TraceName,
+					WarmupInstr:            cfg.WarmupInstructions,
+					SimulationInstr:        l0.simInstr(),
+					ExhaustedTrace:         exhausted,
+					NumConditionalBranches: l0.condBranches,
+					Predictor0:             predictorMetadata(ended[0].p),
+					Predictor1:             predictorMetadata(ended[1].p),
+				},
+				Metrics0:       l0.summary(),
+				Metrics1:       l1.summary(),
+				MostFailed:     compareMostFailed(l0, l1, cfg.MostFailedLimit),
+				SimulationTime: time.Since(start).Seconds(),
+			}
+			return nil
+		})
+	}
+	g.run()
+	return res, err
 }
 
 // CompareSet compares fresh predictors from newP0 and newP1 over each
@@ -117,19 +128,26 @@ func CompareSet(sources []TraceSource, newP0, newP1 func() bp.Predictor, cfg Con
 	failures := make([]*TraceFailure, n)
 	col := cfg.Metrics
 	col.Ctr(obs.CtrCellsTotal).Store(uint64(n))
-	admitted := schedule(context.Background(), n, poolSize(workers, n), drain, col, func(i int) {
+	admitted := schedule(context.Background(), n, poolSize(workers, n), drain, col, func(i int, cellDone func(time.Duration)) {
 		src, cfg := sources[i], cfg
 		cfg.TraceName = src.Name
-		open := func() (batchStream, int, error) {
-			return openStream(context.Background(), nil, nil, nil, src, Policy{}, col)
+		start, attempts := time.Now(), 1
+		open := func() (batchStream, error) {
+			s, n, err := openStream(context.Background(), time.Time{}, nil, nil, src, Policy{}, col)
+			attempts = n
+			return s, err
 		}
-		results[i], failures[i] = runGuarded(src, open, func(open func() (batchStream, error)) (*CompareResult, error) {
-			return compareStream(open, newP0(), newP1(), cfg)
-		})
+		res, err := compareStream(open, newP0, newP1, cfg)
+		if err != nil {
+			failures[i] = newFailure(src.Name, err, attempts, time.Since(start))
+		}
+		results[i] = res
+		cellDone(time.Since(start))
 	})
 	for i := admitted; i < n; i++ {
 		failures[i] = drainedFailure(sources[i].Name)
 	}
+	col.Ctr(obs.CtrCellsDrained).Add(uint64(n - admitted))
 	return results, failures, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -26,14 +25,14 @@ type PredictorSpec struct {
 	New  func() bp.Predictor
 }
 
-// DefaultCacheBytes is the default decoded-trace cache budget of the
-// parallel scheduler: at 8 bytes per record, 1 GiB pins about 130M branches
-// of decoded trace, less the traces' static tables.
+// DefaultCacheBytes is the default budget of the daemon's decoded-trace
+// cache: at 8 bytes per record, 1 GiB pins about 130M branches of decoded
+// trace, less the traces' static tables.
 const DefaultCacheBytes int64 = 1 << 30
 
 // NewCache builds a decoded-trace cache from the budget convention of
-// sweep.RunOptions and daemon.Config: 0 means DefaultCacheBytes, negative
-// disables the cache (nil).
+// daemon.Config: 0 means DefaultCacheBytes, negative disables the cache
+// (nil).
 func NewCache(budget int64) *tracecache.Cache {
 	if budget == 0 {
 		budget = DefaultCacheBytes
@@ -43,13 +42,13 @@ func NewCache(budget int64) *tracecache.Cache {
 
 // ParallelOptions configures the parallel sweep scheduler.
 type ParallelOptions struct {
-	// Workers is the number of concurrent (trace, predictor) simulations.
-	// ≤ 0 means GOMAXPROCS.
+	// Workers is the number of trace groups run at once. ≤ 0 means
+	// GOMAXPROCS.
 	Workers int
-	// Cache is the decoded-trace cache the cells share. The caller owns
-	// it and may share it across sweeps (the daemon keeps one for its
-	// whole life). nil disables caching: every pair streams and re-decodes
-	// its trace.
+	// Cache, when non-nil, is the decoded-trace cache the trace groups read
+	// through, owned by the caller, who may share it across sweeps (the
+	// daemon keeps one for its whole life). nil streams every group: a
+	// sweep reads each trace once, so a cache of its own would never hit.
 	Cache *tracecache.Cache
 	// Policy is the per-pair failure policy: FailFast or SkipFailed, and
 	// the retry schedule of transient trace opens.
@@ -74,17 +73,17 @@ type ParallelOptions struct {
 	// and fail as resumable faults.ErrDrained, and the sweep returns with
 	// everything it finished. Drained failures never trip FailFast.
 	Drain <-chan struct{}
-	// CellTimeout bounds the wall time of one cell. An expired cell fails
-	// with a faults.ErrDeadline-classified failure and is journalled as
-	// final — a cell that blows its budget once will blow it again.
-	// 0 means no deadline.
+	// CellTimeout bounds one cell's time: its trace group's shared time
+	// (opens, waits, reads) plus its own simulation time. An expired cell
+	// fails with a faults.ErrDeadline-classified failure, journalled as
+	// final, while the other cells of its group go on. 0 means no deadline.
 	CellTimeout time.Duration
 }
 
 // SweepError is the error SweepParallel returns under FailFast: the
 // lowest-indexed (predictor, trace) failure observed before cancellation.
-// Cells are dispatched in groups of one trace per worker, predictor-major
-// inside a group (cellOrder), and cancellation stops the cells after a
+// Trace groups are dispatched trace by trace, a stream error fails every
+// cell of its group at once, and cancellation stops the groups after a
 // failure from running, so which pair is reported follows that order and,
 // with several workers, the timing of the failures. The text reads
 // "<predictor>: sim: trace "<name>": <cause>".
@@ -102,12 +101,12 @@ func (e *SweepError) Unwrap() error { return e.Err }
 
 // SweepParallel scores every predictor of a sweep over every trace of a
 // set — the championship workflow of §II, where a design is scored over
-// hundreds of traces — fanning the (trace, predictor) pairs across a
-// worker pool backed by a shared decoded-trace cache: each trace is read,
-// decompressed and decoded once (subject to the cache budget) and then
-// simulated by many predictors, instead of being re-decoded once per
-// predictor. Each cell owns a fresh predictor and its own stream, so no
-// locking touches the hot loop, which is the same loop as Run's.
+// hundreds of traces. A worker pool runs trace groups: one trace and its
+// predictors as lanes of one stream, so the trace is read and decoded
+// once for all of them. With fewer traces than workers, a trace's
+// predictors split into ceil(workers / traces) contiguous groups. Each
+// cell owns a fresh predictor and its own runLoop, so no locking touches
+// the hot loop, which is the same loop as Run's.
 //
 // A sweep scores predictors by their metrics (§VI), so a cell's Result is
 // the metrics-only form: the Result sim.Run would return with most_failed
@@ -117,19 +116,19 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // Results are deterministic regardless of completion order and worker
 // count: the returned slice is indexed like predictors, each
 // SetResult.Results like sources, and failures are listed in source order,
-// so one worker and many produce byte-identical JSON. A panic inside a
-// predictor or reader is recovered per cell and reported as a
-// faults.ErrPredictorPanic failure with the captured stack. Under
-// SkipFailed a failing pair costs exactly its own cell; under FailFast the
-// first failure cancels in-flight workers via context and is returned as a
-// *SweepError.
+// so one worker and many produce byte-identical JSON. A predictor panic
+// is recovered as a faults.ErrPredictorPanic failure of its cell alone,
+// with the captured stack; a stream error (a corrupt trace, a reader
+// panic) fails every live cell of the group. Under SkipFailed a failing
+// cell costs exactly itself; under FailFast the first failure cancels the
+// sweep via context and is returned as a *SweepError.
 //
 // With opts.Journal set the sweep is crash-safe and resumable: journalled
 // cells replay verbatim before dispatch, finished cells are appended
 // durably as they complete, and a drain (opts.Drain) checkpoints in-flight
-// cells so a later run with the same journal picks up mid-trace. Drained
-// cells surface as resumable faults.ErrDrained failures and never trip
-// FailFast — a drain is an interruption, not a verdict.
+// cells so a later run with the same journal picks up each mid-trace.
+// Drained cells surface as resumable faults.ErrDrained failures and never
+// trip FailFast — a drain is an interruption, not a verdict.
 func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config, opts ParallelOptions) ([]*SetResult, error) {
 	for _, ps := range predictors {
 		if ps.New == nil {
@@ -173,19 +172,7 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	}
 
 	workers := poolSize(opts.Workers, nP*nT)
-	pending := cellOrder(nP, nT, workers, skip)
-	cache := opts.Cache
-	chunked := make([]*sharedChunked, nT)
-	if cache != nil { // chunked access serves the cache only
-		for _, tk := range pending {
-			if open := sources[tk.ti].OpenChunked; open != nil {
-				if chunked[tk.ti] == nil {
-					chunked[tk.ti] = &sharedChunked{open: open}
-				}
-				chunked[tk.ti].cells++
-			}
-		}
-	}
+	groups := traceGroups(nP, nT, workers, skip)
 
 	col.Ctr(obs.CtrCellsTotal).Store(uint64(nP * nT))
 	col.Ctr(obs.CtrCellsReplayed).Store(uint64(replayed))
@@ -199,40 +186,41 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	// its caller asked for.
 	var jmu sync.Mutex
 	var jerr error
-	admitted := schedule(ctx, len(pending), workers, opts.Drain, col, func(i int) {
-		tk := pending[i]
-		res, fail := runPair(ctx, cache, chunked[tk.ti], sources[tk.ti], predictors[tk.pi], cfg, opts)
-		chunked[tk.ti].cellDone()
-		if fail != nil && errors.Is(fail.Err, context.Canceled) {
-			return // a cancellation echo, not a trace failure
-		}
-		results[tk.pi][tk.ti], failures[tk.pi][tk.ti] = res, fail
-		if fail != nil && fail.Resumable {
-			col.Ctr(obs.CtrCellsDrained).Add(1)
-			return // drained: not final, not journalled, no FailFast
-		}
-		if jnl != nil {
-			key := CellKey(sources[tk.ti], predictors[tk.pi].Name, cfg)
-			if err := journalCell(jnl, col, key, res, fail); err != nil {
-				jmu.Lock()
-				if jerr == nil {
-					jerr = err
+	admitted := schedule(ctx, len(groups), min(workers, len(groups)), opts.Drain, col, func(i int, cellDone func(time.Duration)) {
+		tg := groups[i]
+		runGroup(ctx, sources[tg.ti], predictors, tg.pis, cfg, opts, func(pi int, res *Result, fail *TraceFailure, d time.Duration) {
+			defer cellDone(d)
+			if fail != nil && errors.Is(fail.Err, context.Canceled) {
+				return // a cancellation echo, not a trace failure
+			}
+			results[pi][tg.ti], failures[pi][tg.ti] = res, fail
+			if fail != nil && fail.Resumable {
+				col.Ctr(obs.CtrCellsDrained).Add(1)
+				return // drained: not final, not journalled, no FailFast
+			}
+			if jnl != nil {
+				key := CellKey(sources[tg.ti], predictors[pi].Name, cfg)
+				if err := journalCell(jnl, col, key, res, fail); err != nil {
+					jmu.Lock()
+					if jerr == nil {
+						jerr = err
+					}
+					jmu.Unlock()
+					cancel()
 				}
-				jmu.Unlock()
+			}
+			if fail != nil && opts.Policy.Mode == FailFast {
 				cancel()
 			}
-		}
-		if fail != nil && opts.Policy.Mode == FailFast {
-			cancel()
-		}
+		})
 	})
 	// Everything the drain kept from admission is reported drained, so the
 	// caller can report (and later resume) exactly what remains.
-	for _, rest := range pending[admitted:] {
-		failures[rest.pi][rest.ti] = drainedFailure(sources[rest.ti].Name)
-	}
-	for _, h := range chunked {
-		h.close() // traces whose cells did not all run (cancelled, drained)
+	for _, tg := range groups[admitted:] {
+		for _, pi := range tg.pis {
+			failures[pi][tg.ti] = drainedFailure(sources[tg.ti].Name)
+		}
+		col.Ctr(obs.CtrCellsDrained).Add(uint64(len(tg.pis)))
 	}
 
 	out := make([]*SetResult, nP)
@@ -258,77 +246,68 @@ func SweepParallel(sources []TraceSource, predictors []PredictorSpec, cfg Config
 	return out, nil
 }
 
-// pair is one cell of a sweep: predictor pi over trace ti.
-type pair struct{ pi, ti int }
+// traceGroup is trace ti and the predictors pis, run as lanes of one stream.
+type traceGroup struct {
+	ti  int
+	pis []int
+}
 
-// cellOrder lists the cells to run, those skip marks left out, in dispatch
-// order: groups of one trace per worker, predictor-major inside a group.
-// The first cells of a group decode its traces on every worker at once
-// instead of queueing behind one load, and the nP cells of a trace still
-// cluster in time, so its cache entries are loaded once, read nP times,
-// and then become the eviction candidates.
-func cellOrder(nP, nT, workers int, skip [][]bool) []pair {
-	var pending []pair
-	w := max(workers, 1)
-	for g := 0; g < nT; g += w {
-		end := min(g+w, nT)
+// traceGroups lists a sweep's trace groups, trace by trace: the
+// predictors of each trace that skip leaves to run, split into
+// ceil(workers / nT) contiguous groups when there are fewer traces than
+// workers.
+func traceGroups(nP, nT, workers int, skip [][]bool) []traceGroup {
+	split := max(1, (workers+nT-1)/max(nT, 1))
+	var groups []traceGroup
+	for ti := range nT {
+		var pis []int
 		for pi := range nP {
-			for ti := g; ti < end; ti++ {
-				if !skip[pi][ti] {
-					pending = append(pending, pair{pi, ti})
-				}
+			if !skip[pi][ti] {
+				pis = append(pis, pi)
 			}
 		}
-	}
-	return pending
-}
-
-// runPair simulates one (trace, predictor) pair: it opens the pair's batch
-// stream, over the trace's shared chunked handle when it has one, and runs
-// it through runCell for a metrics-only Result, framed by runGuarded. With
-// a cell timeout configured the whole pair (opens and cache waits
-// included) runs under a per-cell deadline.
-func runPair(ctx context.Context, cache *tracecache.Cache, ch *sharedChunked, src TraceSource, pred PredictorSpec, cfg Config, opts ParallelOptions) (*Result, *TraceFailure) {
-	if opts.CellTimeout > 0 {
-		var cancelCell context.CancelFunc
-		ctx, cancelCell = context.WithTimeout(ctx, opts.CellTimeout)
-		defer cancelCell()
-	}
-	var jc *cellJournal
-	if opts.Journal != nil {
-		jc = &cellJournal{j: opts.Journal, key: CellKey(src, pred.Name, cfg), every: opts.CheckpointEvery, col: cfg.Metrics}
-	}
-	open := func() (batchStream, int, error) {
-		return openStream(ctx, opts.Drain, cache, ch.get(), src, opts.Policy, cfg.Metrics)
-	}
-	cfg.TraceName, cfg.metricsOnly = src.Name, true
-	return runGuarded(src, open, func(open func() (batchStream, error)) (*Result, error) {
-		return runCell(ctx, opts.Drain, open, pred.New, cfg, jc)
-	})
-}
-
-// runGuarded frames one cell of a trace set: simulate runs over streams
-// from open, which reports the opens it made. A panic anywhere in the cell
-// (predictor, reader, replayed decode) is recovered and classified, and an
-// error becomes the cell's TraceFailure, with the opens as its attempts.
-func runGuarded[R any](src TraceSource, open func() (batchStream, int, error), simulate func(open func() (batchStream, error)) (*R, error)) (result *R, failure *TraceFailure) {
-	start := time.Now()
-	attempts := 1
-	defer func() {
-		if v := recover(); v != nil {
-			result, failure = nil, newFailure(src.Name, faults.NewPanicError(v, debug.Stack()), attempts, start)
+		k := min(split, len(pis))
+		for j := range k {
+			groups = append(groups, traceGroup{ti, pis[j*len(pis)/k : (j+1)*len(pis)/k]})
 		}
-	}()
-	result, err := simulate(func() (s batchStream, err error) {
-		s, attempts, err = open()
-		return s, err
-	})
-	if err != nil {
-		// mapDeadline also covers a deadline surfacing through an open or a
-		// stream's terminal error rather than through interruptErr.
-		return nil, newFailure(src.Name, mapDeadline(err), attempts, start)
 	}
-	return result, nil
+	return groups
+}
+
+// runGroup runs the predictors pis over src as one trace group, reporting
+// each cell as it ends with its metrics-only Result or its failure, and its
+// time. A reading opens src with the policy's retries, through opts.Cache
+// when there is one.
+func runGroup(ctx context.Context, src TraceSource, predictors []PredictorSpec, pis []int, cfg Config, opts ParallelOptions, report func(pi int, res *Result, fail *TraceFailure, d time.Duration)) {
+	cfg.TraceName, cfg.metricsOnly = src.Name, true
+	lanes := make([]*lane, len(pis))
+	for i, pi := range pis {
+		lanes[i] = &lane{id: pi, newP: predictors[pi].New}
+		if opts.Journal != nil {
+			lanes[i].jc = &cellJournal{j: opts.Journal, key: CellKey(src, predictors[pi].Name, cfg), every: opts.CheckpointEvery, col: cfg.Metrics}
+		}
+	}
+	attempts, deadline := 1, time.Time{} // deadline bounds opens: the budget from the start
+	if opts.CellTimeout > 0 {
+		deadline = time.Now().Add(opts.CellTimeout)
+	}
+	g := &group{ctx: ctx, drain: opts.Drain, cfg: cfg, timeout: opts.CellTimeout, lanes: lanes}
+	g.open = func() (batchStream, error) {
+		s, n, err := openStream(ctx, deadline, opts.Drain, opts.Cache, src, opts.Policy, cfg.Metrics)
+		attempts = n
+		return s, err
+	}
+	g.end = func(ended []*lane, exhausted bool) {
+		for _, ln := range ended {
+			res, err := ln.result(cfg, exhausted)
+			var fail *TraceFailure
+			if err != nil { // mapDeadline: a deadline that ended an open or a stream
+				res, fail = nil, newFailure(src.Name, mapDeadline(err), attempts, ln.elapsed)
+			}
+			report(ln.id, res, fail, ln.elapsed)
+		}
+	}
+	g.run()
 }
 
 // poolSize is the worker count of a set of n cells: workers, GOMAXPROCS
@@ -341,13 +320,15 @@ func poolSize(workers, n int) int {
 }
 
 // schedule is the one worker pool of SweepParallel and CompareSet: workers
-// goroutines run cell(i) for i = 0…n−1 in order, each recording the cell's
-// time (cell_ns, its worker's stats), cells_done and the queue depth. Cells
-// handed out after ctx ended are skipped. The drain is checked before each
-// hand-off, so once it is closed no cell starts, even with a worker ready.
-// schedule returns the number admitted once they have all finished, and
-// counts the rest as drained; the caller reports them.
-func schedule(ctx context.Context, n, workers int, drain <-chan struct{}, col *obs.Collector, cell func(i int)) int {
+// goroutines run task(i) for i = 0…n−1 in order, a trace group or a
+// comparison. A task calls cellDone once per cell as the cell ends, with
+// the cell's time, which records cell_ns, cells_done and the queue depth;
+// its worker's stats get the task's time and cells. Tasks handed out
+// after ctx ended are skipped. The drain is checked before each hand-off,
+// so once it is closed no task starts, even with a worker ready. schedule
+// returns the number admitted once they have all finished; the caller
+// reports the rest drained.
+func schedule(ctx context.Context, n, workers int, drain <-chan struct{}, col *obs.Collector, task func(i int, cellDone func(d time.Duration))) int {
 	tasks := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -355,17 +336,21 @@ func schedule(ctx context.Context, n, workers int, drain <-chan struct{}, col *o
 		ws := col.Worker(w) // registered up front so snapshots list idle workers
 		go func() {
 			defer wg.Done()
+			var cells uint64
+			cellDone := func(d time.Duration) {
+				cells++
+				col.Hist(obs.HistCellNs).ObserveDuration(d)
+				col.Ctr(obs.CtrCellsDone).Add(1)
+				col.Ctr(obs.CtrQueueDepth).Store(col.Ctr(obs.CtrCellsTotal).Load() - col.Ctr(obs.CtrCellsDone).Load())
+			}
 			for i := range tasks {
 				if ctx.Err() != nil {
 					continue
 				}
-				tCell := col.Now()
-				cell(i)
-				cellDur := col.Now().Sub(tCell)
-				ws.Record(cellDur)
-				col.Hist(obs.HistCellNs).ObserveDuration(cellDur)
-				col.Ctr(obs.CtrCellsDone).Add(1)
-				col.Ctr(obs.CtrQueueDepth).Store(col.Ctr(obs.CtrCellsTotal).Load() - col.Ctr(obs.CtrCellsDone).Load())
+				tTask := col.Now()
+				cells = 0
+				task(i, cellDone)
+				ws.Record(col.Now().Sub(tTask), cells)
 			}
 		}()
 	}
@@ -385,71 +370,10 @@ admit:
 	}
 	if admitted < n {
 		col.Ctr(obs.CtrDraining).Store(1)
-		col.Ctr(obs.CtrCellsDrained).Add(uint64(n - admitted))
 	}
 	close(tasks)
 	wg.Wait()
 	return admitted
-}
-
-// sharedChunked is one trace's chunked access, shared by the cells of a
-// sweep. Opening validates the container by decoding its chunk 0, so the
-// sweep opens each trace at most once, on the first cell that reads it, and
-// closes it once the trace's last cell has finished. A failed open is the
-// verdict for every cell of the trace: each streams it whole. A nil
-// *sharedChunked is a trace without chunked access.
-type sharedChunked struct {
-	open func() (ChunkedTrace, error)
-
-	mu     sync.Mutex
-	opened bool         // open has been tried
-	ct     ChunkedTrace // nil until opened, and after a failed open or close
-	cells  int          // cells of the trace not yet finished
-}
-
-// get returns the trace's chunked handle, opening it on first use, or nil
-// when the trace has none or its open failed.
-func (h *sharedChunked) get() ChunkedTrace {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.opened {
-		h.opened = true
-		if ct, err := h.open(); err == nil {
-			h.ct = ct
-		}
-	}
-	return h.ct
-}
-
-// cellDone records that one cell of the trace has finished (its stream is
-// closed) and closes the handle after the last.
-func (h *sharedChunked) cellDone() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.cells--
-	last := h.cells == 0
-	h.mu.Unlock()
-	if last {
-		h.close()
-	}
-}
-
-// close releases the handle; later calls do nothing.
-func (h *sharedChunked) close() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.ct != nil {
-		h.ct.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
-		h.ct = nil
-	}
 }
 
 // openWithRetry opens a trace source with the policy's transient-open

@@ -111,14 +111,7 @@ func classErr(class string) error {
 
 // drainedFailure marks a cell the drain stopped before it was admitted.
 func drainedFailure(trace string) *TraceFailure {
-	err := fmt.Errorf("not started: %w", faults.ErrDrained)
-	return &TraceFailure{
-		Trace:     trace,
-		Class:     faults.Class(err),
-		Message:   err.Error(),
-		Resumable: true,
-		Err:       err,
-	}
+	return newFailure(trace, fmt.Errorf("not started: %w", faults.ErrDrained), 0, 0)
 }
 
 // mapDeadline rewrites a cell-timeout expiry into the typed deadline fault;
@@ -131,20 +124,16 @@ func mapDeadline(err error) error {
 	return err
 }
 
-// interruptErr reports why an in-flight cell must stop: the sweep is
-// draining (faults.ErrDrained, resumable), its deadline expired
-// (faults.ErrDeadline), or the sweep was cancelled (raw context.Canceled).
-// nil means keep going; a nil drain channel never fires.
+// interruptErr reports why an in-flight reading must stop: the sweep is
+// draining (faults.ErrDrained, resumable) or was cancelled (raw
+// context.Canceled). nil means keep going; a nil drain channel never fires.
 func interruptErr(ctx context.Context, drain <-chan struct{}) error {
 	select {
 	case <-drain:
 		return fmt.Errorf("interrupted: %w", faults.ErrDrained)
 	default:
 	}
-	if err := ctx.Err(); err != nil {
-		return mapDeadline(err)
-	}
-	return nil
+	return ctx.Err()
 }
 
 // cellJournal is the journalling context of one in-flight cell.

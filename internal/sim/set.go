@@ -164,13 +164,13 @@ type SetResult struct {
 	Failures []TraceFailure
 }
 
-func newFailure(trace string, err error, attempts int, start time.Time) *TraceFailure {
+func newFailure(trace string, err error, attempts int, d time.Duration) *TraceFailure {
 	f := &TraceFailure{
 		Trace:     trace,
 		Class:     faults.Class(err),
 		Message:   err.Error(),
 		Attempts:  attempts,
-		Seconds:   time.Since(start).Seconds(),
+		Seconds:   d.Seconds(),
 		Resumable: errors.Is(err, faults.ErrDrained),
 		Err:       err,
 	}

@@ -131,9 +131,9 @@ func newRunLoop(cfg Config) *runLoop {
 }
 
 // release returns the loop's counters to their pool, once; l must not be
-// used again.
+// used again. A nil loop holds nothing.
 func (l *runLoop) release() {
-	if l.counters != nil {
+	if l != nil && l.counters != nil {
 		l.counters.release()
 		l.counters = nil
 	}
@@ -249,11 +249,11 @@ func (l *runLoop) processKernel(recs []tracecache.Record, kp bp.BatchPredictor) 
 }
 
 // result assembles the final Result from the loop state, timed as
-// obs.StageResult, and returns the counters to their pool. It is Listing
-// 1's whole report, or with cfg.metricsOnly the result of a sweep cell:
-// most_failed nil and num_most_failed_branches 0, the per-branch counters
-// unread.
-func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.Time) *Result {
+// obs.StageResult, and returns the counters to their pool; elapsed is the
+// run's simulation time. It is Listing 1's whole report, or with
+// cfg.metricsOnly the result of a sweep cell: most_failed nil and
+// num_most_failed_branches 0, the per-branch counters unread.
+func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, elapsed time.Duration) *Result {
 	tRes := l.col.Now()
 	defer l.col.Stage(obs.StageResult).Since(tRes)
 	simInstr := l.simInstr()
@@ -276,7 +276,7 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, start time.
 		MPKI:           m.MPKI,
 		Mispredictions: m.Mispredictions,
 		Accuracy:       m.Accuracy,
-		SimulationTime: time.Since(start).Seconds(),
+		SimulationTime: elapsed.Seconds(),
 	}
 	if !cfg.metricsOnly && l.mispredictions > 0 {
 		hw := l.hw
@@ -328,11 +328,11 @@ func (l *runLoop) stage() obs.Stage {
 // Run consumes the trace in batches (bp.ReadBatch) and decodes ahead: a
 // single prefetch goroutine double-buffers the next batch — including any
 // decompression the reader performs — while this goroutine simulates the
-// current one, in the same loop that runs every SweepParallel cell.
-// Results are identical to the scalar reference loop (RunScalar); a panic
-// inside the reader is converted to a faults.ErrPredictorPanic-classified
-// error, as a sweep classifies it. The reader is no longer in use when Run
-// returns.
+// current one, as a one-lane group of the stream driver that runs every
+// SweepParallel trace group. Results are identical to the scalar reference
+// loop (RunScalar); a panic inside the reader or the predictor is
+// converted to a faults.ErrPredictorPanic-classified error, as a sweep
+// classifies it. The reader is no longer in use when Run returns.
 func Run(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 	open := func() (batchStream, error) { return newPrefetchStream(r, nil, cfg.Metrics), nil }
 	return runCell(context.TODO(), nil, open, func() bp.Predictor { return p }, cfg, nil)
@@ -368,7 +368,7 @@ func RunScalar(r bp.Reader, p bp.Predictor, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	return loop.result(p, cfg, exhausted, start), nil
+	return loop.result(p, cfg, exhausted, time.Since(start)), nil
 }
 
 // careful simulates events one at a time with the warm-up and limit checks

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/sim/journal"
@@ -102,14 +103,15 @@ func TestStaticTableFirstSeenOrder(t *testing.T) {
 		cache := tracecache.New(full.Size() + int64(len(evs)/len(ct.chunks))*16)
 		id := fmt.Sprintf("trace-%d", round)
 		tab := cache.Pin(id) // outlives the cells, to be checked after them
-		src := TraceSource{Name: id, Open: func() (bp.Reader, io.Closer, error) { return &sliceReader{evs: evs}, nil, nil }}
+		src := TraceSource{Name: id, Open: func() (bp.Reader, io.Closer, error) { return &sliceReader{evs: evs}, nil, nil },
+			OpenChunked: func() (ChunkedTrace, error) { return ct, nil }}
 
 		var wg sync.WaitGroup
 		for cell := 0; cell < 4; cell++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s, _, err := openStream(context.Background(), nil, cache, ct, src, Policy{}, nil)
+				s, _, err := openStream(context.Background(), time.Time{}, nil, cache, src, Policy{}, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -251,17 +253,38 @@ func TestRunCellStaleCheckpointRestartsClean(t *testing.T) {
 	}
 }
 
-// TestSweepParallelCellOrder: cells go out in groups of one trace per
-// worker, predictor-major inside a group, without the skipped ones.
-func TestSweepParallelCellOrder(t *testing.T) {
-	skip := [][]bool{{false, false, false, false, false}, {false, true, false, false, false}}
-	got := cellOrder(2, 5, 2, skip)
-	want := []pair{{0, 0}, {0, 1}, {1, 0}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {0, 4}, {1, 4}}
-	if !slices.Equal(got, want) {
-		t.Errorf("order %v, want %v", got, want)
+// TestSweepParallelTraceGroups: a sweep runs trace by trace, each trace's
+// predictors that are not yet on record in one group, or in
+// ceil(workers / traces) contiguous groups when there are fewer traces
+// than workers, never in empty ones.
+func TestSweepParallelTraceGroups(t *testing.T) {
+	none := func(nP, nT int) [][]bool {
+		skip := make([][]bool, nP)
+		for pi := range skip {
+			skip[pi] = make([]bool, nT)
+		}
+		return skip
 	}
-	if got := cellOrder(2, 3, 1, [][]bool{make([]bool, 3), make([]bool, 3)}); !slices.Equal(got, []pair{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 2}}) {
-		t.Errorf("one worker: order %v, want trace-major", got)
+	skipped := none(2, 5)
+	skipped[1][1] = true
+	for _, tc := range []struct {
+		name            string
+		nP, nT, workers int
+		skip            [][]bool
+		want            []traceGroup
+	}{
+		{"one-per-trace", 2, 5, 2, skipped, []traceGroup{{0, []int{0, 1}}, {1, []int{0}}, {2, []int{0, 1}}, {3, []int{0, 1}}, {4, []int{0, 1}}}},
+		{"one-trace-split", 12, 1, 2, none(12, 1), []traceGroup{{0, []int{0, 1, 2, 3, 4, 5}}, {0, []int{6, 7, 8, 9, 10, 11}}}},
+		{"uneven-split", 3, 1, 2, none(3, 1), []traceGroup{{0, []int{0}}, {0, []int{1, 2}}}},
+		{"three-traces-four-workers", 4, 3, 4, none(4, 3), []traceGroup{{0, []int{0, 1}}, {0, []int{2, 3}}, {1, []int{0, 1}}, {1, []int{2, 3}}, {2, []int{0, 1}}, {2, []int{2, 3}}}},
+		{"fewer-predictors-than-parts", 1, 1, 4, none(1, 1), []traceGroup{{0, []int{0}}}},
+		{"all-on-record", 2, 1, 4, [][]bool{{true}, {true}}, nil},
+		{"no-traces", 2, 0, 4, none(2, 0), nil},
+	} {
+		got := traceGroups(tc.nP, tc.nT, tc.workers, tc.skip)
+		if !slices.EqualFunc(got, tc.want, func(a, b traceGroup) bool { return a.ti == b.ti && slices.Equal(a.pis, b.pis) }) {
+			t.Errorf("%s: groups %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -323,9 +346,12 @@ func TestCachePathsCountLikeRun(t *testing.T) {
 		{"chunked", 0, &memChunks{chunks}},
 		{"chunked-turned-away", 64, &memChunks{chunks}},
 	} {
-		cache := NewCache(tc.budget)
+		cache, src := NewCache(tc.budget), src
+		if tc.ct != nil {
+			src.OpenChunked = func() (ChunkedTrace, error) { return tc.ct, nil }
+		}
 		open := func() (batchStream, error) {
-			s, _, err := openStream(context.Background(), nil, cache, tc.ct, src, Policy{}, nil)
+			s, _, err := openStream(context.Background(), time.Time{}, nil, cache, src, Policy{}, nil)
 			return s, err
 		}
 		res, err := runCell(context.Background(), nil, open, smallGshare, cfg, nil)

@@ -1,8 +1,7 @@
-// Package tracecache is the shared decoded-trace cache behind the parallel
-// sweep scheduler: when P predictors are scored over T traces, each trace is
-// opened, decompressed and decoded once into pinned record batches and then
-// simulated by many predictors concurrently, instead of being re-decoded P
-// times.
+// Package tracecache is a decoded-trace cache shared across sweeps: a
+// trace read once is kept as pinned record batches, so a later reading of
+// the same bytes — by the daemon's next job — skips decompression and
+// decode.
 //
 // Each trace has one static Table in the cache, keyed like its entries. It
 // interns the trace's (IP, target, opcode) tuples in first-seen order, and
@@ -10,9 +9,8 @@
 // bp.Events. The table lives while any entry of its trace is resident or
 // any reader has it pinned (Pin), and its bytes count against the budget.
 //
-// The caller owns the cache and may share it across sweeps: the daemon holds
-// one for its whole life, so a job over traces an earlier job read decodes
-// nothing. Entries are keyed by content — the caller passes the trace's
+// The caller owns the cache: the daemon holds one for its whole life, so a
+// job over traces an earlier job read decodes nothing. Entries are keyed by content — the caller passes the trace's
 // digest when it has one, its path otherwise — so a trace file rewritten
 // between two sweeps gets a new key and never replays stale events. Metrics
 // go to the collector passed with each Acquire: a sweep's snapshot counts
@@ -39,12 +37,12 @@
 //     stream — with every event decoded before it. A limited run
 //     (sim.Config.SimInstructions) that stops before the fault succeeds,
 //     byte-identically to streaming, and a corrupt chunk poisons exactly
-//     the cells that read past it, never other entries.
+//     the readings that pass it, never other entries.
 //   - Transient failures (an open or a chunk decode failing outside the
 //     faults taxonomy, or the loader's context ending) reach every waiter
 //     of the load but are not cached. Any other error, including every
-//     error after a successful open, is cached so a 30-predictor sweep
-//     does not re-decode a damaged trace 30 times.
+//     error after a successful open, is cached so later readings do not
+//     re-decode a damaged trace.
 package tracecache
 
 import (
@@ -110,8 +108,7 @@ type key struct {
 }
 
 // Cache is a bounded, concurrency-safe store of decoded trace chunks. The
-// zero value is not usable; use New. A nil *Cache is valid and caches
-// nothing (every Acquire yields a too-big verdict).
+// zero value is not usable; use New.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -123,8 +120,8 @@ type Cache struct {
 }
 
 // New returns a cache bounded to budget bytes of decoded records and static
-// tables. A budget ≤ 0 disables caching: every Acquire reports too-big and
-// callers stream.
+// tables. A budget ≤ 0 returns nil, meaning no cache: callers check for it
+// and stream.
 func New(budget int64) *Cache {
 	if budget <= 0 {
 		return nil
@@ -135,22 +132,15 @@ func New(budget int64) *Cache {
 // Pin returns the static table of the trace identified by id, creating it,
 // and keeps it alive until Unpin: a reader walking the trace pins its table
 // for the whole walk, so the ids of the chunks it reads, cached or decoded
-// directly, come from one table. A nil cache returns a fresh table of the
-// caller's own.
+// directly, come from one table.
 func (c *Cache) Pin(id string) *Table {
-	if c == nil {
-		return NewTable()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pinLocked(id)
 }
 
-// Unpin releases a table obtained from Pin. Safe on tables of a nil cache.
+// Unpin releases a table obtained from Pin.
 func (c *Cache) Unpin(t *Table) {
-	if c == nil || t == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.unpinLocked(t)
@@ -192,9 +182,7 @@ func (c *Cache) chargeLocked(t *Table) {
 // entries to make room: the direct decode of a chunk the cache turned away.
 func (c *Cache) Intern(col *obs.Collector, t *Table, dst []Record, evs []bp.Event) ([]Record, error) {
 	dst, err := t.Intern(dst, evs)
-	if c != nil {
-		c.reserve(nil, 0, t, col)
-	}
+	c.reserve(nil, 0, t, col)
 	return dst, err
 }
 
@@ -233,8 +221,8 @@ func (e *Entry) Batches() [][]Record { return e.batches }
 func (e *Entry) Err() error { return e.err }
 
 // TooBig reports that the chunk was not pinned — its decoded form exceeds
-// the cache budget, the budget is pinned by other holders, or caching is
-// disabled — and the caller must read it uncached.
+// the cache budget, or the budget is pinned by other holders — and the
+// caller must read it uncached.
 func (e *Entry) TooBig() bool { return e.tooBig }
 
 // Attempts reports how many open attempts the load performed, for
@@ -254,9 +242,6 @@ func (e *Entry) Attempts() int { return e.attempts }
 // once, even when Err reports a failure or TooBig is set. A non-nil error is
 // returned only when ctx ends while waiting for another goroutine's load.
 func (c *Cache) Acquire(ctx context.Context, col *obs.Collector, id string, chunk int, load LoadFunc) (*Entry, error) {
-	if c == nil {
-		return &Entry{attempts: 1, tooBig: true}, nil
-	}
 	k := key{id, chunk}
 	for {
 		c.mu.Lock()
@@ -305,9 +290,9 @@ func isContextErr(err error) bool {
 
 // Release unpins an entry obtained from Acquire. Once an entry's last
 // holder releases it, it becomes eligible for LRU eviction. Safe on a nil
-// entry and on entries from a nil (disabled) cache.
+// entry.
 func (c *Cache) Release(e *Entry) {
-	if e == nil || e.c == nil {
+	if e == nil {
 		return
 	}
 	c.mu.Lock()
@@ -319,9 +304,6 @@ func (c *Cache) Release(e *Entry) {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats

@@ -336,17 +336,3 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 		t.Errorf("entry and table bytes sum %d != BytesUsed %d", sum, st.BytesUsed)
 	}
 }
-
-// TestAcquireChunkDisabledCache: a nil cache hands every chunk a too-big
-// verdict so callers decode directly.
-func TestAcquireChunkDisabledCache(t *testing.T) {
-	var c *Cache
-	e, err := c.Acquire(context.Background(), nil, "t", 0, countingChunkLoad(0, 10, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.TooBig() {
-		t.Error("disabled cache pinned a chunk")
-	}
-	c.Release(e)
-}

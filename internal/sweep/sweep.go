@@ -238,19 +238,15 @@ func (r *Resolved) Key() string {
 }
 
 // RunOptions configures one execution of a resolved sweep. The zero value
-// runs the scheduler with default workers and a default cache of its own.
+// runs the scheduler with default workers and no cache: each trace is read
+// once, by one trace group, whatever the number of values.
 type RunOptions struct {
 	// Jobs is the -j scheduler width. <= 0 means GOMAXPROCS.
 	Jobs int
 	// Cache, when non-nil, is the decoded-trace cache the run shares with
-	// its caller's other runs (the daemon passes its one cache to every
-	// job); CacheBytes is then ignored.
+	// its caller's other runs: the daemon passes its one cache to every
+	// job, so a job over traces an earlier job read decodes nothing.
 	Cache *tracecache.Cache
-	// CacheBytes budgets a decoded-trace cache built for this run alone
-	// when Cache is nil: 0 means sim.DefaultCacheBytes, negative disables
-	// the cache (see sim.NewCache). A sweep of one value builds none: each
-	// trace is read by one cell, which streams it.
-	CacheBytes int64
 	// Policy is the full failure policy, including the retry backoff the
 	// wire Spec does not carry.
 	Policy sim.Policy
@@ -269,12 +265,8 @@ type RunOptions struct {
 // value. Results and failure tables are deterministic and identical at
 // every Jobs width; a FailFast error reads "<spec>: sim: trace ...".
 func (r *Resolved) Run(opts RunOptions) ([]*sim.SetResult, error) {
-	cache := opts.Cache
-	if cache == nil && len(r.Preds) > 1 {
-		cache = sim.NewCache(opts.CacheBytes)
-	}
 	return sim.SweepParallel(r.Sources, r.Preds, sim.Config{Metrics: opts.Metrics}, sim.ParallelOptions{
-		Workers: opts.Jobs, Cache: cache, Policy: opts.Policy,
+		Workers: opts.Jobs, Cache: opts.Cache, Policy: opts.Policy,
 		Metrics: opts.Metrics,
 		Journal: opts.Journal, CheckpointEvery: opts.CheckpointEvery,
 		Drain: opts.Drain, CellTimeout: opts.CellTimeout,

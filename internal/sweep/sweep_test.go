@@ -164,7 +164,7 @@ func TestRunJobsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	text1, json1, code1 := render(t, r, sweep.RunOptions{Jobs: 1})
-	for _, opts := range []sweep.RunOptions{{Jobs: 4}, {Jobs: 1, CacheBytes: -1}, {Jobs: 4, CacheBytes: -1}} {
+	for _, opts := range []sweep.RunOptions{{Jobs: 2}, {Jobs: 4}, {Jobs: 1, Cache: sim.NewCache(0)}, {Jobs: 4, Cache: sim.NewCache(0)}} {
 		text, js, code := render(t, r, opts)
 		if code != code1 || code != sweep.ExitOK {
 			t.Errorf("%+v: exit %d, want %d at -j 1 and ExitOK", opts, code, code1)
