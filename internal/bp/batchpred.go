@@ -39,6 +39,8 @@ type Prediction bool
 //     zero and one).
 //   - Neither call may retain branches or out; the caller owns and reuses
 //     both across calls. len(out) >= len(branches) is the caller's duty.
+//   - Neither call may modify branches: the simulator hands the same slice
+//     to the kernel of every predictor of a trace group in turn.
 //
 // The scalar methods remain the semantic reference; predtest's batch-kernel
 // conformance law enforces the equivalence registry-wide.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"mbplib/internal/bp"
@@ -367,6 +368,8 @@ func (r *faultAfterReader) Read() (bp.Event, error) {
 //   - final checkpoint byte-equality between the two paths,
 //   - PredictBatch purity (checkpoint bytes unchanged) and agreement with
 //     Predict,
+//   - that TrainBatch and PredictBatch leave their branches as they found
+//     them (the lanes of a sweep share one slice),
 //   - and sim-level equivalence when the trace faults mid-batch: Run and
 //     RunScalar must surface the identical reader error.
 //
@@ -374,11 +377,22 @@ func (r *faultAfterReader) Read() (bp.Event, error) {
 // scalar loop by construction.
 func CheckBatchKernelConformance(t *testing.T, newP func() bp.Predictor, branches uint64) {
 	t.Helper()
-	if _, ok := newP().(bp.BatchPredictor); !ok {
+	kp, ok := newP().(bp.BatchPredictor)
+	if !ok {
 		t.Skip("predictor does not implement bp.BatchPredictor")
 	}
 
 	events, stream := conformanceStream(t, branches)
+	in := slices.Clone(stream)
+	kp.TrainBatch(in, make([]bp.Prediction, len(in)))
+	if !slices.Equal(in, stream) {
+		t.Errorf("TrainBatch modified the branches it was given")
+	}
+	copy(in, stream)
+	kp.PredictBatch(in, make([]bp.Prediction, len(in)))
+	if !slices.Equal(in, stream) {
+		t.Errorf("PredictBatch modified the branches it was given")
+	}
 	kernel, scalar := CheckKernelMatchesScalar(t, newP, branches)
 	if kc, ok := kernel.(bp.Checkpointer); ok {
 		var kb, sb bytes.Buffer

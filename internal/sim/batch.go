@@ -357,6 +357,57 @@ func guarded(f func() error) (err error) {
 	return f()
 }
 
+// prepared is a batch made ready once for all lanes of a reading, by the
+// first lane to take the fast path: its branches gathered from the view,
+// one accounting word per record, the instructions it retires and 1 + its
+// highest IP id. The lanes share the prediction buffer as well: they run
+// one after another, and accounting reads back only the entries of
+// conditional branches, which each lane's own simulation wrote. Kernels
+// must not modify branches (bp.BatchPredictor).
+type prepared struct {
+	ready    bool // the current batch is prepared
+	span     uint64
+	hw       uint32
+	branches []bp.Branch
+	// acc is IP id<<2 | taken<<1 | conditional per record. IP ids fit in
+	// 30 bits: a trace with 2^30 distinct addresses would hold 8 GiB of
+	// them.
+	acc   []uint32
+	preds []bp.Prediction
+}
+
+// preparedBufs recycles the groups' batch buffers like recordBufs, so a
+// group of one lane (Run) allocates nothing for them in steady state. The
+// buffers hold no pointers.
+var preparedBufs = sync.Pool{New: func() any { return new(prepared) }}
+
+// prepare makes b, whose ids index v, the prepared batch unless it
+// already is. It always prepares the whole batch, whatever prefix a lane
+// passes over.
+func (pb *prepared) prepare(b []tracecache.Record, v tracecache.View) {
+	if pb.ready {
+		return
+	}
+	n := len(b)
+	if cap(pb.branches) < n {
+		pb.branches = make([]bp.Branch, n)
+		pb.acc = make([]uint32, n)
+		pb.preds = make([]bp.Prediction, n)
+	}
+	branches, acc := pb.branches[:n], pb.acc[:n]
+	statics := v.Statics
+	span, hw := uint64(n), uint32(0)
+	for i, r := range b {
+		s := &statics[r.ID]
+		branches[i] = s.Branch(r)
+		acc[i] = s.IPID<<2 | uint32(b2u(r.Taken()))<<1 | uint32(b2u(s.Opcode.IsConditional()))
+		span += r.Gap()
+		hw = max(hw, s.IPID+1)
+	}
+	pb.branches, pb.acc, pb.preds = branches, acc, pb.preds[:n]
+	pb.ready, pb.span, pb.hw = true, span, hw
+}
+
 // group is the one stream driver: Run is a group of one lane, Compare of
 // two, a sweep's trace group of one per predictor. A reading feeds every
 // batch of one stream to each lane in turn, so all lanes stop at the same
@@ -416,6 +467,8 @@ func (g *group) read(lanes []*lane) {
 			g.endLanes([]*lane{ln}, err, false)
 		}
 	}
+	pb := preparedBufs.Get().(*prepared)
+	defer preparedBufs.Put(pb)
 	col := g.cfg.Metrics
 	for lanes = reading(lanes); len(lanes) > 0; lanes = reading(lanes) {
 		if err := interruptErr(g.ctx, g.drain); err != nil {
@@ -451,9 +504,10 @@ func (g *group) read(lanes []*lane) {
 			return
 		}
 		stop := err == io.EOF
+		pb.ready = false
 		var events uint64
 		for _, ln := range lanes {
-			recs := b
+			off := 0
 			if ln.verify {
 				// Pass over the prefix the restored state accounts for.
 				n := min(ln.skip, uint64(len(b)))
@@ -463,18 +517,18 @@ func (g *group) read(lanes []*lane) {
 				if ln.skip -= n; ln.skip == 0 {
 					ln.settle(v)
 				}
-				if recs = b[n:]; ln.verify || ln.loop == nil {
+				if off = int(n); ln.verify || ln.loop == nil {
 					continue
 				}
 			}
-			if len(recs) == 0 {
+			if off == len(b) {
 				continue
 			}
 			stage, t := ln.loop.stage(), time.Now()
 			var limit bool
 			err := guarded(func() error {
-				limit = ln.loop.process(recs, v, ln.p)
-				ln.consumed += uint64(len(recs))
+				limit = ln.loop.process(b, off, v, ln.p, pb)
+				ln.consumed += uint64(len(b) - off)
 				if !limit && ln.every > 0 && ln.consumed-ln.lastCkpt >= ln.every {
 					return ln.checkpoint()
 				}
@@ -487,7 +541,7 @@ func (g *group) read(lanes []*lane) {
 				g.endLanes([]*lane{ln}, err, false)
 				continue
 			}
-			events = max(events, uint64(len(recs))) // each record of the stream counts once
+			events = max(events, uint64(len(b)-off)) // each record of the stream counts once
 			stop = stop || limit
 		}
 		col.Ctr(obs.CtrEvents).Add(events)

@@ -16,8 +16,10 @@ import (
 	"mbplib/internal/bp"
 	"mbplib/internal/faults"
 	"mbplib/internal/predictors/gshare"
+	"mbplib/internal/predictors/registry"
 	"mbplib/internal/sim"
 	"mbplib/internal/sim/journal"
+	"mbplib/internal/sim/tracecache"
 )
 
 // gsharePreds is n gshare configurations with distinct history lengths.
@@ -277,5 +279,161 @@ func TestSweepParallelCellTimeoutSlowLane(t *testing.T) {
 	diffSweeps(t, fast, par[1:], preds[1:])
 	if got, want := jnl.CellCount(), len(srcs)*len(preds); got != want {
 		t.Errorf("journal holds %d cells, want %d (deadline verdicts are final)", got, want)
+	}
+}
+
+// mixedLanes is a group's worth of predictors of every dispatch kind:
+// native kernels, a composed kernel (tournament), a predictor without a
+// kernel (yags) and a kernel stripped down to the scalar path.
+func mixedLanes(t *testing.T) []sim.PredictorSpec {
+	t.Helper()
+	var preds []sim.PredictorSpec
+	for _, spec := range []string{"gshare:h=8", "yags", "tournament", "bimodal"} {
+		if _, err := registry.New(spec); err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, sim.PredictorSpec{Name: spec, New: func() bp.Predictor {
+			p, _ := registry.New(spec) // checked above
+			return p
+		}})
+	}
+	return append(preds, sim.PredictorSpec{Name: "gshare-scalar", New: func() bp.Predictor { return bp.ScalarOnly(gshare.New()) }})
+}
+
+// prepConfigs put the end of warm-up and the instruction limit inside
+// batches, so that over the 20000-branch cbp5-train traces (about five
+// instructions per branch) each reading has edge batches as well as
+// prepared ones.
+var prepConfigs = []sim.Config{
+	{},
+	{WarmupInstructions: 5_000},
+	{WarmupInstructions: 5_000, SimInstructions: 60_000},
+	{SimInstructions: 30_001},
+}
+
+// TestGroupSharedPrepMatchesRun: lanes of every dispatch kind share each
+// prepared batch, and each lane's results are those of a Run of its
+// predictor alone, with warm-up and limits that end inside a batch, on one
+// worker (one group per trace) and on two.
+func TestGroupSharedPrepMatchesRun(t *testing.T) {
+	srcs := genSources(t, 20_000)[:3]
+	preds := mixedLanes(t)
+	for _, cfg := range prepConfigs {
+		want := sequentialSweep(t, srcs, preds, cfg)
+		for _, workers := range []int{1, 2} {
+			got, err := sim.SweepParallel(srcs, preds, cfg, sim.ParallelOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%+v, %d workers: %v", cfg, workers, err)
+			}
+			diffSweeps(t, want, got, preds)
+		}
+	}
+}
+
+// scribbler is gshare whose kernel simulates half of its first batch, then
+// inverts every prediction of the buffer the lanes share and panics.
+type scribbler struct{ *gshare.Predictor }
+
+func (p scribbler) TrainBatch(branches []bp.Branch, out []bp.Prediction) {
+	half := len(branches) / 2
+	p.Predictor.TrainBatch(branches[:half], out[:half])
+	for i := range branches {
+		out[i] = !out[i]
+	}
+	panic("scribbler: spoilt the batch")
+}
+
+// TestGroupPanickingKernelFailsAlone: a kernel that panics halfway through
+// a batch, after spoiling the predictions the lanes share, fails its own
+// lane; the lanes after it in the same group still match the oracle.
+func TestGroupPanickingKernelFailsAlone(t *testing.T) {
+	srcs := genSources(t, 20_000)[:3]
+	preds := append([]sim.PredictorSpec{{Name: "scribbler", New: func() bp.Predictor { return scribbler{gshare.New()} }}}, mixedLanes(t)...)
+	for _, cfg := range prepConfigs {
+		got, err := sim.SweepParallel(srcs, preds, cfg, sim.ParallelOptions{Workers: 1, Policy: sim.Policy{Mode: sim.SkipFailed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffSweeps(t, sequentialSweep(t, srcs, preds, cfg), got, preds)
+		if n := len(got[0].Failures); n != len(srcs) {
+			t.Errorf("%+v: scribbler failed on %d of %d traces", cfg, n, len(srcs))
+		}
+	}
+}
+
+// shortReader hands out at most n events per batch read.
+type shortReader struct {
+	bp.Reader
+	n int
+}
+
+func (r shortReader) ReadBatch(dst []bp.Event) (int, error) {
+	return bp.ReadBatch(r.Reader, dst[:min(len(dst), r.n)])
+}
+
+// TestGroupRestoresMidBatch: checkpoints taken on a reading in batches of
+// 1000 records restore on a reading in full batches, so the restored lanes
+// — a kernel and a scalar one — start partway into a prepared batch and
+// read its shared arrays from an offset, while fresh lanes read them
+// whole. Every lane ends byte-identical to an uninterrupted run.
+func TestGroupRestoresMidBatch(t *testing.T) {
+	spec := suiteSpecs(t, 30_000)[0]
+	src := genSource(spec)
+	short := sim.TraceSource{Name: src.Name, Open: func() (bp.Reader, io.Closer, error) {
+		r, closer, err := src.Open()
+		return shortReader{r, 1000}, closer, err
+	}}
+	var cond, instr uint64
+	for _, ev := range generate(t, spec) {
+		instr += ev.InstrsSinceLastBranch + 1
+		if ev.Branch.IsConditional() {
+			cond++
+		}
+	}
+	for _, cfg := range []sim.Config{
+		{WarmupInstructions: 5_000},
+		{WarmupInstructions: 5_000, SimInstructions: instr * 3 / 4},
+	} {
+		dir := t.TempDir()
+		// Drain a reading of the short batches once the spy has made a third
+		// of its predictions: both lanes checkpoint where it stopped.
+		jnl := openJournal(t, dir)
+		drain := make(chan struct{})
+		var once sync.Once
+		var n atomic.Uint64
+		kernel := sim.PredictorSpec{Name: "gshare-h12", New: func() bp.Predictor { return gshare.New(gshare.WithHistoryLength(12)) }}
+		drained := []sim.PredictorSpec{namedSpy("spy", 10, &n, cond/3, func() { once.Do(func() { close(drain) }) }), kernel}
+		if _, err := sim.SweepParallel([]sim.TraceSource{short}, drained, cfg, sim.ParallelOptions{
+			Workers: 1, Journal: jnl, CheckpointEvery: 1 << 40, Drain: drain,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range drained {
+			ck, ok := jnl.Checkpoint(sim.CellKey(src, ps.Name, cfg))
+			if !ok || ck.Events%tracecache.BatchEvents == 0 {
+				t.Fatalf("%s: checkpoint %v at %d events, want one inside a full batch", ps.Name, ok, ck.Events)
+			}
+		}
+
+		var full, resumed atomic.Uint64
+		preds := append([]sim.PredictorSpec{namedSpy("spy", 10, &resumed, 0, nil), kernel}, mixedLanes(t)...)
+		var built atomic.Int32
+		inner := preds[1].New
+		preds[1].New = func() bp.Predictor { built.Add(1); return inner() }
+		got, err := sim.SweepParallel([]sim.TraceSource{src}, preds, cfg, sim.ParallelOptions{Workers: 1, Journal: jnl, CheckpointEvery: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		oracle := append([]sim.PredictorSpec{namedSpy("spy", 10, &full, 0, nil), kernel}, mixedLanes(t)...)
+		diffSweeps(t, sequentialSweep(t, []sim.TraceSource{src}, oracle, cfg), got, preds)
+		if r, f := resumed.Load(), full.Load(); r == 0 || r >= f {
+			t.Errorf("%+v: the spy made %d predictions on resume vs %d uninterrupted: its prefix was not skipped", cfg, r, f)
+		}
+		if b := built.Load(); b != 1 {
+			t.Errorf("%+v: the kernel lane built %d predictors, want 1 (checkpoint accepted)", cfg, b)
+		}
 	}
 }

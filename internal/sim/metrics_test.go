@@ -6,6 +6,7 @@ package sim_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"mbplib/internal/bp"
@@ -133,25 +134,35 @@ func TestSweepParallelMetricsPopulated(t *testing.T) {
 // TestRunMetricsNoExtraAllocs is the hot-loop allocation guard: running the
 // batched pipeline with an enabled collector must allocate no more than
 // running it with metrics disabled — instrumentation is counters and clock
-// reads, never per-batch or per-event allocation.
+// reads, never per-batch or per-event allocation. The trace spans 25
+// batches, so one allocation per batch is past the slack. Each side is the
+// least of several measurements: a run whose pooled buffers, tables or
+// counters were dropped allocates them afresh, which under -race (where a
+// sync.Pool drops a quarter of what it is given) moves single runs by more
+// than the slack.
 func TestRunMetricsNoExtraAllocs(t *testing.T) {
-	spec := equivSpec(20000)
+	spec := equivSpec(25 * 4096)
 	readers := equivReaders(t, spec)
 	newReader := readers["sbbt"]
 	col := obs.New() // reused across runs: steady-state collection
 
 	runWith := func(c *obs.Collector) float64 {
 		cfg := sim.Config{TraceName: "t", Metrics: c}
-		return testing.AllocsPerRun(3, func() {
-			if _, err := sim.Run(newReader(), gshare.New(), cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
+		least := math.Inf(1)
+		for range 10 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				if _, err := sim.Run(newReader(), gshare.New(), cfg); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
 	}
 	base := runWith(nil)
 	metered := runWith(col)
-	// Small slack for goroutine scheduling variance; the real failure mode —
-	// an allocation per batch or per event — is thousands over this trace.
+	// Small slack for pool and scheduling variance; the real failure mode —
+	// an allocation per batch or per event — is 25 or 102400 over this
+	// trace.
 	if metered > base+8 {
 		t.Errorf("metrics added allocations: %v with vs %v without", metered, base)
 	}

@@ -146,41 +146,43 @@ func (l *runLoop) setView(v tracecache.View) {
 	l.grow(len(v.IPs))
 }
 
-// process consumes one batch of records, whose ids index v, returning true
-// when the instruction limit was reached and the simulation must stop
-// mid-trace.
+// process consumes one batch of records from off on, whose ids index v,
+// returning true when the instruction limit was reached and the simulation
+// must stop mid-trace. pb is the preparation of the batch that every lane
+// of the reading shares, made on first need; off is non-zero only for a
+// lane that passes over the prefix a restored checkpoint accounts for.
 //
 // When the warm-up window is already behind and the batch's instructions
-// cannot reach the limit, the whole batch runs through a fast path with the warm-up and limit checks hoisted out of
-// the per-event loop — and, for predictors with a native BatchPredictor
-// kernel, through one TrainBatch call for the entire batch. Batches
-// straddling a warm-up or limit boundary (the edge batches) fall back to
-// careful, which is also the body of the scalar reference loop, so
-// boundary semantics are decided by exactly one piece of code on either
-// dispatch path.
-func (l *runLoop) process(recs []tracecache.Record, v tracecache.View, p bp.Predictor) bool {
+// cannot reach the limit, the batch runs through the fast path: the
+// prepared branches go to the predictor in one bp.SimulateBatch call — one
+// TrainBatch for predictors with a native kernel, the scalar
+// Predict/Train/Track sequence otherwise — and one branch-free pass folds
+// the recorded predictions into the counters. Batches straddling a warm-up
+// or limit boundary (the edge batches) fall back to careful, which is also
+// the body of the scalar reference loop, so boundary semantics are decided
+// by exactly one piece of code on either dispatch path.
+func (l *runLoop) process(b []tracecache.Record, off int, v tracecache.View, p bp.Predictor, pb *prepared) bool {
 	l.setView(v)
+	recs := b[off:]
 	l.col.Hist(obs.HistBatchEvents).Observe(uint64(len(recs)))
-	if l.instr >= l.warmup && (l.limit == 0 || l.instr+span(recs) < l.limit) {
-		if kp, ok := p.(bp.BatchPredictor); ok {
-			l.col.Ctr(obs.CtrDispatchKernel).Add(1)
-			l.processKernel(recs, kp)
+	if l.instr >= l.warmup {
+		pb.prepare(b, v)
+		instrs := pb.span
+		if off > 0 {
+			instrs = span(recs)
+		}
+		if l.limit == 0 || l.instr+instrs < l.limit {
+			if _, ok := p.(bp.BatchPredictor); ok {
+				l.col.Ctr(obs.CtrDispatchKernel).Add(1)
+			} else {
+				l.col.Ctr(obs.CtrDispatchScalar).Add(1)
+			}
+			l.simulate(p, pb, off)
+			// The batch's highest IP id serves a restored lane too: settle
+			// made sure its hw covers the prefix it passed over.
+			l.instr, l.hw = l.instr+instrs, max(l.hw, pb.hw)
 			return false
 		}
-		l.col.Ctr(obs.CtrDispatchScalar).Add(1)
-		statics := v.Statics
-		for _, r := range recs {
-			s := &statics[r.ID]
-			l.instr += r.Gap() + 1
-			b := s.Branch(r)
-			l.hw = max(l.hw, s.IPID+1)
-			if b.Opcode.IsConditional() {
-				l.count(s.IPID, p.Predict(b.IP) != b.Taken)
-				p.Train(b)
-			}
-			p.Track(b)
-		}
-		return false
 	}
 	l.col.Ctr(obs.CtrDispatchScalar).Add(1)
 	return l.careful(recs, p)
@@ -206,46 +208,30 @@ func (l *runLoop) count(id uint32, mispredicted bool) {
 	l.missed[id] += m
 }
 
-// processKernel runs one full post-warm-up batch through the predictor's
-// native kernel: the records' branches are gathered from the static table
-// into a reusable contiguous view, TrainBatch simulates them in one virtual
-// call, and a second pass folds the recorded predictions into the counters,
-// indexed by IP id. Splitting simulation from accounting keeps the kernel
-// free of counter traffic (so predictor tables stay hot in cache) while
-// producing exactly the counters the scalar loop accumulates. Only called
-// on batches where warm-up is behind and the limit is unreachable, so
-// neither check appears here.
-func (l *runLoop) processKernel(recs []tracecache.Record, kp bp.BatchPredictor) {
-	n := len(recs)
-	if cap(l.branchBuf) < n {
-		l.branchBuf = make([]bp.Branch, n)
-		l.predBuf = make([]bp.Prediction, n)
-		l.accBuf = make([]uint32, n)
-	}
-	branches, preds, acc := l.branchBuf[:n], l.predBuf[:n], l.accBuf[:n]
-	statics := l.view.Statics
-	instr := l.instr
-	for i, r := range recs {
-		s := &statics[r.ID]
-		branches[i] = s.Branch(r)
-		acc[i] = s.IPID<<1 | uint32(b2u(s.Opcode.IsConditional()))
-		instr += r.Gap() + 1
-	}
-	kp.TrainBatch(branches, preds)
-	occ, missed := l.occ, l.missed
-	hw, cond, miss := l.hw, l.condBranches, l.mispredictions
+// simulate runs the prepared batch from off on through p and folds the
+// predictions into the counters, indexed by IP id. Splitting simulation
+// from accounting keeps the kernel free of counter traffic (so predictor
+// tables stay hot in cache) while producing exactly the counters the
+// scalar loop accumulates. The accounting pass has no branch: a
+// non-conditional record adds zero, whatever its stale prediction.
+func (l *runLoop) simulate(p bp.Predictor, pb *prepared, off int) {
+	// Slices of equal length let the loop index preds and missed unchecked.
+	acc := pb.acc[off:]
+	preds := pb.preds[off:][:len(acc)]
+	bp.SimulateBatch(p, pb.branches[off:], preds)
+	occ := l.occ
+	missed := l.missed[:len(occ)]
+	cond, miss := l.condBranches, l.mispredictions
 	for i, a := range acc {
-		id := a >> 1
-		hw = max(hw, id+1)
-		if a&1 != 0 {
-			m := b2u(bool(preds[i]) != branches[i].Taken)
-			cond++
-			miss += m
-			occ[id]++
-			missed[id] += m
-		}
+		c := uint64(a & 1)
+		m := (b2u(bool(preds[i])) ^ uint64(a>>1&1)) & c
+		id := a >> 2
+		occ[id] += c
+		missed[id] += m
+		cond += c
+		miss += m
 	}
-	l.instr, l.hw, l.condBranches, l.mispredictions = instr, hw, cond, miss
+	l.condBranches, l.mispredictions = cond, miss
 }
 
 // result assembles the final Result from the loop state, timed as

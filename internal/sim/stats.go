@@ -4,26 +4,14 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-
-	"mbplib/internal/bp"
 )
 
 // counters are a run's per-static-branch counters, dense by the IP ids of
 // the trace's static table: how often each branch executed past warm-up as
 // a conditional branch, and how often it was mispredicted. Branches seen
 // only in warm-up or only as non-conditional branches keep zero counters.
-// They carry the kernel path's scratch buffers too, so that both come from
-// one pool.
 type counters struct {
 	occ, missed []uint64
-
-	// Reusable kernel scratch: the branch view and prediction buffer handed
-	// to BatchPredictor kernels, and each record's IP id<<1 | conditional
-	// for the accounting pass. Sized to the first full batch and reused,
-	// so the kernel path allocates nothing in steady state.
-	branchBuf []bp.Branch
-	predBuf   []bp.Prediction
-	accBuf    []uint32
 }
 
 // countersPool recycles counters across runs, so a sweep cell starts on

@@ -270,7 +270,7 @@ func TestRestoreCellStateRejectsBadRows(t *testing.T) {
 
 func fixtureEvents(t *testing.T) []bp.Event {
 	t.Helper()
-	g, err := tracegen.New(tracegen.Spec{
+	return specEvents(t, tracegen.Spec{
 		Name: "simcell-v1", Seed: 7, Branches: 20000,
 		Kernels: []tracegen.KernelSpec{
 			{Kind: tracegen.Biased}, {Kind: tracegen.Loop},
@@ -278,8 +278,14 @@ func fixtureEvents(t *testing.T) []bp.Event {
 			{Kind: tracegen.Indirect},
 		},
 	})
+}
+
+// specEvents generates the events of spec.
+func specEvents(tb testing.TB, spec tracegen.Spec) []bp.Event {
+	tb.Helper()
+	g, err := tracegen.New(spec)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var evs []bp.Event
 	for {
@@ -288,14 +294,14 @@ func fixtureEvents(t *testing.T) []bp.Event {
 			return evs
 		}
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		evs = append(evs, ev)
 	}
 }
 
 // records interns evs into a fresh table.
-func records(t *testing.T, evs []bp.Event) ([]tracecache.Record, tracecache.View) {
+func records(t testing.TB, evs []bp.Event) ([]tracecache.Record, tracecache.View) {
 	t.Helper()
 	tab := tracecache.NewTable()
 	recs, err := tab.Intern(nil, evs)
@@ -305,23 +311,31 @@ func records(t *testing.T, evs []bp.Event) ([]tracecache.Record, tracecache.View
 	return recs, tab.View()
 }
 
-// sliceStream hands out the records of events in fixed-size batches.
+// sliceStream hands out the records of events in batches of a fixed size.
 type sliceStream struct {
-	recs []tracecache.Record
-	view tracecache.View
+	recs  []tracecache.Record
+	view  tracecache.View
+	batch int
 }
 
-// sliceOpener opens a sliceStream over evs afresh on every call.
-func sliceOpener(t *testing.T, evs []bp.Event) func() (batchStream, error) {
+// sliceOpener opens a sliceStream over evs, in batches of 1000, afresh on
+// every call.
+func sliceOpener(t testing.TB, evs []bp.Event) func() (batchStream, error) {
+	return batchOpener(t, evs, 1000)
+}
+
+// batchOpener opens a sliceStream over evs, in batches of size, afresh on
+// every call.
+func batchOpener(t testing.TB, evs []bp.Event, size int) func() (batchStream, error) {
 	recs, v := records(t, evs)
-	return func() (batchStream, error) { return &sliceStream{recs, v}, nil }
+	return func() (batchStream, error) { return &sliceStream{recs, v, size}, nil }
 }
 
 func (s *sliceStream) next() ([]tracecache.Record, tracecache.View, error) {
 	if len(s.recs) == 0 {
 		return nil, tracecache.View{}, io.EOF
 	}
-	n := min(1000, len(s.recs))
+	n := min(s.batch, len(s.recs))
 	b := s.recs[:n]
 	s.recs = s.recs[n:]
 	return b, s.view, nil
@@ -385,7 +399,7 @@ func TestCellStateV1Fixture(t *testing.T) {
 	lp := smallGshare()
 	recs, v := records(t, evs)
 	for i := 0; i < fixtureCkptEvents; i += 1000 {
-		live.process(recs[i:i+1000], v, lp)
+		live.process(recs[i:i+1000], 0, v, lp, new(prepared))
 	}
 	if enc, err := encodeCellState(live, lp); err != nil || !bytes.Equal(enc, want) {
 		t.Errorf("live checkpoint at %d events differs from the fixture (err %v)", fixtureCkptEvents, err)

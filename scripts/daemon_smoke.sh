@@ -14,10 +14,18 @@
 #
 # Everything (binaries, traces, daemon state, logs) lands under
 # $DAEMON_SMOKE_DIR (default: a fresh mktemp dir) so CI can upload the
-# directory as a failure artifact.
+# directory as a failure artifact. A passing run removes the directory
+# when it made it itself; a failing run keeps it, and a directory given in
+# $DAEMON_SMOKE_DIR is always kept.
 set -eu
 
-work="${DAEMON_SMOKE_DIR:-$(mktemp -d)}"
+if [ -n "${DAEMON_SMOKE_DIR:-}" ]; then
+	work="$DAEMON_SMOKE_DIR"
+	own=
+else
+	work="$(mktemp -d)"
+	own=1
+fi
 mkdir -p "$work"
 bin="$work/bin"
 log="$work/daemon-smoke.log"
@@ -108,4 +116,7 @@ wait "$daemon_pid" || code=$?
 [ ! -e "$work/data/mbpd.addr" ] || fail "mbpd left its address file behind"
 daemon_pid=
 
+if [ -n "$own" ]; then
+	rm -rf "$work"
+fi
 echo "daemon-smoke: PASS"
