@@ -34,10 +34,10 @@ race:
 
 # Parallel sweep equivalence under the race detector on a constrained
 # scheduler: GOMAXPROCS=2 forces worker goroutines to interleave on few
-# threads. The chunk-path suites, the trace cache's single-flight, waiter
-# and per-caller collector tests, the static-table tests (one table is
-# shared by cells that load chunks concurrently) and the trace-group tests
-# (lanes share each prepared batch) ride along.
+# threads. The cached-vs-streaming .sbbt.mlzs suites, the trace cache's
+# single-flight, waiter and per-caller collector tests, the static-table
+# tests (cells replay entries while other cells load and evict them) and
+# the trace-group tests (lanes share each prepared batch) ride along.
 race-sweep:
 	GOMAXPROCS=2 $(GO) test -race -run 'TestSweepParallel|TestChunked|TestAcquireDecodesOnce|TestAcquireChunkSingleFlight|TestAcquireCancelledWhileWaiting|TestWaiterOutlivesLoaderContext|TestCollectorPerCaller|TestStaticTable|TestTable|TestRecordRoundTrip|TestGroup' ./internal/sim/...
 

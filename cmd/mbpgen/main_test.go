@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mbplib/internal/bp"
-	"mbplib/internal/chunked"
 	"mbplib/internal/compress"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/tracegen"
@@ -47,8 +46,8 @@ func readSBBT(t *testing.T, path string) []bp.Event {
 }
 
 // TestRunFormatsReadBack: a tiny suite written as .sbbt.mlz and packet-
-// aligned .sbbt.mlzs reads back, streamed and chunk by chunk, to the
-// generator's events.
+// aligned .sbbt.mlzs reads back to the generator's events, and the
+// .sbbt.mlzs containers carry the packet alignment.
 func TestRunFormatsReadBack(t *testing.T) {
 	dir := t.TempDir()
 	const suite, scale = "dpc3", 400
@@ -72,19 +71,12 @@ func TestRunFormatsReadBack(t *testing.T) {
 		if got := readSBBT(t, base+".sbbt.mlzs"); !slices.Equal(got, want) {
 			t.Errorf("%s.sbbt.mlzs: %d streamed events differ from the generator's %d", spec.Name, len(got), len(want))
 		}
-		ct, err := chunked.Open(base + ".sbbt.mlzs")
+		st, err := compress.StatMLZSFile(base + ".sbbt.mlzs")
 		if err != nil {
-			t.Fatalf("%s.sbbt.mlzs is not open for chunk access: %v", spec.Name, err)
+			t.Fatal(err)
 		}
-		var got []bp.Event
-		for i := range ct.NumChunks() {
-			if got, err = ct.AppendChunk(got, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ct.Close()
-		if !slices.Equal(got, want) {
-			t.Errorf("%s.sbbt.mlzs: %d chunked events differ from the generator's %d", spec.Name, len(got), len(want))
+		if st.Align != sbbt.PacketSize || st.AlignOffset != sbbt.HeaderSize {
+			t.Errorf("%s.sbbt.mlzs: align %d offset %d, want packet-aligned (%d from %d)", spec.Name, st.Align, st.AlignOffset, sbbt.PacketSize, sbbt.HeaderSize)
 		}
 	}
 }

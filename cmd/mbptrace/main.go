@@ -13,7 +13,7 @@
 // recompress rewrites any supported compressed stream into the seekable
 // chunked (MLZS) container, preserving the inner bytes exactly. When the
 // inner stream is a plain (non-checksummed) SBBT trace, chunk boundaries
-// are packet-aligned so the result qualifies for chunk-granular scheduling.
+// are packet-aligned, so every chunk holds whole packets.
 // convert to .sbbt.mlzs aligns its output the same way. The size/ratio
 // report on stdout is deterministic; the throughput line goes to stderr.
 package main
@@ -237,9 +237,9 @@ func doRecompress(inPath, outPath string, opts compress.MLZSOptions, stdout, std
 	}
 	defer in.Close()
 	br := bufio.NewReaderSize(in, 1<<16)
-	// A plain SBBT inner stream gets packet-aligned chunk boundaries, the
-	// eligibility contract for chunk-granular scheduling. Checksummed SBBT
-	// interleaves CRC trailers with packets, so it stays unaligned.
+	// A plain SBBT inner stream gets packet-aligned chunk boundaries, so
+	// every chunk holds whole packets. Checksummed SBBT interleaves CRC
+	// trailers with packets, so it stays unaligned.
 	if hdr, err := br.Peek(sbbt.HeaderSize); err == nil {
 		if h, herr := sbbt.ParseHeader(hdr); herr == nil && !h.Checksummed {
 			opts.Align = sbbt.PacketSize

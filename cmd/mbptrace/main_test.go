@@ -10,7 +10,8 @@ import (
 	"testing"
 
 	"mbplib/internal/bench"
-	"mbplib/internal/chunked"
+	"mbplib/internal/compress"
+	"mbplib/internal/sbbt"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden output files")
@@ -100,8 +101,8 @@ func TestRecompressUsageErrors(t *testing.T) {
 }
 
 // TestConvertSBBTMLZSIsChunked: convert to .sbbt.mlzs writes a
-// packet-aligned container, so sweeps load it chunk by chunk through the
-// cache instead of streaming it, and its chunks hold the input's events.
+// packet-aligned container, chunk boundaries on packet boundaries past the
+// header, and its stream holds the input's events.
 func TestConvertSBBTMLZSIsChunked(t *testing.T) {
 	dir := t.TempDir()
 	ts, err := bench.PrepareSuite(dir, "cbp5-train", 2000, bench.Formats{SBBT: true})
@@ -114,34 +115,35 @@ func TestConvertSBBTMLZSIsChunked(t *testing.T) {
 	if code := run([]string{"convert", in, out}, new(bytes.Buffer), &stderr); code != 0 {
 		t.Fatalf("convert exited %d: %s", code, stderr.String())
 	}
-	ct, err := chunked.Open(out)
+	st, err := compress.StatMLZSFile(out)
 	if err != nil {
-		t.Fatalf("chunked.Open on convert output: %v", err)
+		t.Fatal(err)
 	}
-	defer ct.Close()
+	if !st.Indexed || st.Align != sbbt.PacketSize || st.AlignOffset != sbbt.HeaderSize {
+		t.Errorf("convert output: indexed %v, align %d offset %d; want an indexed container aligned %d from %d",
+			st.Indexed, st.Align, st.AlignOffset, sbbt.PacketSize, sbbt.HeaderSize)
+	}
 	r, c, err := openTrace(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	n := 0
-	for i := 0; i < ct.NumChunks(); i++ {
-		evs, err := ct.DecodeChunk(i)
-		if err != nil {
-			t.Fatalf("DecodeChunk(%d): %v", i, err)
-		}
-		for _, got := range evs {
-			want, err := r.Read()
-			if err != nil {
-				t.Fatalf("input ends before event %d: %v", n, err)
-			}
-			if got != want {
-				t.Fatalf("event %d: chunk path %+v, input %+v", n, got, want)
-			}
-			n++
-		}
+	got, gc, err := openTrace(out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("input has events past the %d the chunks hold (err %v)", n, err)
+	defer gc.Close()
+	for n := 0; ; n++ {
+		want, werr := r.Read()
+		ev, err := got.Read()
+		if werr == io.EOF && err == io.EOF {
+			return
+		}
+		if werr != nil || err != nil {
+			t.Fatalf("event %d: input err %v, output err %v", n, werr, err)
+		}
+		if ev != want {
+			t.Fatalf("event %d: output %+v, input %+v", n, ev, want)
+		}
 	}
 }

@@ -47,7 +47,7 @@ type TraceSet struct {
 	Specs []tracegen.Spec
 	// Per-spec file paths (empty when the format was not requested).
 	SBBT     []string // .sbbt.mlz — the MBPlib distribution format
-	SBBTMLZS []string // .sbbt.mlzs — packet-aligned seekable container (chunk cache)
+	SBBTMLZS []string // .sbbt.mlzs — packet-aligned seekable container
 	SBBTGz   []string // .sbbt.gz — gzip SBBT, where decompression dominates
 	BT9Gz    []string // .bt9.gz — the original CBP5 distribution format
 	BT9MLZ   []string // .bt9.mlz — the recompressed traces of Table IV
@@ -145,8 +145,8 @@ func writeSBBTFile(path string, spec tracegen.Spec) error {
 }
 
 // writeSBBTMLZSFile renders spec as a seekable chunked (MLZS) SBBT trace at
-// path. Chunk boundaries are packet-aligned past the SBBT header, so the
-// container qualifies for chunk-granular scheduling.
+// path. Chunk boundaries are packet-aligned past the SBBT header, so every
+// chunk holds whole packets.
 func writeSBBTMLZSFile(path string, spec tracegen.Spec, workers int) error {
 	instr, branches, err := tracegen.Totals(spec)
 	if err != nil {

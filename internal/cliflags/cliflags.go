@@ -189,8 +189,8 @@ func ValidateCacheBytes(b int64) error {
 }
 
 // CacheBudget translates the CLI's -cache-bytes convention (0 = disabled)
-// into that of sweep.RunOptions and daemon.Config (0 = "use default",
-// negative = disabled), after validation.
+// into that of daemon.Config (0 = "use default", negative = disabled),
+// after validation.
 func CacheBudget(b int64) int64 {
 	if b == 0 {
 		return -1 // explicit disable

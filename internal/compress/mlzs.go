@@ -69,7 +69,7 @@ const (
 	// DefaultMLZSChunkSize is the raw bytes per chunk when MLZSOptions does
 	// not say otherwise: 1 MiB keeps per-chunk compression ratios within a
 	// few percent of the 4 MiB stream-MLZ blocks while cutting even short
-	// traces into several chunks for the chunk cache to load independently.
+	// traces into several independently decodable chunks.
 	DefaultMLZSChunkSize = 1 << 20
 	// mlzsChunkTag / mlzsEndTag frame the chunk sequence.
 	mlzsChunkTag = 0x01

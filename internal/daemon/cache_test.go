@@ -17,7 +17,7 @@ import (
 )
 
 // prepSuite writes the cbp5-train suite at scale into a fresh directory, in
-// both the whole-trace (.sbbt.mlz) and the chunked (.sbbt.mlzs) format, and
+// both the stream (.sbbt.mlz) and the seekable (.sbbt.mlzs) format, and
 // returns the directory.
 func prepSuite(t *testing.T, scale uint64) string {
 	t.Helper()
@@ -75,7 +75,7 @@ func TestRewrittenTraceIsNotServedStale(t *testing.T) {
 	spec := api.SweepSpec{Traces: filepath.Join(dir, "SHORT_*.sbbt*"), Predictor: "gshare:t=12,h=%d", From: 4, To: 5}
 	before := runJob(t, srv, spec)
 
-	// Same names, other events: one whole-read and one chunked trace.
+	// Same names, other events: one .sbbt.mlz and one .sbbt.mlzs trace.
 	for _, name := range []string{"SHORT_MOBILE-1.sbbt.mlz", "SHORT_MOBILE-1.sbbt.mlzs"} {
 		data, err := os.ReadFile(filepath.Join(other, name))
 		if err != nil {
@@ -108,7 +108,7 @@ func TestSharedCacheEvictsWithinBudget(t *testing.T) {
 		return api.SweepSpec{Traces: glob, Predictor: "gshare:t=12,h=%d", From: 4, To: 5}
 	}
 
-	// The first job reads its traces whole, the second chunk by chunk.
+	// The first job reads .sbbt.mlz traces, the second .sbbt.mlzs ones.
 	runJob(t, srv, spec(filepath.Join(first, "SHORT_*.sbbt.mlz")))
 	st := d.CacheStats()
 	if st.Evictions != 0 || st.BytesUsed == 0 || st.BytesUsed > budget {

@@ -426,8 +426,8 @@ func TestSweepMLZSBitFlips(t *testing.T) {
 // must either reject the index with a typed error or confine the damage —
 // every chunk whose decode succeeds must decode to exactly its original
 // bytes, and at most the damaged region's chunk may fail (with a typed
-// error). This is the property the chunk-granular tracecache relies on: a
-// corrupt chunk poisons only itself.
+// error): a corrupt chunk poisons only itself for any random-access
+// reader of the container.
 func TestSweepMLZSChunkIsolation(t *testing.T) {
 	raw := seedSBBT(t, seedEvents(300))
 	data := compressMLZS(t, raw, 512)

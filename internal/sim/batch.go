@@ -126,8 +126,8 @@ func (pf *prefetcher) produce(r bp.Reader) {
 	}
 }
 
-// timedRead runs one decode step — a batch read from a trace stream or the
-// decode of one chunk — and records it as one read. obs.StageRead,
+// timedRead runs one decode step, a batch read from a trace stream, and
+// records it as one read. obs.StageRead,
 // obs.HistBatchReadNs and obs.CtrBatches are recorded here and nowhere else.
 func timedRead(col *obs.Collector, read func()) {
 	t := col.Now()
@@ -202,8 +202,8 @@ func (pf *prefetcher) shutdown() {
 	}
 }
 
-// batchStream is how a reading consumes its trace: a chunk-by-chunk walk
-// through the cache (cachedStream) or a prefetching reader. next returns a
+// batchStream is how a reading consumes its trace: a replay of the whole
+// trace from the cache (cachedStream) or a prefetching reader. next returns a
 // non-empty batch of records with a view of the trace's static table that
 // covers them, or io.EOF on clean exhaustion, or a decode error — always
 // after every record decoded before the error was delivered. A batch stays

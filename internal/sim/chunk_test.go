@@ -1,8 +1,8 @@
-// Chunk-path equivalence: sweeps over seekable (MLZS) containers through the
-// chunk-granular cache path must produce byte-identical result JSON to the
-// sequential streaming path, for every warmup/limit configuration, with
-// fault classes preserved — the MLZS mirror of the reader-equivalence
-// tables.
+// Cache-path equivalence over seekable (MLZS) containers: sweeps that read
+// packet-aligned .sbbt.mlzs traces through the decoded-trace cache must
+// produce byte-identical result JSON to the sequential streaming path, for
+// every warmup/limit configuration, with fault classes preserved — the MLZS
+// mirror of the reader-equivalence tables.
 package sim_test
 
 import (
@@ -15,12 +15,12 @@ import (
 	"testing"
 
 	"mbplib/internal/bp"
-	"mbplib/internal/chunked"
 	"mbplib/internal/compress"
 	"mbplib/internal/obs"
 	"mbplib/internal/predictors/gshare"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
+	"mbplib/internal/sim/tracecache"
 )
 
 // writeMLZS encodes evs as a plain SBBT trace inside an aligned MLZS
@@ -45,10 +45,10 @@ func writeMLZS(t *testing.T, path string, evs []bp.Event, chunkSize int) {
 	}
 }
 
-// mlzsSource builds a TraceSource for an MLZS file: a streaming open, plus
-// the chunk-granular open when chunkAccess is set.
-func mlzsSource(path string, chunkAccess bool) sim.TraceSource {
-	src := sim.TraceSource{Name: path, Open: func() (bp.Reader, io.Closer, error) {
+// mlzsSource builds a TraceSource for a compressed SBBT file (.sbbt.mlzs or
+// .sbbt.mlz): transparent decompression, then the SBBT reader.
+func mlzsSource(path string) sim.TraceSource {
+	return sim.TraceSource{Name: path, Open: func() (bp.Reader, io.Closer, error) {
 		f, err := compress.OpenFile(path)
 		if err != nil {
 			return nil, nil, err
@@ -60,10 +60,6 @@ func mlzsSource(path string, chunkAccess bool) sim.TraceSource {
 		}
 		return r, f, nil
 	}}
-	if chunkAccess {
-		src.OpenChunked = func() (sim.ChunkedTrace, error) { return chunked.Open(path) }
-	}
-	return src
 }
 
 // chunkEquivTraces writes two MLZS traces (different kernels and seeds, one
@@ -88,16 +84,15 @@ var chunkEquivConfigs = map[string]sim.Config{
 	"both":   {WarmupInstructions: 2000, SimInstructions: 5000},
 }
 
-// TestChunkedSweepMatchesStreaming: the chunk-granular cache path produces
-// byte-identical sweeps to sequential streaming, across configs.
+// TestChunkedSweepMatchesStreaming: a sweep over .sbbt.mlzs traces through
+// the cache is byte-identical to sequential streaming, across configs.
 func TestChunkedSweepMatchesStreaming(t *testing.T) {
 	paths := chunkEquivTraces(t)
-	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
-	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
+	srcs := []sim.TraceSource{mlzsSource(paths[0]), mlzsSource(paths[1])}
 	for cname, cfg := range chunkEquivConfigs {
 		t.Run(cname, func(t *testing.T) {
-			seq := sequentialSweep(t, streamSrcs, equivPredictors, cfg)
-			par, err := sim.SweepParallel(chunkSrcs, equivPredictors, cfg, sim.ParallelOptions{
+			seq := sequentialSweep(t, srcs, equivPredictors, cfg)
+			par, err := sim.SweepParallel(srcs, equivPredictors, cfg, sim.ParallelOptions{
 				Cache:   sim.NewCache(0),
 				Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
@@ -109,12 +104,12 @@ func TestChunkedSweepMatchesStreaming(t *testing.T) {
 	}
 }
 
-// TestChunkedSweepRecordsReads: chunk loads are timed as reads, so a sweep
-// over the chunk path reports where its decode time went.
+// TestChunkedSweepRecordsReads: cache loads are timed as reads, so a sweep
+// through the cache reports where its decode time went.
 func TestChunkedSweepRecordsReads(t *testing.T) {
 	paths := chunkEquivTraces(t)
 	col := obs.New()
-	srcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
+	srcs := []sim.TraceSource{mlzsSource(paths[0]), mlzsSource(paths[1])}
 	if _, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 		Cache:   sim.NewCache(0),
 		Workers: 2, Policy: sim.Policy{Mode: sim.SkipFailed}, Metrics: col,
@@ -123,10 +118,10 @@ func TestChunkedSweepRecordsReads(t *testing.T) {
 	}
 	s := col.Snapshot()
 	if s.Counters["cache_misses"] == 0 {
-		t.Fatalf("no chunk was loaded through the cache: %v", s.Counters)
+		t.Fatalf("no trace was loaded through the cache: %v", s.Counters)
 	}
 	if s.Stages["read"].Count == 0 || s.Counters["batches"] == 0 {
-		t.Errorf("chunk loads not timed: read stage count %d, batches %d", s.Stages["read"].Count, s.Counters["batches"])
+		t.Errorf("cache loads not timed: read stage count %d, batches %d", s.Stages["read"].Count, s.Counters["batches"])
 	}
 }
 
@@ -157,7 +152,7 @@ func corruptChunkFile(t *testing.T, path string) (chunk int, rawOff int64) {
 }
 
 // TestChunkedFaultEquivalence: a single corrupt chunk produces the same
-// failure class and result JSON on the chunk path as on streaming, fails
+// failure class and result JSON through the cache as on streaming, fails
 // only the cells that read past it, and is invisible to limits that stop
 // short of the damaged chunk.
 func TestChunkedFaultEquivalence(t *testing.T) {
@@ -178,10 +173,9 @@ func TestChunkedFaultEquivalence(t *testing.T) {
 		{"limit-past-fault", sim.Config{}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
-			chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
-			seq := sequentialSweep(t, streamSrcs, equivPredictors, tc.cfg)
-			par, err := sim.SweepParallel(chunkSrcs, equivPredictors, tc.cfg, sim.ParallelOptions{
+			srcs := []sim.TraceSource{mlzsSource(paths[0]), mlzsSource(paths[1])}
+			seq := sequentialSweep(t, srcs, equivPredictors, tc.cfg)
+			par, err := sim.SweepParallel(srcs, equivPredictors, tc.cfg, sim.ParallelOptions{
 				Cache:   sim.NewCache(0),
 				Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
@@ -207,10 +201,9 @@ func TestChunkedFaultEquivalence(t *testing.T) {
 	}
 }
 
-// TestChunkedTruncatedContainerFallsBack: a container whose index trailer is
-// cut off is ineligible for the chunk path (chunked.Open rejects it), and the
-// scheduler silently falls back to streaming — which reports the truncation
-// with the same typed class as the sequential path.
+// TestChunkedTruncatedContainerFallsBack: a container cut in half, index
+// trailer and all, read through the cache reports the truncation with the
+// same typed class and result JSON as the sequential path.
 func TestChunkedTruncatedContainerFallsBack(t *testing.T) {
 	paths := chunkEquivTraces(t)
 	data, err := os.ReadFile(paths[1])
@@ -220,13 +213,9 @@ func TestChunkedTruncatedContainerFallsBack(t *testing.T) {
 	if err := os.WriteFile(paths[1], data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chunked.Open(paths[1]); err == nil {
-		t.Fatal("chunked.Open accepted a truncated container")
-	}
-	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
-	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
-	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
-	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+	srcs := []sim.TraceSource{mlzsSource(paths[0]), mlzsSource(paths[1])}
+	seq := sequentialSweep(t, srcs, equivPredictors, sim.Config{})
+	par, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
 		Cache:   sim.NewCache(0),
 		Workers: 4, Policy: sim.Policy{Mode: sim.SkipFailed},
 	})
@@ -241,176 +230,114 @@ func TestChunkedTruncatedContainerFallsBack(t *testing.T) {
 	}
 }
 
-// TestChunkedTinyCacheMatches: a cache too small to pin any chunk forces the
-// direct-decode fallback inside the chunk path; results stay identical.
+// TestChunkedTinyCacheMatches: a cache too small to hold any trace turns
+// every one away by its header, and the cells stream; results stay
+// identical.
 func TestChunkedTinyCacheMatches(t *testing.T) {
 	paths := chunkEquivTraces(t)
-	streamSrcs := []sim.TraceSource{mlzsSource(paths[0], false), mlzsSource(paths[1], false)}
-	chunkSrcs := []sim.TraceSource{mlzsSource(paths[0], true), mlzsSource(paths[1], true)}
-	seq := sequentialSweep(t, streamSrcs, equivPredictors, sim.Config{})
-	par, err := sim.SweepParallel(chunkSrcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
-		Workers: 4, Cache: sim.NewCache(64), Policy: sim.Policy{Mode: sim.SkipFailed},
+	srcs := []sim.TraceSource{mlzsSource(paths[0]), mlzsSource(paths[1])}
+	seq := sequentialSweep(t, srcs, equivPredictors, sim.Config{})
+	cache := sim.NewCache(64)
+	par, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
+		Workers: 4, Cache: cache, Policy: sim.Policy{Mode: sim.SkipFailed},
 	})
 	if err != nil {
 		t.Fatalf("SweepParallel: %v", err)
 	}
 	diffSweeps(t, seq, par, equivPredictors)
+	if st := cache.Stats(); st.TooBig != uint64(len(srcs)) || st.BytesUsed != 0 {
+		t.Errorf("cache stats %+v, want every trace turned away once and nothing resident", st)
+	}
 }
 
-// TestChunkedTraceDirect pins down the chunked.Trace contract itself:
-// concatenated chunk decodes equal the streaming event sequence, and the
-// header accessors match the SBBT header.
-func TestChunkedTraceDirect(t *testing.T) {
+// TestChunkedOversizeTraceLeavesOthersResident: a trace larger than the
+// budget is turned away by its header, undecoded, so it evicts nothing: a
+// small trace read before it is still resident, and read again it hits.
+func TestChunkedOversizeTraceLeavesOthersResident(t *testing.T) {
 	dir := t.TempDir()
-	evs := generate(t, equivSpec(5000))
-	path := filepath.Join(dir, "t.sbbt.mlzs")
-	writeMLZS(t, path, evs, 2048)
-
-	ct, err := chunked.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
-	if ct.TotalBranches() != uint64(len(evs)) {
-		t.Errorf("TotalBranches = %d, want %d", ct.TotalBranches(), len(evs))
-	}
-	var got []bp.Event
-	for i := 0; i < ct.NumChunks(); i++ {
-		chunk, err := ct.DecodeChunk(i)
+	small, big := filepath.Join(dir, "small.sbbt.mlzs"), filepath.Join(dir, "big.sbbt.mlzs")
+	smallSpec, bigSpec := equivSpec(2000), equivSpec(40000)
+	bigSpec.Name, bigSpec.Seed = "big", 17
+	writeMLZS(t, small, generate(t, smallSpec), 4096)
+	writeMLZS(t, big, generate(t, bigSpec), 4096)
+	// The small trace fits; the big one's records alone do not.
+	const budget = 40000 * 8 / 3
+	cache := tracecache.New(budget)
+	read := func(path string) tracecache.Stats {
+		t.Helper()
+		srcs := []sim.TraceSource{mlzsSource(path)}
+		par, err := sim.SweepParallel(srcs, equivPredictors[:1], sim.Config{}, sim.ParallelOptions{Workers: 1, Cache: cache})
 		if err != nil {
-			t.Fatalf("DecodeChunk(%d): %v", i, err)
+			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}
-		got = append(got, chunk...)
-	}
-	if len(got) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
-	}
-	for i := range got {
-		if got[i] != evs[i] {
-			t.Fatalf("event %d differs between chunk decode and generator", i)
+		diffSweeps(t, sequentialSweep(t, srcs, equivPredictors[:1], sim.Config{}), par, equivPredictors[:1])
+		st := cache.Stats()
+		if st.BytesUsed > budget {
+			t.Fatalf("after reading %s: %d bytes resident, budget %d", filepath.Base(path), st.BytesUsed, budget)
 		}
+		return st
+	}
+	if st := read(small); st.Misses != 1 || st.BytesUsed == 0 {
+		t.Fatalf("small trace not admitted: %+v", st)
+	}
+	if st := read(big); st.TooBig != 1 || st.Evictions != 0 {
+		t.Errorf("after the big trace: %+v, want one too-big verdict and no evictions", st)
+	}
+	if st := read(small); st.Hits != 1 || st.Misses != 2 || st.Evictions != 0 {
+		t.Errorf("small trace read again: %+v, want a hit and no evictions", st)
 	}
 }
 
-// TestChunkedOpenRejectsUnaligned: containers without packet alignment (the
-// default recompress output for non-SBBT payloads) stream instead.
-func TestChunkedOpenRejectsUnaligned(t *testing.T) {
-	dir := t.TempDir()
-	evs := generate(t, equivSpec(3000))
-	path := filepath.Join(dir, "t.sbbt.mlzs")
-	f, err := compress.CreateMLZSFile(path, compress.MLZSOptions{ChunkSize: 2048, Level: compress.LevelBest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(encodeSBBT(t, evs, false)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chunked.Open(path); err == nil {
-		t.Fatal("chunked.Open accepted an unaligned container")
-	}
-}
-
-// TestChunkedOpenRejectsChecksummed: checksummed SBBT interleaves CRC
-// trailers with packets, so chunk boundaries cannot be packet-aligned in the
-// record sense; those traces stream.
-func TestChunkedOpenRejectsChecksummed(t *testing.T) {
-	dir := t.TempDir()
-	evs := generate(t, equivSpec(3000))
-	path := filepath.Join(dir, "t.sbbt.mlzs")
-	f, err := compress.CreateMLZSFile(path, compress.MLZSOptions{
-		ChunkSize: 2048, Level: compress.LevelBest,
-		Align: sbbt.PacketSize, AlignOffset: sbbt.HeaderSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(encodeSBBT(t, evs, true)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chunked.Open(path); err == nil {
-		t.Fatal("chunked.Open accepted a checksummed trace")
-	}
-}
-
-// closeTracked records that a chunked trace was closed, and checks that it
-// is closed once and that no chunk is decoded through it afterwards.
-type closeTracked struct {
-	sim.ChunkedTrace
-	closed *atomic.Bool
-	t      *testing.T
-}
-
-func (c closeTracked) DecodeChunk(i int) ([]bp.Event, error) {
-	if c.closed.Load() {
-		c.t.Errorf("chunk %d decoded after Close", i)
-	}
-	return c.ChunkedTrace.DecodeChunk(i)
-}
-
-func (c closeTracked) Close() error {
-	if c.closed.Swap(true) {
-		c.t.Error("chunked trace closed twice")
-	}
-	return c.ChunkedTrace.Close()
-}
-
-// TestSweepParallelOpensChunkedOnce: the cells of one trace share a single
-// chunked open per sweep, closed once after they finish, and a failed open
-// is one verdict — every cell of that trace streams it whole. Either way
-// the results equal a cache-off run, which streams every cell.
-func TestSweepParallelOpensChunkedOnce(t *testing.T) {
+// TestSweepParallelWarmCacheOpensNothing: a sweep over traces a cache
+// already holds replays them without opening any file, .sbbt.mlz and
+// .sbbt.mlzs alike; OpenChunked is never called, cold or warm. The warm
+// results equal a cache-off run's.
+func TestSweepParallelWarmCacheOpensNothing(t *testing.T) {
 	paths := chunkEquivTraces(t)
+	mlz := filepath.Join(filepath.Dir(paths[0]), "c.sbbt.mlz")
+	f, err := compress.CreateFile(mlz, compress.LevelFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(encodeSBBT(t, generate(t, equivSpec(5000)), false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, mlz)
 	preds := []sim.PredictorSpec{equivPredictors[0], equivPredictors[1],
 		{Name: "gshare-h4", New: func() bp.Predictor { return gshare.New(gshare.WithHistoryLength(4)) }}}
-	var streamSrcs []sim.TraceSource
-	for _, p := range paths {
-		streamSrcs = append(streamSrcs, mlzsSource(p, false))
+	srcs := make([]sim.TraceSource, len(paths))
+	for i, p := range paths {
+		srcs[i] = mlzsSource(p)
 	}
-	ref, err := sim.SweepParallel(streamSrcs, preds, sim.Config{}, sim.ParallelOptions{Workers: 2})
+	ref, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fail := range []bool{false, true} {
-		opens := make([]atomic.Int32, len(paths))
-		closes := make([]atomic.Bool, len(paths))
-		srcs := make([]sim.TraceSource, len(paths))
-		for i, p := range paths {
-			srcs[i] = mlzsSource(p, false)
-			srcs[i].OpenChunked = func() (sim.ChunkedTrace, error) {
-				opens[i].Add(1)
-				if fail {
-					return nil, errors.New("not eligible")
-				}
-				ct, err := chunked.Open(p)
-				if err != nil {
-					return nil, err
-				}
-				return closeTracked{ct, &closes[i], t}, nil
+	opens := countOpens(srcs)
+	var chunkedOpens atomic.Int32
+	for i := range srcs {
+		srcs[i].OpenChunked = func() (sim.ChunkedTrace, error) {
+			chunkedOpens.Add(1)
+			return nil, errors.New("no chunked access")
+		}
+	}
+	cache := sim.NewCache(0)
+	for run := 0; run < 2; run++ {
+		got, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{Workers: 2, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffSweeps(t, ref, got, preds)
+		for i, n := range opens {
+			if want := int32(1); n.Load() != want {
+				t.Errorf("after sweep %d: %s opened %d times, want %d", run, filepath.Base(paths[i]), n.Load(), want)
 			}
 		}
-		for run := 0; run < 2; run++ { // a second sweep opens again
-			got, err := sim.SweepParallel(srcs, preds, sim.Config{}, sim.ParallelOptions{
-				Workers: 2, Cache: sim.NewCache(0),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffSweeps(t, ref, got, preds)
-			for i := range paths {
-				if n := opens[i].Load(); n != int32(run+1) {
-					t.Errorf("fail=%v sweep %d: trace %d opened %d times in all, want %d", fail, run, i, n, run+1)
-				}
-				if !fail && !closes[i].Load() {
-					t.Errorf("sweep %d: trace %d left open", run, i)
-				}
-				closes[i].Store(false)
-			}
+		if n := chunkedOpens.Load(); n != 0 {
+			t.Errorf("after sweep %d: OpenChunked called %d times, want 0", run, n)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"mbplib/internal/predictors/gshare"
 	"mbplib/internal/sbbt"
 	"mbplib/internal/sim"
+	"mbplib/internal/sim/tracecache"
 	"mbplib/internal/tracegen"
 )
 
@@ -261,7 +262,7 @@ func TestSweepParallelTruncatedGzip(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srcs := []sim.TraceSource{mlzsSource(path, false)} // a plain file source
+	srcs := []sim.TraceSource{mlzsSource(path)} // a plain file source
 	for _, tc := range []struct {
 		name    string
 		cfg     sim.Config
@@ -434,14 +435,14 @@ func manyMissTrace(t *testing.T) string {
 	return path
 }
 
-// TestSweepParallelCellsAreMetricsOnly: on the streaming, the cached and
-// the chunked path, a sweep cell's result is sim.Run's with most_failed
-// and num_most_failed_branches cleared, on a trace whose full report is
-// long.
+// TestSweepParallelCellsAreMetricsOnly: streaming, loading into the cache
+// and replaying from it, a sweep cell's result is sim.Run's with
+// most_failed and num_most_failed_branches cleared, on a trace whose full
+// report is long.
 func TestSweepParallelCellsAreMetricsOnly(t *testing.T) {
 	path := manyMissTrace(t)
 	for _, ps := range equivPredictors {
-		full, err := oracleCell(mlzsSource(path, false), ps.New(), sim.Config{})
+		full, err := oracleCell(mlzsSource(path), ps.New(), sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,19 +450,19 @@ func TestSweepParallelCellsAreMetricsOnly(t *testing.T) {
 			t.Fatalf("%s: sim.Run reports %d most_failed rows (metric %d), want the same count above 1000", ps.Name, n, full.Metrics.NumMostFailedBranches)
 		}
 	}
+	shared := sim.NewCache(0)
 	for _, tc := range []struct {
 		name  string
-		src   sim.TraceSource
-		cache int64
+		cache *tracecache.Cache
 	}{
-		{"streaming", mlzsSource(path, false), -1},
-		{"cached", mlzsSource(path, false), 0},
-		{"chunked", mlzsSource(path, true), 0},
+		{"streaming", nil},
+		{"cached", shared},
+		{"warm", shared},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srcs := []sim.TraceSource{tc.src}
+			srcs := []sim.TraceSource{mlzsSource(path)}
 			par, err := sim.SweepParallel(srcs, equivPredictors, sim.Config{}, sim.ParallelOptions{
-				Workers: 2, Cache: sim.NewCache(tc.cache), Policy: sim.Policy{Mode: sim.SkipFailed},
+				Workers: 2, Cache: tc.cache, Policy: sim.Policy{Mode: sim.SkipFailed},
 			})
 			if err != nil {
 				t.Fatal(err)

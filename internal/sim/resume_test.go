@@ -423,7 +423,7 @@ func TestCellKey(t *testing.T) {
 // and no most_failed report, so a cell's record stays under 2 KiB on a
 // trace whose full report lists more than a thousand branches.
 func TestSweepParallelJournalCellBytes(t *testing.T) {
-	srcs := []sim.TraceSource{mlzsSource(manyMissTrace(t), true)}
+	srcs := []sim.TraceSource{mlzsSource(manyMissTrace(t))}
 	jnl := openJournal(t, t.TempDir())
 	defer jnl.Close()
 	col := obs.New()
@@ -446,7 +446,7 @@ func TestSweepParallelJournalCellBytes(t *testing.T) {
 // still recorded sim.Run's whole result, most_failed included, replays
 // without simulating to the SetResults of a live sweep.
 func TestSweepParallelJournalReplayLegacyRecord(t *testing.T) {
-	srcs := append(genSources(t, 4000)[:2], mlzsSource(manyMissTrace(t), true))
+	srcs := append(genSources(t, 4000)[:2], mlzsSource(manyMissTrace(t)))
 	cfg := sim.Config{WarmupInstructions: 10_000}
 	live, err := sim.SweepParallel(srcs, equivPredictors, cfg, sim.ParallelOptions{Cache: sim.NewCache(0), Workers: 2})
 	if err != nil {

@@ -17,12 +17,8 @@ import (
 type TraceSource struct {
 	Name string
 	Open func() (bp.Reader, io.Closer, error)
-	// OpenChunked, when non-nil, offers chunk-granular random access to the
-	// same trace (an indexed MLZS container; see internal/chunked). The
-	// parallel scheduler prefers it so chunks are cached and evicted
-	// independently; an error from OpenChunked is not a trace failure — the
-	// scheduler silently falls back to Open, which reports any real damage
-	// with the canonical streaming diagnostics.
+	// OpenChunked is unused by the simulator, which reads every trace
+	// through Open, and no source in this module sets it.
 	OpenChunked func() (ChunkedTrace, error)
 	// Digest optionally identifies the trace contents (conventionally the
 	// hex SHA-256 of the file, journal.DigestFile). The sweep journal keys

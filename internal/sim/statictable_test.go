@@ -9,27 +9,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mbplib/internal/bp"
 	"mbplib/internal/sim/journal"
 	"mbplib/internal/sim/tracecache"
 )
-
-// memChunks is a ChunkedTrace over events held in memory.
-type memChunks struct{ chunks [][]bp.Event }
-
-func (m *memChunks) NumChunks() int { return len(m.chunks) }
-
-func (m *memChunks) TotalBranches() uint64 {
-	var n uint64
-	for _, c := range m.chunks {
-		n += uint64(len(c))
-	}
-	return n
-}
-
-func (m *memChunks) DecodeChunk(i int) ([]bp.Event, error) { return slices.Clone(m.chunks[i]), nil }
-func (m *memChunks) Close() error                          { return nil }
 
 // genBranchStream draws n events over a pool of addresses with locality:
 // conditional branches, and indirect jumps with several targets each, at
@@ -49,17 +34,6 @@ func genBranchStream(r *rand.Rand, n int) []bp.Event {
 		evs[i] = bp.Event{Branch: b, InstrsSinceLastBranch: r.Uint64N(bp.MaxInstrGap + 1)}
 	}
 	return evs
-}
-
-// splitChunks cuts evs into chunks of random lengths.
-func splitChunks(r *rand.Rand, evs []bp.Event) [][]bp.Event {
-	var chunks [][]bp.Event
-	for len(evs) > 0 {
-		n := min(len(evs), 1+r.IntN(600))
-		chunks = append(chunks, evs[:n])
-		evs = evs[n:]
-	}
-	return chunks
 }
 
 // firstSeen lists the addresses and the tuples of evs in order of first
@@ -83,84 +57,103 @@ func firstSeen(evs []bp.Event) (ips []uint64, tuples []tracecache.Static) {
 	return ips, tuples
 }
 
-// TestStaticTableFirstSeenOrder: generated event streams, split into
-// chunks, are read by concurrent cells through a cache too small to hold
-// them, so chunks are evicted, reloaded and turned away while other cells
-// intern. Every cell replays exactly the events, meets tuple and IP ids in
-// counting order, and the trace's one table ends in first-seen order.
+// TestStaticTableFirstSeenOrder: concurrent cells read two generated
+// traces in turns through a cache that holds one of them at a time, or
+// none, so entries are evicted, reloaded and turned away while other cells
+// load. Every cell replays exactly the events and meets tuple and IP ids in
+// counting order, and every entry a cell replays owns a table in first-seen
+// order: each entry has one loader.
 func TestStaticTableFirstSeenOrder(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 24))
 	var evictions, tooBig uint64
 	for round := 0; round < 12; round++ {
-		evs := genBranchStream(r, 500+r.IntN(6000))
-		ct := &memChunks{splitChunks(r, evs)}
-		wantIPs, wantTuples := firstSeen(evs)
-		full := tracecache.NewTable()
-		if _, err := full.Intern(nil, evs); err != nil {
-			t.Fatal(err)
+		var srcs [2]TraceSource
+		var traces [2][]bp.Event
+		var size [2]int64
+		for i := range traces {
+			evs := genBranchStream(r, 500+r.IntN(6000))
+			tab := tracecache.NewTable()
+			if _, err := tab.Intern(nil, evs); err != nil {
+				t.Fatal(err)
+			}
+			traces[i], size[i] = evs, int64(len(evs))*int64(unsafe.Sizeof(tracecache.Record{}))+tab.Size()
+			srcs[i] = TraceSource{Name: fmt.Sprintf("trace-%d-%d", round, i),
+				Open: func() (bp.Reader, io.Closer, error) { return &sliceReader{evs: evs}, nil, nil }}
 		}
-		// The table and about two chunks' records fit.
-		cache := tracecache.New(full.Size() + int64(len(evs)/len(ct.chunks))*16)
-		id := fmt.Sprintf("trace-%d", round)
-		tab := cache.Pin(id) // outlives the cells, to be checked after them
-		src := TraceSource{Name: id, Open: func() (bp.Reader, io.Closer, error) { return &sliceReader{evs: evs}, nil, nil },
-			OpenChunked: func() (ChunkedTrace, error) { return ct, nil }}
+		// One trace fits, not both; every third round, neither.
+		budget := max(size[0], size[1]) + 512
+		if round%3 == 2 {
+			budget = min(size[0], size[1]) / 2
+		}
+		cache := tracecache.New(budget)
 
 		var wg sync.WaitGroup
 		for cell := 0; cell < 4; cell++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s, _, err := openStream(context.Background(), time.Time{}, nil, cache, src, Policy{}, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer s.close()
-				pos, nextTuple, nextIP := 0, uint32(0), uint32(0)
-				for {
-					recs, v, err := s.next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						t.Errorf("round %d cell %d: %v", round, cell, err)
+				for _, i := range []int{cell % 2, 1 - cell%2, cell % 2} {
+					if err := replayInOrder(cache, srcs[i], traces[i]); err != nil {
+						t.Errorf("round %d cell %d, %s: %v", round, cell, srcs[i].Name, err)
 						return
 					}
-					for _, rec := range recs {
-						st := v.Statics[rec.ID]
-						if rec.ID > nextTuple || st.IPID > nextIP {
-							t.Errorf("round %d cell %d, event %d: tuple %d and IP id %d, next new ones are %d and %d",
-								round, cell, pos, rec.ID, st.IPID, nextTuple, nextIP)
-							return
-						}
-						nextTuple, nextIP = max(nextTuple, rec.ID+1), max(nextIP, st.IPID+1)
-						if got := (bp.Event{Branch: st.Branch(rec), InstrsSinceLastBranch: rec.Gap()}); got != evs[pos] {
-							t.Errorf("round %d cell %d, event %d: replayed %+v, want %+v", round, cell, pos, got, evs[pos])
-							return
-						}
-						pos++
-					}
-				}
-				if pos != len(evs) {
-					t.Errorf("round %d cell %d: %d events, want %d", round, cell, pos, len(evs))
 				}
 			}()
 		}
 		wg.Wait()
-		v := tab.View()
-		if !slices.Equal(v.IPs, wantIPs) || !slices.Equal(v.Statics, wantTuples) {
-			t.Errorf("round %d: the table holds %d addresses and %d tuples out of first-seen order (want %d and %d)",
-				round, len(v.IPs), len(v.Statics), len(wantIPs), len(wantTuples))
-		}
-		cache.Unpin(tab)
 		st := cache.Stats()
+		if st.BytesUsed > budget {
+			t.Errorf("round %d: %d bytes resident, budget %d", round, st.BytesUsed, budget)
+		}
 		evictions += st.Evictions
 		tooBig += st.TooBig
 	}
 	if evictions == 0 || tooBig == 0 {
-		t.Errorf("%d evictions and %d turned-away chunks over all rounds; the budget put no pressure on the cache", evictions, tooBig)
+		t.Errorf("%d evictions and %d turned-away traces over all rounds; the budget put no pressure on the cache", evictions, tooBig)
 	}
+}
+
+// replayInOrder reads src through cache and checks that it replays evs,
+// that tuple and IP ids first appear in counting order, and that a cache
+// entry it replays owns a table in first-seen order.
+func replayInOrder(cache *tracecache.Cache, src TraceSource, evs []bp.Event) error {
+	s, _, err := openStream(context.Background(), time.Time{}, nil, cache, src, Policy{}, nil)
+	if err != nil {
+		return err
+	}
+	defer s.close()
+	pos, nextTuple, nextIP := 0, uint32(0), uint32(0)
+	for {
+		recs, v, err := s.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			st := v.Statics[rec.ID]
+			if rec.ID > nextTuple || st.IPID > nextIP {
+				return fmt.Errorf("event %d: tuple %d and IP id %d, next new ones are %d and %d", pos, rec.ID, st.IPID, nextTuple, nextIP)
+			}
+			nextTuple, nextIP = max(nextTuple, rec.ID+1), max(nextIP, st.IPID+1)
+			if got := (bp.Event{Branch: st.Branch(rec), InstrsSinceLastBranch: rec.Gap()}); got != evs[pos] {
+				return fmt.Errorf("event %d: replayed %+v, want %+v", pos, got, evs[pos])
+			}
+			pos++
+		}
+	}
+	if pos != len(evs) {
+		return fmt.Errorf("%d events, want %d", pos, len(evs))
+	}
+	if cs, ok := s.(*cachedStream); ok {
+		wantIPs, wantTuples := firstSeen(evs)
+		if v := cs.entry.View(); !slices.Equal(v.IPs, wantIPs) || !slices.Equal(v.Statics, wantTuples) {
+			return fmt.Errorf("the entry's table holds %d addresses and %d tuples out of first-seen order (want %d and %d)",
+				len(v.IPs), len(v.Statics), len(wantIPs), len(wantTuples))
+		}
+	}
+	return nil
 }
 
 // TestManyTargetsOneMostFailedRow: a conditional indirect branch jumping to
@@ -318,14 +311,13 @@ func TestRunLimitWithWideGaps(t *testing.T) {
 }
 
 // TestCachePathsCountLikeRun: the per-branch counters of a cell read
-// through the cache — a trace whole or in chunks, admitted or turned away —
-// are Run's. Asked for the whole report, such a cell returns Run's result
-// byte for byte. Sweep cells build no report, so this is where the
-// counters of those paths (which checkpoints store) are checked.
+// through the cache — a trace loaded into an entry, replayed from it, or
+// turned away — are Run's. Asked for the whole report, such a cell returns
+// Run's result byte for byte. Sweep cells build no report, so this is where
+// the counters of those paths (which checkpoints store) are checked.
 func TestCachePathsCountLikeRun(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 25))
 	evs := genBranchStream(r, 20000)
-	chunks := splitChunks(r, evs)
 	cfg := Config{TraceName: "t", WarmupInstructions: 40_000}
 	want, err := Run(&sliceReader{evs: evs}, smallGshare(), cfg)
 	if err != nil {
@@ -336,22 +328,17 @@ func TestCachePathsCountLikeRun(t *testing.T) {
 	}
 	wantJSON := resultJSONNoTime(t, want)
 	src := TraceSource{Name: "t", Open: func() (bp.Reader, io.Closer, error) { return &sliceReader{evs: evs}, nil, nil }}
+	shared := NewCache(0)
 	for _, tc := range []struct {
-		name   string
-		budget int64
-		ct     ChunkedTrace
+		name  string
+		cache *tracecache.Cache
 	}{
-		{"whole", 0, nil},
-		{"whole-turned-away", 64, nil},
-		{"chunked", 0, &memChunks{chunks}},
-		{"chunked-turned-away", 64, &memChunks{chunks}},
+		{"loaded", shared},
+		{"replayed", shared},
+		{"turned-away", NewCache(64)},
 	} {
-		cache, src := NewCache(tc.budget), src
-		if tc.ct != nil {
-			src.OpenChunked = func() (ChunkedTrace, error) { return tc.ct, nil }
-		}
 		open := func() (batchStream, error) {
-			s, _, err := openStream(context.Background(), time.Time{}, nil, cache, src, Policy{}, nil)
+			s, _, err := openStream(context.Background(), time.Time{}, nil, tc.cache, src, Policy{}, nil)
 			return s, err
 		}
 		res, err := runCell(context.Background(), nil, open, smallGshare, cfg, nil)
@@ -361,5 +348,8 @@ func TestCachePathsCountLikeRun(t *testing.T) {
 		if got := resultJSONNoTime(t, res); string(got) != string(wantJSON) {
 			t.Errorf("%s: result differs from Run's\ngot:  %.300s\nwant: %.300s", tc.name, got, wantJSON)
 		}
+	}
+	if st := shared.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("shared cache %+v, want one load and one replay", st)
 	}
 }

@@ -3,31 +3,28 @@
 // the same bytes — by the daemon's next job — skips decompression and
 // decode.
 //
-// Each trace has one static Table in the cache, keyed like its entries. It
-// interns the trace's (IP, target, opcode) tuples in first-seen order, and
-// an entry holds 8-byte Records that index it instead of 32-byte
-// bp.Events. The table lives while any entry of its trace is resident or
-// any reader has it pinned (Pin), and its bytes count against the budget.
+// Every entry is one whole trace, and it owns the trace's static Table: the
+// entry's load creates the table and interns the trace's (IP, target,
+// opcode) tuples into it in first-seen order, and the entry holds 8-byte
+// Records that index it instead of 32-byte bp.Events. The table's bytes are
+// charged to the entry with its records, and leave the budget with it.
 //
 // The caller owns the cache: the daemon holds one for its whole life, so a
-// job over traces an earlier job read decodes nothing. Entries are keyed by content — the caller passes the trace's
-// digest when it has one, its path otherwise — so a trace file rewritten
-// between two sweeps gets a new key and never replays stale events. Metrics
-// go to the collector passed with each Acquire: a sweep's snapshot counts
-// only its own hits, misses, coalesces and waits, while the resident-bytes
-// gauge reports the cache as a whole.
-//
-// Every entry is one chunk of a trace. A trace with chunked access (an
-// indexed MLZS container) is cached chunk by chunk; any other trace is a
-// trace of one chunk, its whole stream, cached under a key of its own
-// (Whole). Admission, LRU eviction and poisoning therefore have one
-// implementation, whatever the unit.
+// job over traces an earlier job read decodes nothing. Entries are keyed by
+// content — the caller passes the trace's digest when it has one, its path
+// otherwise — so a trace file rewritten between two sweeps gets a new key
+// and never replays stale events. Metrics go to the collector passed with
+// each Acquire: a sweep's snapshot counts only its own hits, misses,
+// coalesces and waits, while the resident-bytes gauge reports the cache as
+// a whole.
 //
 // The cache is bounded by a byte budget with LRU eviction of idle entries.
-// Chunks whose decoded form cannot fit the budget are never pinned: callers
-// receive a "too big" verdict and read the chunk uncached. Decoded entries
-// are immutable and may be read by any number of workers at once; an entry
-// is pinned (ineligible for eviction) while at least one worker holds it.
+// A trace whose decoded form cannot fit the budget is never pinned: its
+// header (a bp.Sizer) turns it away before any decode where it can, and
+// callers receive a "too big" verdict and stream the trace uncached.
+// Decoded entries are immutable and may be read by any number of workers at
+// once; an entry is pinned (ineligible for eviction) while at least one
+// worker holds it.
 //
 // Failure semantics mirror streaming the trace through its reader (see
 // DESIGN.md):
@@ -36,13 +33,12 @@
 //     deliver it — io.EOF after a clean decode, or the error that ended the
 //     stream — with every event decoded before it. A limited run
 //     (sim.Config.SimInstructions) that stops before the fault succeeds,
-//     byte-identically to streaming, and a corrupt chunk poisons exactly
-//     the readings that pass it, never other entries.
-//   - Transient failures (an open or a chunk decode failing outside the
-//     faults taxonomy, or the loader's context ending) reach every waiter
-//     of the load but are not cached. Any other error, including every
-//     error after a successful open, is cached so later readings do not
-//     re-decode a damaged trace.
+//     byte-identically to streaming.
+//   - Transient failures (an open failing outside the faults taxonomy, or
+//     the loader's context ending) reach every waiter of the load but are
+//     not cached. Any other error, including every error after a
+//     successful open, is cached so later readings do not re-decode a
+//     damaged trace.
 package tracecache
 
 import (
@@ -65,26 +61,19 @@ import (
 // cache-resident.
 const BatchEvents = 4096
 
-// Whole is the chunk index of a trace read whole, as the one chunk of a
-// one-chunk trace. Its entry is keyed apart from chunk 0 of the same trace: a
-// cell whose chunked open failed streams the whole trace and must never be
-// served one chunk's events.
-const Whole = -1
-
-// LoadFunc decodes one chunk of a trace for Acquire. It hands the chunk's
-// events to f.Add in trace order (Add interns them into the trace's table)
-// and returns the open attempts it made (≥ 1) and the chunk's terminal
-// error: nil or io.EOF after a clean decode, otherwise the error that ended
-// it, after every event decoded before it was added. A loader that opens a stream calls f.Opened once it is open.
-// Once f.Opened or f.Add reports false the loader returns at once.
+// LoadFunc decodes a trace for Acquire. It opens the trace, calls f.Opened,
+// hands the events to f.Add in trace order (Add interns them into the
+// entry's table) and returns the open attempts it made (≥ 1) and the
+// trace's terminal error: nil or io.EOF after a clean decode, otherwise the
+// error that ended it, after every event decoded before it was added. Once
+// f.Opened or f.Add reports false the loader returns at once.
 type LoadFunc func(f *Fill) (attempts int, err error)
 
 // Stats is a snapshot of the cache counters, for logging and tests.
 type Stats struct {
-	// Entries, Tables and BytesUsed describe the current resident set;
-	// BytesUsed counts records and tables.
+	// Entries and BytesUsed describe the current resident set; BytesUsed
+	// counts the entries' records and tables.
 	Entries   int
-	Tables    int
 	BytesUsed int64
 	// Hits counts Acquire calls served by an existing entry (including
 	// waits on an in-flight load); Misses counts loads started.
@@ -100,22 +89,14 @@ type Stats struct {
 	TooBig    uint64
 }
 
-// key names one entry: a chunk of a trace, or the trace read Whole. id is
-// the trace's content digest, or its path when it has none.
-type key struct {
-	id    string
-	chunk int
-}
-
-// Cache is a bounded, concurrency-safe store of decoded trace chunks. The
-// zero value is not usable; use New.
+// Cache is a bounded, concurrency-safe store of decoded traces. The zero
+// value is not usable; use New.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
-	clock   uint64 // LRU timestamp source, advanced under mu
-	entries map[key]*Entry
-	tables  map[string]*Table
+	clock   uint64            // LRU timestamp source, advanced under mu
+	entries map[string]*Entry // by trace id
 	stats   Stats
 }
 
@@ -126,73 +107,15 @@ func New(budget int64) *Cache {
 	if budget <= 0 {
 		return nil
 	}
-	return &Cache{budget: budget, entries: make(map[key]*Entry), tables: make(map[string]*Table)}
+	return &Cache{budget: budget, entries: make(map[string]*Entry)}
 }
 
-// Pin returns the static table of the trace identified by id, creating it,
-// and keeps it alive until Unpin: a reader walking the trace pins its table
-// for the whole walk, so the ids of the chunks it reads, cached or decoded
-// directly, come from one table.
-func (c *Cache) Pin(id string) *Table {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pinLocked(id)
-}
-
-// Unpin releases a table obtained from Pin.
-func (c *Cache) Unpin(t *Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.unpinLocked(t)
-}
-
-// pinLocked is Pin with c.mu held.
-func (c *Cache) pinLocked(id string) *Table {
-	t := c.tables[id]
-	if t == nil {
-		t = NewTable()
-		t.id = id
-		c.tables[id] = t
-		c.chargeLocked(t)
-	}
-	t.refs++
-	return t
-}
-
-// unpinLocked drops one hold on t; the last one frees the table and its
-// bytes. Caller holds c.mu.
-func (c *Cache) unpinLocked(t *Table) {
-	t.refs--
-	if t.refs == 0 {
-		delete(c.tables, t.id)
-		c.used -= t.charged
-		t.charged = 0
-	}
-}
-
-// chargeLocked brings t's charge up to its footprint. Caller holds c.mu.
-func (c *Cache) chargeLocked(t *Table) {
-	size := t.Size()
-	c.used += size - t.charged
-	t.charged = size
-}
-
-// Intern interns evs into t, a table pinned from c, appending their records
-// to dst, and charges the table's growth to the budget, evicting idle
-// entries to make room: the direct decode of a chunk the cache turned away.
-func (c *Cache) Intern(col *obs.Collector, t *Table, dst []Record, evs []bp.Event) ([]Record, error) {
-	dst, err := t.Intern(dst, evs)
-	c.reserve(nil, 0, t, col)
-	return dst, err
-}
-
-// Entry is one decoded chunk, pinned from Acquire until Release. All fields
+// Entry is one decoded trace, pinned from Acquire until Release. All fields
 // are immutable once the load completes (the ready channel is closed), so
 // any number of goroutines may read the batches concurrently.
 type Entry struct {
 	c     *Cache
-	key   key
-	tab   *Table // the trace's table, held while the entry is resident
+	id    string
 	ready chan struct{}
 
 	// Guarded by c.mu.
@@ -202,6 +125,7 @@ type Entry struct {
 
 	// Written by the loader before close(ready), read-only afterwards.
 	batches  [][]Record
+	view     View  // the entry's own table, which the batches index
 	err      error // terminal error: io.EOF after a clean decode
 	attempts int
 	tooBig   bool
@@ -209,18 +133,21 @@ type Entry struct {
 }
 
 // Batches returns the decoded records, in trace order, split into batches
-// of at most BatchEvents records. Their ids index the table Pin returns for
-// the trace; a View taken after Acquire covers them. Valid only when TooBig
-// is false. Callers must not modify the records and must not retain the
-// slices past Release.
+// of at most BatchEvents records. Their ids index View. Valid only when
+// TooBig is false. Callers must not modify the records and must not retain
+// the slices past Release.
 func (e *Entry) Batches() [][]Record { return e.batches }
 
+// View returns the entry's static table, which covers every record of
+// Batches. Valid only when TooBig is false, and only until Release.
+func (e *Entry) View() View { return e.view }
+
 // Err returns the terminal error of the decode: io.EOF after a clean end
-// of the chunk, or the error that ended it. The events of Batches remain
+// of the trace, or the error that ended it. The events of Batches remain
 // valid either way.
 func (e *Entry) Err() error { return e.err }
 
-// TooBig reports that the chunk was not pinned — its decoded form exceeds
+// TooBig reports that the trace was not pinned — its decoded form exceeds
 // the cache budget, or the budget is pinned by other holders — and the
 // caller must read it uncached.
 func (e *Entry) TooBig() bool { return e.tooBig }
@@ -229,27 +156,26 @@ func (e *Entry) TooBig() bool { return e.tooBig }
 // retry-aware failure accounting.
 func (e *Entry) Attempts() int { return e.attempts }
 
-// Acquire returns the decoded form of one chunk of the trace identified by
-// id — chunk Whole for a trace read whole — loading it through load on first
-// use. id is the trace's content digest when the caller has one, so equal
-// bytes share entries and rewritten bytes never match; otherwise its path.
-// Concurrent Acquires of the same chunk share one load: the first caller
-// decodes, the rest wait. A waiter whose shared load was abandoned because
-// the loading caller's context ended, while its own ctx is live, loads the
-// chunk itself. The caller's hits, misses, coalesces, waits and (for a load
-// it runs) evictions and too-big verdicts are counted into col, which may be
-// nil. The returned entry is pinned; the caller must Release it exactly
-// once, even when Err reports a failure or TooBig is set. A non-nil error is
-// returned only when ctx ends while waiting for another goroutine's load.
-func (c *Cache) Acquire(ctx context.Context, col *obs.Collector, id string, chunk int, load LoadFunc) (*Entry, error) {
-	k := key{id, chunk}
+// Acquire returns the decoded form of the trace identified by id, loading
+// it through load on first use. id is the trace's content digest when the
+// caller has one, so equal bytes share entries and rewritten bytes never
+// match; otherwise its path. Concurrent Acquires of the same trace share
+// one load: the first caller decodes, the rest wait. A waiter whose shared
+// load was abandoned because the loading caller's context ended, while its
+// own ctx is live, loads the trace itself. The caller's hits, misses,
+// coalesces, waits and (for a load it runs) evictions and too-big verdicts
+// are counted into col, which may be nil. The returned entry is pinned; the
+// caller must Release it exactly once, even when Err reports a failure or
+// TooBig is set. A non-nil error is returned only when ctx ends while
+// waiting for another goroutine's load.
+func (c *Cache) Acquire(ctx context.Context, col *obs.Collector, id string, load LoadFunc) (*Entry, error) {
 	for {
 		c.mu.Lock()
 		col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
-		e, ok := c.entries[k]
+		e, ok := c.entries[id]
 		if !ok {
-			e = &Entry{c: c, key: k, tab: c.pinLocked(id), ready: make(chan struct{}), refs: 1}
-			c.entries[k] = e
+			e = &Entry{c: c, id: id, ready: make(chan struct{}), refs: 1}
+			c.entries[id] = e
 			c.stats.Misses++
 			col.Ctr(obs.CtrCacheMisses).Add(1)
 			c.mu.Unlock()
@@ -308,18 +234,19 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Entries = len(c.entries)
-	s.Tables = len(c.tables)
 	s.BytesUsed = c.used
 	return s
 }
 
-// Fill is the cache side of one load: the loader hands it the chunk's
+// Fill is the cache side of one load: the loader hands it the trace's
 // events.
 type Fill struct {
-	e      *Entry
-	col    *obs.Collector // the loading caller's metrics
-	opened bool           // later errors are the bytes', whatever their class
-	err    error          // an event Add could not intern, ending the chunk
+	e       *Entry
+	col     *obs.Collector // the loading caller's metrics
+	tab     *Table         // the entry's table, created by the load
+	charged int64          // the table's bytes charged to the entry so far
+	opened  bool           // later errors are the bytes', whatever their class
+	err     error          // an event Add could not intern, ending the trace
 }
 
 // Opened tells the cache that the loader opened r: an error that ends the
@@ -336,12 +263,12 @@ func (f *Fill) Opened(r bp.Reader) bool {
 	return true
 }
 
-// Add interns evs into the trace's table and charges their records, and
+// Add interns evs into the entry's table and charges their records, and
 // the table's growth, to the entry, which keeps the records in batches of
 // at most BatchEvents; evs are not retained. Add reports false once the
-// chunk cannot be pinned — it alone exceeds the budget, or every other
+// trace cannot be pinned — it alone exceeds the budget, or every other
 // resident byte is pinned by concurrent holders — or an event cannot be
-// interned, which ends the chunk with that error after the records before
+// interned, which ends the trace with that error after the records before
 // it; the loader must then stop.
 func (f *Fill) Add(evs []bp.Event) bool {
 	e := f.e
@@ -351,27 +278,24 @@ func (f *Fill) Add(evs []bp.Event) bool {
 	if len(evs) == 0 {
 		return true
 	}
-	recs, err := e.tab.Intern(make([]Record, 0, len(evs)), evs)
-	if ok, contention := e.c.reserve(e, int64(len(recs))*recordBytes, e.tab, f.col); !ok {
+	recs, err := f.tab.Intern(make([]Record, 0, len(evs)), evs)
+	size := f.tab.Size()
+	if ok, contention := e.c.reserve(e, int64(len(recs))*recordBytes+size-f.charged, f.col); !ok {
 		e.tooBig, e.volatile = true, contention
 		return false
 	}
-	e.batches = AppendBatches(e.batches, recs)
-	f.err = err
-	return err == nil
-}
-
-// AppendBatches appends recs to dst split into batches of at most
-// BatchEvents records, the one shape a cell reads, cached or not.
-func AppendBatches(dst [][]Record, recs []Record) [][]Record {
+	f.charged = size
+	// Batches of at most BatchEvents records: the one shape a cell reads,
+	// cached or not.
 	for len(recs) > BatchEvents {
-		dst = append(dst, recs[:BatchEvents])
+		e.batches = append(e.batches, recs[:BatchEvents])
 		recs = recs[BatchEvents:]
 	}
 	if len(recs) > 0 {
-		dst = append(dst, recs)
+		e.batches = append(e.batches, recs)
 	}
-	return dst
+	f.err = err
+	return err == nil
 }
 
 // load runs the loader into e and publishes the outcome by closing ready.
@@ -379,15 +303,16 @@ func AppendBatches(dst [][]Record, recs []Record) [][]Record {
 // col, and it is the one place a load's outcome is judged.
 func (e *Entry) load(load LoadFunc, col *obs.Collector) {
 	defer close(e.ready)
-	f := &Fill{e: e, col: col}
+	f := &Fill{e: e, col: col, tab: NewTable()}
 	attempts, err := loadSafe(load, f)
+	e.view = f.tab.View()
 	e.attempts = max(attempts, 1)
 	if f.err != nil {
 		err = f.err // the loader stopped at the event Add refused
 	}
 	switch {
 	case e.tooBig:
-		// Opened or Add turned the chunk away and the loader stopped.
+		// Opened or Add turned the trace away and the loader stopped.
 	case err == nil || err == io.EOF:
 		e.err = io.EOF
 	case !isContextErr(err) && (f.opened || faults.Permanent(err)):
@@ -416,63 +341,53 @@ func loadSafe(load LoadFunc, f *Fill) (attempts int, err error) {
 	return load(f)
 }
 
-// drop discards the batches of a turned-away or transiently failed entry
-// and returns its budget bytes and its hold on the table. A volatile entry
-// — a transient failure, or a contention verdict while the budget is
-// pinned by concurrent holders — also leaves the map, so a later Acquire
-// loads again. A size verdict stays in the map at zero bytes, so later
-// Acquires learn at once that the chunk must be read uncached.
+// drop discards the batches and the table of a turned-away or transiently
+// failed entry and returns its budget bytes. A volatile entry — a transient
+// failure, or a contention verdict while the budget is pinned by concurrent
+// holders — also leaves the map, so a later Acquire loads again. A size
+// verdict stays in the map at zero bytes, so later Acquires learn at once
+// that the trace must be read uncached.
 func (e *Entry) drop(col *obs.Collector) {
 	c := e.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.used -= e.bytes
 	e.bytes = 0
-	e.batches = nil
-	c.unpinLocked(e.tab)
-	e.tab = nil
+	e.batches, e.view = nil, View{}
 	col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used))
 	if e.tooBig {
 		c.stats.TooBig++
 		col.Ctr(obs.CtrCacheTooBig).Add(1)
 	}
 	if e.volatile {
-		delete(c.entries, e.key)
+		delete(c.entries, e.id)
 	}
 }
 
-// reserve charges the growth of table t, then delta more bytes to a
-// loading entry e, evicting idle entries (least recently used first) as
-// needed, and counts into the loading caller's col. The table's growth is
-// charged whether or not it fits: its memory is spent, and it returns to
-// the budget with the table's last holder. ok is false when the entry
-// cannot fit; contention distinguishes "every other resident byte is
-// pinned by concurrent holders" from "the entry alone exceeds the budget".
-// A nil e charges the table alone, evicting what idle entries it can.
-func (c *Cache) reserve(e *Entry, delta int64, t *Table, col *obs.Collector) (ok, contention bool) {
+// reserve charges delta more bytes to a loading entry e, evicting idle
+// entries (least recently used first) as needed, and counts into the
+// loading caller's col. ok is false when the entry cannot fit; contention
+// distinguishes "every other resident byte is pinned by concurrent holders"
+// from "the entry alone exceeds the budget".
+func (c *Cache) reserve(e *Entry, delta int64, col *obs.Collector) (ok, contention bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer func() { col.Ctr(obs.CtrCacheBytes).Store(uint64(c.used)) }()
-	c.chargeLocked(t)
-	if e != nil && e.bytes+delta > c.budget {
+	if e.bytes+delta > c.budget {
 		return false, false
 	}
 	for c.used+delta > c.budget {
 		victim := c.idleLRU()
 		if victim == nil {
-			return false, e != nil
+			return false, true
 		}
 		c.used -= victim.bytes
-		delete(c.entries, victim.key)
-		c.unpinLocked(victim.tab)
-		victim.tab = nil
+		delete(c.entries, victim.id)
 		c.stats.Evictions++
 		col.Ctr(obs.CtrCacheEvictions).Add(1)
 	}
-	if e != nil {
-		c.used += delta
-		e.bytes += delta
-	}
+	c.used += delta
+	e.bytes += delta
 	return true, false
 }
 

@@ -69,13 +69,10 @@ type hideSizer struct{ r bp.Reader }
 
 func (h hideSizer) Read() (bp.Event, error) { return h.r.Read() }
 
-// drain replays an entry's records through its trace's table.
+// drain replays an entry's records through its table.
 func drain(t *testing.T, e *Entry) []bp.Event {
 	t.Helper()
-	if len(e.Batches()) == 0 {
-		return nil
-	}
-	return replay(e.tab.View(), e.Batches()...)
+	return replay(e.View(), e.Batches()...)
 }
 
 // replay turns records back into the events they were interned from.
@@ -136,7 +133,7 @@ func TestAcquireDecodesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.Acquire(ctx, nil, "t0", Whole, load)
+			e, err := c.Acquire(ctx, nil, "t0", load)
 			if err != nil {
 				t.Error(err)
 				return
@@ -197,7 +194,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	var opens [3]atomic.Int32
 	for round := 0; round < 2; round++ {
 		for i, name := range names {
-			e, err := c.Acquire(ctx, nil, name, Whole, genLoad(t, testSpec(name, branches), &opens[i]))
+			e, err := c.Acquire(ctx, nil, name, genLoad(t, testSpec(name, branches), &opens[i]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +231,7 @@ func TestLRUPrefersColdEntries(t *testing.T) {
 	var opensA atomic.Int32
 	acquire := func(name string, opens *atomic.Int32) {
 		t.Helper()
-		e, err := c.Acquire(ctx, nil, name, Whole, genLoad(t, testSpec(name, branches), opens))
+		e, err := c.Acquire(ctx, nil, name, genLoad(t, testSpec(name, branches), opens))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +256,7 @@ func TestTooBigFallsBackToStreaming(t *testing.T) {
 	var opens atomic.Int32
 	spec := testSpec("big", 5000)
 	for i := 0; i < 2; i++ {
-		e, err := c.Acquire(ctx, nil, "big", Whole, genLoad(t, spec, &opens))
+		e, err := c.Acquire(ctx, nil, "big", genLoad(t, spec, &opens))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +277,7 @@ func TestTooBigFallsBackToStreaming(t *testing.T) {
 		g, err := tracegen.New(testSpec("big-nosizer", 5000))
 		return hideSizer{g}, err
 	})
-	e, err := c.Acquire(ctx, nil, "big-nosizer", Whole, noSizer)
+	e, err := c.Acquire(ctx, nil, "big-nosizer", noSizer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +295,7 @@ func TestContentionTooBigIsVolatile(t *testing.T) {
 	// Fits one trace of 1000 records and its table, not two.
 	c := New(1500*recordBytes + 2*tableBytes(t, readAll(t, testSpec("held", branches))))
 	ctx := context.Background()
-	held, err := c.Acquire(ctx, nil, "held", Whole, genLoad(t, testSpec("held", branches), nil))
+	held, err := c.Acquire(ctx, nil, "held", genLoad(t, testSpec("held", branches), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +305,7 @@ func TestContentionTooBigIsVolatile(t *testing.T) {
 	// While "held" is pinned, a second trace cannot evict it: streamed, but
 	// the verdict must not stick.
 	var opens atomic.Int32
-	e, err := c.Acquire(ctx, nil, "later", Whole, genLoad(t, testSpec("later", branches), &opens))
+	e, err := c.Acquire(ctx, nil, "later", genLoad(t, testSpec("later", branches), &opens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +315,7 @@ func TestContentionTooBigIsVolatile(t *testing.T) {
 	c.Release(e)
 	c.Release(held)
 	// With the pin gone, the same trace now caches normally.
-	e, err = c.Acquire(ctx, nil, "later", Whole, genLoad(t, testSpec("later", branches), &opens))
+	e, err = c.Acquire(ctx, nil, "later", genLoad(t, testSpec("later", branches), &opens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +361,7 @@ func TestCorruptTracePoisonsOnlyItself(t *testing.T) {
 		return sbbt.NewReader(bytes.NewReader(data))
 	})
 	for i := 0; i < 3; i++ {
-		e, err := c.Acquire(ctx, nil, "corrupt", Whole, openCorrupt)
+		e, err := c.Acquire(ctx, nil, "corrupt", openCorrupt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +381,7 @@ func TestCorruptTracePoisonsOnlyItself(t *testing.T) {
 		t.Errorf("corrupt trace decoded %d times, want 1", got)
 	}
 	// The cache itself stays healthy for other traces.
-	e, err := c.Acquire(ctx, nil, "healthy", Whole, genLoad(t, testSpec("healthy", 2000), nil))
+	e, err := c.Acquire(ctx, nil, "healthy", genLoad(t, testSpec("healthy", 2000), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +423,7 @@ func TestDecodeErrorAfterOpenIsCached(t *testing.T) {
 	})
 	want := readAll(t, spec)[:cut]
 	for i := 0; i < 3; i++ {
-		e, err := c.Acquire(ctx, nil, "cut", Whole, load)
+		e, err := c.Acquire(ctx, nil, "cut", load)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +451,7 @@ func TestTransientOpenFailureNotCached(t *testing.T) {
 		}
 		return tracegen.New(spec)
 	})
-	e, err := c.Acquire(ctx, nil, "flaky", Whole, open)
+	e, err := c.Acquire(ctx, nil, "flaky", open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +460,7 @@ func TestTransientOpenFailureNotCached(t *testing.T) {
 	}
 	c.Release(e)
 	// The failure was transient, so the entry must not have been cached.
-	e, err = c.Acquire(ctx, nil, "flaky", Whole, open)
+	e, err = c.Acquire(ctx, nil, "flaky", open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +479,7 @@ func TestTransientOpenFailureNotCached(t *testing.T) {
 		return nil, faults.ErrCorrupt
 	})
 	for i := 0; i < 2; i++ {
-		e, err := c.Acquire(ctx, nil, "perm", Whole, permanent)
+		e, err := c.Acquire(ctx, nil, "perm", permanent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +513,7 @@ func TestAcquireCancelledWhileWaiting(t *testing.T) {
 		return tracegen.New(testSpec("slow", 100))
 	})
 	go func() {
-		e, err := c.Acquire(context.Background(), nil, "slow", Whole, slowOpen)
+		e, err := c.Acquire(context.Background(), nil, "slow", slowOpen)
 		if err == nil {
 			c.Release(e)
 		}
@@ -524,7 +521,7 @@ func TestAcquireCancelledWhileWaiting(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Acquire(ctx, nil, "slow", Whole, slowOpen); !errors.Is(err, context.Canceled) {
+	if _, err := c.Acquire(ctx, nil, "slow", slowOpen); !errors.Is(err, context.Canceled) {
 		t.Errorf("Acquire under cancelled ctx = %v, want context.Canceled", err)
 	}
 	close(unblock)
@@ -552,13 +549,13 @@ func TestWaiterOutlivesLoaderContext(t *testing.T) {
 	}
 	loaderDone := make(chan *Entry)
 	go func() {
-		e, _ := c.Acquire(loaderCtx, nil, "shared", Whole, load(loaderCtx))
+		e, _ := c.Acquire(loaderCtx, nil, "shared", load(loaderCtx))
 		loaderDone <- e
 	}()
 	<-started
 	waiterDone := make(chan *Entry)
 	go func() {
-		e, err := c.Acquire(context.Background(), nil, "shared", Whole, load(context.Background()))
+		e, err := c.Acquire(context.Background(), nil, "shared", load(context.Background()))
 		if err != nil {
 			t.Error(err)
 		}
@@ -623,7 +620,7 @@ func TestCollectorPerCaller(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e, err := c.Acquire(ctx, col, name, Whole, genLoad(t, testSpec(name, 2_000), nil))
+				e, err := c.Acquire(ctx, col, name, genLoad(t, testSpec(name, 2_000), nil))
 				if err != nil {
 					t.Error(err)
 					return
@@ -692,7 +689,7 @@ func TestCancelledLoadReturnsBudget(t *testing.T) {
 		}
 		return &cancelAfter{r: g, after: 5_000, cancel: cancel}, nil
 	})
-	e, err := c.Acquire(ctx, nil, "cancelled", Whole, open)
+	e, err := c.Acquire(ctx, nil, "cancelled", open)
 	if err != nil {
 		t.Fatal(err)
 	}

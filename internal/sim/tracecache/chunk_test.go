@@ -13,21 +13,21 @@ import (
 	"mbplib/internal/faults"
 )
 
-// chunkEvents builds a deterministic, chunk-distinct event slice.
-func chunkEvents(chunk, n int) []bp.Event {
+// traceEvents builds a deterministic event slice, distinct per trace k.
+func traceEvents(k, n int) []bp.Event {
 	evs := make([]bp.Event, n)
 	for i := range evs {
 		evs[i] = bp.Event{
-			Branch:                bp.Branch{IP: uint64(chunk)<<32 | uint64(i), Opcode: bp.OpCondJump, Taken: i%2 == 0},
+			Branch:                bp.Branch{IP: uint64(k)<<32 | uint64(i), Opcode: bp.OpCondJump, Taken: i%2 == 0},
 			InstrsSinceLastBranch: uint64(i % 5),
 		}
 	}
 	return evs
 }
 
-// chunkLoad is a chunk loader shaped like the simulator's: one decode,
-// whose events (kept even on a failure) go to the cache at once.
-func chunkLoad(decode func() ([]bp.Event, error)) LoadFunc {
+// eventsLoad is a loader that decodes in one step, whose events (kept even
+// on a failure) go to the cache at once.
+func eventsLoad(decode func() ([]bp.Event, error)) LoadFunc {
 	return func(f *Fill) (int, error) {
 		evs, err := decode()
 		f.Add(evs)
@@ -35,14 +35,14 @@ func chunkLoad(decode func() ([]bp.Event, error)) LoadFunc {
 	}
 }
 
-// countingChunkLoad returns a loader serving chunkEvents(chunk, n) and
-// counting invocations.
-func countingChunkLoad(chunk, n int, loads *atomic.Int32) LoadFunc {
-	return chunkLoad(func() ([]bp.Event, error) {
+// countingLoad returns a loader serving traceEvents(k, n) and counting
+// invocations.
+func countingLoad(k, n int, loads *atomic.Int32) LoadFunc {
+	return eventsLoad(func() ([]bp.Event, error) {
 		if loads != nil {
 			loads.Add(1)
 		}
-		return chunkEvents(chunk, n), nil
+		return traceEvents(k, n), nil
 	})
 }
 
@@ -58,7 +58,7 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.Acquire(ctx, nil, "trace", 3, countingChunkLoad(3, 1000, &loads))
+			e, err := c.Acquire(ctx, nil, "trace", countingLoad(3, 1000, &loads))
 			if err != nil {
 				t.Error(err)
 				return
@@ -68,9 +68,9 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 	}
 	wg.Wait()
 	if got := loads.Load(); got != 1 {
-		t.Errorf("chunk loaded %d times, want 1 (single-flight)", got)
+		t.Errorf("trace loaded %d times, want 1 (single-flight)", got)
 	}
-	want := chunkEvents(3, 1000)
+	want := traceEvents(3, 1000)
 	for i, e := range entries {
 		if e == nil {
 			t.Fatalf("reader %d got no entry", i)
@@ -83,13 +83,13 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 		}
 		c.Release(e)
 	}
-	// Chunks of the same trace are independent entries.
-	e0, err := c.Acquire(ctx, nil, "trace", 0, countingChunkLoad(0, 10, &loads))
+	// Another trace is an independent entry, with a table of its own.
+	e0, err := c.Acquire(ctx, nil, "other", countingLoad(0, 10, &loads))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalEvents(drain(t, e0), chunkEvents(0, 10)) {
-		t.Error("chunk 0 served chunk 3's events")
+	if !equalEvents(drain(t, e0), traceEvents(0, 10)) {
+		t.Error("the second trace served the first one's events")
 	}
 	c.Release(e0)
 	if st := c.Stats(); st.Entries != 2 || st.Misses != 2 {
@@ -97,78 +97,33 @@ func TestAcquireChunkSingleFlight(t *testing.T) {
 	}
 }
 
-// TestAcquireChunkKeyIsolation: a chunk entry never collides with a
-// whole-trace entry of the same name, nor with other chunk numbers.
-func TestAcquireChunkKeyIsolation(t *testing.T) {
-	c := New(1 << 20)
-	ctx := context.Background()
-	e1, err := c.Acquire(ctx, nil, "t", 12, countingChunkLoad(12, 50, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := c.Acquire(ctx, nil, "t", 1, countingChunkLoad(1, 50, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 == e2 {
-		t.Fatal("chunks 12 and 1 shared one entry")
-	}
-	if !equalEvents(drain(t, e1), chunkEvents(12, 50)) || !equalEvents(drain(t, e2), chunkEvents(1, 50)) {
-		t.Error("chunk entries returned wrong events")
-	}
-	c.Release(e1)
-	c.Release(e2)
-
-	// A trace read whole is keyed apart from chunk 0 of the same name: a
-	// cell whose chunked open failed must never be served a chunk's events.
-	e0, err := c.Acquire(ctx, nil, "t", 0, countingChunkLoad(0, 50, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole, err := c.Acquire(ctx, nil, "t", Whole, countingChunkLoad(7, 80, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e0 == whole {
-		t.Fatal("chunk 0 and the whole trace shared one entry")
-	}
-	if !equalEvents(drain(t, e0), chunkEvents(0, 50)) || !equalEvents(drain(t, whole), chunkEvents(7, 80)) {
-		t.Error("whole-trace and chunk 0 entries returned wrong events")
-	}
-	c.Release(e0)
-	c.Release(whole)
-	if st := c.Stats(); st.Entries != 4 || st.Misses != 4 {
-		t.Errorf("stats = %+v, want 4 entries, 4 misses", st)
-	}
-}
-
 // TestAcquireChunkCorruptPoisonsOnlyItself: a permanent decode fault is
-// cached with the chunk's pre-error events, and neighbouring chunks stay
-// clean — damage is confined to the chunk that carries it.
+// cached with the trace's pre-error events, and other traces stay clean —
+// damage is confined to the entry that carries it.
 func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 	c := New(1 << 20)
 	ctx := context.Background()
 	var badLoads atomic.Int32
 	corrupt := fmt.Errorf("decode: %w", faults.ErrCorrupt)
-	badLoad := chunkLoad(func() ([]bp.Event, error) {
+	badLoad := eventsLoad(func() ([]bp.Event, error) {
 		badLoads.Add(1)
-		return chunkEvents(1, 100), corrupt // events before the fault survive
+		return traceEvents(1, 100), corrupt // events before the fault survive
 	})
 
-	e1, err := c.Acquire(ctx, nil, "t", 1, badLoad)
+	e1, err := c.Acquire(ctx, nil, "t1", badLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(e1.Err(), faults.ErrCorrupt) {
-		t.Fatalf("chunk 1 err = %v, want ErrCorrupt", e1.Err())
+		t.Fatalf("trace 1 err = %v, want ErrCorrupt", e1.Err())
 	}
-	if got := drain(t, e1); !equalEvents(got, chunkEvents(1, 100)) {
+	if got := drain(t, e1); !equalEvents(got, traceEvents(1, 100)) {
 		t.Errorf("pre-error events lost: got %d", len(got))
 	}
 	c.Release(e1)
 
 	// The permanent fault is cached: no re-decode on a second acquire.
-	e1b, err := c.Acquire(ctx, nil, "t", 1, badLoad)
+	e1b, err := c.Acquire(ctx, nil, "t1", badLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +132,17 @@ func TestAcquireChunkCorruptPoisonsOnlyItself(t *testing.T) {
 	}
 	c.Release(e1b)
 	if got := badLoads.Load(); got != 1 {
-		t.Errorf("corrupt chunk decoded %d times, want 1 (cached poison)", got)
+		t.Errorf("corrupt trace decoded %d times, want 1 (cached poison)", got)
 	}
 
-	// Neighbours decode cleanly.
-	for _, i := range []int{0, 2} {
-		e, err := c.Acquire(ctx, nil, "t", i, countingChunkLoad(i, 100, nil))
+	// Other traces decode cleanly.
+	for _, k := range []int{0, 2} {
+		e, err := c.Acquire(ctx, nil, fmt.Sprintf("t%d", k), countingLoad(k, 100, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if e.Err() != io.EOF {
-			t.Errorf("chunk %d err = %v, want io.EOF", i, e.Err())
+			t.Errorf("trace %d err = %v, want io.EOF", k, e.Err())
 		}
 		c.Release(e)
 	}
@@ -200,14 +155,14 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 	ctx := context.Background()
 	transient := errors.New("open: resource temporarily unavailable")
 	var loads atomic.Int32
-	flaky := chunkLoad(func() ([]bp.Event, error) {
+	flaky := eventsLoad(func() ([]bp.Event, error) {
 		if loads.Add(1) == 1 {
 			return nil, transient
 		}
-		return chunkEvents(0, 64), nil
+		return traceEvents(0, 64), nil
 	})
 
-	e, err := c.Acquire(ctx, nil, "t", 0, flaky)
+	e, err := c.Acquire(ctx, nil, "t", flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +171,11 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 	}
 	c.Release(e)
 
-	e2, err := c.Acquire(ctx, nil, "t", 0, flaky)
+	e2, err := c.Acquire(ctx, nil, "t", flaky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.Err() != io.EOF || !equalEvents(drain(t, e2), chunkEvents(0, 64)) {
+	if e2.Err() != io.EOF || !equalEvents(drain(t, e2), traceEvents(0, 64)) {
 		t.Errorf("retry entry err = %v, want clean decode", e2.Err())
 	}
 	c.Release(e2)
@@ -229,11 +184,11 @@ func TestAcquireChunkTransientNotCached(t *testing.T) {
 	}
 }
 
-// TestAcquireChunkPanicIsTyped: a panicking chunk decoder becomes a cached
-// typed fault, never a crashed scheduler.
+// TestAcquireChunkPanicIsTyped: a panicking decoder becomes a cached typed
+// fault, never a crashed scheduler.
 func TestAcquireChunkPanicIsTyped(t *testing.T) {
 	c := New(1 << 20)
-	e, err := c.Acquire(context.Background(), nil, "t", 0, chunkLoad(func() ([]bp.Event, error) {
+	e, err := c.Acquire(context.Background(), nil, "t", eventsLoad(func() ([]bp.Event, error) {
 		panic("deliberate test panic")
 	}))
 	if err != nil {
@@ -245,16 +200,16 @@ func TestAcquireChunkPanicIsTyped(t *testing.T) {
 	c.Release(e)
 }
 
-// TestAcquireChunkTooBig: a chunk that alone exceeds the budget yields a
+// TestAcquireChunkTooBig: a trace that alone exceeds the budget yields a
 // too-big verdict and charges nothing.
 func TestAcquireChunkTooBig(t *testing.T) {
 	c := New(100 * recordBytes)
-	e, err := c.Acquire(context.Background(), nil, "t", 0, countingChunkLoad(0, 1000, nil))
+	e, err := c.Acquire(context.Background(), nil, "t", countingLoad(0, 1000, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !e.TooBig() {
-		t.Fatal("oversized chunk was pinned")
+		t.Fatal("oversized trace was pinned")
 	}
 	c.Release(e)
 	if st := c.Stats(); st.BytesUsed != 0 || st.TooBig != 1 {
@@ -263,28 +218,17 @@ func TestAcquireChunkTooBig(t *testing.T) {
 }
 
 // TestAcquireChunkEvictionBudget hammers the cache with concurrent
-// pin/release cycles over more chunks than fit, checking the budget
+// pin/release cycles over more traces than fit, checking the budget
 // invariant after every acquire and the final accounting.
 func TestAcquireChunkEvictionBudget(t *testing.T) {
-	const chunkLen, chunks = 500, 8
-	var all [][]bp.Event
-	for chunk := range chunks {
-		all = append(all, chunkEvents(chunk, chunkLen))
+	const traceLen, traces = 500, 8
+	var one int64
+	for k := range traces {
+		one = max(one, traceLen*recordBytes+tableBytes(t, traceEvents(k, traceLen)))
 	}
-	// Fits the trace's table and 3 chunks of 500 records.
-	budget := 3*chunkLen*recordBytes + tableBytes(t, all...)
+	budget := 3 * one // 3 traces, records and tables
 	c := New(budget)
 	ctx := context.Background()
-	// One pass in trace order grows the table to its full size first: a
-	// table's growth is charged even while every entry is pinned, so only
-	// a grown table keeps the budget a hard bound under contention.
-	for chunk := range chunks {
-		e, err := c.Acquire(ctx, nil, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Release(e)
-	}
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -293,15 +237,15 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				chunk := (w + round) % chunks
-				e, err := c.Acquire(ctx, nil, "big-trace", chunk, countingChunkLoad(chunk, chunkLen, nil))
+				k := (w + round) % traces
+				e, err := c.Acquire(ctx, nil, fmt.Sprintf("t%d", k), countingLoad(k, traceLen, nil))
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if !e.TooBig() {
-					if !equalEvents(drain(t, e), chunkEvents(chunk, chunkLen)) {
-						t.Errorf("chunk %d decoded wrong events", chunk)
+					if !equalEvents(drain(t, e), traceEvents(k, traceLen)) {
+						t.Errorf("trace %d decoded wrong events", k)
 					}
 				}
 				if st := c.Stats(); st.BytesUsed > budget {
@@ -317,22 +261,19 @@ func TestAcquireChunkEvictionBudget(t *testing.T) {
 		t.Errorf("final bytes %d exceed budget %d", st.BytesUsed, budget)
 	}
 	if st.Evictions == 0 {
-		t.Error("8 chunks cycled through a 3-chunk budget with no evictions")
+		t.Error("8 traces cycled through a 3-trace budget with no evictions")
 	}
 	// Every resident entry is idle now; its bytes must all be accounted.
 	var sum int64
 	c.mu.Lock()
 	for _, e := range c.entries {
 		if e.refs != 0 {
-			t.Errorf("entry %v still pinned (refs %d) after all releases", e.key, e.refs)
+			t.Errorf("entry %s still pinned (refs %d) after all releases", e.id, e.refs)
 		}
 		sum += e.bytes
 	}
-	for _, tab := range c.tables {
-		sum += tab.charged
-	}
 	c.mu.Unlock()
 	if sum != st.BytesUsed {
-		t.Errorf("entry and table bytes sum %d != BytesUsed %d", sum, st.BytesUsed)
+		t.Errorf("entry bytes sum %d != BytesUsed %d", sum, st.BytesUsed)
 	}
 }

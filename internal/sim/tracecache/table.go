@@ -50,9 +50,10 @@ func (s *Static) Branch(r Record) bp.Branch {
 // opcode) tuples and their addresses, each in order of first appearance:
 // tuple ids and IP ids are dense and count up from 0 as Intern meets new
 // ones. Entries only grow, so a View taken before a later Intern stays
-// valid, and readers of a View need no lock while loaders append. A trace's
-// ids follow its first-seen order when every Intern of position p follows
-// the Interns of all positions before p (DESIGN.md, "Static tables").
+// valid, and readers of a View need no lock while the one loader appends:
+// a cache entry's load, or a prefetch stream's producer. Interning a trace
+// in order, one batch after another, gives its ids in first-seen order
+// (DESIGN.md, "Static tables").
 type Table struct {
 	mu      sync.Mutex
 	ips     []uint64  // by IP id
@@ -62,11 +63,6 @@ type Table struct {
 	byTuple slotTable
 	order   []uint32 // IP ids by ascending address, over the first len(order) IPs
 	size    int64    // memory footprint, as of the last Intern
-
-	// Guarded by the owning Cache's mu.
-	id      string
-	refs    int
-	charged int64
 }
 
 // NewTable returns an empty table.
@@ -115,7 +111,7 @@ func (v View) Order() []uint32 {
 }
 
 // Size returns the table's memory footprint in bytes, as charged to the
-// cache budget.
+// cache budget with the entry that owns the table.
 func (t *Table) Size() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -134,51 +134,57 @@ func TestTableFirstSeenOrderAcrossGrowth(t *testing.T) {
 	}
 }
 
-// TestTableLifetime: a trace's table lives while an entry of the trace is
-// resident or a reader has it pinned, is shared by both, and its bytes are
-// part of the resident total until the last holder lets go.
+// TestTableLifetime: each entry owns the table its load creates. The
+// table's bytes are charged to the entry with its records, leave the
+// budget when the entry is evicted, and a later load of the same trace
+// builds a table of its own; a turned-away trace charges no table.
 func TestTableLifetime(t *testing.T) {
 	spec, other := testSpec("life", 1000), testSpec("other", 1000)
 	evs := readAll(t, spec)
 	one := int64(len(evs))*recordBytes + tableBytes(t, evs)
 	c := New(one * 3 / 2) // one trace at a time
-	tab := c.Pin("life")
-	e, err := c.Acquire(context.Background(), nil, "life", Whole, genLoad(t, spec, nil))
+	e, err := c.Acquire(context.Background(), nil, "life", genLoad(t, spec, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.tab != tab {
-		t.Fatal("the entry and the pinned reader hold different tables")
+	first := e.View()
+	if !equalEvents(drain(t, e), evs) {
+		t.Fatal("the entry's table does not replay its records")
 	}
 	c.Release(e)
-	if st := c.Stats(); st.Tables != 1 || st.BytesUsed != one {
-		t.Errorf("with the entry resident: %+v, want 1 table and %d bytes", st, one)
-	}
-	c.Unpin(tab)
-	if st := c.Stats(); st.Tables != 1 || st.BytesUsed != one {
-		t.Errorf("unpinned while the entry is resident: %+v, want the table kept", st)
+	if st := c.Stats(); st.Entries != 1 || st.BytesUsed != one {
+		t.Errorf("with the entry resident: %+v, want 1 entry and %d bytes, records and table", st, one)
 	}
 	// Loading another trace evicts the only entry of the first, and its
 	// table goes with it.
-	e, err = c.Acquire(context.Background(), nil, "other", Whole, genLoad(t, other, nil))
+	e, err = c.Acquire(context.Background(), nil, "other", genLoad(t, other, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Release(e)
 	st := c.Stats()
-	if st.Evictions != 1 || st.Tables != 1 || st.BytesUsed != one {
+	if st.Evictions != 1 || st.Entries != 1 || st.BytesUsed != one {
 		t.Errorf("after evicting the first trace: %+v, want 1 eviction and only the second trace's %d bytes", st, one)
 	}
-	// A pin alone keeps a table: it ends with its last unpin.
-	a, b := c.Pin("pinned"), c.Pin("pinned")
-	if a != b || c.Stats().Tables != 2 {
-		t.Fatalf("two pins of one trace: tables %p %p, %d in the cache", a, b, c.Stats().Tables)
+	// Loaded again, the first trace gets a new table.
+	e, err = c.Acquire(context.Background(), nil, "life", genLoad(t, spec, nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Unpin(a)
-	c.Unpin(b)
-	if got := c.Stats(); got.Tables != 1 || got.BytesUsed != one {
-		t.Errorf("after the last unpin: %+v, want the pinned table freed", got)
+	if again := e.View(); &again.Statics[0] == &first.Statics[0] {
+		t.Error("a reloaded trace reuses the table of its evicted entry")
 	}
+	c.Release(e)
+	// A trace turned away by its header charges nothing, table included.
+	before := c.Stats().BytesUsed
+	e, err = c.Acquire(context.Background(), nil, "big", genLoad(t, testSpec("big", 100_000), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.TooBig() || c.Stats().BytesUsed != before {
+		t.Errorf("a too-big trace: verdict %v, %d bytes resident, want true and %d", e.TooBig(), c.Stats().BytesUsed, before)
+	}
+	c.Release(e)
 }
 
 // TestSortByIP: the radix sort orders addresses like a comparison sort,

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"mbplib/internal/bp"
-	"mbplib/internal/chunked"
 	"mbplib/internal/compress"
 	"mbplib/internal/obs"
 	"mbplib/internal/predictors/registry"
@@ -159,16 +158,10 @@ func (s Spec) Resolve() (*Resolved, error) {
 
 // Sources builds the trace sources of a sorted path list, the one way the
 // sweep CLIs open traces: transparent decompression, then the SBBT reader.
-// Seekable (MLZS) containers also offer chunk-granular access; the
-// scheduler verifies eligibility (alignment, intact index) per open and
-// streams through the sequential decoder when it is not met.
 func Sources(paths []string) []sim.TraceSource {
 	sources := make([]sim.TraceSource, len(paths))
 	for i, path := range paths {
 		sources[i] = sim.TraceSource{Name: path, Open: openSBBT(path)}
-		if compress.FormatForPath(path) == compress.FormatMLZS {
-			sources[i].OpenChunked = func() (sim.ChunkedTrace, error) { return chunked.Open(path) }
-		}
 	}
 	return sources
 }
