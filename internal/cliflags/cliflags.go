@@ -20,7 +20,7 @@ import (
 )
 
 // FlagWasSet reports whether a flag was given explicitly on the command
-// line (flag.Visit only walks set flags). ValidateResumeOptions needs the
+// line (flag.Visit only walks set flags). ResumeOptions needs the
 // distinction: an explicit -checkpoint-every without -resume is a usage
 // error, the default value is not.
 func FlagWasSet(fs *flag.FlagSet, name string) bool {
@@ -33,79 +33,74 @@ func FlagWasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
-// Check is one named flag validation: the flag it covers and the error it
-// found (nil when the value is fine). Checks are built eagerly by the
-// constructors below and evaluated by Validate, so every CLI states its
-// whole validation table in one expression instead of accreting ad-hoc if
-// blocks — the drift that let commands validate the same flag at different
-// times (or not at all) before the table existed.
-type Check struct {
-	Flag string
-	Err  error
-}
-
-// Validate runs a validation table and returns the first failure. All
-// checks are value checks with no side effects, so a command can (and
-// should) run its full table before any file, profile or journal is opened.
-func Validate(checks ...Check) error {
-	for _, c := range checks {
-		if c.Err != nil {
-			return c.Err
+// Validate returns the first non-nil error of a validation table. Each
+// entry is one of the value checks below, evaluated eagerly in the call, so
+// every CLI states its whole validation table in one expression instead of
+// accreting ad-hoc if blocks — the drift that let commands validate the
+// same flag at different times (or not at all) before the table existed.
+// The checks have no side effects, so a command can (and should) run its
+// full table before any file, profile or journal is opened.
+func Validate(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Workers is the table form of ValidateWorkers (-j).
-func Workers(j int) Check { return Check{"-j", ValidateWorkers(j)} }
-
-// CacheBytes is the table form of ValidateCacheBytes (-cache-bytes).
-func CacheBytes(b int64) Check { return Check{"-cache-bytes", ValidateCacheBytes(b)} }
-
-// CellTimeout is the table form of ValidateCellTimeout (-cell-timeout).
-func CellTimeout(d time.Duration) Check { return Check{"-cell-timeout", ValidateCellTimeout(d)} }
-
-// ResumeOptions is the table form of ValidateResumeOptions
-// (-resume/-checkpoint-every).
-func ResumeOptions(resume string, checkpointEverySet bool) Check {
-	return Check{"-checkpoint-every", ValidateResumeOptions(resume, checkpointEverySet)}
+// Workers rejects non-positive -j values. Commands used to clamp them
+// silently; an explicit -j 0 or -j -4 is now a usage error, caught before
+// any trace is opened.
+func Workers(j int) error {
+	if j < 1 {
+		return fmt.Errorf("-j must be >= 1 (got %d)", j)
+	}
+	return nil
 }
 
-// Retries is the table form of ValidateRetries (-retries).
-func Retries(n int) Check { return Check{"-retries", ValidateRetries(n)} }
+// CacheBytes rejects negative -cache-bytes values. 0 disables the
+// decoded-trace cache (every simulation streams); positive values bound it.
+func CacheBytes(b int64) error {
+	if b < 0 {
+		return fmt.Errorf("-cache-bytes must be >= 0 (got %d; use 0 to disable the cache)", b)
+	}
+	return nil
+}
 
-// PolicyName is the table form of ValidatePolicyName (-policy).
-func PolicyName(name string) Check { return Check{"-policy", ValidatePolicyName(name)} }
+// CellTimeout rejects negative -cell-timeout values. 0 disables the
+// per-cell deadline.
+func CellTimeout(d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("-cell-timeout must be >= 0 (got %v; use 0 for no deadline)", d)
+	}
+	return nil
+}
 
-// Listen is the table form of ValidateListen (-listen).
-func Listen(addr string) Check { return Check{"-listen", ValidateListen(addr)} }
+// ResumeOptions rejects flag combinations the resumable-sweep machinery
+// cannot honour: -checkpoint-every snapshots go to the journal, so asking
+// for them without -resume would silently drop every checkpoint.
+func ResumeOptions(resume string, checkpointEverySet bool) error {
+	if resume == "" && checkpointEverySet {
+		return fmt.Errorf("-checkpoint-every requires -resume (checkpoints are written to the resume journal)")
+	}
+	return nil
+}
 
-// DataDir is the table form of ValidateDataDir (-data-dir).
-func DataDir(dir string) Check { return Check{"-data-dir", ValidateDataDir(dir)} }
-
-// QueueDepth is the table form of ValidateQueueDepth (-queue).
-func QueueDepth(n int) Check { return Check{"-queue", ValidateQueueDepth(n)} }
-
-// SnapshotEvery is the table form of ValidateSnapshotEvery (-snapshot-every).
-func SnapshotEvery(d time.Duration) Check { return Check{"-snapshot-every", ValidateSnapshotEvery(d)} }
-
-// MostFailed is the table form of ValidateMostFailed (-most-failed).
-func MostFailed(n int) Check { return Check{"-most-failed", ValidateMostFailed(n)} }
-
-// ValidateRetries rejects negative -retries values. Historically mbprun
-// checked this inside its policy parser while mbpsweep checked it inline
-// after parsing the policy (and after starting profiles) — the same rule,
-// enforced at two different times. The table validator runs it before any
+// Retries rejects negative -retries values. Historically mbprun checked
+// this inside its policy parser while mbpsweep checked it inline after
+// parsing the policy (and after starting profiles) — the same rule,
+// enforced at two different times. The validation table runs it before any
 // side effect on every CLI.
-func ValidateRetries(n int) error {
+func Retries(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-retries must be non-negative, got %d", n)
 	}
 	return nil
 }
 
-// ValidatePolicyName rejects unknown -policy names before any trace opens.
-func ValidatePolicyName(name string) error {
+// PolicyName rejects unknown -policy names before any trace opens.
+func PolicyName(name string) error {
 	switch name {
 	case "failfast", "skip":
 		return nil
@@ -113,10 +108,10 @@ func ValidatePolicyName(name string) error {
 	return fmt.Errorf("unknown -policy %q (want failfast or skip)", name)
 }
 
-// ValidateListen rejects malformed -listen addresses: the value must be a
+// Listen rejects malformed -listen addresses: the value must be a
 // host:port pair with a numeric port (port 0 asks the kernel for a random
 // free port, which the daemon reports via its address file).
-func ValidateListen(addr string) error {
+func Listen(addr string) error {
 	if addr == "" {
 		return fmt.Errorf("-listen is required")
 	}
@@ -131,59 +126,40 @@ func ValidateListen(addr string) error {
 	return nil
 }
 
-// ValidateDataDir rejects an empty -data-dir: the daemon's jobs, journals
-// and address file all live under it, so there is no sensible default to
+// DataDir rejects an empty -data-dir: the daemon's jobs, journals and
+// address file all live under it, so there is no sensible default to
 // scribble into.
-func ValidateDataDir(dir string) error {
+func DataDir(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("-data-dir is required")
 	}
 	return nil
 }
 
-// ValidateQueueDepth rejects non-positive -queue bounds: a daemon with no
-// queue capacity could never accept a job.
-func ValidateQueueDepth(n int) error {
+// QueueDepth rejects non-positive -queue bounds: a daemon with no queue
+// capacity could never accept a job.
+func QueueDepth(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-queue must be >= 1 (got %d)", n)
 	}
 	return nil
 }
 
-// ValidateSnapshotEvery rejects non-positive -snapshot-every intervals,
-// which would spin the SSE progress loop.
-func ValidateSnapshotEvery(d time.Duration) error {
+// SnapshotEvery rejects non-positive -snapshot-every intervals, which
+// would spin the SSE progress loop.
+func SnapshotEvery(d time.Duration) error {
 	if d <= 0 {
 		return fmt.Errorf("-snapshot-every must be > 0 (got %v)", d)
 	}
 	return nil
 }
 
-// ValidateWorkers rejects non-positive -j values. Commands used to clamp
-// them silently; an explicit -j 0 or -j -4 is now a usage error, caught
-// before any trace is opened.
-func ValidateWorkers(j int) error {
-	if j < 1 {
-		return fmt.Errorf("-j must be >= 1 (got %d)", j)
-	}
-	return nil
-}
-
-// ValidateMostFailed rejects negative -most-failed caps, which the
-// simulator would otherwise read as its default (no cap for mbpsim, 20
-// entries for mbpcmp).
-func ValidateMostFailed(n int) error {
+// MostFailed rejects negative -most-failed caps, which the simulator would
+// otherwise read as its default (no cap for mbpsim, 20 entries for
+// mbpcmp).
+func MostFailed(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-most-failed must be >= 0 (got %d)", n)
-	}
-	return nil
-}
-
-// ValidateCacheBytes rejects negative -cache-bytes values. 0 disables the
-// decoded-trace cache (every simulation streams); positive values bound it.
-func ValidateCacheBytes(b int64) error {
-	if b < 0 {
-		return fmt.Errorf("-cache-bytes must be >= 0 (got %d; use 0 to disable the cache)", b)
 	}
 	return nil
 }
@@ -206,25 +182,6 @@ func CacheBudget(b int64) int64 {
 // 16M events keeps it there for every bundled predictor while bounding the
 // work a SIGKILL can lose to seconds of re-simulation.
 const DefaultCheckpointEvery = 1 << 24
-
-// ValidateCellTimeout rejects negative -cell-timeout values. 0 disables the
-// per-cell deadline.
-func ValidateCellTimeout(d time.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("-cell-timeout must be >= 0 (got %v; use 0 for no deadline)", d)
-	}
-	return nil
-}
-
-// ValidateResumeOptions rejects flag combinations the resumable-sweep
-// machinery cannot honour: -checkpoint-every snapshots go to the journal, so
-// asking for them without -resume would silently drop every checkpoint.
-func ValidateResumeOptions(resume string, checkpointEverySet bool) error {
-	if resume == "" && checkpointEverySet {
-		return fmt.Errorf("-checkpoint-every requires -resume (checkpoints are written to the resume journal)")
-	}
-	return nil
-}
 
 // DrainOnSignal arms the graceful-drain contract shared by the mbp*
 // commands: the first SIGINT/SIGTERM closes the returned channel — the

@@ -19,9 +19,9 @@ func TestValidateWorkers(t *testing.T) {
 		{1, true}, {8, true}, {0, false}, {-1, false}, {-100, false},
 	}
 	for _, c := range cases {
-		err := ValidateWorkers(c.j)
+		err := Workers(c.j)
 		if (err == nil) != c.ok {
-			t.Errorf("ValidateWorkers(%d) = %v, want ok=%v", c.j, err, c.ok)
+			t.Errorf("Workers(%d) = %v, want ok=%v", c.j, err, c.ok)
 		}
 	}
 }
@@ -34,9 +34,9 @@ func TestValidateCacheBytes(t *testing.T) {
 		{0, true}, {1, true}, {1 << 30, true}, {-1, false}, {-1 << 20, false},
 	}
 	for _, c := range cases {
-		err := ValidateCacheBytes(c.b)
+		err := CacheBytes(c.b)
 		if (err == nil) != c.ok {
-			t.Errorf("ValidateCacheBytes(%d) = %v, want ok=%v", c.b, err, c.ok)
+			t.Errorf("CacheBytes(%d) = %v, want ok=%v", c.b, err, c.ok)
 		}
 	}
 }
@@ -48,9 +48,9 @@ func TestValidateMostFailed(t *testing.T) {
 	}{
 		{0, true}, {1, true}, {20, true}, {-1, false}, {-3, false},
 	} {
-		err := ValidateMostFailed(c.n)
+		err := MostFailed(c.n)
 		if (err == nil) != c.ok {
-			t.Errorf("ValidateMostFailed(%d) = %v, want ok=%v", c.n, err, c.ok)
+			t.Errorf("MostFailed(%d) = %v, want ok=%v", c.n, err, c.ok)
 		}
 	}
 }

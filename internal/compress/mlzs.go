@@ -4,8 +4,8 @@ package compress
 // of s2's Index and pgzip: the raw stream is cut into independent chunks,
 // each compressed on its own (MLZ token stream, Huffman-coded token stream,
 // or stored) and framed with its decompressed size and a CRC-32C of the
-// payload, so chunks can be compressed and decompressed in parallel and
-// random-accessed without touching the rest of the file.
+// payload, so chunks can be compressed in parallel and a damaged chunk is
+// caught by its own checksum.
 //
 // Container layout:
 //
@@ -31,18 +31,21 @@ package compress
 //	footer (fixed 12 bytes, located by seeking to end-of-file):
 //	    trailerLen u32 LE | trailer CRC-32C u32 LE | end magic "SZLM"
 //
-// A sequential reader never needs the trailer: frames are self-delimiting
-// and the 0x00 tag ends the data, so the container streams through
-// NewReader exactly like the legacy MLZ format. Seekable consumers locate
-// the trailer through the footer; a damaged trailer yields a typed
-// faults.ErrCorrupt (never a wrong chunk table — it is CRC-protected), and
-// callers fall back to a sequential scan (ScanMLZSIndex) or plain
-// streaming.
+// The one decoder is the sequential reader: frames are self-delimiting and
+// the 0x00 tag ends the data, so the container streams through NewReader
+// exactly like the legacy MLZ format. Of the trailer it reads only the
+// chunk count, which must match the chunks it decoded: a one-byte flip in
+// the unchecksummed header can make a 0x00 byte read as the end tag. The
+// rest of the trailer serves tooling that reports chunk geometry and
+// index health (StatMLZSFile): ReadMLZSIndex locates it through the
+// footer, a damaged trailer yields a typed faults.ErrCorrupt (never a
+// wrong chunk table — it is CRC-protected), and ScanMLZSIndex rebuilds the
+// table from the frames instead.
 //
-// The alignment fields exist for the trace cache: an SBBT stream written
-// with align=16, alignOff=24 has every chunk boundary on a packet boundary
-// (chunk 0 additionally holds the 24-byte header), so each chunk decodes to
-// a whole number of events independently of its neighbours.
+// The alignment fields put chunk boundaries on record boundaries: an SBBT
+// stream written with align=16, alignOff=24 has every chunk boundary on a
+// packet boundary (chunk 0 additionally holds the 24-byte header), so each
+// chunk holds a whole number of events. No reader relies on it.
 
 import (
 	"bufio"
@@ -476,8 +479,7 @@ type mlzsFrame struct {
 }
 
 // readMLZSFrameHeader parses the next frame header. done reports the 0x00
-// end tag; chunk is the frame's index, used only for error texts (which the
-// streaming and seekable paths share, so failures read identically).
+// end tag; chunk is the frame's index, used only for error texts.
 func readMLZSFrameHeader(r byteSource, chunk int) (fr mlzsFrame, done bool, err error) {
 	tag, err := r.ReadByte()
 	if err != nil {
@@ -522,7 +524,6 @@ func readMLZSFrameHeader(r byteSource, chunk int) (fr mlzsFrame, done bool, err 
 
 // mlzsDecodePayload verifies the CRC and decompresses one chunk payload into
 // dst (whose capacity is grown as needed), returning dst sized to rawLen.
-// Error texts are shared by every decode path.
 func mlzsDecodePayload(huff *huffDecoder, dst []byte, fr mlzsFrame, payload []byte, chunk int) ([]byte, error) {
 	if got := crc32.Checksum(payload, mlzsCastagnoli); got != fr.crc {
 		return nil, fmt.Errorf("compress: MLZS chunk %d checksum mismatch (got %#08x, want %#08x): %w", chunk, got, fr.crc, faults.ErrCorrupt)
@@ -574,9 +575,7 @@ type mlzsSeqReader struct {
 
 // NewMLZSReader returns a Reader decompressing an MLZS container from r,
 // one chunk at a time on the Read caller. The 4-byte magic must not have
-// been consumed yet. Random access goes through MLZSChunkDecoder instead;
-// the two share frame parsing and payload decoding, so bytes and error
-// texts agree.
+// been consumed yet.
 func NewMLZSReader(r io.Reader) (io.Reader, error) {
 	src, ok := r.(byteSource)
 	if !ok {
@@ -615,6 +614,15 @@ func (z *mlzsSeqReader) nextChunk() error {
 		return err
 	}
 	if done {
+		// A header or frame misread can land on a 0x00 byte; the
+		// trailer's chunk count tells that from the real end tag.
+		count, err := binary.ReadUvarint(z.r)
+		if err != nil {
+			return fmt.Errorf("compress: MLZS index count: %w", classifyVarintErr(err))
+		}
+		if count != uint64(z.chunk) {
+			return fmt.Errorf("compress: MLZS container ends after %d chunks, its index lists %d: %w", z.chunk, count, faults.ErrCorrupt)
+		}
 		z.done = true
 		return io.EOF
 	}
@@ -662,13 +670,6 @@ type MLZSIndex struct {
 
 // NumChunks returns the number of chunks in the container.
 func (ix *MLZSIndex) NumChunks() int { return len(ix.Chunks) }
-
-// Aligned reports whether every chunk boundary lies at a raw offset
-// ≡ off (mod align) — the contract record-granular consumers (the trace
-// cache) check before decoding chunks independently.
-func (ix *MLZSIndex) Aligned(align, off int64) bool {
-	return ix.Align == align && ix.AlignOffset == off && ix.Align > 0
-}
 
 // ReadMLZSIndex locates and decodes the index trailer of an MLZS container
 // through the fixed footer at the end of the file. Damage anywhere on that
@@ -776,65 +777,6 @@ func ScanMLZSIndex(r io.Reader) (*MLZSIndex, error) {
 		ix.Chunks = append(ix.Chunks, MLZSChunk{Off: off, RawOff: rawOff, RawLen: fr.rawLen})
 		rawOff += fr.rawLen
 	}
-}
-
-// MLZSChunkDecoder decodes chunks of one container through an io.ReaderAt,
-// reusing its buffers across calls. It is not safe for concurrent use; give
-// each goroutine its own decoder (the underlying ReaderAt may be shared —
-// os.File ReadAt is concurrency-safe).
-type MLZSChunkDecoder struct {
-	ra      io.ReaderAt
-	ix      *MLZSIndex
-	huff    huffDecoder
-	frame   []byte
-	scratch []byte
-}
-
-// NewMLZSChunkDecoder returns a decoder for the indexed container in ra.
-func NewMLZSChunkDecoder(ra io.ReaderAt, ix *MLZSIndex) *MLZSChunkDecoder {
-	return &MLZSChunkDecoder{ra: ra, ix: ix}
-}
-
-// Decode returns the decompressed bytes of chunk i. The result aliases the
-// decoder's internal buffer and is valid until the next Decode call. The
-// frame is re-validated against the index (tag, raw length, CRC), so a
-// stale or hostile index yields a typed error rather than wrong bytes.
-func (d *MLZSChunkDecoder) Decode(i int) ([]byte, error) {
-	if i < 0 || i >= len(d.ix.Chunks) {
-		return nil, fmt.Errorf("compress: MLZS chunk %d out of range [0, %d): %w", i, len(d.ix.Chunks), faults.ErrCorrupt)
-	}
-	ci := d.ix.Chunks[i]
-	// One frame header is at most 1 + 10 + 1 + 10 + 4 bytes; over-read and
-	// parse from memory, then fetch the payload precisely.
-	const maxFrameHeader = 26
-	if cap(d.frame) < maxFrameHeader {
-		d.frame = make([]byte, maxFrameHeader)
-	}
-	hdr := d.frame[:maxFrameHeader]
-	n, err := d.ra.ReadAt(hdr, ci.Off)
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("compress: MLZS chunk %d: %w", i, err)
-	}
-	cs := &countingByteSource{r: bytes.NewReader(hdr[:n])}
-	fr, done, err := readMLZSFrameHeader(cs, i)
-	if err != nil {
-		return nil, err
-	}
-	if done || fr.rawLen != ci.RawLen {
-		return nil, fmt.Errorf("compress: MLZS chunk %d frame disagrees with index: %w", i, faults.ErrCorrupt)
-	}
-	if cap(d.scratch) < int(fr.dataLen) {
-		d.scratch = make([]byte, fr.dataLen)
-	}
-	payload := d.scratch[:fr.dataLen]
-	if _, err := io.ReadFull(io.NewSectionReader(d.ra, ci.Off+cs.n, fr.dataLen), payload); err != nil {
-		return nil, fmt.Errorf("compress: MLZS chunk %d payload: %w", i, faults.ErrTruncated)
-	}
-	block, err := mlzsDecodePayload(&d.huff, nil, fr, payload, i)
-	if err != nil {
-		return nil, err
-	}
-	return block, nil
 }
 
 // MLZSStat summarises a container file for tooling (mbptrace info).

@@ -3,9 +3,9 @@ package compress
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mbplib/internal/faults"
@@ -58,36 +58,6 @@ func mlzsDecompress(t *testing.T, container []byte) []byte {
 	return got
 }
 
-// mlzsChunkWalk decodes chunks 0..n-1 of ix in order through one
-// MLZSChunkDecoder over b — the random-access path read front to back —
-// returning the bytes delivered before the first error.
-func mlzsChunkWalk(b []byte, ix *MLZSIndex) ([]byte, error) {
-	dec := NewMLZSChunkDecoder(bytes.NewReader(b), ix)
-	out := []byte{}
-	for i := range ix.Chunks {
-		chunk, err := dec.Decode(i)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-// mlzsWalkContainer indexes a pristine container and chunk-walks it.
-func mlzsWalkContainer(t *testing.T, container []byte) []byte {
-	t.Helper()
-	ix, err := ReadMLZSIndex(bytes.NewReader(container), int64(len(container)))
-	if err != nil {
-		t.Fatalf("mlzs index: %v", err)
-	}
-	got, err := mlzsChunkWalk(container, ix)
-	if err != nil {
-		t.Fatalf("mlzs chunk walk: %v", err)
-	}
-	return got
-}
-
 func TestMLZSRoundTrip(t *testing.T) {
 	sizes := []int{0, 1, 100, 4096, 1 << 16, 1<<18 + 137}
 	chunkSizes := []int{512, 4096, 1 << 16}
@@ -98,9 +68,6 @@ func TestMLZSRoundTrip(t *testing.T) {
 				container := mlzsCompress(t, data, MLZSOptions{ChunkSize: cs, Workers: cw})
 				if got := mlzsDecompress(t, container); !bytes.Equal(got, data) {
 					t.Fatalf("n=%d chunk=%d cw=%d: stream round-trip mismatch (%d bytes out)", n, cs, cw, len(got))
-				}
-				if got := mlzsWalkContainer(t, container); !bytes.Equal(got, data) {
-					t.Fatalf("n=%d chunk=%d cw=%d: chunk-walk round-trip mismatch (%d bytes out)", n, cs, cw, len(got))
 				}
 			}
 		}
@@ -146,36 +113,9 @@ func TestMLZSIndexMatchesScan(t *testing.T) {
 	}
 }
 
-func TestMLZSChunkDecoder(t *testing.T) {
-	data := mlzsTestPayload(1<<16+513, 11)
-	container := mlzsCompress(t, data, MLZSOptions{ChunkSize: 2048, Level: LevelBest})
-	ra := bytes.NewReader(container)
-	ix, err := ReadMLZSIndex(ra, int64(len(container)))
-	if err != nil {
-		t.Fatalf("ReadMLZSIndex: %v", err)
-	}
-	dec := NewMLZSChunkDecoder(ra, ix)
-	// Decode out of order to prove chunks are independent.
-	order := rand.New(rand.NewSource(3)).Perm(ix.NumChunks())
-	for _, i := range order {
-		ci := ix.Chunks[i]
-		got, err := dec.Decode(i)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
-		}
-		want := data[ci.RawOff : ci.RawOff+ci.RawLen]
-		if !bytes.Equal(got, want) {
-			t.Fatalf("chunk %d: decoded %d bytes, mismatch with raw [%d:%d]", i, len(got), ci.RawOff, ci.RawOff+ci.RawLen)
-		}
-	}
-	if _, err := dec.Decode(ix.NumChunks()); err == nil {
-		t.Fatal("out-of-range chunk decoded without error")
-	}
-}
-
-// TestMLZSAlignment checks the packet-alignment contract the trace cache
-// relies on: with align=16/off=24, every chunk boundary is at a raw offset
-// ≡ 24 (mod 16).
+// TestMLZSAlignment checks the packet-alignment contract: with
+// align=16/off=24, the header records it and every chunk boundary is at a
+// raw offset ≡ 24 (mod 16).
 func TestMLZSAlignment(t *testing.T) {
 	data := mlzsTestPayload(24+16*5000+8, 99) // header + packets + a partial tail
 	container := mlzsCompress(t, data, MLZSOptions{ChunkSize: 1 << 12, Align: 16, AlignOffset: 24})
@@ -183,7 +123,7 @@ func TestMLZSAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadMLZSIndex: %v", err)
 	}
-	if !ix.Aligned(16, 24) {
+	if ix.Align != 16 || ix.AlignOffset != 24 {
 		t.Fatalf("index does not report alignment: %+v", ix)
 	}
 	for i, ci := range ix.Chunks {
@@ -264,57 +204,6 @@ func TestMLZSThroughCompressAPI(t *testing.T) {
 	}
 }
 
-// TestMLZSErrorEquivalence corrupts a container in targeted ways and
-// requires the two decoders — the streaming reader, and a chunk walk through
-// MLZSChunkDecoder over the pristine index — to deliver the same bytes
-// before the fault and the same error text.
-func TestMLZSErrorEquivalence(t *testing.T) {
-	data := mlzsTestPayload(1<<15, 21)
-	pristine := mlzsCompress(t, data, MLZSOptions{ChunkSize: 1024})
-	ix, err := ReadMLZSIndex(bytes.NewReader(pristine), int64(len(pristine)))
-	if err != nil {
-		t.Fatalf("index: %v", err)
-	}
-	if ix.NumChunks() < 4 {
-		t.Fatalf("want >= 4 chunks, got %d", ix.NumChunks())
-	}
-	mutate := func(name string, f func(b []byte) []byte) {
-		b := f(append([]byte(nil), pristine...))
-		r, err := NewMLZSReader(bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("%s: stream open: %v", name, err)
-		}
-		seq, seqErr := io.ReadAll(r)
-		walk, walkErr := mlzsChunkWalk(b, ix)
-		if !bytes.Equal(walk, seq) || fmt.Sprint(walkErr) != fmt.Sprint(seqErr) {
-			t.Errorf("%s: chunk walk got (%d bytes, %v), stream (%d bytes, %v)", name, len(walk), walkErr, len(seq), seqErr)
-		}
-		if !bytes.Equal(seq, data[:len(seq)]) {
-			t.Errorf("%s: stream delivered wrong bytes before the fault", name)
-		}
-		if seqErr == nil {
-			t.Errorf("%s: damaged container read without error", name)
-		} else if faults.Class(seqErr) == "other" {
-			t.Errorf("%s: untyped error %v", name, seqErr)
-		}
-	}
-	mutate("flip payload byte in chunk 2", func(b []byte) []byte {
-		b[ix.Chunks[2].Off+20] ^= 0x01
-		return b
-	})
-	mutate("truncate mid chunk 3", func(b []byte) []byte {
-		return b[:ix.Chunks[3].Off+3]
-	})
-	mutate("bad frame tag", func(b []byte) []byte {
-		b[ix.Chunks[1].Off] = 0x7f
-		return b
-	})
-	mutate("truncate before end tag", func(b []byte) []byte {
-		last := ix.Chunks[len(ix.Chunks)-1]
-		return b[:last.Off] // stream ends where a frame should start
-	})
-}
-
 // TestMLZSIndexFallback damages the footer and trailer: ReadMLZSIndex must
 // return a typed error while the sequential paths (scan and stream) still
 // deliver the correct bytes.
@@ -351,36 +240,54 @@ func TestMLZSIndexFallback(t *testing.T) {
 	}
 }
 
+// TestMLZSCorruptChunkIsTyped damages one chunk of a container in
+// targeted ways: the streaming reader delivers exactly the bytes of the
+// chunks before it, then a typed error.
 func TestMLZSCorruptChunkIsTyped(t *testing.T) {
 	data := mlzsTestPayload(1<<13, 17)
-	container := mlzsCompress(t, data, MLZSOptions{ChunkSize: 512})
-	ix, err := ReadMLZSIndex(bytes.NewReader(container), int64(len(container)))
+	pristine := mlzsCompress(t, data, MLZSOptions{ChunkSize: 512})
+	ix, err := ReadMLZSIndex(bytes.NewReader(pristine), int64(len(pristine)))
 	if err != nil {
 		t.Fatalf("index: %v", err)
 	}
-	b := append([]byte(nil), container...)
-	b[ix.Chunks[1].Off+15] ^= 0x40
-	ra := bytes.NewReader(b)
-	dec := NewMLZSChunkDecoder(ra, ix)
-	if got, err := dec.Decode(0); err != nil || !bytes.Equal(got, data[:ix.Chunks[0].RawLen]) {
-		t.Fatalf("undamaged chunk 0 failed: %v", err)
+	if ix.NumChunks() < 4 {
+		t.Fatalf("want >= 4 chunks, got %d", ix.NumChunks())
 	}
-	if _, err := dec.Decode(1); err == nil {
-		t.Fatal("corrupt chunk decoded without error")
-	} else if !errors.Is(err, faults.ErrCorrupt) && !errors.Is(err, faults.ErrTruncated) && !errors.Is(err, faults.ErrLimit) {
-		t.Fatalf("corrupt chunk error not typed: %v", err)
-	}
-	ci := ix.Chunks[2]
-	if got, err := dec.Decode(2); err != nil || !bytes.Equal(got, data[ci.RawOff:ci.RawOff+ci.RawLen]) {
-		t.Fatalf("undamaged chunk 2 failed after corrupt neighbour: %v", err)
+	last := ix.NumChunks() - 1
+	for _, c := range []struct {
+		name  string
+		chunk int // the damaged chunk
+		f     func(b []byte) []byte
+	}{
+		{"flip payload byte in chunk 1", 1, func(b []byte) []byte { b[ix.Chunks[1].Off+15] ^= 0x40; return b }},
+		{"flip payload byte in chunk 2", 2, func(b []byte) []byte { b[ix.Chunks[2].Off+20] ^= 0x01; return b }},
+		{"truncate mid chunk 3", 3, func(b []byte) []byte { return b[:ix.Chunks[3].Off+3] }},
+		{"bad frame tag", 1, func(b []byte) []byte { b[ix.Chunks[1].Off] = 0x7f; return b }},
+		// The stream ends where a frame should start.
+		{"truncate before end tag", last, func(b []byte) []byte { return b[:ix.Chunks[last].Off] }},
+	} {
+		b := c.f(append([]byte(nil), pristine...))
+		r, err := NewMLZSReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: stream open: %v", c.name, err)
+		}
+		got, err := io.ReadAll(r)
+		if want := data[:ix.Chunks[c.chunk].RawOff]; !bytes.Equal(got, want) {
+			t.Errorf("%s: stream delivered %d bytes before the fault, want the %d of the chunks before it", c.name, len(got), len(want))
+		}
+		if err == nil {
+			t.Errorf("%s: damaged container read without error", c.name)
+		} else if !errors.Is(err, faults.ErrCorrupt) && !errors.Is(err, faults.ErrTruncated) && !errors.Is(err, faults.ErrLimit) {
+			t.Errorf("%s: error not typed: %v", c.name, err)
+		}
 	}
 }
 
 // FuzzMLZSRoundTrip feeds arbitrary payloads through the chunked container
 // at fuzzed chunk sizes and compression worker counts, requires exact
-// reconstruction from both the streaming reader and a chunk walk over the
-// index, and feeds the raw fuzz payload to the decoders and index readers,
-// which must reject or decode without panicking.
+// reconstruction from the streaming reader and an index that accounts for
+// every byte, and feeds the raw fuzz payload to the decoder and the index
+// readers, which must reject or decode without panicking.
 func FuzzMLZSRoundTrip(f *testing.F) {
 	f.Add([]byte(""), uint16(1), true)
 	f.Add([]byte("abcabcabcabcabcabc"), uint16(4), false)
@@ -420,29 +327,23 @@ func FuzzMLZSRoundTrip(f *testing.F) {
 		if ix.RawSize != int64(len(data)) {
 			t.Fatalf("index raw size %d, want %d", ix.RawSize, len(data))
 		}
-		if got, err := mlzsChunkWalk(comp.Bytes(), ix); err != nil {
-			t.Fatalf("chunk walk: %v", err)
-		} else if !bytes.Equal(got, data) {
-			t.Fatalf("chunk-walk round-trip mismatch: %d bytes in, %d bytes out", len(data), len(got))
-		}
 
-		// The decoders must survive the raw fuzz payload itself: a clean
+		// The decoder must survive the raw fuzz payload itself: a clean
 		// error or a successful decode, never a panic.
 		if r, err := NewMLZSReader(bytes.NewReader(data)); err == nil {
 			io.Copy(io.Discard, r) //nolint:errcheck // any outcome but a panic is acceptable here
 		}
-		if ix, err := ReadMLZSIndex(bytes.NewReader(data), int64(len(data))); err == nil {
-			mlzsChunkWalk(data, ix) //nolint:errcheck // same: must not panic
-		}
-		ScanMLZSIndex(bytes.NewReader(data)) //nolint:errcheck // same: must not panic
+		ReadMLZSIndex(bytes.NewReader(data), int64(len(data))) //nolint:errcheck // same: must not panic
+		ScanMLZSIndex(bytes.NewReader(data))                   //nolint:errcheck // same: must not panic
 	})
 }
 
 // FuzzMLZSIndexTrailer mutates one byte of a pristine container (weighted
 // toward the trailer and footer) and requires that the index either fails
 // with a typed error or — if the mutation missed everything CRC-protected —
-// still describes chunks that decode to the original bytes. Wrong events
-// are never acceptable; a damaged trailer must push readers to the
+// still describes the pristine chunk table, and that the streaming reader
+// delivers a prefix of the original bytes before any typed error. Wrong
+// data is never acceptable; a damaged trailer must push readers to the
 // sequential-scan fallback instead.
 func FuzzMLZSIndexTrailer(f *testing.F) {
 	base := mlzsTestPayloadF(1<<12, 1)
@@ -451,6 +352,10 @@ func FuzzMLZSIndexTrailer(f *testing.F) {
 	w.Write(base) //nolint:errcheck // bytes.Buffer cannot fail
 	w.Close()     //nolint:errcheck // bytes.Buffer cannot fail
 	pristine := buf.Bytes()
+	want, err := ReadMLZSIndex(bytes.NewReader(pristine), int64(len(pristine)))
+	if err != nil {
+		f.Fatalf("index of pristine container: %v", err)
+	}
 	f.Add(uint32(len(pristine)-1), byte(0xff))
 	f.Add(uint32(len(pristine)-10), byte(0x01))
 	f.Add(uint32(len(pristine)-20), byte(0x80))
@@ -478,25 +383,22 @@ func FuzzMLZSIndexTrailer(f *testing.F) {
 			if _, serr := ScanMLZSIndex(bytes.NewReader(b)); serr != nil && faults.Class(serr) == "other" {
 				t.Fatalf("scan fallback: untyped error %v", serr)
 			}
+		} else if !slices.Equal(ix.Chunks, want.Chunks) || ix.RawSize != want.RawSize {
+			t.Fatalf("mutated index parsed to a different chunk table")
+		}
+		r, err := NewMLZSReader(bytes.NewReader(b))
+		if err != nil {
+			if faults.Class(err) == "other" {
+				t.Fatalf("stream open: untyped error %v", err)
+			}
 			return
 		}
-		// The index parsed: every chunk it describes must decode to exactly
-		// the original bytes or fail typed — never wrong data.
-		dec := NewMLZSChunkDecoder(bytes.NewReader(b), ix)
-		for i, ci := range ix.Chunks {
-			got, derr := dec.Decode(i)
-			if derr != nil {
-				if faults.Class(derr) == "other" {
-					t.Fatalf("chunk %d: untyped error %v", i, derr)
-				}
-				continue
-			}
-			if ci.RawOff+ci.RawLen > int64(len(base)) {
-				t.Fatalf("chunk %d: index maps past raw stream", i)
-			}
-			if !bytes.Equal(got, base[ci.RawOff:ci.RawOff+ci.RawLen]) {
-				t.Fatalf("chunk %d: mutated container decoded to wrong bytes", i)
-			}
+		got, err := io.ReadAll(r)
+		if !bytes.Equal(got, base[:min(len(got), len(base))]) || (err == nil && len(got) != len(base)) {
+			t.Fatalf("mutated container streamed to wrong bytes (%d of %d, err %v)", len(got), len(base), err)
+		}
+		if err != nil && faults.Class(err) == "other" {
+			t.Fatalf("stream: untyped error %v", err)
 		}
 	})
 }

@@ -23,8 +23,11 @@ package faults_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"sort"
 	"testing"
 
 	"mbplib/internal/bp"
@@ -390,8 +393,9 @@ func openMLZS(r io.Reader) (bp.Reader, error) { return openMLZ(r) }
 
 // TestSweepMLZSTruncation cuts the chunked container at every byte offset:
 // header, chunk frames, payloads, CRCs, index trailer and footer. The
-// streaming reader stops at the end tag, so cuts confined to the trailer are
-// invisible to it — the contract is "typed error, or verified-intact stream".
+// streaming reader reads no further than the trailer's chunk count, so cuts
+// past it are invisible to it — the contract is "typed error, or
+// verified-intact stream".
 func TestSweepMLZSTruncation(t *testing.T) {
 	evs := seedEvents(300)
 	data := compressMLZS(t, seedSBBT(t, evs), 512)
@@ -406,7 +410,8 @@ func TestSweepMLZSTruncation(t *testing.T) {
 
 // TestSweepMLZSBitFlips flips every bit of every byte of the container.
 // Per-chunk CRC-32C catches any payload or frame damage the decoder would
-// otherwise propagate; trailer flips are unread by the streaming path.
+// otherwise propagate; trailer flips past the chunk count are unread by the
+// streaming path.
 func TestSweepMLZSBitFlips(t *testing.T) {
 	evs := seedEvents(300)
 	data := compressMLZS(t, seedSBBT(t, evs), 512)
@@ -421,46 +426,57 @@ func TestSweepMLZSBitFlips(t *testing.T) {
 	}
 }
 
-// TestSweepMLZSChunkIsolation is the chunk-granular half of the MLZS sweep:
-// for every single-byte flip, the random-access path (index + chunk decoder)
-// must either reject the index with a typed error or confine the damage —
-// every chunk whose decode succeeds must decode to exactly its original
-// bytes, and at most the damaged region's chunk may fail (with a typed
-// error): a corrupt chunk poisons only itself for any random-access
-// reader of the container.
+// TestSweepMLZSChunkIsolation flips one byte at every offset of the
+// container and streams it: every event the reader delivers before its
+// typed error equals the original (per-chunk CRC-32C never lets a damaged
+// chunk through), and damage is confined to the chunk that carries it —
+// every event held wholly in the chunks before it is still delivered. A
+// flip past the last frame damages no chunk, so every event arrives.
 func TestSweepMLZSChunkIsolation(t *testing.T) {
-	raw := seedSBBT(t, seedEvents(300))
+	evs := seedEvents(300)
+	raw := seedSBBT(t, evs)
 	data := compressMLZS(t, raw, 512)
 	ix, err := compress.ReadMLZSIndex(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The packets follow the header and its checksum; the one trailer of
+	// a trace under sbbt.ChecksumChunkPackets packets follows them.
+	hdr := len(raw) - len(evs)*sbbt.PacketSize - sbbt.ChecksumSize
+	// The end tag sits just before the index trailer, whose length the
+	// 12-byte footer gives.
+	endTag := len(data) - 12 - int(binary.LittleEndian.Uint32(data[len(data)-12:])) - 1
 	for off := 0; off < len(data); off++ {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
-		mix, err := compress.ReadMLZSIndex(bytes.NewReader(mut), int64(len(mut)))
-		if err != nil {
-			requireTyped(t, "index", err)
-			continue
-		}
-		dec := compress.NewMLZSChunkDecoder(bytes.NewReader(mut), mix)
-		failed := 0
-		for i := 0; i < mix.NumChunks(); i++ {
-			chunk, derr := dec.Decode(i)
-			if derr != nil {
-				requireTyped(t, "chunk decode", derr)
-				failed++
-				continue
+		// The chunks before the damaged one, whose frame holds off: none
+		// for a flip in the header, all from the end tag on.
+		intact := ix.RawSize
+		if off < endTag {
+			intact = 0
+			if k := sort.Search(ix.NumChunks(), func(i int) bool { return ix.Chunks[i].Off > int64(off) }) - 1; k >= 0 {
+				intact = ix.Chunks[k].RawOff
 			}
-			if i < ix.NumChunks() {
-				c := ix.Chunks[i]
-				if int64(len(chunk)) == c.RawLen && !bytes.Equal(chunk, raw[c.RawOff:c.RawOff+c.RawLen]) {
-					t.Fatalf("flip at %d: chunk %d decoded successfully to wrong bytes", off, i)
+		}
+		want := min(len(evs), max(0, (int(intact)-hdr)/sbbt.PacketSize))
+		br, err := openMLZS(bytes.NewReader(mut))
+		n := 0
+		for err == nil {
+			var ev bp.Event
+			if ev, err = br.Read(); err == nil {
+				if n >= len(evs) || ev != evs[n] {
+					t.Fatalf("flip at %d: event %d delivered wrong before the error", off, n)
 				}
+				n++
 			}
 		}
-		if failed > 1 {
-			t.Fatalf("flip at %d: %d chunks failed, damage not confined to one chunk", off, failed)
+		if err != io.EOF {
+			requireTyped(t, fmt.Sprintf("flip at %d", off), err)
+		} else if n != len(evs) {
+			t.Fatalf("flip at %d: clean end after %d of %d events", off, n, len(evs))
+		}
+		if n < want {
+			t.Fatalf("flip at %d: %d events delivered, want the %d before the damaged chunk", off, n, want)
 		}
 	}
 }

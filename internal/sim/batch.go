@@ -25,33 +25,39 @@ type batch struct {
 	err  error
 }
 
-// prefetcher decodes ahead of the simulation loop: a single producer
-// goroutine owns the reader and double-buffers batches — including any
-// decompression the reader performs underneath, and the interning of each
-// batch into the stream's own static table — while the consumer simulates
-// the previous batch.
+// prefetchStream reads a trace straight from its reader, decoding ahead of
+// the lanes: a producer goroutine owns the reader and double-buffers
+// batches — including any decompression the reader performs underneath,
+// and the interning of each batch into the stream's own static table —
+// while the lanes simulate the previous batch. A terminal error arriving
+// with a non-empty batch is held back until that batch was delivered. It
+// is the only stream that waits on a producer, so it alone times
+// obs.StagePrefetchStall.
 //
 // Lifecycle rules (see DESIGN.md):
 //
 //   - The producer goroutine is the only one touching the reader after
-//     startPrefetch returns.
-//   - shutdown blocks until the producer has stopped touching the reader,
-//     so the caller may close the underlying file as soon as it returns.
+//     newPrefetchStream returns.
+//   - close blocks until the producer has stopped touching the reader,
+//     so the trace file may be closed as soon as it returns.
 //   - The producer stops at the first error (errors are sticky per the
-//     bp.BatchReader contract) or when shutdown is requested.
+//     bp.BatchReader contract) or when close is called.
 //   - A panic inside the reader is recovered in the producer and surfaced
 //     as a *faults.PanicError batch error, keeping the process alive and
 //     the fault classifiable (faults.Class reports "panic"), exactly as a
 //     predictor panic is inside a SweepParallel cell.
-type prefetcher struct {
+type prefetchStream struct {
 	filled  chan batch                        // producer -> consumer, decoded batches
 	free    chan []tracecache.Record          // consumer -> producer, recycled buffers
-	done    chan struct{}                     // closed to request producer shutdown
+	done    chan struct{}                     // closed by close to stop the producer
 	stopped chan struct{}                     // closed by the producer on exit
-	once    sync.Once                         // guards close(done)
 	col     *obs.Collector                    // nil when metrics are disabled
 	tab     *tracecache.Table                 // the stream's own table, interned by the producer
 	evs     *[tracecache.BatchEvents]bp.Event // the producer's decode buffer
+	closer  io.Closer                         // closed once the producer has stopped; may be nil
+
+	cur []tracecache.Record // the batch last delivered, recycled on the next call
+	err error               // terminal error held back behind cur
 }
 
 // Prefetch buffers and tables are recycled across runs. Allocating and
@@ -71,11 +77,12 @@ func releaseTable(t *tracecache.Table) {
 	tablePool.Put(t)
 }
 
-// startPrefetch launches the producer goroutine reading from r in batches
-// of up to tracecache.BatchEvents events. Ownership of r passes to the
-// prefetcher until shutdown returns. col may be nil (metrics disabled).
-func startPrefetch(r bp.Reader, col *obs.Collector) *prefetcher {
-	pf := &prefetcher{
+// newPrefetchStream launches the producer goroutine reading from r in
+// batches of up to tracecache.BatchEvents events. Ownership of r passes to
+// the stream until close returns; closer, if not nil, is closed then. col
+// may be nil (metrics disabled).
+func newPrefetchStream(r bp.Reader, closer io.Closer, col *obs.Collector) *prefetchStream {
+	s := &prefetchStream{
 		filled:  make(chan batch, 1),
 		free:    make(chan []tracecache.Record, 2),
 		done:    make(chan struct{}),
@@ -83,44 +90,45 @@ func startPrefetch(r bp.Reader, col *obs.Collector) *prefetcher {
 		col:     col,
 		tab:     tablePool.Get().(*tracecache.Table),
 		evs:     eventBufs.Get().(*[tracecache.BatchEvents]bp.Event),
+		closer:  closer,
 	}
 	// Two buffers: one being consumed, one being filled. With filled
 	// buffered to depth 1, the producer can stay one full batch ahead.
-	pf.free <- recordBufs.Get().(*[tracecache.BatchEvents]tracecache.Record)[:]
-	pf.free <- recordBufs.Get().(*[tracecache.BatchEvents]tracecache.Record)[:]
-	go pf.produce(r)
-	return pf
+	s.free <- recordBufs.Get().(*[tracecache.BatchEvents]tracecache.Record)[:]
+	s.free <- recordBufs.Get().(*[tracecache.BatchEvents]tracecache.Record)[:]
+	go s.produce(r)
+	return s
 }
 
-func (pf *prefetcher) produce(r bp.Reader) {
-	defer close(pf.stopped)
-	col := pf.col
+func (s *prefetchStream) produce(r bp.Reader) {
+	defer close(s.stopped)
+	col := s.col
 	for {
 		var buf []tracecache.Record
 		tStall := col.Now()
 		select {
-		case <-pf.done:
+		case <-s.done:
 			return
-		case buf = <-pf.free:
+		case buf = <-s.free:
 		}
 		col.Stage(obs.StageProduceStall).Since(tStall)
 		var n int
 		var err error
-		timedRead(col, func() { n, err = readBatchSafe(r, pf.evs[:]) })
-		recs, ierr := pf.tab.Intern(buf[:0], pf.evs[:n])
+		timedRead(col, func() { n, err = readBatchSafe(r, s.evs[:]) })
+		recs, ierr := s.tab.Intern(buf[:0], s.evs[:n])
 		if ierr != nil {
 			err = ierr
 		}
 		select {
-		case <-pf.done:
+		case <-s.done:
 			return
-		case pf.filled <- batch{recs: recs, view: pf.tab.View(), err: err}:
+		case s.filled <- batch{recs: recs, view: s.tab.View(), err: err}:
 		}
 		if err != nil {
 			// Errors are sticky; further reads would return (0, err)
 			// forever. Close filled so the consumer sees end-of-stream
 			// after draining this batch.
-			close(pf.filled)
+			close(s.filled)
 			return
 		}
 	}
@@ -152,49 +160,66 @@ func readBatchSafe(r bp.Reader, dst []bp.Event) (n int, err error) {
 	return bp.ReadBatch(r, dst)
 }
 
-// next returns the next prefetched batch. ok is false once the producer has
-// stopped and every pending batch has been consumed.
-func (pf *prefetcher) next() (batch, bool) {
-	b, ok := <-pf.filled
-	return b, ok
+// recycle hands the batch last delivered back to the producer. Once the
+// producer has stopped and both buffers are back, it is dropped.
+func (s *prefetchStream) recycle() {
+	if s.cur == nil {
+		return
+	}
+	select {
+	case s.free <- s.cur[:cap(s.cur)]:
+	default:
+	}
+	s.cur = nil
 }
 
-// recycle hands a consumed batch buffer back to the producer. Callers must
-// not touch the slice afterwards.
-func (pf *prefetcher) recycle(buf []tracecache.Record) {
-	select {
-	case pf.free <- buf[:cap(buf)]:
-	default:
-		// Producer already stopped and both buffers are back: drop it.
+func (s *prefetchStream) next() ([]tracecache.Record, tracecache.View, error) {
+	for {
+		s.recycle()
+		if s.err != nil {
+			return nil, tracecache.View{}, s.err
+		}
+		tWait := s.col.Now()
+		b, ok := <-s.filled
+		s.col.Stage(obs.StagePrefetchStall).Since(tWait)
+		if !ok {
+			// The producer closes filled only after a terminal batch, which
+			// set s.err above; it cannot end the stream silently.
+			return nil, tracecache.View{}, io.ErrUnexpectedEOF
+		}
+		s.cur, s.err = b.recs, b.err
+		if len(b.recs) > 0 {
+			return b.recs, b.view, nil
+		}
 	}
 }
 
-// shutdown stops the producer and blocks until it no longer touches the
-// reader, then returns the recycled buffers and the table to their pools.
-// Safe to call multiple times; prefetchStream.close calls it so that early
-// returns (decode error, instruction limit) cannot leak the goroutine or
-// race the caller's file close. A buffer the consumer still holds is not
-// returned to the pool.
-func (pf *prefetcher) shutdown() {
-	pf.once.Do(func() { close(pf.done) })
+// close stops the producer and blocks until it no longer touches the
+// reader, then closes the trace file and returns the buffers and the table
+// to their pools. It runs once per stream, so early returns (decode error,
+// instruction limit) cannot leak the goroutine or race the file close. A
+// buffer still in flight is left to the collector.
+func (s *prefetchStream) close() {
+	s.recycle()
+	close(s.done)
 	// Drain filled so a producer blocked on delivery can proceed, until the
 	// producer signals it has exited (and thus no longer touches the
 	// reader). Discarded batches are left to the collector.
 	for stopped := false; !stopped; {
 		select {
-		case <-pf.filled:
-		case <-pf.stopped:
+		case <-s.filled:
+		case <-s.stopped:
 			stopped = true
 		}
 	}
-	if pf.tab != nil {
-		eventBufs.Put(pf.evs)
-		releaseTable(pf.tab)
-		pf.evs, pf.tab = nil, nil
+	if s.closer != nil {
+		s.closer.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
 	}
+	eventBufs.Put(s.evs)
+	releaseTable(s.tab)
 	for {
 		select {
-		case buf := <-pf.free:
+		case buf := <-s.free:
 			recordBufs.Put((*[tracecache.BatchEvents]tracecache.Record)(buf[:tracecache.BatchEvents]))
 		default:
 			return
@@ -213,58 +238,6 @@ func (pf *prefetcher) shutdown() {
 type batchStream interface {
 	next() ([]tracecache.Record, tracecache.View, error)
 	close()
-}
-
-// prefetchStream reads a trace straight from its reader: a prefetcher
-// decodes the next batch while the lanes simulate the current one. A
-// terminal error arriving with a non-empty batch is held back until that
-// batch was delivered. It is the only stream that waits on a producer, so
-// it alone times obs.StagePrefetchStall.
-type prefetchStream struct {
-	pf     *prefetcher
-	closer io.Closer // closed once the producer has stopped; may be nil
-	col    *obs.Collector
-	cur    []tracecache.Record // the batch last delivered, recycled on the next call
-	err    error               // terminal error held back behind cur
-}
-
-func newPrefetchStream(r bp.Reader, closer io.Closer, col *obs.Collector) *prefetchStream {
-	return &prefetchStream{pf: startPrefetch(r, col), closer: closer, col: col}
-}
-
-func (s *prefetchStream) next() ([]tracecache.Record, tracecache.View, error) {
-	for {
-		if s.cur != nil {
-			s.pf.recycle(s.cur)
-			s.cur = nil
-		}
-		if s.err != nil {
-			return nil, tracecache.View{}, s.err
-		}
-		tWait := s.col.Now()
-		b, ok := s.pf.next()
-		s.col.Stage(obs.StagePrefetchStall).Since(tWait)
-		if !ok {
-			// The producer closes filled only after a terminal batch, which
-			// set s.err above; it cannot end the stream silently.
-			return nil, tracecache.View{}, io.ErrUnexpectedEOF
-		}
-		s.cur, s.err = b.recs, b.err
-		if len(b.recs) > 0 {
-			return b.recs, b.view, nil
-		}
-	}
-}
-
-func (s *prefetchStream) close() {
-	if s.cur != nil {
-		s.pf.recycle(s.cur)
-		s.cur = nil
-	}
-	s.pf.shutdown()
-	if s.closer != nil {
-		s.closer.Close() //mbpvet:ignore droppederr -- read side: a close failure cannot corrupt the already-consumed trace
-	}
 }
 
 // lane is one predictor a stream feeds, a cell of its own. A lane with a

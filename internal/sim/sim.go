@@ -266,7 +266,7 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, elapsed tim
 	}
 	if !cfg.metricsOnly && l.mispredictions > 0 {
 		hw := l.hw
-		res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.ips, l.occ[:hw], l.missed[:hw], l.view.Order(), l.mispredictions, simInstr, cfg.MostFailedLimit)
+		res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.ips, l.occ[:hw], l.missed[:hw], sortByIP(l.ips[:hw]), l.mispredictions, simInstr, cfg.MostFailedLimit)
 	}
 	l.release()
 	return res

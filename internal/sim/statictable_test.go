@@ -353,3 +353,50 @@ func TestCachePathsCountLikeRun(t *testing.T) {
 		t.Errorf("shared cache %+v, want one load and one replay", st)
 	}
 }
+
+// TestStaticTableReportWhileProducerInterns: a run that stops at its
+// instruction limit builds its most_failed report, sorting the addresses of
+// the view it was handed, while the prefetch producer is still interning
+// the batches after it into the same table: every batch of the trace brings
+// addresses of its own, so the producer appends on each one. The report
+// must equal the scalar reference's byte for byte; under -race the sort and
+// the appends must not touch the same memory.
+func TestStaticTableReportWhileProducerInterns(t *testing.T) {
+	const batches, perBatch = 10, 300 // addresses per batch
+	r := rand.New(rand.NewPCG(7, 30))
+	evs := make([]bp.Event, batches*tracecache.BatchEvents)
+	for i := range evs {
+		// Batch b draws from its own addresses, below those of the batches
+		// before it, so the report's sort has work to do.
+		b := i / tracecache.BatchEvents
+		ip := 0x400000 + uint64((batches-b)*perBatch+r.IntN(perBatch))*4
+		evs[i] = bp.Event{
+			Branch:                bp.Branch{IP: ip, Target: ip + 0x40, Opcode: bp.OpCondJump, Taken: r.IntN(3) != 0},
+			InstrsSinceLastBranch: r.Uint64N(8),
+		}
+	}
+	// Stop a few records into the fourth batch: the consumer builds the
+	// report right after taking it, while the producer, handed the buffer
+	// of the batch before, reads and interns the fifth.
+	const warmup = 1000
+	limit := uint64(0)
+	for _, ev := range evs[:3*tracecache.BatchEvents+10] {
+		limit += ev.InstrsSinceLastBranch + 1
+	}
+	cfg := Config{TraceName: "t", WarmupInstructions: warmup, SimInstructions: limit - warmup}
+	want, err := RunScalar(&sliceReader{evs: evs}, smallGshare(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Metadata.ExhaustedTrace || len(want.MostFailed) < 100 {
+		t.Fatalf("reference: exhausted %v, %d most_failed rows; want a mid-trace stop and a long report", want.Metadata.ExhaustedTrace, len(want.MostFailed))
+	}
+	wantJSON := resultJSONNoTime(t, want)
+	got, err := Run(&sliceReader{evs: evs}, smallGshare(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotJSON := resultJSONNoTime(t, got); string(gotJSON) != string(wantJSON) {
+		t.Errorf("Run differs from RunScalar\ngot:  %.300s\nwant: %.300s", gotJSON, wantJSON)
+	}
+}

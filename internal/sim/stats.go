@@ -61,8 +61,8 @@ const mostFailedHistCap = 1024
 // ascending address, and the size of that set (the
 // num_most_failed_branches metric). ips, occ and missed are indexed by IP
 // id and cover the run's branches (occ and missed set the count); order
-// lists IP ids by ascending address and may name ids past the run's. limit
-// > 0 truncates the report (but not the metric).
+// lists the same ids by ascending address (sortByIP). limit > 0 truncates
+// the report (but not the metric).
 //
 // The set is what walking every mispredicted branch in that order yields,
 // stopping once the misses taken reach half of totalMisses. It is found by
@@ -146,9 +146,6 @@ func mostFailed(ips, occ, missed []uint64, order []uint32, totalMisses, simInstr
 	}
 	atT := nAbove
 	for _, id := range order {
-		if int(id) >= len(missed) {
-			continue
-		}
 		switch m := missed[id]; {
 		case m >= mostFailedHistCap:
 		case m > t:
@@ -160,6 +157,40 @@ func mostFailed(ips, occ, missed []uint64, order []uint32, totalMisses, simInstr
 		}
 	}
 	return branchReports(ips, occ, missed, sel, simInstr, limit), len(sel)
+}
+
+// sortByIP returns the ids 0…len(ips)−1 ordered by ascending address: an
+// LSD radix sort on the address bytes that skips the bytes all addresses
+// share, so ordering a trace's addresses takes a few linear passes, not a
+// comparison sort.
+func sortByIP(ips []uint64) []uint32 {
+	order, tmp := make([]uint32, len(ips)), make([]uint32, len(ips))
+	common, some := ^uint64(0), uint64(0)
+	for i, ip := range ips {
+		order[i] = uint32(i)
+		common &= ip
+		some |= ip
+	}
+	varying := common ^ some
+	for shift := 0; shift < 64; shift += 8 {
+		if varying>>shift&0xff == 0 {
+			continue
+		}
+		var start [257]int
+		for _, id := range order {
+			start[ips[id]>>shift&0xff+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, id := range order {
+			d := ips[id] >> shift & 0xff
+			tmp[start[d]] = id
+			start[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
 }
 
 // branchReports renders the first limit (all when limit <= 0) of the

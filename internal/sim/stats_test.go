@@ -136,7 +136,7 @@ func (s statsSet) load(t *testing.T) (ips, occ, missed []uint64, order []uint32)
 	v := tab.View()
 	occ = append(slices.Clone(s.occ), make([]uint64, len(s.ips)-len(s.occ))...)
 	missed = append(slices.Clone(s.missed), make([]uint64, len(s.ips)-len(s.missed))...)
-	return v.IPs, occ, missed, v.Order()
+	return v.IPs, occ, missed, sortByIP(v.IPs)
 }
 
 // TestMostFailedMatchesOracle checks the linear selection against the
@@ -459,5 +459,36 @@ func TestRunCellDuplicateCheckpointRestartsClean(t *testing.T) {
 	}
 	if gotJSON := resultJSONNoTime(t, res); !bytes.Equal(gotJSON, wantJSON) {
 		t.Errorf("restarted cell differs from a clean run\ngot:  %s\nwant: %s", gotJSON, wantJSON)
+	}
+}
+
+// TestSortByIP: the radix sort orders addresses like a comparison sort,
+// whether they share their high bytes, span the whole range, or are few.
+func TestSortByIP(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 8))
+	for _, draw := range []func() uint64{
+		func() uint64 { return 0x400000 + 4*r.Uint64N(1<<14) },
+		func() uint64 { return 0x7f00_0000_0000 | r.Uint64N(1<<40) },
+		r.Uint64,
+	} {
+		for _, n := range []int{0, 1, 2, 300, 5000} {
+			seen := map[uint64]bool{}
+			var ips []uint64
+			for len(ips) < n {
+				if ip := draw(); !seen[ip] {
+					seen[ip] = true
+					ips = append(ips, ip)
+				}
+			}
+			got := sortByIP(ips)
+			want := make([]uint32, n)
+			for i := range want {
+				want[i] = uint32(i)
+			}
+			slices.SortFunc(want, func(a, b uint32) int { return cmp.Compare(ips[a], ips[b]) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d addresses: radix order differs from a comparison sort", n)
+			}
+		}
 	}
 }

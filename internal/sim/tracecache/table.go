@@ -3,7 +3,6 @@ package tracecache
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"mbplib/internal/bp"
@@ -49,34 +48,30 @@ func (s *Static) Branch(r Record) bp.Branch {
 // Table is the static branch table of one trace. It interns (IP, target,
 // opcode) tuples and their addresses, each in order of first appearance:
 // tuple ids and IP ids are dense and count up from 0 as Intern meets new
-// ones. Entries only grow, so a View taken before a later Intern stays
-// valid, and readers of a View need no lock while the one loader appends:
-// a cache entry's load, or a prefetch stream's producer. Interning a trace
-// in order, one batch after another, gives its ids in first-seen order
-// (DESIGN.md, "Static tables").
+// ones. A table has one loader, which interns the trace batch by batch in
+// trace order: a cache entry's load, or a prefetch stream's producer. That
+// gives its ids in first-seen order (DESIGN.md, "Static tables"). Entries
+// only grow, so a View taken before a later Intern stays valid, and readers
+// of a View need no lock while the loader appends.
 type Table struct {
-	mu      sync.Mutex
 	ips     []uint64  // by IP id
 	statics []Static  // by tuple id
 	byIP    slotTable // address → its most recent tuple
 	// byTuple holds every tuple of each address that has more than one.
 	byTuple slotTable
-	order   []uint32 // IP ids by ascending address, over the first len(order) IPs
-	size    int64    // memory footprint, as of the last Intern
+	size    int64 // memory footprint, as of the last Intern
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
 	t := &Table{byIP: newSlotTable(), byTuple: newSlotTable()}
-	t.resizeLocked()
+	t.resize()
 	return t
 }
 
 // Reset empties t for reuse, keeping its grown storage.
 func (t *Table) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ips, t.statics, t.order = t.ips[:0], t.statics[:0], nil
+	t.ips, t.statics = t.ips[:0], t.statics[:0]
 	t.byIP.reset()
 	t.byTuple.reset()
 }
@@ -86,50 +81,25 @@ func (t *Table) Reset() {
 type View struct {
 	Statics []Static // by tuple id
 	IPs     []uint64 // by IP id
-	t       *Table
 }
 
 // View returns the table as it stands.
-func (t *Table) View() View {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return View{Statics: t.statics, IPs: t.ips, t: t}
-}
-
-// Order returns the ids of the addresses the table holds, ascending by
-// address. It is the table's cached order, sorted again only when the table
-// has grown since; it may cover more ids than v. Callers must not modify
-// it.
-func (v View) Order() []uint32 {
-	t := v.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.order) != len(t.ips) {
-		t.order = sortByIP(t.ips)
-	}
-	return t.order
-}
+func (t *Table) View() View { return View{Statics: t.statics, IPs: t.ips} }
 
 // Size returns the table's memory footprint in bytes, as charged to the
 // cache budget with the entry that owns the table.
-func (t *Table) Size() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.size
-}
+func (t *Table) Size() int64 { return t.size }
 
 // Intern appends one record per event of evs to dst, interning new tuples,
 // and returns it. An event whose gap exceeds MaxGap ends the batch: the
 // records before it are returned with a faults.ErrLimit-classified error.
 func (t *Table) Intern(dst []Record, evs []bp.Event) ([]Record, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	defer t.resizeLocked()
+	defer t.resize()
 	n := len(dst)
 	dst = slices.Grow(dst, len(evs))[:n+len(evs)]
 	out := dst[n:]
 	// One probe keyed by address, over the arrays as they stand until
-	// missLocked grows them. A slot names its address's most recent tuple,
+	// miss grows them. A slot names its address's most recent tuple,
 	// so an address that keeps its target and opcode is found there.
 	slots, statics, shift := t.byIP.slots, t.statics, t.byIP.shift
 	for i := range evs {
@@ -146,7 +116,7 @@ func (t *Table) Intern(dst []Record, evs []bp.Event) ([]Record, error) {
 			v = slots[slot]
 		}
 		if v == 0 || statics[v-1].Target != b.Target || statics[v-1].Opcode != b.Opcode {
-			v = t.missLocked(b, slot) + 1
+			v = t.miss(b, slot) + 1
 			slots, statics, shift = t.byIP.slots, t.statics, t.byIP.shift
 		}
 		out[i] = Record{ID: v - 1, bits: uint32(gap)<<1 | uint32(b2u(b.Taken))}
@@ -154,47 +124,46 @@ func (t *Table) Intern(dst []Record, evs []bp.Event) ([]Record, error) {
 	return dst, nil
 }
 
-// missLocked returns the id of b's tuple when the address probe ended at
+// miss returns the id of b's tuple when the address probe ended at
 // slot without finding it. An empty slot means a new address, interned
 // there with b's tuple. A slot naming another tuple of b's address means
 // the address changed target or opcode: a probe keyed by the whole tuple
-// finds or interns b's, and the slot names it from now on. Caller holds
-// t.mu.
-func (t *Table) missLocked(b *bp.Branch, slot uint64) uint32 {
+// finds or interns b's, and the slot names it from now on.
+func (t *Table) miss(b *bp.Branch, slot uint64) uint32 {
 	if v := t.byIP.slots[slot]; v != 0 {
-		id := t.otherTupleLocked(b, v-1)
+		id := t.otherTuple(b, v-1)
 		t.byIP.slots[slot] = id + 1
 		return id
 	}
 	ipid, id := uint32(len(t.ips)), uint32(len(t.statics))
 	t.ips = append(t.ips, b.IP)
 	t.statics = append(t.statics, Static{IP: b.IP, Target: b.Target, Opcode: b.Opcode, IPID: ipid})
-	t.byIP.put(slot, id, t.ipOfLocked)
+	t.byIP.put(slot, id, t.ipOf)
 	return id
 }
 
-// otherTupleLocked returns the id of b's tuple, a tuple of a known address
+// otherTuple returns the id of b's tuple, a tuple of a known address
 // other than its most recent one, cur, interning it if new. An address's
 // first new tuple brings the one before it into byTuple.
-func (t *Table) otherTupleLocked(b *bp.Branch, cur uint32) uint32 {
-	i, ok := t.findTupleLocked(b.IP, b.Target, b.Opcode)
+func (t *Table) otherTuple(b *bp.Branch, cur uint32) uint32 {
+	i, ok := t.findTuple(b.IP, b.Target, b.Opcode)
 	if ok {
 		return t.byTuple.slots[i] - 1
 	}
 	s := &t.statics[cur]
-	if j, ok := t.findTupleLocked(s.IP, s.Target, s.Opcode); !ok {
-		t.byTuple.put(j, cur, t.tupleKeyOfLocked)
-		i, _ = t.findTupleLocked(b.IP, b.Target, b.Opcode) // put may have grown byTuple
+	if j, ok := t.findTuple(s.IP, s.Target, s.Opcode); !ok {
+		t.byTuple.put(j, cur, t.tupleKeyOf)
+		i, _ = t.findTuple(b.IP, b.Target, b.Opcode) // put may have grown byTuple
 	}
 	id := uint32(len(t.statics))
 	t.statics = append(t.statics, Static{IP: b.IP, Target: b.Target, Opcode: b.Opcode, IPID: t.statics[cur].IPID})
-	t.byTuple.put(i, id, t.tupleKeyOfLocked)
+	t.byTuple.put(i, id, t.tupleKeyOf)
 	return id
 }
 
-// findTupleLocked probes byTuple for a tuple: its slot, or the empty slot
+// findTuple probes byTuple for a tuple: its slot, or the empty slot
 // where it would go.
-func (t *Table) findTupleLocked(ip, target uint64, op bp.Opcode) (i uint64, ok bool) {
+func (t *Table) findTuple(ip, target uint64, op bp.Opcode) (i uint64, ok bool) {
 	i = t.byTuple.home(tupleKey(ip, target, op))
 	for v := t.byTuple.slots[i]; v != 0; v = t.byTuple.slots[i] {
 		if s := &t.statics[v-1]; s.IP == ip && s.Target == target && s.Opcode == op {
@@ -205,11 +174,11 @@ func (t *Table) findTupleLocked(ip, target uint64, op bp.Opcode) (i uint64, ok b
 	return i, false
 }
 
-// ipOfLocked and tupleKeyOfLocked give the slot-table keys of a stored
+// ipOf and tupleKeyOf give the slot-table keys of a stored
 // tuple, for rehashing.
-func (t *Table) ipOfLocked(id uint32) uint64 { return t.statics[id].IP }
+func (t *Table) ipOf(id uint32) uint64 { return t.statics[id].IP }
 
-func (t *Table) tupleKeyOfLocked(id uint32) uint64 {
+func (t *Table) tupleKeyOf(id uint32) uint64 {
 	s := &t.statics[id]
 	return tupleKey(s.IP, s.Target, s.Opcode)
 }
@@ -218,11 +187,9 @@ func tupleKey(ip, target uint64, op bp.Opcode) uint64 {
 	return ip ^ (target+uint64(op))*0xff51afd7ed558ccd
 }
 
-// resizeLocked recomputes the table's footprint: its interned storage. The
-// address order, 4 bytes per address and sorted by readers when they report,
-// is left out, so a table's charge changes only when Intern grows it.
-// Caller holds t.mu.
-func (t *Table) resizeLocked() {
+// resize recomputes the table's footprint: its interned storage, so a
+// table's charge changes only when Intern grows it.
+func (t *Table) resize() {
 	t.size = int64(cap(t.statics))*int64(unsafe.Sizeof(Static{})) + int64(cap(t.ips))*8 +
 		int64(len(t.byIP.slots)+len(t.byTuple.slots))*4
 }
@@ -273,40 +240,6 @@ func (s *slotTable) put(i uint64, id uint32, keyOf func(uint32) uint64) {
 func (s *slotTable) reset() {
 	clear(s.slots)
 	s.used = 0
-}
-
-// sortByIP returns the ids 0…len(ips)−1 ordered by ascending address: an
-// LSD radix sort on the address bytes that skips the bytes all addresses
-// share, so ordering a trace's addresses takes a few linear passes, not a
-// comparison sort.
-func sortByIP(ips []uint64) []uint32 {
-	order, tmp := make([]uint32, len(ips)), make([]uint32, len(ips))
-	common, some := ^uint64(0), uint64(0)
-	for i, ip := range ips {
-		order[i] = uint32(i)
-		common &= ip
-		some |= ip
-	}
-	varying := common ^ some
-	for shift := 0; shift < 64; shift += 8 {
-		if varying>>shift&0xff == 0 {
-			continue
-		}
-		var start [257]int
-		for _, id := range order {
-			start[ips[id]>>shift&0xff+1]++
-		}
-		for d := 1; d < len(start); d++ {
-			start[d] += start[d-1]
-		}
-		for _, id := range order {
-			d := ips[id] >> shift & 0xff
-			tmp[start[d]] = id
-			start[d]++
-		}
-		order, tmp = tmp, order
-	}
-	return order
 }
 
 // b2u is 1 for true and 0 for false, without a branch.

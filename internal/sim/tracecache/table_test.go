@@ -1,10 +1,8 @@
 package tracecache
 
 import (
-	"cmp"
 	"context"
 	"errors"
-	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -95,13 +93,12 @@ func TestTableManyTargets(t *testing.T) {
 }
 
 // TestTableFirstSeenOrderAcrossGrowth: IP and tuple ids follow first-seen
-// order across slot-table growth, every tuple maps back to its own id, the
-// address order sorts every address, and a reset table comes back empty.
+// order across slot-table growth, every tuple maps back to its own id, and
+// a reset table comes back empty.
 func TestTableFirstSeenOrderAcrossGrowth(t *testing.T) {
 	const n = 3 * 4096
 	evs := make([]bp.Event, n)
 	for i := range evs {
-		// Descending addresses, so the sorted order reverses the ids.
 		evs[i].Branch = bp.Branch{IP: uint64(n-i)*0x1000 + 0x400000, Target: uint64(i), Opcode: bp.OpCondJump}
 	}
 	tab := NewTable()
@@ -118,18 +115,12 @@ func TestTableFirstSeenOrderAcrossGrowth(t *testing.T) {
 			t.Fatalf("event %d: tuple %d, IP id %d, address %#x", i, r.ID, v.Statics[r.ID].IPID, v.IPs[i])
 		}
 	}
-	order := v.Order()
-	for i, id := range order {
-		if id != uint32(n-1-i) {
-			t.Fatalf("order[%d] = %d, want %d", i, id, n-1-i)
-		}
-	}
 	tab.Reset()
 	if v := tab.View(); len(v.IPs) != 0 || len(v.Statics) != 0 || slices.ContainsFunc(tab.byIP.slots, func(s uint32) bool { return s != 0 }) {
 		t.Errorf("reset table holds %d addresses, %d tuples", len(v.IPs), len(v.Statics))
 	}
 	recs, _ = tab.Intern(recs[:0], evs[5:7])
-	if recs[0].ID != 0 || recs[1].ID != 1 || len(tab.View().Order()) != 2 {
+	if recs[0].ID != 0 || recs[1].ID != 1 || len(tab.View().IPs) != 2 {
 		t.Errorf("a reset table does not count ids from 0: %v", recs)
 	}
 }
@@ -185,35 +176,4 @@ func TestTableLifetime(t *testing.T) {
 		t.Errorf("a too-big trace: verdict %v, %d bytes resident, want true and %d", e.TooBig(), c.Stats().BytesUsed, before)
 	}
 	c.Release(e)
-}
-
-// TestSortByIP: the radix sort orders addresses like a comparison sort,
-// whether they share their high bytes, span the whole range, or are few.
-func TestSortByIP(t *testing.T) {
-	r := rand.New(rand.NewPCG(5, 8))
-	for _, draw := range []func() uint64{
-		func() uint64 { return 0x400000 + 4*r.Uint64N(1<<14) },
-		func() uint64 { return 0x7f00_0000_0000 | r.Uint64N(1<<40) },
-		r.Uint64,
-	} {
-		for _, n := range []int{0, 1, 2, 300, 5000} {
-			seen := map[uint64]bool{}
-			var ips []uint64
-			for len(ips) < n {
-				if ip := draw(); !seen[ip] {
-					seen[ip] = true
-					ips = append(ips, ip)
-				}
-			}
-			got := sortByIP(ips)
-			want := make([]uint32, n)
-			for i := range want {
-				want[i] = uint32(i)
-			}
-			slices.SortFunc(want, func(a, b uint32) int { return cmp.Compare(ips[a], ips[b]) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("%d addresses: radix order differs from a comparison sort", n)
-			}
-		}
-	}
 }
