@@ -60,11 +60,14 @@ race-daemon:
 # The resumable-cell suite under the race detector: journal replay (records
 # of live cells and legacy records that carry a most_failed report), the
 # size of a journalled cell, drain with checkpoint and resume, lanes of one
-# trace group resuming from checkpoints of their own (one stale), and cell
+# trace group resuming from checkpoints of their own (one stale), cell
 # deadlines: a slow lane beside a fast one, and deadlines and drains that
-# land during open retries.
+# land during open retries, and the simcell checkpoint versions: version-1
+# fixtures of a reporting cell and of a sweep lane resuming, version 2
+# round-tripping and refused by a cell that reports, and the seeds of
+# FuzzCellState.
 race-resume:
-	$(GO) test -race -run 'TestSweepParallelJournalReplay|TestSweepParallelJournalCellBytes|TestSweepParallelCheckpointDrainResume|TestSweepParallelCellTimeout|TestSweepParallelCellTimeoutDuringOpenRetry|TestSweepParallelDrainDuringOpenRetry|TestSweepParallelOneWorkerDrain|TestSweepParallelLanesResumeOwnCheckpoints|TestSweepParallelCellTimeoutSlowLane' ./internal/sim/
+	$(GO) test -race -run 'TestSweepParallelJournalReplay|TestSweepParallelJournalCellBytes|TestSweepParallelCheckpointDrainResume|TestSweepParallelCellTimeout|TestSweepParallelCellTimeoutDuringOpenRetry|TestSweepParallelDrainDuringOpenRetry|TestSweepParallelOneWorkerDrain|TestSweepParallelLanesResumeOwnCheckpoints|TestSweepParallelCellTimeoutSlowLane|TestCellState|FuzzCellState' ./internal/sim/
 
 # End-to-end service smoke over real processes and a real TCP port: build
 # mbpd + mbpctl, submit a generated-trace sweep, diff the result JSON
@@ -135,4 +138,5 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzMLZRoundTrip -fuzztime=$(FUZZTIME) ./internal/compress/
 	$(GO) test -run=NONE -fuzz=FuzzMLZSRoundTrip -fuzztime=$(FUZZTIME) ./internal/compress/
 	$(GO) test -run=NONE -fuzz=FuzzMLZSIndexTrailer -fuzztime=$(FUZZTIME) ./internal/compress/
+	$(GO) test -run=NONE -fuzz=FuzzMLZDecode -fuzztime=$(FUZZTIME) ./internal/compress/
 	$(GO) test -run=NONE -fuzz=FuzzJournalRecord -fuzztime=$(FUZZTIME) ./internal/sim/journal/

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"mbplib/internal/faults"
 )
@@ -44,6 +45,11 @@ const ckptMagic = "MBPC"
 // Checkpoints come from local journal files, but a torn or hostile file
 // must not be able to request an arbitrary allocation.
 const maxCkptField = 1 << 28
+
+// ckptGrowStep bounds how far a field's buffer grows ahead of the bytes
+// read into it, so a field's memory follows the stream, not its declared
+// length: a five-byte stream cannot make a reader allocate 2 GiB.
+const ckptGrowStep = 1 << 16
 
 // CkptWriter encodes checkpoint fields with a sticky error, so predictor
 // Checkpoint implementations read as straight-line field lists with a
@@ -235,10 +241,15 @@ func (cr *CkptReader) Bytes() []byte {
 		cr.Corrupt("field of %d bytes exceeds limit", n)
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(cr.rr, b); err != nil {
-		cr.fail(err)
-		return nil
+	b := make([]byte, 0, min(n, ckptGrowStep))
+	for uint64(len(b)) < n {
+		m := int(min(n-uint64(len(b)), ckptGrowStep))
+		b = slices.Grow(b, m)
+		if _, err := io.ReadFull(cr.rr, b[len(b):len(b)+m]); err != nil {
+			cr.fail(err)
+			return nil
+		}
+		b = b[:len(b)+m]
 	}
 	return b
 }
@@ -256,12 +267,13 @@ func (cr *CkptReader) U64s() []uint64 {
 		cr.Corrupt("slice of %d entries exceeds limit", n)
 		return nil
 	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = cr.U64()
+	vs := make([]uint64, 0, min(n, ckptGrowStep))
+	for range n {
+		v := cr.U64()
 		if cr.err != nil {
 			return nil
 		}
+		vs = append(vs, v)
 	}
 	return vs
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -161,6 +162,28 @@ func TestCkptReaderLimitsAllocations(t *testing.T) {
 	}
 	if err := cr.Err(); !errors.Is(err, faults.ErrCorrupt) {
 		t.Errorf("hostile slice length: err = %v, want ErrCorrupt", err)
+	}
+
+	// A length within the limit over a stream that ends at once is
+	// truncated, having allocated what the stream held, not what it
+	// declared (2 GiB of entries, 256 MiB of bytes).
+	var short bytes.Buffer
+	NewCkptWriter(&short).U64(maxCkptField)
+	for name, read := range map[string]func(*CkptReader){
+		"Bytes": func(cr *CkptReader) { cr.Bytes() },
+		"U64s":  func(cr *CkptReader) { cr.U64s() },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cr := NewCkptReader(bytes.NewReader(short.Bytes()))
+		read(cr)
+		runtime.ReadMemStats(&after)
+		if err := cr.Err(); !errors.Is(err, faults.ErrTruncated) {
+			t.Errorf("%s of a declared %d over an empty stream: err = %v, want ErrTruncated", name, maxCkptField, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 4<<20 {
+			t.Errorf("%s of a declared %d over an empty stream allocated %d bytes", name, maxCkptField, d)
+		}
 	}
 }
 

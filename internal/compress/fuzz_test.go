@@ -3,7 +3,10 @@ package compress
 import (
 	"bytes"
 	"io"
+	"math/rand/v2"
 	"testing"
+
+	"mbplib/internal/faults"
 )
 
 // FuzzMLZRoundTrip feeds arbitrary payloads through the MLZ compressor at
@@ -48,6 +51,60 @@ func FuzzMLZRoundTrip(f *testing.F) {
 		// clean error or a successful decode, never a panic.
 		if r, err := NewReader(bytes.NewReader(data)); err == nil {
 			io.Copy(io.Discard, r) //nolint:errcheck // any outcome but a panic is acceptable here
+		}
+	})
+}
+
+// FuzzMLZDecode feeds arbitrary bytes through NewReader, seeded with valid
+// .mlz and .mlzs containers of Huffman-coded blocks and copies with one
+// bit flipped. The round-trip targets decode only what the encoder wrote;
+// these seeds start the fuzzer on hostile Huffman length tables (MLZ
+// blocks carry no checksum), frames, chunk headers and trailers. Every
+// input must decode or fail with a typed faults error, never panic. Gzip
+// streams are the standard library's decoder and are left out.
+func FuzzMLZDecode(f *testing.F) {
+	// Skewed bytes, so every block and chunk is Huffman-coded.
+	rng := rand.New(rand.NewPCG(3, 2))
+	payload := make([]byte, 3<<10)
+	for i := range payload {
+		payload[i] = byte(rng.ExpFloat64() * 8)
+	}
+	var containers [][]byte
+	for _, level := range []Level{LevelFast, LevelBest} {
+		var mlz, mlzs bytes.Buffer
+		for _, w := range []io.WriteCloser{NewMLZWriter(&mlz, level), NewMLZSWriter(&mlzs, MLZSOptions{ChunkSize: 1 << 11, Level: level})} {
+			if _, err := w.Write(payload); err != nil {
+				f.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				f.Fatal(err)
+			}
+		}
+		containers = append(containers, mlz.Bytes(), mlzs.Bytes())
+	}
+	for _, c := range containers {
+		f.Add(c)
+		// Flips across the container: block and chunk headers, the
+		// 128-byte Huffman length tables that follow them, payloads and
+		// the MLZS trailer.
+		for i := 1; i < 16; i++ {
+			off := 4 + (len(c)-5)*i/16
+			flipped := bytes.Clone(c)
+			flipped[off] ^= 1 << (i % 8)
+			f.Add(flipped)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if Detect(data) == FormatGzip {
+			t.Skip("gzip streams are the standard library's decoder")
+		}
+		r, err := NewReader(bytes.NewReader(data))
+		if err == nil {
+			_, err = io.Copy(io.Discard, r)
+		}
+		if err != nil && faults.Class(err) == "other" {
+			t.Fatalf("untyped error: %v", err)
 		}
 	})
 }

@@ -185,32 +185,28 @@ func huffmanLengths(freq *[256]uint64) [256]uint8 {
 	return lengths
 }
 
-// canonicalCodes assigns canonical codes (bit-reversed for LSB-first I/O).
+// canonicalCodes assigns canonical codes (bit-reversed for LSB-first I/O)
+// by counting, as DEFLATE does: the first code of each length follows the
+// codes of all shorter lengths, and symbols of one length take consecutive
+// codes in symbol order. The count table covers every 4-bit length a
+// header can carry; buildTables rejects those above huffMaxLen.
 func canonicalCodes(lengths [256]uint8) [256]uint16 {
-	type sym struct {
-		s int
-		l uint8
+	var count, next [16]uint16
+	for _, l := range lengths {
+		count[l]++
 	}
-	var syms []sym
+	count[0] = 0 // unused symbols take no code
+	code := uint16(0)
+	for l := 1; l < len(next); l++ {
+		code = (code + count[l-1]) << 1
+		next[l] = code
+	}
+	var codes [256]uint16
 	for s, l := range lengths {
 		if l > 0 {
-			syms = append(syms, sym{s, l})
+			codes[s] = reverseBits(next[l], l)
+			next[l]++
 		}
-	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].l != syms[j].l {
-			return syms[i].l < syms[j].l
-		}
-		return syms[i].s < syms[j].s
-	})
-	var codes [256]uint16
-	code := uint16(0)
-	prevLen := uint8(0)
-	for _, sy := range syms {
-		code <<= sy.l - prevLen
-		prevLen = sy.l
-		codes[sy.s] = reverseBits(code, sy.l)
-		code++
 	}
 	return codes
 }

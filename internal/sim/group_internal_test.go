@@ -22,37 +22,70 @@ func suiteEvents(tb testing.TB, n uint64) []bp.Event {
 	return specEvents(tb, specs[0])
 }
 
+// manyIPEvents is a trace of n branches over 4096 static branches, so a
+// loop that counted per-branch rows would grow them to 4096.
+func manyIPEvents(tb testing.TB, n uint64) []bp.Event {
+	tb.Helper()
+	return specEvents(tb, tracegen.Spec{
+		Name: "many-ip", Seed: 0x5EED, Branches: n,
+		Kernels: []tracegen.KernelSpec{{Kind: tracegen.Biased, Branches: 4096, Bias: 0.5, GapMean: 9}},
+	})
+}
+
 // TestGroupOneLaneNoAllocsPerBatch: in steady state a group of one lane,
 // which is what Run is, allocates nothing per batch, on the kernel path and
 // on the scalar one: a run over 64 batches allocates no more than a run
 // over 4. The least of several measurements is compared, because under
-// -race a sync.Pool drops some of what it is given.
+// -race a sync.Pool drops some of what it is given. A metrics-only lane
+// keeps no per-branch counters, on a trace of a few hundred branches and
+// on one of 4096.
 func TestGroupOneLaneNoAllocsPerBatch(t *testing.T) {
-	evs := suiteEvents(t, 64_000)
-	if len(evs) < 64_000 {
-		t.Fatalf("trace has %d events, want 64000", len(evs))
-	}
-	for _, tc := range []struct {
+	for _, trace := range []struct {
 		name string
-		newP func() bp.Predictor
+		evs  []bp.Event
 	}{
-		{"kernel", smallGshare},
-		{"scalar", func() bp.Predictor { return bp.ScalarOnly(smallGshare()) }},
+		{"cbp5", suiteEvents(t, 64_000)},
+		{"many-ip", manyIPEvents(t, 64_000)},
 	} {
-		allocs := func(batches int) float64 {
-			open := sliceOpener(t, evs[:batches*1000])
-			least := math.Inf(1)
-			for range 5 {
-				least = min(least, testing.AllocsPerRun(10, func() {
-					if _, err := runCell(context.Background(), nil, open, tc.newP, Config{metricsOnly: true}, nil); err != nil {
-						t.Fatal(err)
-					}
-				}))
-			}
-			return least
+		evs := trace.evs
+		if len(evs) < 64_000 {
+			t.Fatalf("%s: trace has %d events, want 64000", trace.name, len(evs))
 		}
-		if few, many := allocs(4), allocs(64); many > few+2 {
-			t.Errorf("%s: %v allocations over 64 batches against %v over 4: the group allocates per batch", tc.name, many, few)
+		for _, tc := range []struct {
+			name string
+			newP func() bp.Predictor
+		}{
+			{"kernel", smallGshare},
+			{"scalar", func() bp.Predictor { return bp.ScalarOnly(smallGshare()) }},
+		} {
+			cfg := Config{metricsOnly: true, WarmupInstructions: 1000}
+			open := sliceOpener(t, evs)
+			ln := &lane{newP: tc.newP}
+			g := &group{ctx: context.Background(), open: open, cfg: cfg, lanes: []*lane{ln},
+				end: func(ended []*lane, _ bool) {
+					if l := ended[0].loop; l.counters != nil || l.hw < 100 {
+						t.Errorf("%s/%s: lane ended with counters %v over %d branches, want none", trace.name, tc.name, l.counters != nil, l.hw)
+					}
+				}}
+			g.run()
+			if ln.err != nil {
+				t.Fatal(ln.err)
+			}
+			allocs := func(batches int) float64 {
+				open := sliceOpener(t, evs[:batches*1000])
+				least := math.Inf(1)
+				for range 5 {
+					least = min(least, testing.AllocsPerRun(10, func() {
+						if _, err := runCell(context.Background(), nil, open, tc.newP, cfg, nil); err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
+				return least
+			}
+			if few, many := allocs(4), allocs(64); many > few+2 {
+				t.Errorf("%s/%s: %v allocations over 64 batches against %v over 4: the group allocates per batch", trace.name, tc.name, many, few)
+			}
 		}
 	}
 }

@@ -312,14 +312,19 @@ var prepConfigs = []sim.Config{
 }
 
 // TestGroupSharedPrepMatchesRun: lanes of every dispatch kind share each
-// prepared batch, and each lane's results are those of a Run of its
-// predictor alone, with warm-up and limits that end inside a batch, on one
-// worker (one group per trace) and on two.
+// prepared batch, and each lane's results — totals and
+// num_branch_instructions counted without per-branch rows — are those of a
+// Run of its predictor alone, with warm-up and limits that end inside a
+// batch, on one worker (one group per trace) and on two. One trace holds
+// 4096 static branches.
 func TestGroupSharedPrepMatchesRun(t *testing.T) {
-	srcs := genSources(t, 20_000)[:3]
+	srcs := append(genSources(t, 20_000)[:3], mlzsSource(manyMissTrace(t)))
 	preds := mixedLanes(t)
 	for _, cfg := range prepConfigs {
 		want := sequentialSweep(t, srcs, preds, cfg)
+		if n := want[0].Results[3].Metadata.NumBranchInstructions; n < 3000 {
+			t.Fatalf("%+v: the many-branch trace reaches %d static branches, want at least 3000", cfg, n)
+		}
 		for _, workers := range []int{1, 2} {
 			got, err := sim.SweepParallel(srcs, preds, cfg, sim.ParallelOptions{Workers: workers})
 			if err != nil {
@@ -375,7 +380,9 @@ func (r shortReader) ReadBatch(dst []bp.Event) (int, error) {
 // 1000 records restore on a reading in full batches, so the restored lanes
 // — a kernel and a scalar one — start partway into a prepared batch and
 // read its shared arrays from an offset, while fresh lanes read them
-// whole. Every lane ends byte-identical to an uninterrupted run.
+// whole. The checkpoints are version 2, without per-branch rows, and every
+// lane ends byte-identical to an uninterrupted run, totals and
+// num_branch_instructions included.
 func TestGroupRestoresMidBatch(t *testing.T) {
 	spec := suiteSpecs(t, 30_000)[0]
 	src := genSource(spec)
@@ -412,6 +419,10 @@ func TestGroupRestoresMidBatch(t *testing.T) {
 			ck, ok := jnl.Checkpoint(sim.CellKey(src, ps.Name, cfg))
 			if !ok || ck.Events%tracecache.BatchEvents == 0 {
 				t.Fatalf("%s: checkpoint %v at %d events, want one inside a full batch", ps.Name, ok, ck.Events)
+			}
+			cr := bp.NewCkptReader(bytes.NewReader(ck.State))
+			if v := cr.Header("simcell"); cr.Err() != nil || v != 2 {
+				t.Errorf("%s: checkpoint version %d (err %v), want 2: a sweep lane keeps no rows", ps.Name, v, cr.Err())
 			}
 		}
 

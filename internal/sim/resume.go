@@ -162,13 +162,18 @@ func (jc *cellJournal) checkpoint(loop *runLoop, p bp.Predictor, consumed uint64
 	return nil
 }
 
-// cellStateVersion versions the sim-owned half of a cell checkpoint (the
-// loop counters and branch statistics around the predictor's own payload).
-const cellStateVersion = 1
+// The versions of the sim-owned half of a cell checkpoint (the loop's
+// counts around the predictor's own payload). A loop that keeps counters
+// writes version 1, with its rows; a metrics-only loop, version 2, without.
+const (
+	cellStateRows   = 1
+	cellStateTotals = 2
+)
 
 // encodeCellState serializes the resumable state of an in-flight cell: the
-// loop counters, the per-branch statistics, and the predictor's own
-// checkpoint, all through the bp checkpoint codec.
+// loop's counts, its branch addresses and, if it keeps them, its
+// per-branch counters, then the predictor's own checkpoint, all through
+// the bp checkpoint codec.
 func encodeCellState(loop *runLoop, p bp.Predictor) ([]byte, error) {
 	ck, ok := p.(bp.Checkpointer)
 	if !ok {
@@ -180,18 +185,24 @@ func encodeCellState(loop *runLoop, p bp.Predictor) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	cw := bp.NewCkptWriter(&buf)
-	cw.Header("simcell", cellStateVersion)
+	version := uint64(cellStateRows)
+	if loop.counters == nil {
+		version = cellStateTotals
+	}
+	cw.Header("simcell", version)
 	cw.U64(loop.instr)
 	cw.U64(loop.condBranches)
 	cw.U64(loop.mispredictions)
-	// Version 1 stores three length-prefixed slices: every branch address
-	// in first-seen order (by IP id), then the occurrence and misprediction
-	// rows up to the last counted branch.
+	// Every branch address in first-seen order (by IP id); version 1 then
+	// stores the occurrence and misprediction rows up to the last counted
+	// branch. Each is a length-prefixed slice.
 	hw := int(loop.hw)
-	rows := loop.counted(hw)
 	cw.U64s(loop.ips[:hw])
-	cw.U64s(loop.occ[:rows])
-	cw.U64s(loop.missed[:rows])
+	if version == cellStateRows {
+		rows := loop.counted(hw)
+		cw.U64s(loop.occ[:rows])
+		cw.U64s(loop.missed[:rows])
+	}
 	cw.Bytes(pstate.Bytes())
 	if err := cw.Err(); err != nil {
 		return nil, err
@@ -199,27 +210,36 @@ func encodeCellState(loop *runLoop, p bp.Predictor) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// restoreCellState rebuilds loop and predictor state from a checkpoint. On
-// error the receivers are unspecified; the caller restarts the cell on
-// fresh instances (a bad checkpoint must never condemn the cell).
+// restoreCellState rebuilds loop and predictor state from a checkpoint of
+// either version. A metrics-only loop checks the rows of version 1 and
+// drops them; a loop that keeps counters refuses version 2, which has
+// none. On error the receivers are unspecified; the caller restarts the
+// cell on fresh instances (a bad checkpoint must never condemn the cell).
 func restoreCellState(state []byte, loop *runLoop, p bp.Predictor) error {
 	ck, ok := p.(bp.Checkpointer)
 	if !ok {
 		return fmt.Errorf("sim: predictor does not implement bp.Checkpointer: %w", faults.ErrCorrupt)
 	}
 	cr := bp.NewCkptReader(bytes.NewReader(state))
-	if v := cr.Header("simcell"); cr.Err() == nil && v != cellStateVersion {
-		cr.Corrupt("simcell checkpoint version %d, want %d", v, cellStateVersion)
+	v := cr.Header("simcell")
+	if cr.Err() == nil && v != cellStateRows && v != cellStateTotals {
+		cr.Corrupt("simcell checkpoint version %d, want %d or %d", v, cellStateRows, cellStateTotals)
 	}
 	instr := cr.U64()
 	cond := cr.U64()
 	miss := cr.U64()
 	ips := cr.U64s()
-	occ := cr.U64s()
-	missed := cr.U64s()
+	var occ, missed []uint64
+	if v == cellStateRows {
+		occ = cr.U64s()
+		missed = cr.U64s()
+	}
 	pstate := cr.Bytes()
 	if err := cr.Err(); err != nil {
-		return err
+		return corrupt(err)
+	}
+	if v == cellStateTotals && loop.counters != nil {
+		return fmt.Errorf("simcell checkpoint version %d holds no branch rows for this cell's report: %w", v, faults.ErrCorrupt)
 	}
 	if len(occ) > len(ips) || len(missed) != len(occ) {
 		return fmt.Errorf("simcell checkpoint: %d stats rows over %d branches: %w", len(occ), len(ips), faults.ErrCorrupt)
@@ -233,22 +253,39 @@ func restoreCellState(state []byte, loop *runLoop, p bp.Predictor) error {
 		}
 		seen[ip] = true
 	}
-	loop.grow(len(ips))
 	var sumOcc, sumMissed uint64
 	for i := range occ {
 		if missed[i] > occ[i] {
 			return fmt.Errorf("simcell checkpoint: branch %#x missed %d of %d: %w", ips[i], missed[i], occ[i], faults.ErrCorrupt)
 		}
-		loop.occ[i], loop.missed[i] = occ[i], missed[i]
 		sumOcc += occ[i]
 		sumMissed += missed[i]
 	}
-	if sumOcc != cond || sumMissed != miss {
+	if v == cellStateRows && (sumOcc != cond || sumMissed != miss) {
 		return fmt.Errorf("simcell checkpoint: branch rows sum to %d/%d, totals are %d/%d: %w", sumMissed, sumOcc, miss, cond, faults.ErrCorrupt)
+	}
+	if miss > cond {
+		return fmt.Errorf("simcell checkpoint: %d mispredictions of %d branches: %w", miss, cond, faults.ErrCorrupt)
+	}
+	if loop.counters != nil {
+		loop.grow(len(ips))
+		copy(loop.occ, occ)
+		copy(loop.missed, missed)
 	}
 	loop.ips, loop.hw = ips, uint32(len(ips))
 	loop.instr, loop.condBranches, loop.mispredictions = instr, cond, miss
-	return ck.Restore(bytes.NewReader(pstate))
+	return corrupt(ck.Restore(bytes.NewReader(pstate)))
+}
+
+// corrupt classifies a checkpoint that does not decode as
+// faults.ErrCorrupt, whatever the codec called it: the journal's checksum
+// vouched for the record, so one that ends early or does not parse was
+// written wrong.
+func corrupt(err error) error {
+	if err == nil || errors.Is(err, faults.ErrCorrupt) {
+		return err
+	}
+	return fmt.Errorf("simcell checkpoint: %w: %w", err, faults.ErrCorrupt)
 }
 
 // matches reports whether a restored checkpoint describes the trace of v,

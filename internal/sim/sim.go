@@ -52,7 +52,8 @@ type Config struct {
 	// byte-identical either way — collectors only observe (see internal/obs).
 	Metrics *obs.Collector
 	// metricsOnly asks for the metrics-only Result of a sweep cell
-	// (SweepParallel sets it): no most_failed report.
+	// (SweepParallel sets it): no most_failed report, so the run counts
+	// its totals alone and keeps no per-branch counters.
 	metricsOnly bool
 }
 
@@ -109,6 +110,8 @@ type runLoop struct {
 	// ips are the branch addresses by IP id: the view's, or a restored
 	// checkpoint's until the view covers them.
 	ips []uint64
+	// counters are the per-branch rows a report is built from; nil in a
+	// metrics-only loop, which counts the totals alone.
 	*counters
 	// hw is 1 + the highest IP id seen. IP ids follow first-seen order, so
 	// it is the number of distinct branches seen (num_branch_instructions).
@@ -123,7 +126,10 @@ type runLoop struct {
 }
 
 func newRunLoop(cfg Config) *runLoop {
-	l := &runLoop{counters: countersPool.Get().(*counters), warmup: cfg.WarmupInstructions, col: cfg.Metrics}
+	l := &runLoop{warmup: cfg.WarmupInstructions, col: cfg.Metrics}
+	if !cfg.metricsOnly {
+		l.counters = countersPool.Get().(*counters)
+	}
 	if cfg.SimInstructions > 0 {
 		l.limit = cfg.WarmupInstructions + cfg.SimInstructions
 	}
@@ -139,11 +145,13 @@ func (l *runLoop) release() {
 	}
 }
 
-// setView adopts the view that came with a batch, growing the counters to
-// cover every address it holds.
+// setView adopts the view that came with a batch, growing the counters, if
+// the loop keeps them, to cover every address it holds.
 func (l *runLoop) setView(v tracecache.View) {
 	l.view, l.ips = v, v.IPs
-	l.grow(len(v.IPs))
+	if l.counters != nil {
+		l.grow(len(v.IPs))
+	}
 }
 
 // process consumes one batch of records from off on, whose ids index v,
@@ -198,30 +206,42 @@ func span(recs []tracecache.Record) uint64 {
 	return n
 }
 
-// count records one conditional branch past warm-up at IP id and in the
-// totals.
+// count records one conditional branch past warm-up in the totals and,
+// if the loop keeps counters, at IP id.
 func (l *runLoop) count(id uint32, mispredicted bool) {
 	m := b2u(mispredicted)
 	l.condBranches++
 	l.mispredictions += m
-	l.occ[id]++
-	l.missed[id] += m
+	if l.counters != nil {
+		l.occ[id]++
+		l.missed[id] += m
+	}
 }
 
 // simulate runs the prepared batch from off on through p and folds the
-// predictions into the counters, indexed by IP id. Splitting simulation
-// from accounting keeps the kernel free of counter traffic (so predictor
-// tables stay hot in cache) while producing exactly the counters the
-// scalar loop accumulates. The accounting pass has no branch: a
-// non-conditional record adds zero, whatever its stale prediction.
+// predictions into the totals and, if the loop keeps them, the counters
+// indexed by IP id. Splitting simulation from accounting keeps the kernel
+// free of counter traffic (so predictor tables stay hot in cache) while
+// producing exactly the counts the scalar loop accumulates. The
+// accounting pass has no branch: a non-conditional record adds zero,
+// whatever its stale prediction.
 func (l *runLoop) simulate(p bp.Predictor, pb *prepared, off int) {
 	// Slices of equal length let the loop index preds and missed unchecked.
 	acc := pb.acc[off:]
 	preds := pb.preds[off:][:len(acc)]
 	bp.SimulateBatch(p, pb.branches[off:], preds)
+	cond, miss := l.condBranches, l.mispredictions
+	if l.counters == nil {
+		for i, a := range acc {
+			c := uint64(a & 1)
+			cond += c
+			miss += (b2u(bool(preds[i])) ^ uint64(a>>1&1)) & c
+		}
+		l.condBranches, l.mispredictions = cond, miss
+		return
+	}
 	occ := l.occ
 	missed := l.missed[:len(occ)]
-	cond, miss := l.condBranches, l.mispredictions
 	for i, a := range acc {
 		c := uint64(a & 1)
 		m := (b2u(bool(preds[i])) ^ uint64(a>>1&1)) & c
@@ -238,7 +258,7 @@ func (l *runLoop) simulate(p bp.Predictor, pb *prepared, off int) {
 // obs.StageResult, and returns the counters to their pool; elapsed is the
 // run's simulation time. It is Listing 1's whole report, or with
 // cfg.metricsOnly the result of a sweep cell: most_failed nil and
-// num_most_failed_branches 0, the per-branch counters unread.
+// num_most_failed_branches 0, from a loop that kept no counters.
 func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, elapsed time.Duration) *Result {
 	tRes := l.col.Now()
 	defer l.col.Stage(obs.StageResult).Since(tRes)
@@ -264,7 +284,7 @@ func (l *runLoop) result(p bp.Predictor, cfg Config, exhausted bool, elapsed tim
 		Accuracy:       m.Accuracy,
 		SimulationTime: elapsed.Seconds(),
 	}
-	if !cfg.metricsOnly && l.mispredictions > 0 {
+	if l.counters != nil && l.mispredictions > 0 {
 		hw := l.hw
 		res.MostFailed, res.Metrics.NumMostFailedBranches = mostFailed(l.ips, l.occ[:hw], l.missed[:hw], sortByIP(l.ips[:hw]), l.mispredictions, simInstr, cfg.MostFailedLimit)
 	}

@@ -10,12 +10,13 @@ import (
 // the trace's static table: how often each branch executed past warm-up as
 // a conditional branch, and how often it was mispredicted. Branches seen
 // only in warm-up or only as non-conditional branches keep zero counters.
+// Only a run that reports keeps them: a sweep cell counts its totals alone.
 type counters struct {
 	occ, missed []uint64
 }
 
-// countersPool recycles counters across runs, so a sweep cell starts on
-// arrays already grown by the previous cell instead of regrowing them.
+// countersPool recycles counters across runs, so a run starts on arrays
+// already grown by the previous one instead of regrowing them.
 var countersPool = sync.Pool{New: func() any { return new(counters) }}
 
 // grow extends the counters, zeroed, to cover n IP ids.

@@ -240,8 +240,9 @@ func smallGshare() bp.Predictor {
 
 // TestRestoreCellStateRejectsBadRows: a checkpoint whose address list
 // repeats a branch, or whose rows disagree with each other or with the
-// totals, is corrupt. A repeated address used to restore and then crash the
-// report with an index out of range.
+// totals, is corrupt, to a loop with counters and to a metrics-only one,
+// which checks the rows it drops. A repeated address used to restore and
+// then crash the report with an index out of range.
 func TestRestoreCellStateRejectsBadRows(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -258,11 +259,13 @@ func TestRestoreCellStateRejectsBadRows(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			state := simcellV1(t, 100, tc.cond, tc.miss, tc.ips, tc.occ, tc.missed, smallGshare().(bp.Checkpointer))
-			loop := newRunLoop(Config{})
-			defer loop.release()
-			err := restoreCellState(state, loop, smallGshare())
-			if !errors.Is(err, faults.ErrCorrupt) || !strings.Contains(err.Error(), tc.wantMessageSubstr) {
-				t.Fatalf("restore = %v, want a corrupt error mentioning %q", err, tc.wantMessageSubstr)
+			for _, cfg := range []Config{{}, {metricsOnly: true}} {
+				loop := newRunLoop(cfg)
+				err := restoreCellState(state, loop, smallGshare())
+				loop.release()
+				if !errors.Is(err, faults.ErrCorrupt) || !strings.Contains(err.Error(), tc.wantMessageSubstr) {
+					t.Fatalf("metrics-only %v: restore = %v, want a corrupt error mentioning %q", cfg.metricsOnly, err, tc.wantMessageSubstr)
+				}
 			}
 		})
 	}
