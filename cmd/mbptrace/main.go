@@ -10,8 +10,8 @@
 //	mbptrace verify  t.sbbt.mlz
 //	mbptrace recompress -chunk-size 1048576 -compress-j 4 in.sbbt.mlz out.sbbt.mlzs
 //
-// recompress rewrites any supported compressed stream into the seekable
-// chunked (MLZS) container, preserving the inner bytes exactly. When the
+// recompress rewrites any supported compressed stream into the chunked
+// MLZS container, preserving the inner bytes exactly. When the
 // inner stream is a plain (non-checksummed) SBBT trace, chunk boundaries
 // are packet-aligned, so every chunk holds whole packets.
 // convert to .sbbt.mlzs aligns its output the same way. The size/ratio
@@ -186,7 +186,7 @@ func verify(path string, stdout io.Writer) error {
 	return nil
 }
 
-// recompress rewrites a compressed stream into the seekable MLZS container.
+// recompress rewrites a compressed stream into the chunked MLZS container.
 func recompress(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mbptrace recompress", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -47,7 +47,7 @@ type TraceSet struct {
 	Specs []tracegen.Spec
 	// Per-spec file paths (empty when the format was not requested).
 	SBBT     []string // .sbbt.mlz — the MBPlib distribution format
-	SBBTMLZS []string // .sbbt.mlzs — packet-aligned seekable container
+	SBBTMLZS []string // .sbbt.mlzs — packet-aligned chunked container
 	SBBTGz   []string // .sbbt.gz — gzip SBBT, where decompression dominates
 	BT9Gz    []string // .bt9.gz — the original CBP5 distribution format
 	BT9MLZ   []string // .bt9.mlz — the recompressed traces of Table IV
@@ -144,7 +144,7 @@ func writeSBBTFile(path string, spec tracegen.Spec) error {
 	return f.Close()
 }
 
-// writeSBBTMLZSFile renders spec as a seekable chunked (MLZS) SBBT trace at
+// writeSBBTMLZSFile renders spec as a chunked (MLZS) SBBT trace at
 // path. Chunk boundaries are packet-aligned past the SBBT header, so every
 // chunk holds whole packets.
 func writeSBBTMLZSFile(path string, spec tracegen.Spec, workers int) error {

@@ -2,7 +2,6 @@ package bp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -161,14 +160,9 @@ func (o *oneByteReader) ReadByte() (byte, error) {
 }
 
 func (cr *CkptReader) fail(err error) {
-	if cr.err != nil {
-		return
+	if cr.err == nil {
+		cr.err = fmt.Errorf("checkpoint: %w", faults.ClassifyRead(err))
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		cr.err = fmt.Errorf("checkpoint ends early: %w", faults.ErrTruncated)
-		return
-	}
-	cr.err = err
 }
 
 // Corrupt records a corrupt-checkpoint error with a formatted detail

@@ -187,6 +187,23 @@ func TestCkptReaderLimitsAllocations(t *testing.T) {
 	}
 }
 
+// TestCkptReaderVarintOverflow: a varint longer than 64 bits is damage,
+// not an I/O failure, whether read through a plain io.Reader or a
+// ByteReader.
+func TestCkptReaderVarintOverflow(t *testing.T) {
+	overlong := bytes.Repeat([]byte{0xff}, 11)
+	for name, r := range map[string]io.Reader{
+		"byte reader":  bytes.NewReader(overlong),
+		"plain reader": struct{ io.Reader }{bytes.NewReader(overlong)},
+	} {
+		cr := NewCkptReader(r)
+		cr.U64()
+		if got := faults.Class(cr.Err()); got != "corrupt" {
+			t.Errorf("%s: 11 bytes of 0xff: class %q (%v), want corrupt", name, got, cr.Err())
+		}
+	}
+}
+
 func TestCkptReaderBadBool(t *testing.T) {
 	var buf bytes.Buffer
 	cw := NewCkptWriter(&buf)

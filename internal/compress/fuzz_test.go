@@ -56,37 +56,60 @@ func FuzzMLZRoundTrip(f *testing.F) {
 }
 
 // FuzzMLZDecode feeds arbitrary bytes through NewReader, seeded with valid
-// .mlz and .mlzs containers of Huffman-coded blocks and copies with one
-// bit flipped. The round-trip targets decode only what the encoder wrote;
-// these seeds start the fuzzer on hostile Huffman length tables (MLZ
-// blocks carry no checksum), frames, chunk headers and trailers. Every
-// input must decode or fail with a typed faults error, never panic. Gzip
-// streams are the standard library's decoder and are left out.
+// .mlz and .mlzs containers whose blocks are all of one kind — stored,
+// plain LZ or Huffman-coded — and copies with one bit flipped. The
+// round-trip targets decode only what the encoder wrote; these seeds start
+// the fuzzer on hostile stored blocks, token streams, Huffman length
+// tables (MLZ blocks carry no checksum), frames, chunk headers and
+// trailers, so the one block decoder is fuzzed through both framings and
+// all three kinds. Every input must decode or fail with a typed faults
+// error, never panic. Gzip streams are the standard library's decoder and
+// are left out.
 func FuzzMLZDecode(f *testing.F) {
-	// Skewed bytes, so every block and chunk is Huffman-coded.
 	rng := rand.New(rand.NewPCG(3, 2))
-	payload := make([]byte, 3<<10)
-	for i := range payload {
-		payload[i] = byte(rng.ExpFloat64() * 8)
+	bytesOf := func(n int, next func() byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = next()
+		}
+		return b
 	}
+	// Skewed bytes, so every block and chunk is Huffman-coded.
+	skewed := bytesOf(3<<10, func() byte { return byte(rng.ExpFloat64() * 8) })
+	// Random bytes: no coding shrinks them, so every block is stored.
+	random := bytesOf(3<<10, func() byte { return byte(rng.Uint32()) })
+	// A random phrase repeated: its short token stream cannot pay for a
+	// Huffman table, so every block is plain LZ.
+	plainLZ := bytes.Repeat(bytesOf(256, func() byte { return byte(rng.Uint32()) }), 16)
 	var containers [][]byte
-	for _, level := range []Level{LevelFast, LevelBest} {
-		var mlz, mlzs bytes.Buffer
-		for _, w := range []io.WriteCloser{NewMLZWriter(&mlz, level), NewMLZSWriter(&mlzs, MLZSOptions{ChunkSize: 1 << 11, Level: level})} {
-			if _, err := w.Write(payload); err != nil {
-				f.Fatal(err)
+	for _, in := range []struct {
+		kind byte
+		data []byte
+	}{{blockHuffman, skewed}, {blockStored, random}, {blockLZ, plainLZ}} {
+		for _, level := range []Level{LevelFast, LevelBest} {
+			var mlz, mlzs bytes.Buffer
+			for _, w := range []io.WriteCloser{NewMLZWriter(&mlz, level), NewMLZSWriter(&mlzs, MLZSOptions{ChunkSize: 1 << 11, Level: level})} {
+				if _, err := w.Write(in.data); err != nil {
+					f.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					f.Fatal(err)
+				}
 			}
-			if err := w.Close(); err != nil {
-				f.Fatal(err)
+			for _, c := range [][]byte{mlz.Bytes(), mlzs.Bytes()} {
+				kinds := blockKinds(f, c)
+				if len(kinds) == 0 || bytes.Count(kinds, []byte{in.kind}) != len(kinds) {
+					f.Fatalf("seed of kind %d holds blocks of kinds %v", in.kind, kinds)
+				}
+				containers = append(containers, c)
 			}
 		}
-		containers = append(containers, mlz.Bytes(), mlzs.Bytes())
 	}
 	for _, c := range containers {
 		f.Add(c)
 		// Flips across the container: block and chunk headers, the
-		// 128-byte Huffman length tables that follow them, payloads and
-		// the MLZS trailer.
+		// 128-byte Huffman length tables that follow them, token
+		// streams, stored bytes and the MLZS trailer.
 		for i := 1; i < 16; i++ {
 			off := 4 + (len(c)-5)*i/16
 			flipped := bytes.Clone(c)
@@ -107,4 +130,28 @@ func FuzzMLZDecode(f *testing.F) {
 			t.Fatalf("untyped error: %v", err)
 		}
 	})
+}
+
+// blockKinds decodes an MLZ or MLZS container and lists the kind of each
+// of its blocks.
+func blockKinds(tb testing.TB, c []byte) []byte {
+	tb.Helper()
+	r, err := NewReader(bytes.NewReader(c))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	br := r.(*blockReader)
+	var kinds []byte
+	next := br.next
+	br.next = func(r byteSource, blocks int) (blockHeader, error) {
+		h, err := next(r, blocks)
+		if err == nil {
+			kinds = append(kinds, h.kind)
+		}
+		return h, err
+	}
+	if _, err := io.ReadAll(br); err != nil {
+		tb.Fatal(err)
+	}
+	return kinds
 }

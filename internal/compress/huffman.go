@@ -220,7 +220,7 @@ func reverseBits(v uint16, n uint8) uint16 {
 	return r
 }
 
-var errHuffCorrupt = fmt.Errorf("compress: corrupt Huffman block: %w", faults.ErrCorrupt)
+var errHuffCorrupt = fmt.Errorf("corrupt Huffman coding: %w", faults.ErrCorrupt)
 
 // huffDecoder holds reusable decode tables.
 type huffDecoder struct {

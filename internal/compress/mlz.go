@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"mbplib/internal/faults"
 )
@@ -26,7 +25,7 @@ import (
 //	repeated blocks:
 //	    rawLen  uvarint   — decompressed size of the block (0 terminates)
 //	    kind    1 byte    — 0 stored, 1 LZ token stream, 2 Huffman-coded
-//	                        LZ token stream (see huffman.go)
+//	                        LZ token stream (see block.go)
 //	    dataLen uvarint   — encoded size of the payload
 //	    payload dataLen bytes
 //
@@ -59,13 +58,6 @@ const (
 	mlzMaxOffset = mlzBlockSize - 1
 )
 
-// Block kinds.
-const (
-	blockStored  = 0
-	blockLZ      = 1
-	blockHuffman = 2
-)
-
 // Level selects the effort of the MLZ match search.
 type Level int
 
@@ -78,13 +70,12 @@ const (
 
 // mlzWriter implements io.WriteCloser, buffering input into blocks.
 type mlzWriter struct {
-	w       io.Writer
-	level   Level
-	buf     []byte
-	enc     mlzEncoder
-	huffBuf []byte
-	wrote   bool
-	err     error
+	w     io.Writer
+	level Level
+	buf   []byte
+	enc   mlzEncoder
+	wrote bool
+	err   error
 }
 
 // NewMLZWriter returns a WriteCloser that MLZ-compresses everything written
@@ -127,23 +118,8 @@ func (z *mlzWriter) flushBlock() error {
 	if len(z.buf) == 0 {
 		return nil
 	}
-	payload := z.enc.encode(z.buf, z.level)
-	kind := byte(blockLZ)
-	if huff, ok := huffEncode(payload, z.huffBuf); ok {
-		z.huffBuf = huff
-		payload = huff
-		kind = blockHuffman
-	}
-	if len(payload) >= len(z.buf) {
-		payload = z.buf
-		kind = blockStored
-	}
-	var hdr [2*binary.MaxVarintLen64 + 1]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(z.buf)))
-	hdr[n] = kind
-	n++
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	if _, err := z.w.Write(hdr[:n]); err != nil {
+	payload, kind := z.enc.encodeBlock(z.buf, z.level)
+	if _, err := z.w.Write(appendBlockHeader(nil, len(z.buf), kind, len(payload))); err != nil {
 		return err
 	}
 	if _, err := z.w.Write(payload); err != nil {
@@ -158,16 +134,11 @@ func (z *mlzWriter) Close() error {
 	if z.err != nil {
 		return z.err
 	}
+	// flushBlock writes the magic first, so an empty stream still gets a
+	// valid frame.
 	if err := z.flushBlock(); err != nil {
 		z.err = err
 		return err
-	}
-	if !z.wrote { // empty stream still gets a valid frame
-		if _, err := z.w.Write(mlzMagic[:]); err != nil {
-			z.err = err
-			return err
-		}
-		z.wrote = true
 	}
 	if _, err := z.w.Write([]byte{0}); err != nil { // rawLen 0 terminates
 		z.err = err
@@ -183,6 +154,7 @@ type mlzEncoder struct {
 	prev []int32 // position -> previous position with same hash
 	out  []byte
 	reps [3]int // repeat-offset history, most recent first
+	huff []byte // Huffman coding of out (encodeBlock)
 }
 
 const (
@@ -384,163 +356,32 @@ func (e *mlzEncoder) writeExtra(v int) {
 	e.out = append(e.out, byte(v))
 }
 
-// mlzReader implements io.Reader over an MLZ frame.
-type mlzReader struct {
-	r     io.ByteReader
-	src   io.Reader
-	block []byte
-	pos   int
-	raw   []byte
-	huff  huffDecoder
-	done  bool
-	err   error
-}
-
 // NewMLZReader returns a Reader that decompresses an MLZ frame from r. It
 // assumes the 4-byte magic has NOT been consumed yet.
 func NewMLZReader(r io.Reader) (io.Reader, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("compress: reading MLZ magic: %w", faults.ErrTruncated)
-		}
-		return nil, fmt.Errorf("compress: reading MLZ magic: %w", err)
+	src := asByteSource(r)
+	if err := readMagic(src, mlzMagic, "MLZ"); err != nil {
+		return nil, err
 	}
-	if magic != mlzMagic {
-		return nil, fmt.Errorf("compress: not an MLZ stream: %w", faults.ErrCorrupt)
-	}
-	return newMLZBody(r), nil
+	return &blockReader{r: src, unit: "MLZ block", next: nextMLZBlock}, nil
 }
 
-// newMLZBody wraps a stream positioned just after the magic bytes.
-func newMLZBody(r io.Reader) io.Reader {
-	br, ok := r.(interface {
-		io.Reader
-		io.ByteReader
-	})
-	if ok {
-		return &mlzReader{r: br, src: br}
-	}
-	bb := &byteReader{r: r}
-	return &mlzReader{r: bb, src: bb}
-}
-
-// byteReader adds a trivial ReadByte to an io.Reader.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
-}
-
-func (z *mlzReader) Read(p []byte) (int, error) {
-	for {
-		if z.err != nil {
-			return 0, z.err
-		}
-		if z.pos < len(z.block) {
-			n := copy(p, z.block[z.pos:])
-			z.pos += n
-			return n, nil
-		}
-		if z.done {
-			return 0, io.EOF
-		}
-		if err := z.nextBlock(); err != nil {
-			z.err = err
-			return 0, err
-		}
-	}
-}
-
-func (z *mlzReader) nextBlock() error {
-	rawLen, err := binary.ReadUvarint(z.r)
-	if err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("compress: MLZ frame ends without terminator: %w", faults.ErrTruncated)
-		}
-		return fmt.Errorf("compress: MLZ block header: %w", classifyVarintErr(err))
-	}
-	if rawLen == 0 {
-		z.done = true
-		return io.EOF
-	}
-	if rawLen > mlzBlockSize {
-		return fmt.Errorf("compress: MLZ block raw length %d exceeds %d: %w", rawLen, mlzBlockSize, faults.ErrLimit)
-	}
-	kind, err := z.r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("compress: MLZ block kind: %w", classifyVarintErr(err))
-	}
-	dataLen, err := binary.ReadUvarint(z.r)
-	if err != nil {
-		return fmt.Errorf("compress: MLZ block header: %w", classifyVarintErr(err))
-	}
-	if dataLen > mlzBlockSize {
-		return fmt.Errorf("compress: MLZ block data length %d exceeds %d: %w", dataLen, mlzBlockSize, faults.ErrLimit)
-	}
-	if cap(z.raw) < int(dataLen) {
-		z.raw = make([]byte, dataLen)
-	}
-	payload := z.raw[:dataLen]
-	if _, err := io.ReadFull(z.src, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("compress: MLZ block payload: %w", faults.ErrTruncated)
-		}
-		return fmt.Errorf("compress: MLZ block payload: %w", err)
-	}
-	if cap(z.block) < int(rawLen) {
-		z.block = make([]byte, rawLen)
-	}
-	switch kind {
-	case blockStored:
-		if dataLen != rawLen {
-			return errMLZCorrupt
-		}
-		z.block = z.block[:rawLen]
-		copy(z.block, payload)
-	case blockHuffman:
-		lz, err := z.huff.decode(payload)
-		if err != nil {
-			return err
-		}
-		z.block, err = mlzDecodeBlock(z.block[:0], lz, int(rawLen))
-		if err != nil {
-			return err
-		}
-	case blockLZ:
-		z.block, err = mlzDecodeBlock(z.block[:0], payload, int(rawLen))
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("compress: unknown MLZ block kind %d: %w", kind, faults.ErrCorrupt)
-	}
-	z.pos = 0
-	return nil
-}
-
-var errMLZCorrupt = fmt.Errorf("compress: corrupt MLZ block: %w", faults.ErrCorrupt)
-
-// classifyVarintErr maps an error from inside a block header into the
-// taxonomy: end of input is truncation, a varint overflow is corruption,
-// and real I/O errors pass through unchanged.
-func classifyVarintErr(err error) error {
+// nextMLZBlock parses an MLZ block header; a raw length of 0 ends the
+// frame.
+func nextMLZBlock(r byteSource, _ int) (blockHeader, error) {
+	rawLen, err := binary.ReadUvarint(r)
 	switch {
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-		return fmt.Errorf("%w: %w", err, faults.ErrTruncated)
-	case strings.Contains(err.Error(), "overflow"):
-		return fmt.Errorf("%w: %w", err, faults.ErrCorrupt)
+	case err == io.EOF:
+		return blockHeader{}, fmt.Errorf("frame ends without terminator: %w", faults.ErrTruncated)
+	case err != nil:
+		return blockHeader{}, fmt.Errorf("header: %w", faults.ClassifyRead(err))
+	case rawLen == 0:
+		return blockHeader{}, io.EOF
 	}
-	return err
+	return readBlockHeader(r, rawLen)
 }
+
+var errMLZCorrupt = fmt.Errorf("corrupt token stream: %w", faults.ErrCorrupt)
 
 // mlzDecodeBlock decompresses one token-stream payload into dst, which must
 // have capacity for rawLen bytes. It returns dst grown to rawLen.

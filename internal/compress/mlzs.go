@@ -1,11 +1,15 @@
 package compress
 
-// MLZS is the seekable chunked container over the MLZ codec, in the spirit
-// of s2's Index and pgzip: the raw stream is cut into independent chunks,
-// each compressed on its own (MLZ token stream, Huffman-coded token stream,
-// or stored) and framed with its decompressed size and a CRC-32C of the
-// payload, so chunks can be compressed in parallel and a damaged chunk is
-// caught by its own checksum.
+// MLZS is the chunked container over the MLZ block codec, in the spirit
+// of pgzip: the raw stream is cut into chunks, each coded on its own by the
+// block codec both containers share (block.go) and framed with its
+// decompressed size and a CRC-32C of the payload. Two things follow that
+// an MLZ frame does not give: chunks are compressed in parallel with the
+// same output bytes at any worker count, and damage is confined by the
+// CRC, which is checked before a chunk is decoded, so a reader delivers
+// exactly the bytes of the chunks before a damaged one and then a typed
+// error. An MLZ block has no checksum; a flipped byte in it can decode to
+// wrong bytes.
 //
 // Container layout:
 //
@@ -19,7 +23,7 @@ package compress
 //	repeated chunk frames:
 //	    tag     1 byte    — 0x01 (chunk follows); 0x00 terminates the chunks
 //	    rawLen  uvarint   — decompressed size of the chunk
-//	    kind    1 byte    — 0 stored, 1 LZ, 2 Huffman (the MLZ block kinds)
+//	    kind    1 byte    — 0 stored, 1 LZ, 2 Huffman (the block kinds)
 //	    dataLen uvarint   — encoded payload size
 //	    crc     4 bytes   — CRC-32C (Castagnoli) of the payload, little-endian
 //	    payload dataLen bytes
@@ -31,13 +35,13 @@ package compress
 //	footer (fixed 12 bytes, located by seeking to end-of-file):
 //	    trailerLen u32 LE | trailer CRC-32C u32 LE | end magic "SZLM"
 //
-// The one decoder is the sequential reader: frames are self-delimiting and
-// the 0x00 tag ends the data, so the container streams through NewReader
-// exactly like the legacy MLZ format. Of the trailer it reads only the
-// chunk count, which must match the chunks it decoded: a one-byte flip in
-// the unchecksummed header can make a 0x00 byte read as the end tag. The
-// rest of the trailer serves tooling that reports chunk geometry and
-// index health (StatMLZSFile): ReadMLZSIndex locates it through the
+// It is read like an MLZ frame, front to back by the one streaming reader
+// (blockReader); no reader seeks. Only the frame header differs: the tag,
+// and the CRC checked before decoding. Of the trailer the reader reads
+// only the chunk count, which must match the chunks it decoded: a one-byte
+// flip in the unchecksummed header can make a 0x00 byte read as the end
+// tag. The rest of the trailer serves tooling that reports chunk geometry
+// and index health (StatMLZSFile): ReadMLZSIndex locates it through the
 // footer, a damaged trailer yields a typed faults.ErrCorrupt (never a
 // wrong chunk table — it is CRC-protected), and ScanMLZSIndex rebuilds the
 // table from the frames instead.
@@ -153,8 +157,7 @@ type mlzsWriter struct {
 	free    chan []byte
 
 	// Inline-compression state (opts.Workers <= 1).
-	enc     mlzEncoder
-	huffBuf []byte
+	enc mlzEncoder
 }
 
 // NewMLZSWriter returns a WriteCloser that writes the MLZS container into w.
@@ -178,10 +181,9 @@ func NewMLZSWriter(w io.Writer, opts MLZSOptions) io.WriteCloser {
 // written in order.
 func mlzsCompressWorker(jobs <-chan *mlzsJob, level Level) {
 	var enc mlzEncoder
-	var huffBuf []byte
 	for j := range jobs {
 		var out []byte
-		out, j.kind, huffBuf = mlzsCompressChunk(&enc, huffBuf, j.raw, level)
+		out, j.kind = enc.encodeBlock(j.raw, level)
 		if j.kind == blockStored {
 			j.payload = j.raw
 		} else {
@@ -189,24 +191,6 @@ func mlzsCompressWorker(jobs <-chan *mlzsJob, level Level) {
 		}
 		close(j.done)
 	}
-}
-
-// mlzsCompressChunk compresses one chunk with the MLZ machinery, choosing
-// the smallest of LZ, Huffman-coded LZ and stored. The returned payload may
-// alias enc's or huffBuf's storage.
-func mlzsCompressChunk(enc *mlzEncoder, huffBuf, raw []byte, level Level) (payload []byte, kind byte, newHuffBuf []byte) {
-	payload = enc.encode(raw, level)
-	kind = blockLZ
-	if huff, ok := huffEncode(payload, huffBuf); ok {
-		huffBuf = huff
-		payload = huff
-		kind = blockHuffman
-	}
-	if len(payload) >= len(raw) {
-		payload = raw
-		kind = blockStored
-	}
-	return payload, kind, huffBuf
 }
 
 // chunkTarget returns the raw length the chunk starting at z.raw should be
@@ -277,8 +261,7 @@ func (z *mlzsWriter) flushChunk() error {
 	}
 	z.raw += int64(len(z.buf))
 	if z.jobs == nil {
-		payload, kind, huffBuf := mlzsCompressChunk(&z.enc, z.huffBuf, z.buf, z.opts.Level)
-		z.huffBuf = huffBuf
+		payload, kind := z.enc.encodeBlock(z.buf, z.opts.Level)
 		if err := z.writeFrame(int64(len(z.buf)), kind, payload); err != nil {
 			return err
 		}
@@ -317,22 +300,15 @@ func (z *mlzsWriter) drainOne() error {
 // writeFrame emits one chunk frame and records its trailer entry.
 func (z *mlzsWriter) writeFrame(rawLen int64, kind byte, payload []byte) error {
 	z.index = append(z.index, mlzsChunkInfo{off: z.off, rawLen: rawLen})
-	var hdr [2*binary.MaxVarintLen64 + 6]byte
-	hdr[0] = mlzsChunkTag
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(rawLen))
-	hdr[n] = kind
-	n++
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, mlzsCastagnoli))
-	n += 4
-	if _, err := z.w.Write(hdr[:n]); err != nil {
+	hdr := appendBlockHeader([]byte{mlzsChunkTag}, int(rawLen), kind, len(payload))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, mlzsCastagnoli))
+	if _, err := z.w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := z.w.Write(payload); err != nil {
 		return err
 	}
-	z.off += int64(n) + int64(len(payload))
+	z.off += int64(len(hdr)) + int64(len(payload))
 	return nil
 }
 
@@ -347,10 +323,9 @@ func (z *mlzsWriter) Close() error {
 		z.stopWorkers()
 		return err
 	}
+	// flushChunk writes the header first, so an empty stream still gets
+	// a valid container.
 	if err := z.flushChunk(); err != nil {
-		return fail(err)
-	}
-	if err := z.writeHeader(); err != nil { // empty stream still gets a frame
 		return fail(err)
 	}
 	for len(z.pending) > 0 {
@@ -396,12 +371,6 @@ func (z *mlzsWriter) stopWorkers() {
 	}
 }
 
-// byteSource is the reader shape the frame parser needs.
-type byteSource interface {
-	io.Reader
-	io.ByteReader
-}
-
 // mlzsHeader is the decoded container header.
 type mlzsHeader struct {
 	chunkSize int64
@@ -434,19 +403,12 @@ func (c *countingByteSource) ReadByte() (byte, error) {
 // parseMLZSHeader consumes and validates the container header, including the
 // 4-byte magic.
 func parseMLZSHeader(r *countingByteSource) (mlzsHeader, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return mlzsHeader{}, fmt.Errorf("compress: reading MLZS magic: %w", faults.ErrTruncated)
-		}
-		return mlzsHeader{}, fmt.Errorf("compress: reading MLZS magic: %w", err)
-	}
-	if magic != mlzsMagic {
-		return mlzsHeader{}, fmt.Errorf("compress: not an MLZS container: %w", faults.ErrCorrupt)
+	if err := readMagic(r, mlzsMagic, "MLZS"); err != nil {
+		return mlzsHeader{}, err
 	}
 	version, err := r.ReadByte()
 	if err != nil {
-		return mlzsHeader{}, fmt.Errorf("compress: MLZS header: %w", classifyVarintErr(err))
+		return mlzsHeader{}, fmt.Errorf("compress: MLZS header: %w", faults.ClassifyRead(err))
 	}
 	if version != mlzsVersion {
 		return mlzsHeader{}, fmt.Errorf("compress: unsupported MLZS version %d (want %d): %w", version, mlzsVersion, faults.ErrCorrupt)
@@ -456,7 +418,7 @@ func parseMLZSHeader(r *countingByteSource) (mlzsHeader, error) {
 	for _, f := range fields {
 		v, err := binary.ReadUvarint(r)
 		if err != nil {
-			return mlzsHeader{}, fmt.Errorf("compress: MLZS header: %w", classifyVarintErr(err))
+			return mlzsHeader{}, fmt.Errorf("compress: MLZS header: %w", faults.ClassifyRead(err))
 		}
 		if v > mlzBlockSize {
 			return mlzsHeader{}, fmt.Errorf("compress: MLZS header field %d exceeds %d: %w", v, mlzBlockSize, faults.ErrLimit)
@@ -470,179 +432,63 @@ func parseMLZSHeader(r *countingByteSource) (mlzsHeader, error) {
 	return h, nil
 }
 
-// mlzsFrame is one parsed chunk frame header.
-type mlzsFrame struct {
-	rawLen  int64
-	kind    byte
-	dataLen int64
-	crc     uint32
-}
-
-// readMLZSFrameHeader parses the next frame header. done reports the 0x00
-// end tag; chunk is the frame's index, used only for error texts.
-func readMLZSFrameHeader(r byteSource, chunk int) (fr mlzsFrame, done bool, err error) {
+// readMLZSFrameHeader parses the next chunk frame header, or returns
+// io.EOF at the 0x00 end tag.
+func readMLZSFrameHeader(r byteSource) (blockHeader, error) {
 	tag, err := r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return fr, false, fmt.Errorf("compress: MLZS container ends without terminator: %w", faults.ErrTruncated)
-		}
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d header: %w", chunk, classifyVarintErr(err))
-	}
-	switch tag {
-	case mlzsEndTag:
-		return fr, true, nil
-	case mlzsChunkTag:
-	default:
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d: bad frame tag %#02x: %w", chunk, tag, faults.ErrCorrupt)
+	switch {
+	case err == io.EOF:
+		return blockHeader{}, fmt.Errorf("container ends without terminator: %w", faults.ErrTruncated)
+	case err != nil:
+		return blockHeader{}, fmt.Errorf("header: %w", faults.ClassifyRead(err))
+	case tag == mlzsEndTag:
+		return blockHeader{}, io.EOF
+	case tag != mlzsChunkTag:
+		return blockHeader{}, fmt.Errorf("bad frame tag %#02x: %w", tag, faults.ErrCorrupt)
 	}
 	rawLen, err := binary.ReadUvarint(r)
 	if err != nil {
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d header: %w", chunk, classifyVarintErr(err))
+		return blockHeader{}, fmt.Errorf("header: %w", faults.ClassifyRead(err))
 	}
-	if rawLen > mlzBlockSize {
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d raw length %d exceeds %d: %w", chunk, rawLen, mlzBlockSize, faults.ErrLimit)
-	}
-	kind, err := r.ReadByte()
+	h, err := readBlockHeader(r, rawLen)
 	if err != nil {
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d header: %w", chunk, classifyVarintErr(err))
-	}
-	dataLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d header: %w", chunk, classifyVarintErr(err))
-	}
-	if dataLen > mlzBlockSize {
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d data length %d exceeds %d: %w", chunk, dataLen, mlzBlockSize, faults.ErrLimit)
+		return h, err
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return fr, false, fmt.Errorf("compress: MLZS chunk %d header: %w", chunk, faults.ErrTruncated)
+		return h, fmt.Errorf("header: %w", faults.ClassifyRead(err))
 	}
-	fr.rawLen, fr.kind, fr.dataLen = int64(rawLen), kind, int64(dataLen)
-	fr.crc = binary.LittleEndian.Uint32(crcBuf[:])
-	return fr, false, nil
+	h.crc, h.hasCRC = binary.LittleEndian.Uint32(crcBuf[:]), true
+	return h, nil
 }
 
-// mlzsDecodePayload verifies the CRC and decompresses one chunk payload into
-// dst (whose capacity is grown as needed), returning dst sized to rawLen.
-func mlzsDecodePayload(huff *huffDecoder, dst []byte, fr mlzsFrame, payload []byte, chunk int) ([]byte, error) {
-	if got := crc32.Checksum(payload, mlzsCastagnoli); got != fr.crc {
-		return nil, fmt.Errorf("compress: MLZS chunk %d checksum mismatch (got %#08x, want %#08x): %w", chunk, got, fr.crc, faults.ErrCorrupt)
+// nextMLZSChunk parses the frame header of chunk number chunk. At the end
+// tag it checks the trailer's chunk count: a header or frame misread can
+// land on a 0x00 byte, and the count tells that from the real end tag.
+func nextMLZSChunk(r byteSource, chunk int) (blockHeader, error) {
+	h, err := readMLZSFrameHeader(r)
+	if err != io.EOF {
+		return h, err
 	}
-	if cap(dst) < int(fr.rawLen) {
-		dst = make([]byte, 0, fr.rawLen)
+	count, err := binary.ReadUvarint(r)
+	if err != nil {
+		return h, fmt.Errorf("index count: %w", faults.ClassifyRead(err))
 	}
-	switch fr.kind {
-	case blockStored:
-		if fr.dataLen != fr.rawLen {
-			return nil, fmt.Errorf("compress: corrupt MLZS chunk %d: stored size mismatch: %w", chunk, faults.ErrCorrupt)
-		}
-		dst = dst[:fr.rawLen]
-		copy(dst, payload)
-		return dst, nil
-	case blockHuffman:
-		lz, err := huff.decode(payload)
-		if err != nil {
-			return nil, fmt.Errorf("compress: MLZS chunk %d: %w", chunk, err)
-		}
-		out, err := mlzDecodeBlock(dst[:0], lz, int(fr.rawLen))
-		if err != nil {
-			return nil, fmt.Errorf("compress: MLZS chunk %d: %w", chunk, err)
-		}
-		return out, nil
-	case blockLZ:
-		out, err := mlzDecodeBlock(dst[:0], payload, int(fr.rawLen))
-		if err != nil {
-			return nil, fmt.Errorf("compress: MLZS chunk %d: %w", chunk, err)
-		}
-		return out, nil
+	if count != uint64(chunk) {
+		return h, fmt.Errorf("container ends after %d chunks, its index lists %d: %w", chunk, count, faults.ErrCorrupt)
 	}
-	return nil, fmt.Errorf("compress: unknown MLZS chunk kind %d: %w", fr.kind, faults.ErrCorrupt)
-}
-
-// mlzsSeqReader is the sequential streaming decoder: one chunk at a time on
-// the Read caller, no goroutines. It is the shape compress.NewReader
-// returns, so old stream-oriented consumers work unchanged.
-type mlzsSeqReader struct {
-	r       *countingByteSource
-	chunk   int
-	block   []byte
-	pos     int
-	payload []byte
-	huff    huffDecoder
-	done    bool
-	err     error
+	return h, io.EOF
 }
 
 // NewMLZSReader returns a Reader decompressing an MLZS container from r,
 // one chunk at a time on the Read caller. The 4-byte magic must not have
 // been consumed yet.
 func NewMLZSReader(r io.Reader) (io.Reader, error) {
-	src, ok := r.(byteSource)
-	if !ok {
-		src = &byteReader{r: r}
-	}
-	cs := &countingByteSource{r: src}
-	if _, err := parseMLZSHeader(cs); err != nil {
+	src := asByteSource(r)
+	if _, err := parseMLZSHeader(&countingByteSource{r: src}); err != nil {
 		return nil, err
 	}
-	return &mlzsSeqReader{r: cs}, nil
-}
-
-func (z *mlzsSeqReader) Read(p []byte) (int, error) {
-	for {
-		if z.err != nil {
-			return 0, z.err
-		}
-		if z.pos < len(z.block) {
-			n := copy(p, z.block[z.pos:])
-			z.pos += n
-			return n, nil
-		}
-		if z.done {
-			return 0, io.EOF
-		}
-		if err := z.nextChunk(); err != nil {
-			z.err = err
-			return 0, err
-		}
-	}
-}
-
-func (z *mlzsSeqReader) nextChunk() error {
-	fr, done, err := readMLZSFrameHeader(z.r, z.chunk)
-	if err != nil {
-		return err
-	}
-	if done {
-		// A header or frame misread can land on a 0x00 byte; the
-		// trailer's chunk count tells that from the real end tag.
-		count, err := binary.ReadUvarint(z.r)
-		if err != nil {
-			return fmt.Errorf("compress: MLZS index count: %w", classifyVarintErr(err))
-		}
-		if count != uint64(z.chunk) {
-			return fmt.Errorf("compress: MLZS container ends after %d chunks, its index lists %d: %w", z.chunk, count, faults.ErrCorrupt)
-		}
-		z.done = true
-		return io.EOF
-	}
-	if cap(z.payload) < int(fr.dataLen) {
-		z.payload = make([]byte, fr.dataLen)
-	}
-	payload := z.payload[:fr.dataLen]
-	if _, err := io.ReadFull(z.r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("compress: MLZS chunk %d payload: %w", z.chunk, faults.ErrTruncated)
-		}
-		return fmt.Errorf("compress: MLZS chunk %d payload: %w", z.chunk, err)
-	}
-	block, err := mlzsDecodePayload(&z.huff, z.block, fr, payload, z.chunk)
-	if err != nil {
-		return err
-	}
-	z.block, z.pos = block, 0
-	z.chunk++
-	return nil
+	return &blockReader{r: src, unit: "MLZS chunk", next: nextMLZSChunk}, nil
 }
 
 // MLZSChunk locates one chunk of a container.
@@ -714,7 +560,7 @@ func ReadMLZSIndex(ra io.ReaderAt, size int64) (*MLZSIndex, error) {
 	tr := bytes.NewReader(trailer)
 	count, err := binary.ReadUvarint(tr)
 	if err != nil {
-		return nil, fmt.Errorf("compress: MLZS index: %w", classifyVarintErr(err))
+		return nil, fmt.Errorf("compress: MLZS index: %w", faults.ClassifyRead(err))
 	}
 	// Each chunk costs at least 7 frame bytes, so a count beyond the file
 	// size is hostile; reject before allocating for it.
@@ -726,11 +572,11 @@ func ReadMLZSIndex(ra io.ReaderAt, size int64) (*MLZSIndex, error) {
 	for i := uint64(0); i < count; i++ {
 		delta, err := binary.ReadUvarint(tr)
 		if err != nil {
-			return nil, fmt.Errorf("compress: MLZS index: %w", classifyVarintErr(err))
+			return nil, fmt.Errorf("compress: MLZS index: %w", faults.ClassifyRead(err))
 		}
 		rawLen, err := binary.ReadUvarint(tr)
 		if err != nil {
-			return nil, fmt.Errorf("compress: MLZS index: %w", classifyVarintErr(err))
+			return nil, fmt.Errorf("compress: MLZS index: %w", faults.ClassifyRead(err))
 		}
 		off += int64(delta)
 		if delta == 0 || off >= size || rawLen == 0 || rawLen > mlzBlockSize {
@@ -750,11 +596,7 @@ func ReadMLZSIndex(ra io.ReaderAt, size int64) (*MLZSIndex, error) {
 // for containers whose trailer is damaged or still being written. Payloads
 // are skipped, not decompressed or CRC-verified.
 func ScanMLZSIndex(r io.Reader) (*MLZSIndex, error) {
-	src, ok := r.(byteSource)
-	if !ok {
-		src = &byteReader{r: r}
-	}
-	cs := &countingByteSource{r: src}
+	cs := &countingByteSource{r: asByteSource(r)}
 	h, err := parseMLZSHeader(cs)
 	if err != nil {
 		return nil, err
@@ -763,13 +605,13 @@ func ScanMLZSIndex(r io.Reader) (*MLZSIndex, error) {
 	rawOff := int64(0)
 	for chunk := 0; ; chunk++ {
 		off := cs.n
-		fr, done, err := readMLZSFrameHeader(cs, chunk)
-		if err != nil {
-			return nil, err
-		}
-		if done {
+		fr, err := readMLZSFrameHeader(cs)
+		if err == io.EOF {
 			ix.RawSize = rawOff
 			return ix, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("compress: MLZS chunk %d: %w", chunk, err)
 		}
 		if _, err := io.CopyN(io.Discard, cs, fr.dataLen); err != nil {
 			return nil, fmt.Errorf("compress: MLZS chunk %d payload: %w", chunk, faults.ErrTruncated)

@@ -17,7 +17,7 @@ import (
 )
 
 // prepSuite writes the cbp5-train suite at scale into a fresh directory, in
-// both the stream (.sbbt.mlz) and the seekable (.sbbt.mlzs) format, and
+// both the stream (.sbbt.mlz) and the chunked (.sbbt.mlzs) format, and
 // returns the directory.
 func prepSuite(t *testing.T, scale uint64) string {
 	t.Helper()

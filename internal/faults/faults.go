@@ -27,7 +27,9 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"strings"
 )
 
 // The four fault classes. Readers wrap these with fmt.Errorf("...: %w", ...)
@@ -96,6 +98,21 @@ func Class(err error) string {
 		return "drained"
 	}
 	return "other"
+}
+
+// ClassifyRead types an error from reading one field of an encoded
+// stream: an end of input is ErrTruncated, a varint too long for 64 bits
+// (encoding/binary's overflow error, which has no exported value) is
+// ErrCorrupt, and any other error, a real I/O failure, passes through
+// unchanged.
+func ClassifyRead(err error) error {
+	switch {
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("%w: %w", err, ErrTruncated)
+	case strings.Contains(err.Error(), "overflow"):
+		return fmt.Errorf("%w: %w", err, ErrCorrupt)
+	}
+	return err
 }
 
 // Permanent reports whether retrying the operation that produced err could

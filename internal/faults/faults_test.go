@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,6 +33,32 @@ func TestClass(t *testing.T) {
 		if got := Class(c.err); got != c.want {
 			t.Errorf("Class(%v) = %q, want %q", c.err, got, c.want)
 		}
+	}
+}
+
+// TestClassifyRead: the errors encoding/binary and io return for a field
+// read are typed, and real I/O errors pass through untouched.
+func TestClassifyRead(t *testing.T) {
+	_, overflow := binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0xff}, 11)))
+	_, short := binary.ReadUvarint(bytes.NewReader([]byte{0xff}))
+	ioErr := errors.New("disk on fire")
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{overflow, "corrupt"},
+		{short, "truncated"},
+		{io.EOF, "truncated"},
+		{fmt.Errorf("reading: %w", io.ErrUnexpectedEOF), "truncated"},
+		{ioErr, "other"},
+	} {
+		got := ClassifyRead(c.err)
+		if Class(got) != c.want || !errors.Is(got, c.err) {
+			t.Errorf("ClassifyRead(%v) = %v, class %q, want %q wrapping the original", c.err, got, Class(got), c.want)
+		}
+	}
+	if ClassifyRead(ioErr) != ioErr {
+		t.Errorf("an I/O error must pass through unchanged")
 	}
 }
 

@@ -1,4 +1,4 @@
-// Cache-path equivalence over seekable (MLZS) containers: sweeps that read
+// Cache-path equivalence over chunked (MLZS) containers: sweeps that read
 // packet-aligned .sbbt.mlzs traces through the decoded-trace cache must
 // produce byte-identical result JSON to the sequential streaming path, for
 // every warmup/limit configuration, with fault classes preserved — the MLZS
